@@ -1,10 +1,11 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
 Tensors form an implicit computation tape through parent links; backward()
-walks the tape once in reverse topological order. Only the operations needed
-by the layer zoo are provided: matmul, fixed-operator matvec, broadcast
-add/mul, concat, the activation family, filter-axis softmax, and masked
-cross-entropy. Gradients land on Parameter.grad and are zeroed by the
+walks the tape once in reverse topological order, descending only into
+nodes that require a gradient (those with a Parameter among their
+ancestors). Only the operations needed by the layer zoo are provided:
+matmul, fixed-operator matvec, broadcast add/mul, concat, the activation
+family, filter-axis softmax, and masked cross-entropy. Gradients land on Parameter.grad and are zeroed by the
 optimizer between steps.
 """
 
@@ -28,8 +29,8 @@ class Tensor:
     def __init__(self, value, parents=(), vjp=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = tuple(parents)
-        self._vjp = vjp  # maps upstream grad -> tuple of parent grads
-        self.requires_grad = requires_grad
+        self._vjp = vjp  # maps upstream grad -> tuple of parent grads (None: not needed)
+        self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
         self.grad = None
 
     @property
@@ -102,7 +103,13 @@ def matmul(a, b) -> Tensor:
     if a.value.shape[-1] != b.value.shape[0]:
         raise DimensionMismatch(f"matmul {a.shape} @ {b.shape}")
     av, bv = a.value, b.value
-    return Tensor(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+
+    def vjp(g):
+        # a constant operand gets no gradient product
+        return (g @ bv.T if a.requires_grad else None,
+                av.T @ g if b.requires_grad else None)
+
+    return Tensor(av @ bv, (a, b), vjp)
 
 
 def op_apply(g: Graph, kind: OperatorKind, x) -> Tensor:
@@ -220,6 +227,8 @@ def backward(root: Tensor):
     """Accumulate d root / d leaf into every reachable Parameter's .grad."""
     if root.value.ndim != 0:
         raise DimensionMismatch("backward expects a scalar root")
+    if not root.requires_grad:
+        return
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack = [(root, False)]
@@ -233,7 +242,7 @@ def backward(root: Tensor):
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.value)}
@@ -246,6 +255,8 @@ def backward(root: Tensor):
         if node._vjp is None:
             continue
         for parent, pgrad in zip(node.parents, node._vjp(g)):
+            if not parent.requires_grad:
+                continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pgrad if acc is None else acc + pgrad
 

@@ -14,9 +14,10 @@ import numpy as np
 import contextlib
 
 from .config import ConfigView, parse_config
-from .datasets import Dataset, SBMSpec, describe, generate_sbm, save_dataset
+from .datasets import Dataset, SBMSpec, describe, generate_sbm, read_splits, save_dataset
 from .errors import GraphScatError
 from .experiment import (
+    KNOWN_KEYS,
     model_spec_from_config,
     run_experiment,
     run_trained_model,
@@ -37,7 +38,7 @@ from .spectral import (
     spectral_response,
     wavelet_filter,
 )
-from .train import SplitMasks, TrainConfig
+from .train import TrainConfig
 from .wavelets import WaveletBank
 
 
@@ -80,16 +81,13 @@ def _cmd_train(args) -> int:
     features = _load_features(args.features)
     g = read_edge_list(args.graph, n=features.shape[0])
     labels = np.loadtxt(args.labels, dtype=np.int64).reshape(-1)
-    import json
-    with open(args.splits, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     ds = Dataset(name="cli", graph=g, features=features, labels=labels,
-                 splits=SplitMasks(np.asarray(raw["train"]), np.asarray(raw["val"]),
-                                   np.asarray(raw["test"])))
+                 splits=read_splits(args.splits))
     print(describe(ds))
     if args.config:
         # model.* / train.* settings come from the config; data from the flags
         view = ConfigView(parse_config(args.config))
+        view.reject_unknown_keys(KNOWN_KEYS)
         spec = model_spec_from_config(view, preset=args.preset)
         tcfg = train_config_from_config(view, seed=args.seed)
     else:

@@ -49,7 +49,6 @@ class ConfigView:
 
     def __init__(self, values: dict[str, ConfigValue]):
         self.values = values
-        self._used: set[str] = set()
 
     def has(self, key: str) -> bool:
         return key in self.values
@@ -59,7 +58,6 @@ class ConfigView:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
             return None, default
-        self._used.add(key)
         return self.values[key], None
 
     def get_str(self, key: str, default=None) -> str | None:
@@ -100,6 +98,8 @@ class ConfigView:
                             for part in s.split("|")),
             "paths like '1|2,3'")
 
-    def unknown_keys(self, known_prefixes) -> list[str]:
-        return sorted(k for k in self.values
-                      if not any(k == p or k.startswith(p + ".") for p in known_prefixes))
+    def reject_unknown_keys(self, known_keys):
+        """Raise ConfigError at the first line whose key is not in known_keys."""
+        for key, cv in self.values.items():   # parse order is line order
+            if key not in known_keys:
+                raise ConfigError(f"unknown key {key!r}", line=cv.line)

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadClassIds, InfeasibleSpec, IsolatedNodeWarning, MissingFile, RowCountMismatch
+from .errors import (
+    BadClassIds,
+    InfeasibleSpec,
+    IsolatedNodeWarning,
+    MissingFile,
+    RowCountMismatch,
+    SplitIndexOutOfRange,
+)
 from .graph import Graph, build_graph, read_edge_list, write_edge_list
 from .theory import homophily
 from .train import SplitMasks
@@ -28,6 +35,15 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     splits: SplitMasks
+
+    def __post_init__(self):
+        n = self.graph.n
+        for part in ("train", "val", "test"):
+            idx = getattr(self.splits, part)
+            bad = idx[(idx < 0) | (idx >= n)]
+            if bad.size:
+                raise SplitIndexOutOfRange(
+                    f"{part} split index {int(bad[0])} outside 0..{n - 1}")
 
     @property
     def n_classes(self) -> int:
@@ -185,13 +201,18 @@ def load_dataset(data_dir, name: str | None = None) -> Dataset:
     if g.n != n:
         raise RowCountMismatch(f"graph has {g.n} nodes, features have {n}")
 
-    with open(paths["splits"], "r", encoding="utf-8") as fh:
+    return Dataset(name=name or os.path.basename(os.path.normpath(data_dir)),
+                   graph=g, features=features, labels=labels,
+                   splits=read_splits(paths["splits"]))
+
+
+def read_splits(path) -> SplitMasks:
+    """Train/val/test index arrays from a splits.json file."""
+    with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
-        splits = SplitMasks(train=np.asarray(raw["train"], dtype=np.int64),
-                            val=np.asarray(raw["val"], dtype=np.int64),
-                            test=np.asarray(raw["test"], dtype=np.int64))
+        return SplitMasks(train=np.asarray(raw["train"], dtype=np.int64),
+                          val=np.asarray(raw["val"], dtype=np.int64),
+                          test=np.asarray(raw["test"], dtype=np.int64))
     except KeyError as exc:
         raise MissingFile(f"splits.json lacks key {exc}") from None
-    return Dataset(name=name or os.path.basename(os.path.normpath(data_dir)),
-                   graph=g, features=features, labels=labels, splits=splits)

@@ -77,6 +77,10 @@ class BadClassIds(GraphScatError):
     """Labels are not dense integer class ids starting at 0."""
 
 
+class SplitIndexOutOfRange(GraphScatError):
+    """A split index is negative or not smaller than the node count."""
+
+
 class InfeasibleSpec(GraphScatError):
     """Rejection sampling could not satisfy the generator spec."""
 

@@ -18,7 +18,14 @@ from .layers import attention_ratio
 from .models import ModelSpec, build_model
 from .train import FitResult, TrainConfig, evaluate, fit
 
-KNOWN_PREFIXES = ("dataset", "sbm", "model", "train", "out")
+# the config schema documented in the README; any other key is an error
+KNOWN_KEYS = frozenset(
+    ["dataset.dir", "out.dir"]
+    + [f"sbm.{k}" for k in ("blocks", "p_in", "p_out", "feature_dim", "noise", "seed")]
+    + [f"model.{k}" for k in ("preset", "hidden", "alpha", "q", "heads", "low_powers",
+                              "low_widths", "band_widths", "band_paths")]
+    + [f"train.{k}" for k in ("lr", "weight_decay", "epochs", "patience", "seed",
+                              "optimizer")])
 
 
 def model_spec_from_config(cfg: ConfigView, preset: str | None = None) -> ModelSpec:
@@ -95,10 +102,7 @@ def run_trained_model(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig):
 def run_experiment(config_path, out_dir=None, echo=print) -> dict:
     """Execute one configured run and write the metrics files."""
     cfg = ConfigView(parse_config(config_path))
-    unknown = cfg.unknown_keys(KNOWN_PREFIXES)
-    if unknown:
-        bad = unknown[0]
-        raise ConfigError(f"unknown key {bad!r}", line=cfg.values[bad].line)
+    cfg.reject_unknown_keys(KNOWN_KEYS)
     out_dir = out_dir or cfg.get_str("out.dir", "results")
     os.makedirs(out_dir, exist_ok=True)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,8 @@ class Graph:
     Invariants: every edge is stored in both directions with the same
     positive weight, no self-loops, and degrees[v] equals the row sum of W.
     Arrays are frozen (non-writeable), so instances are safely shareable.
+    The kernel's row segmentation, the isolated-node flag and the operator
+    divisors are derived once at construction.
     """
 
     n: int
@@ -38,15 +40,29 @@ class Graph:
     csr_targets: np.ndarray   # int64, shape (nnz,) sorted within each row
     csr_weights: np.ndarray   # float64, shape (nnz,)
     degrees: np.ndarray       # float64, shape (n,)
+    has_isolated_nodes: bool = field(init=False, compare=False)
+    nonempty_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    row_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_degrees_plus_one: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nonempty = np.flatnonzero(np.diff(self.csr_offsets) > 0)
+        derived = {"has_isolated_nodes": bool(np.any(self.degrees == 0.0)),
+                   "nonempty_rows": nonempty,
+                   # reduceat segments are contiguous because empty rows hold no entries
+                   "row_starts": self.csr_offsets[nonempty],
+                   "sqrt_degrees": np.sqrt(self.degrees),
+                   "sqrt_degrees_plus_one": np.sqrt(self.degrees + 1.0)}
+        for name, value in derived.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def num_edges(self) -> int:
         """Number of undirected edges (each stored twice in CSR)."""
         return self.csr_targets.size // 2
-
-    @property
-    def has_isolated_nodes(self) -> bool:
-        return bool(np.any(self.degrees == 0.0))
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.csr_targets[self.csr_offsets[v]:self.csr_offsets[v + 1]]
@@ -155,14 +171,16 @@ def _check_features(g: Graph, X: np.ndarray) -> np.ndarray:
 
 def adjacency_matvec(g: Graph, X: np.ndarray) -> np.ndarray:
     """W @ X for (n,) or (n, d) inputs, O(nnz * d) time and memory."""
-    contrib = g.csr_weights * X[g.csr_targets] if X.ndim == 1 \
-        else g.csr_weights[:, None] * X[g.csr_targets]
+    X = np.asarray(X, dtype=np.float64)
+    contrib = np.take(X, g.csr_targets, axis=0)
+    contrib *= g.csr_weights if X.ndim == 1 else g.csr_weights[:, None]
+    if not g.row_starts.size:
+        return np.zeros_like(X)
+    sums = np.add.reduceat(contrib, g.row_starts, axis=0)
+    if g.row_starts.size == g.n:
+        return sums
     out = np.zeros_like(X)
-    counts = np.diff(g.csr_offsets)
-    nonempty = np.flatnonzero(counts > 0)
-    if nonempty.size:
-        # reduceat segments are contiguous because empty rows hold no entries
-        out[nonempty] = np.add.reduceat(contrib, g.csr_offsets[nonempty], axis=0)
+    out[g.nonempty_rows] = sums
     return out
 
 
@@ -170,6 +188,11 @@ def _require_no_isolated(g: Graph, kind: OperatorKind):
     if kind.needs_inverse_degree and g.has_isolated_nodes:
         raise IsolatedNodeError(
             f"operator {kind.tag} undefined on degree-zero nodes")
+
+
+def _column(v: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per-node vector v shaped to divide X row-wise."""
+    return v if X.ndim == 1 else v[:, None]
 
 
 def apply_operator(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
@@ -183,7 +206,7 @@ def apply_operator(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
     """
     X = _check_features(g, X)
     _require_no_isolated(g, kind)
-    d = g.degrees if X.ndim == 1 else g.degrees[:, None]
+    d = _column(g.degrees, X)
     if kind.tag == "lazy_walk":
         return 0.5 * X + 0.5 * adjacency_matvec(g, X / d)
     if kind.tag == "random_walk":
@@ -194,12 +217,11 @@ def apply_operator(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
             return X.copy()
         return (X + a * adjacency_matvec(g, X / d)) / (a + 1.0)
     if kind.tag == "renorm_adjacency":
-        dt = d + 1.0
-        s = np.sqrt(dt)
+        s = _column(g.sqrt_degrees_plus_one, X)
         Y = X / s
         return (Y + adjacency_matvec(g, Y)) / s
     if kind.tag == "sym_norm_adjacency":
-        s = np.sqrt(d)
+        s = _column(g.sqrt_degrees, X)
         return X + adjacency_matvec(g, X / s) / s
     raise ValueError(f"unknown operator kind {kind.tag!r}")
 
@@ -212,7 +234,7 @@ def apply_operator_transpose(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.
     """
     X = _check_features(g, X)
     _require_no_isolated(g, kind)
-    d = g.degrees if X.ndim == 1 else g.degrees[:, None]
+    d = _column(g.degrees, X)
     if kind.tag == "lazy_walk":
         return 0.5 * X + 0.5 * adjacency_matvec(g, X) / d
     if kind.tag == "random_walk":

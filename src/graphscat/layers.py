@@ -5,6 +5,12 @@ renormalized adjacency; band-pass channels are learned scattering channels.
 A hybrid layer aggregates them either by horizontal concatenation or by a
 per-node attention module whose softmax runs across all filters, and a graph
 residual convolution cleans up afterwards.
+
+Before its activation every low-pass and single-scale band-pass response is
+linear in Theta, F (X Theta) = (F X) Theta. When the layer input is a
+constant, filter_responses computes the F X products once and the layers
+take a matmul per channel instead of a diffusion chain per channel, per head
+and per epoch (the SGC precomputation applied to the hybrid filter set).
 """
 
 from __future__ import annotations
@@ -16,9 +22,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionMismatch, IsolatedNodeError
-from .graph import RENORM_ADJACENCY, Graph, residual_diffusion
-from .scattering import ABS, IDENTITY, Nonlinearity, cascade_tensor, scatter_layer
-from .wavelets import WaveletBank
+from .graph import RENORM_ADJACENCY, Graph, apply_operator, residual_diffusion
+from .scattering import (
+    ABS,
+    IDENTITY,
+    Nonlinearity,
+    cascade_tensor,
+    scatter_layer,
+    validate_path,
+)
+from .wavelets import WaveletBank, bank_sweep
 
 ATTENTION_LEAKY_SLOPE = 0.2  # GAT convention; the source text leaves it open
 
@@ -120,6 +133,72 @@ def _as_tensor(x):
     return x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
 
 
+FilterResponses = tuple[list[np.ndarray], list[np.ndarray]]
+
+
+def filter_responses(g: Graph, cfg: HybridLayerConfig, X: np.ndarray) -> FilterResponses:
+    """(A^r X per low channel, Psi_k X per band channel), band paths single-scale.
+
+    One renormalized-adjacency chain up to the largest power and one dyadic
+    wavelet sweep serve every channel of the layer.
+    """
+    if any(len(spec.path) != 1 for spec in cfg.band):
+        raise ValueError("filter responses need single-scale band paths")
+    X = np.asarray(X, dtype=np.float64)
+    if cfg.low and g.has_isolated_nodes:
+        raise IsolatedNodeError("GCN channel requires a graph without isolated nodes")
+    powers = [X]
+    for _ in range(max((spec.r for spec in cfg.low), default=0)):
+        powers.append(apply_operator(g, RENORM_ADJACENCY, powers[-1]))
+    band = []
+    if cfg.band:
+        bank = WaveletBank(g, K=cfg.max_scale())
+        sweep = bank_sweep(bank, X)
+        band = [sweep[validate_path(bank, spec.path)[0]] for spec in cfg.band]
+    return [powers[spec.r] for spec in cfg.low], band
+
+
+def precompute_pays(cfg: HybridLayerConfig, X) -> bool:
+    """Whether filter_responses should replace the per-call diffusion chains.
+
+    It must be exact (a constant input, single-scale band paths) and cheaper:
+    the chains then run on d_in columns instead of each channel's width, and
+    the responses hold one n x d_in array per channel.
+    """
+    if isinstance(X, ad.Tensor):
+        if X.requires_grad:
+            return False
+        X = X.value
+    return (np.ndim(X) == 2
+            and all(len(spec.path) == 1 for spec in cfg.band)
+            and X.shape[1] <= min(spec.width for spec in cfg.low + cfg.band))
+
+
+class ResponseCache:
+    """filter_responses kept across calls while the graph and input stay the same.
+
+    The graph is compared by identity and the input by value against a copy
+    taken when the responses were computed, so an in-place edit of X is seen.
+    """
+
+    def __init__(self, cfg: HybridLayerConfig):
+        self.cfg = cfg
+        self._key: tuple[Graph, np.ndarray] | None = None
+        self._responses: FilterResponses | None = None
+
+    def get(self, g: Graph, X) -> FilterResponses | None:
+        """Responses for (g, X), or None when the per-call chains are the better plan."""
+        if not precompute_pays(self.cfg, X):
+            return None
+        x = X.value if isinstance(X, ad.Tensor) else np.asarray(X, dtype=np.float64)
+        if self._key is None or self._key[0] is not g or not np.array_equal(self._key[1], x):
+            self._responses = filter_responses(g, self.cfg, x)
+            for F in self._responses[0] + self._responses[1]:
+                F.flags.writeable = False   # handed out on every later call
+            self._key = (g, x.copy())
+        return self._responses
+
+
 def gcn_channel(g: Graph, r: int, theta, bias, sigma: Nonlinearity, X) -> ad.Tensor:
     """sigma(A^r X Theta + B) with A the renormalized adjacency."""
     if r < 1:
@@ -143,42 +222,68 @@ def _outer_activation(t: ad.Tensor, sigma: Nonlinearity, q: float) -> ad.Tensor:
     return t
 
 
-def hybrid_forward_concat(g: Graph, cfg: HybridLayerConfig, params, X) -> ad.Tensor:
-    """Concatenate channel responses: low channels in spec order, then band."""
+def _linear_response(F: np.ndarray, theta) -> ad.Tensor:
+    """(F X) Theta from a precomputed filter response F X."""
+    return ad.matmul(ad.constant(F), _as_tensor(theta))
+
+
+def hybrid_forward_concat(g: Graph, cfg: HybridLayerConfig, params, X,
+                          responses: FilterResponses | None = None) -> ad.Tensor:
+    """Concatenate channel responses: low channels in spec order, then band.
+
+    responses, from filter_responses(g, cfg, X), replaces the diffusion
+    chains by one matmul per channel.
+    """
     if cfg.aggregation != "concat":
         raise ValueError("config does not use concat aggregation")
     bank = WaveletBank(g, K=cfg.max_scale())
     x = _as_tensor(X)
     outs = []
-    for spec, (theta, bias) in zip(cfg.low, params["low"]):
-        outs.append(gcn_channel(g, spec.r, theta, bias, spec.sigma, x))
-    for spec, (theta, bias) in zip(cfg.band, params["band"]):
-        t = scatter_layer(bank, spec.path, theta, None, IDENTITY, x)
+    for i, (spec, (theta, bias)) in enumerate(zip(cfg.low, params["low"])):
+        if responses is None:
+            outs.append(gcn_channel(g, spec.r, theta, bias, spec.sigma, x))
+            continue
+        t = _linear_response(responses[0][i], theta)
+        if bias is not None:
+            t = ad.add(t, _as_tensor(bias))
+        outs.append(spec.sigma.apply_tensor(t))
+    for i, (spec, (theta, bias)) in enumerate(zip(cfg.band, params["band"])):
+        if responses is None:
+            t = scatter_layer(bank, spec.path, theta, None, IDENTITY, x)
+        else:
+            t = _linear_response(responses[1][i], theta)
         if bias is not None:
             t = ad.add(t, _as_tensor(bias))
         outs.append(_outer_activation(t, spec.sigma, spec.q))
     return ad.concat_cols(outs)
 
 
-def attention_head(g: Graph, cfg: HybridLayerConfig, theta_shared, a, X):
+def attention_head(g: Graph, cfg: HybridLayerConfig, theta_shared, a, X,
+                   responses: FilterResponses | None = None):
     """One attention head over the channel responses.
 
     X_bar = X Theta is shared by every filter; aggregation inputs are
     bias-free and band responses pass through an absolute value. Scores
     LeakyReLU([X_bar || X_bar_f] a) are softmax-normalized per node across
     all C_low + C_band filters, and the weighted sum is rescaled by 1/C after
-    the ReLU. Returns (output tensor, HeadAttention).
+    the ReLU. Given responses from filter_responses(g, cfg, X), each X_bar_f
+    is one matmul. Returns (output tensor, HeadAttention).
     """
-    bank = WaveletBank(g, K=cfg.max_scale())
     xbar = ad.matmul(_as_tensor(X), _as_tensor(theta_shared))
-    responses = []
-    for spec in cfg.low:
-        t = xbar
-        for _ in range(spec.r):
-            t = ad.op_apply(g, RENORM_ADJACENCY, t)
-        responses.append(t)
-    for spec in cfg.band:
-        responses.append(ad.abs_val(cascade_tensor(bank, spec.path, ABS, xbar)))
+    if responses is not None:
+        low, band = responses
+        responses = ([_linear_response(F, theta_shared) for F in low]
+                     + [ad.abs_val(_linear_response(F, theta_shared)) for F in band])
+    else:
+        bank = WaveletBank(g, K=cfg.max_scale())
+        responses = []
+        for spec in cfg.low:
+            t = xbar
+            for _ in range(spec.r):
+                t = ad.op_apply(g, RENORM_ADJACENCY, t)
+            responses.append(t)
+        for spec in cfg.band:
+            responses.append(ad.abs_val(cascade_tensor(bank, spec.path, ABS, xbar)))
 
     a_t = _as_tensor(a)
     scores = [ad.leaky_relu(ad.matmul(ad.concat_cols([xbar, resp]), a_t),
@@ -205,17 +310,19 @@ def attention_head(g: Graph, cfg: HybridLayerConfig, theta_shared, a, X):
     return out, state
 
 
-def gsan_layer(g: Graph, cfg: HybridLayerConfig, params, X):
+def gsan_layer(g: Graph, cfg: HybridLayerConfig, params, X,
+               responses: FilterResponses | None = None):
     """Concatenation of heads; params is a list of (theta_shared, a) per head.
 
-    Returns (output tensor, AttentionState over all heads).
+    Every head shares responses when given. Returns (output tensor,
+    AttentionState over all heads).
     """
     if cfg.aggregation != "attention":
         raise ValueError("config does not use attention aggregation")
     x = _as_tensor(X)
     outs, state = [], AttentionState()
     for theta, a in params:
-        out, head_state = attention_head(g, cfg, theta, a, x)
+        out, head_state = attention_head(g, cfg, theta, a, x, responses)
         outs.append(out)
         state.heads.append(head_state)
     return (outs[0] if len(outs) == 1 else ad.concat_cols(outs)), state

@@ -22,6 +22,7 @@ from .graph import RENORM_ADJACENCY, Graph
 from .layers import (
     AttentionState,
     HybridLayerConfig,
+    ResponseCache,
     band_channel,
     glorot_uniform,
     gsan_layer,
@@ -88,6 +89,7 @@ class ScGCN:
         self.cfg = HybridLayerConfig(low=low, band=band, aggregation="concat")
         self.alpha = spec.alpha
         self.params = init_hybrid_params(self.cfg, d_in, rng)
+        self.responses = ResponseCache(self.cfg)
         width = self.cfg.output_width
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
         self.bias_res = ad.Parameter(np.zeros((1, n_classes)))
@@ -100,7 +102,7 @@ class ScGCN:
         return ps
 
     def forward(self, g: Graph, X) -> ad.Tensor:
-        h = hybrid_forward_concat(g, self.cfg, self.params, X)
+        h = hybrid_forward_concat(g, self.cfg, self.params, X, self.responses.get(g, X))
         return residual_conv(g, self.alpha, self.theta_res, self.bias_res, h)
 
 
@@ -108,7 +110,8 @@ class GSAN:
     """Multi-head scattering attention plus residual convolution.
 
     The attention weights of the latest forward pass are kept on
-    .last_attention for ratio reporting.
+    .last_attention for ratio reporting. Like ScGCN, it keeps the layer's
+    filter responses across forward passes when precomputing them pays.
     """
 
     def __init__(self, d_in: int, n_classes: int, spec: ModelSpec, rng: np.random.Generator):
@@ -118,6 +121,7 @@ class GSAN:
                                      heads=spec.heads, shared_weights=True)
         self.alpha = spec.alpha
         self.head_params = init_attention_params(self.cfg, d_in, rng)
+        self.responses = ResponseCache(self.cfg)
         width = self.cfg.output_width
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
         self.bias_res = ad.Parameter(np.zeros((1, n_classes)))
@@ -131,7 +135,7 @@ class GSAN:
         return ps
 
     def forward(self, g: Graph, X) -> ad.Tensor:
-        h, state = gsan_layer(g, self.cfg, self.head_params, X)
+        h, state = gsan_layer(g, self.cfg, self.head_params, X, self.responses.get(g, X))
         self.last_attention = state
         return residual_conv(g, self.alpha, self.theta_res, self.bias_res, h)
 

@@ -21,17 +21,11 @@ DEFAULT_MAX_SCALE = 3  # largest scale exercised in the reference configurations
 
 @dataclass
 class WaveletBank:
-    """Operator family {Psi_0..Psi_K, Phi_K} held implicitly via matvec closures.
-
-    cache_chain keeps the dyadic snapshots of the most recent sweep so a
-    caller can reuse them; it never changes results.
-    """
+    """Operator family {Psi_0..Psi_K, Phi_K} held implicitly via matvec closures."""
 
     graph: Graph
     K: int = DEFAULT_MAX_SCALE
-    cache_chain: bool = True
     matvecs_last_sweep: int = field(default=0, init=False, repr=False)
-    _chain: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.K < 0:
@@ -86,8 +80,6 @@ def bank_sweep(bank: WaveletBank, X: np.ndarray) -> list[np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     snapshots, count = _dyadic_chain(bank.graph, X, bank.K)
     bank.matvecs_last_sweep = count
-    if bank.cache_chain:
-        bank._chain = snapshots
     outs = [X - snapshots[1]]
     for k in range(1, bank.K + 1):
         outs.append(snapshots[2 ** (k - 1)] - snapshots[2 ** k])

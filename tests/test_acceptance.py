@@ -29,7 +29,15 @@ from graphscat.graph import (
     neighborhood,
     residual_diffusion,
 )
-from graphscat.layers import attention_ratio
+from graphscat.layers import (
+    HybridLayerConfig,
+    attention_head,
+    attention_ratio,
+    band_channel,
+    filter_responses,
+    hybrid_forward_concat,
+    low_channel,
+)
 from graphscat.models import ModelSpec, build_model
 from graphscat.spectral import gcn_unnormalized, spectral_response, wavelet_filter
 from graphscat.theory import (
@@ -219,8 +227,16 @@ def test_criterion_6_gradient_suite():
         return ad.Tensor(s.value.reshape(()), (s,), lambda gr: (gr.reshape(1, 1),))
 
     kinds = [LAZY_WALK, RENORM_ADJACENCY, SYM_NORM_ADJACENCY, residual_diffusion(0.4)]
+    # layers on precomputed filter responses: the constant input is a's value,
+    # w (3 x 2) the channel weights, so each response is (F X) w
+    attention = HybridLayerConfig(
+        low=(low_channel(1, 2), low_channel(2, 2)),
+        band=(band_channel((0,), 2), band_channel((2,), 2)),
+        aggregation="attention", shared_weights=True)
+    concat = HybridLayerConfig(
+        low=(low_channel(2, 2),), band=(band_channel((1,), 2, q=3.0),), aggregation="concat")
 
-    def make_ops(a, b, w, labels, mask, kind):
+    def make_ops(a, b, w, labels, mask, kind, v=None):
         return {
             "matmul": lambda: scalarize(ad.mul(ad.matmul(a, w), ad.matmul(a, w))),
             "sparse-matvec": lambda: scalarize(
@@ -237,6 +253,11 @@ def test_criterion_6_gradient_suite():
                        ad.take_filter(ad.softmax_filters(ad.stack_filters([a, b])), 1))),
             "hadamard": lambda: scalarize(ad.mul(a, b)),
             "cross-entropy": lambda: ad.masked_cross_entropy(a, labels, mask),
+            "precomputed-attention": lambda: scalarize(attention_head(
+                g, attention, w, v, a.value, filter_responses(g, attention, a.value))[0]),
+            "precomputed-concat": lambda: scalarize(hybrid_forward_concat(
+                g, concat, {"low": [(w, None)], "band": [(w, None)]}, a.value,
+                filter_responses(g, concat, a.value))),
         }
 
     with Timer() as t:
@@ -249,15 +270,20 @@ def test_criterion_6_gradient_suite():
                 labels = rng.integers(0, 3, size=6)
                 mask = np.sort(rng.choice(6, size=4, replace=False))
                 kind = kinds[int(rng.integers(len(kinds)))]
-                build = make_ops(a, b, w, labels, mask, kind)[name]
+                precomputed = name.startswith("precomputed")
+                v = ad.Parameter(rng.standard_normal((4, 1))) if precomputed else None
+                build = make_ops(a, b, w, labels, mask, kind, v)[name]
                 params = [a, w] if name == "matmul" else (
                     [a] if name in ("relu", "leaky-relu", "abs-pow",
                                     "sparse-matvec", "cross-entropy") else [a, b])
+                if precomputed:
+                    params = [w, v] if name == "precomputed-attention" else [w]
                 if not _fd_gradient_ok(build, params):
                     failures.append(name)
                     break
     report(6, "gradient suite", not failures,
-           f"11 op kinds x 20 instances, failures: {failures or 'none'}",
+           f"{len(make_ops(*[None] * 6))} op kinds x 20 instances, "
+           f"failures: {failures or 'none'}",
            t.elapsed, 60.0)
 
 

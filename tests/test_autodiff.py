@@ -203,3 +203,38 @@ class TestTape:
         a = ad.Parameter(rng.standard_normal((2, 2)))
         with pytest.raises(Exception):
             ad.backward(quadratic(a))
+
+
+class TestGradientPruning:
+    def test_requires_grad_follows_parents(self, rng):
+        c = ad.constant(rng.standard_normal((3, 2)))
+        p = ad.Parameter(rng.standard_normal((2, 2)))
+        assert not ad.relu(ad.matmul(c, c.value.T)).requires_grad
+        assert ad.relu(ad.matmul(c, p)).requires_grad
+
+    def test_constant_subgraph_is_not_visited(self, rng):
+        calls = []
+
+        def spy(g):
+            calls.append(g.shape)
+            return (g,)
+
+        c = ad.constant(rng.standard_normal((4, 3)))
+        hidden = ad.Tensor(c.value * 2.0, (c,), spy)
+        p = ad.Parameter(rng.standard_normal((3, 2)))
+        ad.backward(to_scalar(ad.matmul(hidden, p)))
+        assert calls == []
+        assert np.allclose(p.grad, hidden.value.T @ np.ones((4, 2)), atol=1e-12)
+
+    def test_matmul_skips_product_for_constant_operand(self, rng):
+        c = ad.constant(rng.standard_normal((4, 3)))
+        p = ad.Parameter(rng.standard_normal((3, 2)))
+        out = ad.matmul(c, p)
+        grads = out._vjp(np.ones((4, 2)))
+        assert grads[0] is None
+        assert np.allclose(grads[1], c.value.T @ np.ones((4, 2)), atol=1e-12)
+
+    def test_root_without_parameters_is_a_no_op(self, rng):
+        c = ad.constant(rng.standard_normal((2, 2)))
+        ad.backward(to_scalar(quadratic(c)))
+        assert c.grad is None

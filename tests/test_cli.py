@@ -119,6 +119,43 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "modle.preset" in err and "line 2" in err
 
+    @pytest.mark.parametrize("bad_key", ["model.hiden = 32", "train.epoch = 3"])
+    def test_misspelt_known_prefix_rejected(self, tmp_path, capsys, bad_key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"sbm.blocks = 10,10\nmodel.preset = sc-gcn\n{bad_key}\n")
+        rc = main(["train", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert bad_key.split(" =")[0] in err and "line 3" in err
+
+    def test_misspelt_key_rejected_with_file_flags(self, small_dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("model.preset = sc-gcn\ntrain.epoch = 3\n")
+        rc = main(["train", "--config", str(cfg),
+                   "--graph", str(small_dataset_dir / "edges.tsv"),
+                   "--features", str(small_dataset_dir / "features.csv"),
+                   "--labels", str(small_dataset_dir / "labels.csv"),
+                   "--splits", str(small_dataset_dir / "splits.json"),
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert "train.epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", [-1, 40])
+    def test_out_of_range_split_index_with_file_flags(self, small_dataset_dir, tmp_path,
+                                                       capsys, index):
+        splits = json.loads((small_dataset_dir / "splits.json").read_text())
+        splits["test"] = splits["test"][:-1] + [index]
+        bad = tmp_path / "splits.json"
+        bad.write_text(json.dumps(splits))
+        rc = main(["train",
+                   "--graph", str(small_dataset_dir / "edges.tsv"),
+                   "--features", str(small_dataset_dir / "features.csv"),
+                   "--labels", str(small_dataset_dir / "labels.csv"),
+                   "--splits", str(bad), "--preset", "gcn-baseline",
+                   "--out", str(tmp_path / "m.csv")])
+        assert rc == 2
+        assert f"test split index {index}" in capsys.readouterr().err
+
     def test_scatter_csv(self, small_dataset_dir, tmp_path):
         out = tmp_path / "scatter.csv"
         rc = main(["scatter",

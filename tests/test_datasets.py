@@ -10,7 +10,13 @@ from graphscat.datasets import (
     save_dataset,
     stratified_splits,
 )
-from graphscat.errors import BadClassIds, InfeasibleSpec, MissingFile, RowCountMismatch
+from graphscat.errors import (
+    BadClassIds,
+    InfeasibleSpec,
+    MissingFile,
+    RowCountMismatch,
+    SplitIndexOutOfRange,
+)
 from graphscat.theory import homophily
 
 
@@ -119,4 +125,15 @@ class TestLoadErrors:
         self._write_minimal(tmp_path)
         (tmp_path / "labels.csv").write_text("0\n2\n0\n")   # class 1 missing
         with pytest.raises(BadClassIds):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("splits", [
+        '{"train": [-1], "val": [1], "test": [2]}',
+        '{"train": [0], "val": [1], "test": [3]}',
+        '{"train": [0], "val": [7], "test": [2]}',
+    ])
+    def test_out_of_range_split_index(self, tmp_path, splits):
+        self._write_minimal(tmp_path)
+        (tmp_path / "splits.json").write_text(splits)
+        with pytest.raises(SplitIndexOutOfRange):
             load_dataset(tmp_path)

@@ -16,6 +16,7 @@ from graphscat.graph import (
     RANDOM_WALK,
     RENORM_ADJACENCY,
     SYM_NORM_ADJACENCY,
+    adjacency_matvec,
     apply_operator,
     apply_operator_transpose,
     build_graph,
@@ -26,7 +27,7 @@ from graphscat.graph import (
     write_edge_list,
 )
 
-from conftest import dense_ops, random_connected_graph
+from conftest import dense_ops, dense_w, random_connected_graph
 
 
 def two_coloring(n):
@@ -82,6 +83,65 @@ class TestBuildGraph:
         g = build_graph(cycle(4))
         with pytest.raises(ValueError):
             g.degrees[0] = 5.0
+
+
+def reference_matvec(g, X):
+    """The first CSR kernel: fancy-index gather, broadcast product, reduceat."""
+    contrib = g.csr_weights * X[g.csr_targets] if X.ndim == 1 \
+        else g.csr_weights[:, None] * X[g.csr_targets]
+    out = np.zeros_like(X)
+    counts = np.diff(g.csr_offsets)
+    nonempty = np.flatnonzero(counts > 0)
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(contrib, g.csr_offsets[nonempty], axis=0)
+    return out
+
+
+def graph_with_isolated_nodes(rng, n, isolated):
+    """Random weighted graph on the first n - len(isolated) ids, shuffled so the
+    degree-zero nodes fall at the given positions."""
+    edges, _ = random_connected_graph(rng, n - len(isolated), weighted=True)
+    keep = [v for v in range(n) if v not in isolated]
+    edges = [(keep[u], keep[v], w) for u, v, w in edges]
+    with pytest.warns(IsolatedNodeWarning):
+        g = build_graph(edges, n=n)
+    return edges, g
+
+
+class TestAdjacencyKernel:
+    @pytest.mark.parametrize("isolated", [(), (0,), (4, 5), (11,)])
+    @pytest.mark.parametrize("width", [None, 1, 8, 16, 32])
+    def test_bitwise_equal_to_reference_kernel(self, rng, isolated, width):
+        if isolated:
+            _, g = graph_with_isolated_nodes(rng, 12, isolated)
+        else:
+            _, g = random_connected_graph(rng, 12, weighted=True)
+        X = rng.standard_normal(12 if width is None else (12, width))
+        assert adjacency_matvec(g, X).tobytes() == reference_matvec(g, X).tobytes()
+
+    @pytest.mark.parametrize("isolated", [(0,), (3, 9), (0, 1, 13)])
+    def test_matches_dense_product_with_isolated_nodes(self, rng, isolated):
+        edges, g = graph_with_isolated_nodes(rng, 14, isolated)
+        W = dense_w(14, edges)
+        for X in (rng.standard_normal(14), rng.standard_normal((14, 5))):
+            out = adjacency_matvec(g, X)
+            assert np.allclose(out, W @ X, atol=1e-12)
+            assert np.array_equal(out[list(isolated)], np.zeros_like(out[list(isolated)]))
+
+    def test_edgeless_graph_gives_zeros(self):
+        with pytest.warns(IsolatedNodeWarning):
+            g = build_graph([], n=3)
+        assert np.array_equal(adjacency_matvec(g, np.ones((3, 2))), np.zeros((3, 2)))
+
+    def test_cached_structure(self, rng):
+        edges, g = graph_with_isolated_nodes(rng, 9, (2,))
+        assert g.has_isolated_nodes
+        assert np.array_equal(g.nonempty_rows, [0, 1, 3, 4, 5, 6, 7, 8])
+        assert np.array_equal(g.row_starts, g.csr_offsets[g.nonempty_rows])
+        assert np.array_equal(g.sqrt_degrees, np.sqrt(g.degrees))
+        assert np.array_equal(g.sqrt_degrees_plus_one, np.sqrt(g.degrees + 1.0))
+        with pytest.raises(ValueError):
+            g.row_starts[0] = 1
 
 
 class TestApplyOperator:

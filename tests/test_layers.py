@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
+from graphscat import graph as graph_module
 from graphscat.errors import IsolatedNodeError, IsolatedNodeWarning
 from graphscat.graph import build_graph
 from graphscat.layers import (
@@ -12,14 +15,17 @@ from graphscat.layers import (
     attention_head,
     attention_ratio,
     band_channel,
+    filter_responses,
     gcn_channel,
     gsan_layer,
     hybrid_forward_concat,
     init_attention_params,
     init_hybrid_params,
     low_channel,
+    precompute_pays,
     residual_conv,
 )
+from graphscat.models import ModelSpec, build_model
 from graphscat.scattering import ABS, IDENTITY, RELU
 
 from conftest import dense_ops, dense_wavelet, random_connected_graph
@@ -302,3 +308,153 @@ class TestAttentionRatio:
         with pytest.warns(UserWarning):
             zeta = attention_ratio(state)
         assert np.all(np.isnan(zeta))
+
+
+def _loss_and_grads(build, params, weights):
+    """Forward value and every parameter's gradient of sum(out * weights)."""
+    out = build()
+    loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, out.value.shape[0]))),
+                               ad.mul(out, ad.constant(weights))),
+                     ad.constant(np.ones((out.value.shape[1], 1))))
+    ad.backward(ad.Tensor(loss.value.reshape(()), (loss,), lambda gr: (gr.reshape(1, 1),)))
+    grads = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+    return out.value, grads
+
+
+def _close(a, b, tol=1e-10):
+    return np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b)))
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    orig = graph_module.adjacency_matvec
+
+    def counted(g, X):
+        calls.append(1)
+        return orig(g, X)
+
+    monkeypatch.setattr(graph_module, "adjacency_matvec", counted)
+    return calls
+
+
+class TestFilterResponses:
+    """The precomputed (F X) Theta path against the per-call chains F (X Theta)."""
+
+    ATTENTION = HybridLayerConfig(
+        low=tuple(low_channel(r, 4, sigma=ABS) for r in (1, 2, 3)),
+        band=tuple(band_channel((k,), 4, sigma=ABS) for k in (0, 1, 3)),
+        aggregation="attention", heads=1, shared_weights=True)
+    CONCAT = HybridLayerConfig(
+        low=(low_channel(1, 3, sigma=ABS), low_channel(3, 4, sigma=RELU)),
+        band=(band_channel((1,), 4, sigma=ABS, q=4.0), band_channel((2,), 3, sigma=ABS)),
+        aggregation="concat")
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 16))
+    def test_attention_head_matches_per_call_chains(self, seed, n):
+        rng = np.random.default_rng(seed)
+        _, g = random_connected_graph(rng, n, weighted=True)
+        X = rng.standard_normal((n, 3))
+        theta, a = init_attention_params(self.ATTENTION, 3, rng)[0]
+        weights = rng.standard_normal((n, 4))
+        responses = filter_responses(g, self.ATTENTION, X)
+        chains = _loss_and_grads(lambda: attention_head(g, self.ATTENTION, theta, a, X)[0],
+                                 [theta, a], weights)
+        fused = _loss_and_grads(
+            lambda: attention_head(g, self.ATTENTION, theta, a, X, responses)[0],
+            [theta, a], weights)
+        assert _close(fused[0], chains[0])
+        for got, want in zip(fused[1], chains[1]):
+            assert _close(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 16))
+    def test_concat_layer_matches_per_call_chains(self, seed, n):
+        rng = np.random.default_rng(seed)
+        _, g = random_connected_graph(rng, n, weighted=True)
+        X = rng.standard_normal((n, 3))
+        params = init_hybrid_params(self.CONCAT, 3, rng)
+        flat = [p for pair in params["low"] + params["band"] for p in pair]
+        for theta, bias in params["low"] + params["band"]:
+            bias.value = rng.standard_normal(bias.value.shape)
+        weights = rng.standard_normal((n, self.CONCAT.output_width))
+        responses = filter_responses(g, self.CONCAT, X)
+        chains = _loss_and_grads(lambda: hybrid_forward_concat(g, self.CONCAT, params, X),
+                                 flat, weights)
+        fused = _loss_and_grads(
+            lambda: hybrid_forward_concat(g, self.CONCAT, params, X, responses), flat, weights)
+        assert _close(fused[0], chains[0])
+        for got, want in zip(fused[1], chains[1]):
+            assert _close(got, want)
+
+    def test_precompute_rules(self, rng):
+        X = rng.standard_normal((6, 3))
+        assert precompute_pays(self.ATTENTION, X)
+        assert precompute_pays(self.ATTENTION, ad.constant(X))
+        assert not precompute_pays(self.ATTENTION, ad.Parameter(X))
+        assert not precompute_pays(self.ATTENTION, rng.standard_normal((6, 5)))
+        multi = HybridLayerConfig(low=(low_channel(1, 4),), band=(band_channel((1, 2), 4),),
+                                  aggregation="concat")
+        assert not precompute_pays(multi, X)
+        with pytest.raises(ValueError):
+            filter_responses(build_graph(cycle(6)), multi, X)
+
+    def test_isolated_node_rejected(self):
+        with pytest.warns(IsolatedNodeWarning):
+            g = build_graph([(0, 1), (1, 2)], n=4)
+        cfg = HybridLayerConfig(low=(low_channel(1, 2),), band=(), aggregation="concat")
+        with pytest.raises(IsolatedNodeError):
+            filter_responses(g, cfg, np.ones((4, 2)))
+
+    @staticmethod
+    def _gsan(d_in, **kw):
+        return build_model(ModelSpec(preset="gsan", hidden=4, **kw), d_in, 2, seed=1)
+
+    def test_model_runs_chains_once_per_input(self, rng, monkeypatch):
+        _, g = random_connected_graph(rng, 12)
+        X = rng.standard_normal((12, 3))
+        model = self._gsan(3)
+        calls = _count_kernel_calls(monkeypatch)
+        model.forward(g, X)
+        # renormalized chain to A^3 X, one 2^3-step wavelet sweep, the residual conv
+        assert len(calls) == 3 + 8 + 1
+        calls.clear()
+        model.forward(g, X)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kw,d_in", [
+        ({"preset": "sc-gcn"}, 8),                                # d_in > widths 10,10,10,11,6
+        ({"preset": "sc-gcn", "band_paths": ((1, 2), (3,))}, 2),  # multi-scale path
+    ])
+    def test_model_keeps_per_call_chains(self, rng, monkeypatch, kw, d_in):
+        _, g = random_connected_graph(rng, 12)
+        X = rng.standard_normal((12, d_in))
+        model = build_model(ModelSpec(**kw), d_in, 2, seed=1)
+        calls = _count_kernel_calls(monkeypatch)
+        first = model.forward(g, X).value
+        per_forward = len(calls)
+        model.forward(g, X)
+        assert len(calls) == 2 * per_forward
+        ref = hybrid_forward_concat(g, model.cfg, model.params, X)
+        ref = residual_conv(g, model.alpha, model.theta_res, model.bias_res, ref)
+        assert np.array_equal(first, ref.value)
+
+    def test_in_place_edit_recomputes_responses(self, rng):
+        _, g = random_connected_graph(rng, 10)
+        X = rng.standard_normal((10, 3))
+        model = self._gsan(3)
+        model.forward(g, X)
+        X[4, 1] += 0.5
+        assert np.array_equal(model.forward(g, X).value, self._gsan(3).forward(g, X).value)
+
+    def test_new_graph_recomputes_responses(self, rng):
+        _, g1 = random_connected_graph(rng, 10)
+        _, g2 = random_connected_graph(rng, 10)
+        X = rng.standard_normal((10, 3))
+        model = self._gsan(3)
+        before = model.forward(g1, X).value
+        after = model.forward(g2, X).value
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, self._gsan(3).forward(g2, X).value)

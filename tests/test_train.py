@@ -130,6 +130,22 @@ class TestFit:
             hist.append(res.history)
         assert hist[0] == hist[1]
 
+    @pytest.mark.parametrize("preset,d_in", [
+        ("gcn-baseline", 4), ("sc-gcn", 4), ("sc-gcn", 12), ("gsan", 4)])
+    def test_fit_is_bit_deterministic(self, rng, preset, d_in):
+        # sc-gcn at d_in 4 and gsan take the precomputed-response path, sc-gcn
+        # at d_in 12 the per-epoch chains
+        g, _, labels, masks = tiny_dataset(rng)
+        X = rng.standard_normal((g.n, d_in))
+        runs = []
+        for _ in range(2):
+            model = build_model(ModelSpec(preset=preset, hidden=6), d_in, 2, seed=5)
+            res = fit(model, g, X, labels, masks,
+                      TrainConfig(seed=5, max_epochs=15, patience=30))
+            runs.append((res.history, [p.value.tobytes() for p in model.parameters()]))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+
     def test_convex_model_sgd_loss_nonincreasing(self, rng):
         g, X, labels, masks = tiny_dataset(rng, n=40)
         model = LinearModel(4, 2, rng)
