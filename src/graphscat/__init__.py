@@ -16,7 +16,6 @@ from .graph import (
     apply_operator,
     build_graph,
     neighborhood,
-    operator_power_apply,
     read_edge_list,
     residual_diffusion,
     write_edge_list,
@@ -52,6 +51,6 @@ from .theory import (
     verify_theorem3,
 )
 from .train import SplitMasks, TrainConfig, evaluate, fit, forward_loss
-from .wavelets import WaveletBank, bank_sweep, lowpass_apply, wavelet_apply
+from .wavelets import WaveletBank, bank_sweep, wavelet_sweep
 
 __version__ = "0.1.0"

@@ -120,6 +120,21 @@ def op_apply(g: Graph, kind: OperatorKind, x) -> Tensor:
                   lambda grad: (apply_operator_transpose(g, kind, grad),))
 
 
+def op_chain(g: Graph, kind: OperatorKind, x, m: int) -> list[Tensor]:
+    """[x, K x, K^2 x, ..., K^m x] for the operator K of kind, m >= 0.
+
+    Every filter that is a power of one operator (A^r, the dyadic wavelet
+    differences, the low-pass Phi_K) slices this one chain; off the tape,
+    pass a constant.
+    """
+    if m < 0:
+        raise ValueError(f"chain length must be >= 0, got {m}")
+    chain = [_as_tensor(x)]
+    for _ in range(m):
+        chain.append(op_apply(g, kind, chain[-1]))
+    return chain
+
+
 def concat_cols(tensors) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     widths = [t.value.shape[1] for t in tensors]

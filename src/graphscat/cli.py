@@ -7,14 +7,18 @@ validation errors print to stderr and exit 2, failed checks exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-import numpy as np
-
-import contextlib
-
-from .config import ConfigView, parse_config
-from .datasets import Dataset, SBMSpec, describe, generate_sbm, read_splits, save_dataset
+from .config import ConfigView, parse_config, parse_paths
+from .datasets import (
+    SBMSpec,
+    describe,
+    generate_sbm,
+    read_dataset,
+    read_features,
+    save_dataset,
+)
 from .errors import GraphScatError
 from .experiment import (
     KNOWN_KEYS,
@@ -42,21 +46,6 @@ from .train import TrainConfig
 from .wavelets import WaveletBank
 
 
-def _load_features(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")])
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _parse_paths(text: str):
-    return [tuple(int(x) for x in part.split(",") if x.strip())
-            for part in text.split("|")]
-
-
 @contextlib.contextmanager
 def _output(path):
     """File handle for path, or stdout (left open) when path is None."""
@@ -78,11 +67,7 @@ def _cmd_train(args) -> int:
         print(f"train: missing {', '.join(missing)} (or use --config alone)",
               file=sys.stderr)
         return 2
-    features = _load_features(args.features)
-    g = read_edge_list(args.graph, n=features.shape[0])
-    labels = np.loadtxt(args.labels, dtype=np.int64).reshape(-1)
-    ds = Dataset(name="cli", graph=g, features=features, labels=labels,
-                 splits=read_splits(args.splits))
+    ds = read_dataset(args.graph, args.features, args.labels, args.splits, name="cli")
     print(describe(ds))
     if args.config:
         # model.* / train.* settings come from the config; data from the flags
@@ -105,9 +90,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
-    features = _load_features(args.features)
+    features = read_features(args.features)
     g = read_edge_list(args.graph, n=features.shape[0])
-    paths = _parse_paths(args.paths)
+    paths = parse_paths(args.paths)
     bank = WaveletBank(g, K=max((max(p) for p in paths if p), default=0))
     outs = [cascade(bank, p, ABS, features) for p in paths]
     with _output(args.out) as fh:

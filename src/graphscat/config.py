@@ -41,6 +41,12 @@ def parse_config(path) -> dict[str, ConfigValue]:
         return parse_config_text(fh.read(), source=str(path))
 
 
+def parse_paths(text: str) -> tuple[tuple[int, ...], ...]:
+    """Wavelet-scale paths: scales comma-separated, paths split on '|'."""
+    return tuple(tuple(int(x) for x in part.split(",") if x.strip())
+                 for part in text.split("|"))
+
+
 _REQUIRED = object()
 
 
@@ -88,15 +94,9 @@ class ConfigView:
                              "comma-separated integers")
 
     def get_paths(self, key: str, default=None):
-        """Wavelet-scale paths: scales comma-separated, paths split on '|'."""
+        """Wavelet-scale paths, in the parse_paths format."""
         cv, dflt = self._fetch(key, default)
-        if not cv:
-            return dflt
-        return self._convert(
-            key, cv,
-            lambda s: tuple(tuple(int(x) for x in part.split(",") if x.strip())
-                            for part in s.split("|")),
-            "paths like '1|2,3'")
+        return self._convert(key, cv, parse_paths, "paths like '1|2,3'") if cv else dflt
 
     def reject_unknown_keys(self, known_keys):
         """Raise ConfigError at the first line whose key is not in known_keys."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadClassIds,
+    BadSplitIndex,
     InfeasibleSpec,
     IsolatedNodeWarning,
     MissingFile,
@@ -164,28 +165,31 @@ def save_dataset(ds: Dataset, out_dir):
         fh.write("\n")
 
 
+DATASET_FILES = ("edges.tsv", "features.csv", "labels.csv", "splits.json")
+
+
 def load_dataset(data_dir, name: str | None = None) -> Dataset:
     """Validated dataset from a directory of the four text files."""
-    paths = {key: os.path.join(data_dir, fname) for key, fname in
-             (("edges", "edges.tsv"), ("features", "features.csv"),
-              ("labels", "labels.csv"), ("splits", "splits.json"))}
-    for key, p in paths.items():
+    paths = [os.path.join(data_dir, fname) for fname in DATASET_FILES]
+    for p in paths:
         if not os.path.exists(p):
             raise MissingFile(f"missing {os.path.basename(p)} in {data_dir}")
+    return read_dataset(*paths, name=name or os.path.basename(os.path.normpath(data_dir)))
 
-    features = []
-    with open(paths["features"], "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                features.append([float(x) for x in line.split(",")])
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or not np.all(np.isfinite(features)):
-        raise RowCountMismatch("features.csv must be rectangular finite rows")
+
+def read_dataset(edges_path, features_path, labels_path, splits_path,
+                 name: str) -> Dataset:
+    """Validated dataset from its four files.
+
+    Features must be finite and rectangular, labels one dense class id per
+    feature row, the graph on as many nodes, and split indices integers in
+    range.
+    """
+    features = read_features(features_path)
     n = features.shape[0]
 
     labels = []
-    with open(paths["labels"], "r", encoding="utf-8") as fh:
+    with open(labels_path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
@@ -193,26 +197,44 @@ def load_dataset(data_dir, name: str | None = None) -> Dataset:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != n:
         raise RowCountMismatch(
-            f"labels.csv has {labels.shape[0]} rows, features.csv has {n}")
+            f"{os.path.basename(labels_path)} has {labels.shape[0]} rows, "
+            f"{os.path.basename(features_path)} has {n}")
     if labels.min(initial=0) < 0 or set(np.unique(labels)) != set(range(int(labels.max()) + 1)):
         raise BadClassIds("class ids must be dense integers starting at 0")
 
-    g = read_edge_list(paths["edges"], n=n)
+    g = read_edge_list(edges_path, n=n)
     if g.n != n:
         raise RowCountMismatch(f"graph has {g.n} nodes, features have {n}")
 
-    return Dataset(name=name or os.path.basename(os.path.normpath(data_dir)),
-                   graph=g, features=features, labels=labels,
-                   splits=read_splits(paths["splits"]))
+    return Dataset(name=name, graph=g, features=features, labels=labels,
+                   splits=read_splits(splits_path))
+
+
+def read_features(path) -> np.ndarray:
+    """Node-feature matrix from comma-separated rows of equal length, all finite."""
+    try:
+        features = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise RowCountMismatch(f"{path}: {exc}") from None
+    if features.size == 0 or not np.all(np.isfinite(features)):
+        raise RowCountMismatch(f"{path} must hold rectangular finite rows")
+    return features
 
 
 def read_splits(path) -> SplitMasks:
-    """Train/val/test index arrays from a splits.json file."""
+    """Train/val/test index arrays from a splits.json file of JSON integers."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    try:
-        return SplitMasks(train=np.asarray(raw["train"], dtype=np.int64),
-                          val=np.asarray(raw["val"], dtype=np.int64),
-                          test=np.asarray(raw["test"], dtype=np.int64))
-    except KeyError as exc:
-        raise MissingFile(f"splits.json lacks key {exc}") from None
+    if not isinstance(raw, dict):
+        raise BadSplitIndex("splits.json must be an object of train/val/test lists")
+    parts = {}
+    for key in ("train", "val", "test"):
+        if key not in raw:
+            raise MissingFile(f"splits.json lacks key {key!r}")
+        if not isinstance(raw[key], list):
+            raise BadSplitIndex(f"{key} split must be a list of integers")
+        bad = [v for v in raw[key] if type(v) is not int]   # bool is an int subclass
+        if bad:
+            raise BadSplitIndex(f"{key} split index {bad[0]!r} is not an integer")
+        parts[key] = np.asarray(raw[key], dtype=np.int64)
+    return SplitMasks(**parts)

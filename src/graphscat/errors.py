@@ -37,10 +37,6 @@ class NotSymmetric(GraphScatError):
     """A dense matrix expected to be symmetric is not, beyond tolerance."""
 
 
-class NoConvergence(GraphScatError):
-    """The Jacobi eigensolver did not converge within its sweep cap."""
-
-
 class TooLargeForDense(GraphScatError):
     """The graph exceeds the configured dense-matrix limit."""
 
@@ -75,6 +71,10 @@ class RowCountMismatch(GraphScatError):
 
 class BadClassIds(GraphScatError):
     """Labels are not dense integer class ids starting at 0."""
+
+
+class BadSplitIndex(GraphScatError):
+    """splits.json is not an object of train/val/test lists of JSON integers."""
 
 
 class SplitIndexOutOfRange(GraphScatError):

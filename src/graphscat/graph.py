@@ -248,16 +248,6 @@ def apply_operator_transpose(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.
     return apply_operator(g, kind, X)
 
 
-def operator_power_apply(g: Graph, kind: OperatorKind, t: int, X: np.ndarray) -> np.ndarray:
-    """t successive applications of apply_operator, t >= 1."""
-    if t < 1:
-        raise ValueError(f"power t must be >= 1, got {t}")
-    Y = apply_operator(g, kind, X)
-    for _ in range(t - 1):
-        Y = apply_operator(g, kind, Y)
-    return Y
-
-
 def bfs_distances(g: Graph, v: int, cap: int | None = None) -> np.ndarray:
     """Hop distances from v; unreachable nodes get -1. Stops beyond cap if given."""
     if not 0 <= v < g.n:

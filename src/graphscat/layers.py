@@ -11,6 +11,8 @@ linear in Theta, F (X Theta) = (F X) Theta. When the layer input is a
 constant, filter_responses computes the F X products once and the layers
 take a matmul per channel instead of a diffusion chain per channel, per head
 and per epoch (the SGC precomputation applied to the hybrid filter set).
+The precomputed responses and the per-epoch attention heads both come
+from layer_filters, where one chain per operator serves every channel.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionMismatch, IsolatedNodeError
-from .graph import RENORM_ADJACENCY, Graph, apply_operator, residual_diffusion
+from .graph import RENORM_ADJACENCY, Graph, residual_diffusion
 from .scattering import (
     ABS,
     IDENTITY,
     Nonlinearity,
     cascade_tensor,
     scatter_layer,
-    validate_path,
 )
-from .wavelets import WaveletBank, bank_sweep
+from .wavelets import WaveletBank, wavelet_sweep
 
 ATTENTION_LEAKY_SLOPE = 0.2  # GAT convention; the source text leaves it open
 
@@ -136,26 +137,31 @@ def _as_tensor(x):
 FilterResponses = tuple[list[np.ndarray], list[np.ndarray]]
 
 
-def filter_responses(g: Graph, cfg: HybridLayerConfig, X: np.ndarray) -> FilterResponses:
-    """(A^r X per low channel, Psi_k X per band channel), band paths single-scale.
+def layer_filters(g: Graph, cfg: HybridLayerConfig,
+                  t: ad.Tensor) -> tuple[list[ad.Tensor], list[ad.Tensor]]:
+    """(A^r t per low channel, U_p t per band channel) on the tape.
 
-    One renormalized-adjacency chain up to the largest power and one dyadic
-    wavelet sweep serve every channel of the layer.
+    One renormalized-adjacency chain up to the largest power serves every
+    low channel and one dyadic wavelet sweep every single-scale band
+    channel; a multi-scale path runs its own cascade.
     """
-    if any(len(spec.path) != 1 for spec in cfg.band):
-        raise ValueError("filter responses need single-scale band paths")
-    X = np.asarray(X, dtype=np.float64)
     if cfg.low and g.has_isolated_nodes:
         raise IsolatedNodeError("GCN channel requires a graph without isolated nodes")
-    powers = [X]
-    for _ in range(max((spec.r for spec in cfg.low), default=0)):
-        powers.append(apply_operator(g, RENORM_ADJACENCY, powers[-1]))
-    band = []
-    if cfg.band:
-        bank = WaveletBank(g, K=cfg.max_scale())
-        sweep = bank_sweep(bank, X)
-        band = [sweep[validate_path(bank, spec.path)[0]] for spec in cfg.band]
+    powers = ad.op_chain(g, RENORM_ADJACENCY, t, max((spec.r for spec in cfg.low), default=0))
+    bank = WaveletBank(g, K=cfg.max_scale())
+    scales = sorted({spec.path[0] for spec in cfg.band if len(spec.path) == 1})
+    psi = dict(zip(scales, wavelet_sweep(bank, scales, t)))
+    band = [psi[spec.path[0]] if len(spec.path) == 1
+            else cascade_tensor(bank, spec.path, ABS, t) for spec in cfg.band]
     return [powers[spec.r] for spec in cfg.low], band
+
+
+def filter_responses(g: Graph, cfg: HybridLayerConfig, X: np.ndarray) -> FilterResponses:
+    """(A^r X per low channel, Psi_k X per band channel), band paths single-scale."""
+    if any(len(spec.path) != 1 for spec in cfg.band):
+        raise ValueError("filter responses need single-scale band paths")
+    low, band = layer_filters(g, cfg, ad.constant(X))
+    return [t.value for t in low], [t.value for t in band]
 
 
 def precompute_pays(cfg: HybridLayerConfig, X) -> bool:
@@ -205,9 +211,7 @@ def gcn_channel(g: Graph, r: int, theta, bias, sigma: Nonlinearity, X) -> ad.Ten
         raise ValueError("r must be >= 1")
     if g.has_isolated_nodes:
         raise IsolatedNodeError("GCN channel requires a graph without isolated nodes")
-    t = ad.matmul(_as_tensor(X), _as_tensor(theta))
-    for _ in range(r):
-        t = ad.op_apply(g, RENORM_ADJACENCY, t)
+    t = ad.op_chain(g, RENORM_ADJACENCY, ad.matmul(_as_tensor(X), _as_tensor(theta)), r)[r]
     if bias is not None:
         t = ad.add(t, _as_tensor(bias))
     return sigma.apply_tensor(t)
@@ -267,23 +271,16 @@ def attention_head(g: Graph, cfg: HybridLayerConfig, theta_shared, a, X,
     LeakyReLU([X_bar || X_bar_f] a) are softmax-normalized per node across
     all C_low + C_band filters, and the weighted sum is rescaled by 1/C after
     the ReLU. Given responses from filter_responses(g, cfg, X), each X_bar_f
-    is one matmul. Returns (output tensor, HeadAttention).
+    is one matmul; otherwise layer_filters(g, cfg, X_bar) builds them all.
+    Returns (output tensor, HeadAttention).
     """
     xbar = ad.matmul(_as_tensor(X), _as_tensor(theta_shared))
-    if responses is not None:
-        low, band = responses
-        responses = ([_linear_response(F, theta_shared) for F in low]
-                     + [ad.abs_val(_linear_response(F, theta_shared)) for F in band])
+    if responses is None:
+        low, band = layer_filters(g, cfg, xbar)
     else:
-        bank = WaveletBank(g, K=cfg.max_scale())
-        responses = []
-        for spec in cfg.low:
-            t = xbar
-            for _ in range(spec.r):
-                t = ad.op_apply(g, RENORM_ADJACENCY, t)
-            responses.append(t)
-        for spec in cfg.band:
-            responses.append(ad.abs_val(cascade_tensor(bank, spec.path, ABS, xbar)))
+        low = [_linear_response(F, theta_shared) for F in responses[0]]
+        band = [_linear_response(F, theta_shared) for F in responses[1]]
+    responses = low + [ad.abs_val(t) for t in band]
 
     a_t = _as_tensor(a)
     scores = [ad.leaky_relu(ad.matmul(ad.concat_cols([xbar, resp]), a_t),

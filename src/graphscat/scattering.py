@@ -15,8 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ScaleOutOfRange
-from .graph import LAZY_WALK
-from .wavelets import WaveletBank
+from .wavelets import WaveletBank, wavelet_sweep
 
 ScatteringPath = tuple[int, ...]
 
@@ -87,18 +86,8 @@ def validate_path(bank: WaveletBank, p) -> ScatteringPath:
 
 
 def wavelet_tensor(bank: WaveletBank, k: int, t: ad.Tensor) -> ad.Tensor:
-    """Differentiable Psi_k; the 2^(k-1)-step prefix is shared with the 2^k half."""
-    bank._check_scale(k)
-    g = bank.graph
-    if k == 0:
-        return ad.sub(t, ad.op_apply(g, LAZY_WALK, t))
-    half = t
-    for _ in range(2 ** (k - 1)):
-        half = ad.op_apply(g, LAZY_WALK, half)
-    full = half
-    for _ in range(2 ** k - 2 ** (k - 1)):
-        full = ad.op_apply(g, LAZY_WALK, full)
-    return ad.sub(half, full)
+    """Differentiable Psi_k: a wavelet sweep over the single scale k."""
+    return wavelet_sweep(bank, (k,), t)[0]
 
 
 def cascade_tensor(bank: WaveletBank, p, sigma: Nonlinearity, t: ad.Tensor) -> ad.Tensor:

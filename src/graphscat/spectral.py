@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IsolatedNodeError,
-    NoConvergence,
     NotSymmetric,
     TooLargeForDense,
 )
@@ -52,67 +51,21 @@ def sym_normalized_laplacian(g: Graph, dense_limit: int = DEFAULT_DENSE_LIMIT) -
     return 0.5 * (L + L.T)
 
 
-def eigendecompose(M: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposition:
-    """Cyclic Jacobi eigensolver for symmetric dense matrices.
+def eigendecompose(M: np.ndarray) -> EigenDecomposition:
+    """LAPACK eigensolver (numpy eigh) for symmetric dense matrices.
 
-    Sweeps until the off-diagonal Frobenius norm falls below tol, raising
-    NoConvergence past max_sweeps. Eigenvalues come out ascending; each
-    eigenvector is signed so its largest-magnitude entry (lowest index on
-    ties) is positive.
+    Eigenvalues come out ascending; each eigenvector is signed so its
+    largest-magnitude entry (lowest index on ties) is positive.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected square matrix, got {M.shape}")
     if np.max(np.abs(M - M.T), initial=0.0) > 1e-10:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
-    n = M.shape[0]
-    A = 0.5 * (M + M.T)
-    V = np.eye(n)
-
-    def offdiag_norm(a):
-        return np.sqrt(np.sum(np.triu(a, 1) ** 2) * 2.0)
-
-    converged = n < 2 or offdiag_norm(A) <= tol
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                # stable rotation: t is the smaller-magnitude root of t^2 + 2*tau*t - 1
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-        converged = offdiag_norm(A) <= tol
-    else:
-        if not converged:
-            raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-
-    lam = np.diag(A).copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    Q = V[:, order]
-    # deterministic sign: first largest-magnitude entry of each column positive
-    for j in range(n):
-        k = int(np.argmax(np.abs(Q[:, j])))
-        if Q[k, j] < 0:
-            Q[:, j] = -Q[:, j]
+    lam, Q = np.linalg.eigh(0.5 * (M + M.T))
+    if Q.size:
+        peak = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])]
+        Q = np.where(peak < 0, -Q, Q)
     return EigenDecomposition(eigenvalues=lam, eigenvectors=Q)
 
 

@@ -4,6 +4,7 @@ package's CSR/matvec path, built straight from edge lists."""
 import numpy as np
 import pytest
 
+from graphscat import graph as graph_module
 from graphscat.graph import build_graph
 
 
@@ -64,6 +65,19 @@ def random_connected_graph(rng, n, extra=None, weighted=False):
     if weighted:
         edges = [(u, v, float(rng.uniform(0.5, 2.0))) for u, v in edges]
     return edges, build_graph(edges, n=n)
+
+
+def count_kernel_calls(monkeypatch):
+    """List that grows by one entry per graph.adjacency_matvec call from now on."""
+    calls = []
+    orig = graph_module.adjacency_matvec
+
+    def counted(g, X):
+        calls.append(1)
+        return orig(g, X)
+
+    monkeypatch.setattr(graph_module, "adjacency_matvec", counted)
+    return calls
 
 
 @pytest.fixture

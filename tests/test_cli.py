@@ -156,6 +156,41 @@ class TestCliCommands:
         assert rc == 2
         assert f"test split index {index}" in capsys.readouterr().err
 
+    @staticmethod
+    def _train_with_files(data_dir, tmp_path, **override):
+        files = {"graph": data_dir / "edges.tsv", "features": data_dir / "features.csv",
+                 "labels": data_dir / "labels.csv", "splits": data_dir / "splits.json"}
+        files.update(override)
+        argv = ["train", "--preset", "gcn-baseline", "--out", str(tmp_path / "m.csv")]
+        for flag, path in files.items():
+            argv += [f"--{flag}", str(path)]
+        return main(argv)
+
+    @pytest.mark.parametrize("value", [0.7, 2.9, True])
+    def test_non_integer_split_index_with_file_flags(self, small_dataset_dir, tmp_path,
+                                                     capsys, value):
+        splits = json.loads((small_dataset_dir / "splits.json").read_text())
+        splits["test"] = splits["test"][:-1] + [value]
+        bad = tmp_path / "splits.json"
+        bad.write_text(json.dumps(splits))
+        assert self._train_with_files(small_dataset_dir, tmp_path, splits=bad) == 2
+        assert "test split index" in capsys.readouterr().err
+
+    def test_non_finite_feature_with_file_flags(self, small_dataset_dir, tmp_path, capsys):
+        rows = (small_dataset_dir / "features.csv").read_text().splitlines()
+        rows[3] = ",".join(["nan"] + rows[3].split(",")[1:])
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        assert self._train_with_files(small_dataset_dir, tmp_path, features=bad) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_dense_class_ids_with_file_flags(self, small_dataset_dir, tmp_path, capsys):
+        labels = (small_dataset_dir / "labels.csv").read_text().replace("1\n", "2\n")
+        bad = tmp_path / "labels.csv"
+        bad.write_text(labels)
+        assert self._train_with_files(small_dataset_dir, tmp_path, labels=bad) == 2
+        assert "class ids" in capsys.readouterr().err
+
     def test_scatter_csv(self, small_dataset_dir, tmp_path):
         out = tmp_path / "scatter.csv"
         rc = main(["scatter",

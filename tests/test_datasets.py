@@ -12,6 +12,7 @@ from graphscat.datasets import (
 )
 from graphscat.errors import (
     BadClassIds,
+    BadSplitIndex,
     InfeasibleSpec,
     MissingFile,
     RowCountMismatch,
@@ -136,4 +137,29 @@ class TestLoadErrors:
         self._write_minimal(tmp_path)
         (tmp_path / "splits.json").write_text(splits)
         with pytest.raises(SplitIndexOutOfRange):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("key,splits", [
+        ("train", '{"train": [0.7, 1], "val": [1], "test": [2]}'),
+        ("test", '{"train": [0], "val": [1], "test": [2.9]}'),
+        ("val", '{"train": [0], "val": [true], "test": [2]}'),
+        ("test", '{"train": [0], "val": [1], "test": [2.0]}'),
+        ("train", '{"train": 0, "val": [1], "test": [2]}'),
+        ("splits.json", '[[0], [1], [2]]'),
+    ])
+    def test_non_integer_split_index(self, tmp_path, key, splits):
+        self._write_minimal(tmp_path)
+        (tmp_path / "splits.json").write_text(splits)
+        with pytest.raises(BadSplitIndex, match=key):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("features", [
+        "1.0,2.0\n3.0,nan\n5.0,6.0\n",
+        "1.0,2.0\n3.0,4.0\n5.0,-inf\n",
+        "1.0,2.0\n3.0\n5.0,6.0\n",
+    ])
+    def test_non_finite_or_ragged_features(self, tmp_path, features):
+        self._write_minimal(tmp_path)
+        (tmp_path / "features.csv").write_text(features)
+        with pytest.raises(RowCountMismatch):
             load_dataset(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphscat.autodiff as ad
 from graphscat.errors import (
     DimensionMismatch,
     DuplicateEdge,
@@ -21,7 +22,6 @@ from graphscat.graph import (
     apply_operator_transpose,
     build_graph,
     neighborhood,
-    operator_power_apply,
     read_edge_list,
     residual_diffusion,
     write_edge_list,
@@ -204,36 +204,44 @@ class TestApplyOperator:
         assert np.array_equal(X, X0)
 
 
+def chain(g, kind, X, m):
+    """[X, K X, ..., K^m X] as arrays, from one off-tape operator chain."""
+    return [t.value for t in ad.op_chain(g, kind, ad.constant(X), m)]
+
+
 class TestOperatorPower:
     def test_power_one_equals_apply(self, rng):
         edges, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 2))
-        assert np.array_equal(operator_power_apply(g, LAZY_WALK, 1, X),
-                              apply_operator(g, LAZY_WALK, X))
+        out = chain(g, LAZY_WALK, X, 1)
+        assert np.array_equal(out[0], X)
+        assert np.array_equal(out[1], apply_operator(g, LAZY_WALK, X))
 
     def test_c6_two_steps_annihilate_two_coloring(self):
         g = build_graph(cycle(6))
-        out = operator_power_apply(g, LAZY_WALK, 2, two_coloring(6))
+        out = chain(g, LAZY_WALK, two_coloring(6), 2)[2]
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_column_sums_preserved(self, rng):
         edges, g = random_connected_graph(rng, 20)
         X = rng.standard_normal((20, 3))
+        powers = chain(g, LAZY_WALK, X, 5)
         for t in (1, 3, 5):
-            out = operator_power_apply(g, LAZY_WALK, t, X)
-            assert np.allclose(out.sum(axis=0), X.sum(axis=0), atol=1e-10)
+            assert np.allclose(powers[t].sum(axis=0), X.sum(axis=0), atol=1e-10)
 
     def test_matches_dense_power_oracle(self, rng):
         edges, g = random_connected_graph(rng, 11, weighted=True)
-        P = dense_ops(11, edges)["P"]
+        ops = dense_ops(11, edges)
         X = rng.standard_normal((11, 2))
-        assert np.allclose(operator_power_apply(g, LAZY_WALK, 4, X),
-                           np.linalg.matrix_power(P, 4) @ X, atol=1e-10)
+        for kind, dense in ((LAZY_WALK, ops["P"]), (RENORM_ADJACENCY, ops["A"])):
+            for t, out in enumerate(chain(g, kind, X, 4)):
+                assert np.allclose(out, np.linalg.matrix_power(dense, t) @ X, atol=1e-10)
 
-    def test_rejects_nonpositive_power(self):
+    def test_rejects_negative_length(self):
         g = build_graph(cycle(4))
         with pytest.raises(ValueError):
-            operator_power_apply(g, LAZY_WALK, 0, np.zeros(4))
+            ad.op_chain(g, LAZY_WALK, np.zeros(4), -1)
+        assert len(ad.op_chain(g, LAZY_WALK, np.zeros(4), 0)) == 1
 
 
 class TestNeighborhood:

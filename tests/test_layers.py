@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
-from graphscat import graph as graph_module
 from graphscat.errors import IsolatedNodeError, IsolatedNodeWarning
 from graphscat.graph import build_graph
 from graphscat.layers import (
@@ -21,6 +20,7 @@ from graphscat.layers import (
     hybrid_forward_concat,
     init_attention_params,
     init_hybrid_params,
+    layer_filters,
     low_channel,
     precompute_pays,
     residual_conv,
@@ -28,7 +28,7 @@ from graphscat.layers import (
 from graphscat.models import ModelSpec, build_model
 from graphscat.scattering import ABS, IDENTITY, RELU
 
-from conftest import dense_ops, dense_wavelet, random_connected_graph
+from conftest import count_kernel_calls, dense_ops, dense_wavelet, random_connected_graph
 
 
 def cycle(n):
@@ -310,6 +310,62 @@ class TestAttentionRatio:
         assert np.all(np.isnan(zeta))
 
 
+def _dense_cascade(P, path, X, upstream):
+    """U_p X for the dense lazy walk P and the gradient of sum(U_p X * upstream)."""
+    pre = [X]                      # input of each wavelet, before its abs
+    for i, k in enumerate(path):
+        pre.append(dense_wavelet(P, k) @ (np.abs(pre[-1]) if i else pre[-1]))
+    grad = upstream
+    for i in reversed(range(len(path))):
+        grad = dense_wavelet(P, path[i]).T @ grad
+        if i:
+            grad = grad * np.sign(pre[i])
+    return pre[-1], grad
+
+
+class TestLayerFilters:
+    """The shared-chain filter builder against dense operators built from scratch."""
+
+    CFG = HybridLayerConfig(
+        low=tuple(low_channel(r, 2) for r in (2, 1, 3, 2)),
+        band=(band_channel((3,), 2), band_channel((0,), 2), band_channel((1, 2), 2),
+              band_channel((1,), 2)),
+        aggregation="concat")
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 16))
+    def test_matches_dense_operators(self, seed, n):
+        rng = np.random.default_rng(seed)
+        edges, g = random_connected_graph(rng, n, weighted=True)
+        ops = dense_ops(n, edges)
+        X = ad.Parameter(rng.standard_normal((n, 3)))
+        channels = len(self.CFG.low) + len(self.CFG.band)
+        weights = rng.standard_normal((n, 3 * channels))
+        values, (grad,) = _loss_and_grads(
+            lambda: ad.concat_cols([t for group in layer_filters(g, self.CFG, X)
+                                    for t in group]),
+            [X], weights)
+        want_values, want_grad = [], np.zeros_like(X.value)
+        for i, spec in enumerate(self.CFG.low + self.CFG.band):
+            w = weights[:, 3 * i:3 * i + 3]
+            if spec.kind == "low":
+                F = np.linalg.matrix_power(ops["A"], spec.r)
+                value, g_in = F @ X.value, F.T @ w
+            else:
+                value, g_in = _dense_cascade(ops["P"], spec.path, X.value, w)
+            want_values.append(value)
+            want_grad += g_in
+        assert _close(values, np.concatenate(want_values, axis=1))
+        assert _close(grad, want_grad)
+
+    def test_chains_shared_across_channels(self, rng, monkeypatch):
+        _, g = random_connected_graph(rng, 10)
+        calls = count_kernel_calls(monkeypatch)
+        layer_filters(g, self.CFG, ad.constant(rng.standard_normal((10, 2))))
+        # A^3 chain, one 2^3-step sweep, and the (1, 2) cascade's 2 + 4 steps
+        assert len(calls) == 3 + 8 + 6
+
+
 def _loss_and_grads(build, params, weights):
     """Forward value and every parameter's gradient of sum(out * weights)."""
     out = build()
@@ -325,18 +381,6 @@ def _loss_and_grads(build, params, weights):
 
 def _close(a, b, tol=1e-10):
     return np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b)))
-
-
-def _count_kernel_calls(monkeypatch):
-    calls = []
-    orig = graph_module.adjacency_matvec
-
-    def counted(g, X):
-        calls.append(1)
-        return orig(g, X)
-
-    monkeypatch.setattr(graph_module, "adjacency_matvec", counted)
-    return calls
 
 
 class TestFilterResponses:
@@ -416,13 +460,24 @@ class TestFilterResponses:
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 3))
         model = self._gsan(3)
-        calls = _count_kernel_calls(monkeypatch)
+        calls = count_kernel_calls(monkeypatch)
         model.forward(g, X)
         # renormalized chain to A^3 X, one 2^3-step wavelet sweep, the residual conv
         assert len(calls) == 3 + 8 + 1
         calls.clear()
         model.forward(g, X)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_per_epoch_heads_share_chains(self, rng, monkeypatch, heads):
+        # d_in > width: each head runs one renormalized chain to A^3 and one
+        # 2^3-step wavelet sweep on X Theta for all its channels
+        _, g = random_connected_graph(rng, 12)
+        X = rng.standard_normal((12, 6))
+        model = self._gsan(6, heads=heads)
+        calls = count_kernel_calls(monkeypatch)
+        model.forward(g, X)
+        assert len(calls) == heads * (3 + 8) + 1
 
     @pytest.mark.parametrize("kw,d_in", [
         ({"preset": "sc-gcn"}, 8),                                # d_in > widths 10,10,10,11,6
@@ -432,7 +487,7 @@ class TestFilterResponses:
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, d_in))
         model = build_model(ModelSpec(**kw), d_in, 2, seed=1)
-        calls = _count_kernel_calls(monkeypatch)
+        calls = count_kernel_calls(monkeypatch)
         first = model.forward(g, X).value
         per_forward = len(calls)
         model.forward(g, X)

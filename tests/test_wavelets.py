@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphscat.autodiff as ad
 from graphscat.errors import ScaleOutOfRange
 from graphscat.graph import LAZY_WALK, apply_operator, build_graph
-from graphscat.wavelets import WaveletBank, bank_sweep, lowpass_apply, wavelet_apply
+from graphscat.wavelets import WaveletBank, bank_sweep, wavelet_sweep
 
-from conftest import dense_ops, dense_wavelet, random_connected_graph
+from conftest import count_kernel_calls, dense_ops, dense_wavelet, random_connected_graph
 
 
 def cycle(n):
@@ -18,19 +19,29 @@ def two_coloring(n):
     return np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
 
 
+def sweep(bank, scales, x):
+    """[Psi_k x for k in scales] as arrays, from one off-tape sweep."""
+    return [t.value for t in wavelet_sweep(bank, scales, ad.constant(x))]
+
+
+def lowpass(bank, x):
+    """Phi_K x, the last output of the bank sweep."""
+    return bank_sweep(bank, x)[-1]
+
+
 class TestWaveletApply:
     def test_psi0_fixes_c4_two_coloring(self):
         g = build_graph(cycle(4))
         bank = WaveletBank(g, K=2)
         x = two_coloring(4)
-        assert np.array_equal(wavelet_apply(bank, 0, x), x)
+        assert np.array_equal(sweep(bank, [0], x)[0], x)
 
     def test_constant_annihilated_on_regular_graph(self):
         g = build_graph(cycle(8))
         bank = WaveletBank(g, K=3)
         x = np.full(8, 2.5)
-        for k in range(4):
-            assert np.max(np.abs(wavelet_apply(bank, k, x))) < 1e-12
+        for out in sweep(bank, range(4), x):
+            assert np.max(np.abs(out)) < 1e-12
 
     def test_p3_scale_one_impulse_matches_dense_oracle(self):
         edges = [(0, 1), (1, 2)]
@@ -39,25 +50,27 @@ class TestWaveletApply:
         x = np.array([1.0, 0.0, 0.0])
         expected = P @ x - P @ (P @ x)
         bank = WaveletBank(g, K=1)
-        out = wavelet_apply(bank, 1, x)
+        out, = sweep(bank, [1], x)
         assert np.allclose(out, expected, atol=1e-12)
         assert np.allclose(out, [0.125, 0.0, -0.125], atol=1e-12)
 
     def test_scale_out_of_range(self):
         bank = WaveletBank(build_graph(cycle(4)), K=1)
         with pytest.raises(ScaleOutOfRange):
-            wavelet_apply(bank, 2, np.zeros(4))
+            sweep(bank, [0, 2], np.zeros(4))
         with pytest.raises(ScaleOutOfRange):
-            wavelet_apply(bank, -1, np.zeros(4))
+            sweep(bank, [-1], np.zeros(4))
 
 
 class TestLowpass:
-    def test_k_zero_is_single_step(self, rng):
+    def test_k_zero_is_single_step(self, rng, monkeypatch):
         edges, g = random_connected_graph(rng, 9)
         bank = WaveletBank(g, K=0)
         X = rng.standard_normal((9, 2))
-        assert np.array_equal(lowpass_apply(bank, X),
-                              apply_operator(g, LAZY_WALK, X))
+        expected = apply_operator(g, LAZY_WALK, X)
+        calls = count_kernel_calls(monkeypatch)
+        assert np.array_equal(lowpass(bank, X), expected)
+        assert len(calls) == 1
 
     def test_large_k_approaches_stationary_direction(self, rng):
         # non-bipartite connected graph: columns converge to deg/sum(deg) * mass
@@ -65,7 +78,7 @@ class TestLowpass:
         P = dense_ops(10, edges)["P"]
         bank = WaveletBank(g, K=6)
         x = rng.standard_normal(10)
-        out = lowpass_apply(bank, x)
+        out = lowpass(bank, x)
         oracle = np.linalg.matrix_power(P, 2 ** 6) @ x
         assert np.allclose(out, oracle, atol=1e-9)
         stationary = g.degrees / g.degrees.sum() * x.sum()
@@ -75,7 +88,7 @@ class TestLowpass:
         g = build_graph(cycle(6))
         bank = WaveletBank(g, K=2)
         x = np.full(6, -1.75)
-        assert np.allclose(lowpass_apply(bank, x), x, atol=1e-12)
+        assert np.allclose(lowpass(bank, x), x, atol=1e-12)
 
 
 class TestBankSweep:
@@ -104,20 +117,26 @@ class TestBankSweep:
             assert np.array_equal(out, np.zeros((5, 2)))
 
     @pytest.mark.parametrize("K", [0, 1, 2, 3, 4])
-    def test_matvec_count_is_2_to_K(self, rng, K):
+    def test_matvec_count_is_2_to_K(self, rng, monkeypatch, K):
         edges, g = random_connected_graph(rng, 8)
         bank = WaveletBank(g, K=K)
-        bank_sweep(bank, rng.standard_normal(8))
-        assert bank.matvecs_last_sweep == 2 ** K
+        x = rng.standard_normal(8)
+        calls = count_kernel_calls(monkeypatch)
+        bank_sweep(bank, x)
+        assert len(calls) == 2 ** K
+        calls.clear()
+        sweep(bank, range(K + 1), x)
+        assert len(calls) == 2 ** K
 
     def test_sweep_matches_individual_applies(self, rng):
         edges, g = random_connected_graph(rng, 12)
+        P = dense_ops(12, edges)["P"]
         bank = WaveletBank(g, K=3)
         X = rng.standard_normal((12, 2))
         outs = bank_sweep(bank, X)
         for k in range(4):
-            assert np.allclose(outs[k], wavelet_apply(bank, k, X), atol=1e-12)
-        assert np.allclose(outs[-1], lowpass_apply(bank, X), atol=1e-12)
+            assert np.array_equal(outs[k], sweep(bank, [k], X)[0])
+        assert np.allclose(outs[-1], np.linalg.matrix_power(P, 8) @ X, atol=1e-12)
 
 
 class TestDenseOracleAgreement:
@@ -130,10 +149,9 @@ class TestDenseOracleAgreement:
         P = dense_ops(n, edges)["P"]
         bank = WaveletBank(g, K=3)
         x = r.standard_normal(n)
-        for k in range(4):
-            assert np.max(np.abs(wavelet_apply(bank, k, x)
-                                 - dense_wavelet(P, k) @ x)) < 1e-9
-        assert np.max(np.abs(lowpass_apply(bank, x)
+        for k, out in enumerate(sweep(bank, range(4), x)):
+            assert np.max(np.abs(out - dense_wavelet(P, k) @ x)) < 1e-9
+        assert np.max(np.abs(lowpass(bank, x)
                              - np.linalg.matrix_power(P, 8) @ x)) < 1e-9
 
 
@@ -145,7 +163,6 @@ class TestFrameBounds:
             bank = WaveletBank(g, K=3)
             x = rng.standard_normal(n)
             norm_x = np.sqrt(x @ (x / g.degrees))
-            for k in range(4):
-                y = wavelet_apply(bank, k, x)
+            for y in sweep(bank, range(4), x):
                 norm_y = np.sqrt(y @ (y / g.degrees))
                 assert norm_y <= norm_x * (1.0 + 1e-8)
