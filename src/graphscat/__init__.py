@@ -27,7 +27,6 @@ from .scattering import (
     Nonlinearity,
     cascade,
     graph_moments,
-    scatter_layer,
 )
 from .spectral import (
     EigenDecomposition,
@@ -50,7 +49,7 @@ from .theory import (
     verify_theorem2,
     verify_theorem3,
 )
-from .train import SplitMasks, TrainConfig, evaluate, fit, forward_loss
+from .train import SplitMasks, TrainConfig, evaluate, fit
 from .wavelets import WaveletBank, bank_sweep, wavelet_sweep
 
 __version__ = "0.1.0"

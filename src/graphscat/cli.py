@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .config import ConfigView, parse_config, parse_paths
@@ -83,7 +84,7 @@ def _cmd_train(args) -> int:
     print(f"test_accuracy: {acc:.4f}")
     if getattr(model, "last_attention", None) is not None:
         zeta = attention_ratio(model.last_attention)
-        ratio_path = args.out.rsplit(".", 1)[0] + "_attention_ratios.csv"
+        ratio_path = os.path.splitext(args.out)[0] + "_attention_ratios.csv"
         write_attention_ratios(ratio_path, zeta)
         print(f"attention ratios written to {ratio_path}")
     return 0

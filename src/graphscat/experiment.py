@@ -124,8 +124,8 @@ def run_experiment(config_path, out_dir=None, echo=print) -> dict:
         fh.write("\n".join(lines) + "\n")
     echo("\n".join(lines))
 
+    # evaluate's forward left last_attention at the restored best parameters
     if getattr(model, "last_attention", None) is not None:
-        model.forward(ds.graph, ds.features)
         zeta = attention_ratio(model.last_attention)
         write_attention_ratios(os.path.join(out_dir, "attention_ratios.csv"), zeta)
 

@@ -6,13 +6,15 @@ A hybrid layer aggregates them either by horizontal concatenation or by a
 per-node attention module whose softmax runs across all filters, and a graph
 residual convolution cleans up afterwards.
 
-Before its activation every low-pass and single-scale band-pass response is
-linear in Theta, F (X Theta) = (F X) Theta. When the layer input is a
-constant, filter_responses computes the F X products once and the layers
-take a matmul per channel instead of a diffusion chain per channel, per head
-and per epoch (the SGC precomputation applied to the hybrid filter set).
-The precomputed responses and the per-epoch attention heads both come
-from layer_filters, where one chain per operator serves every channel.
+Every channel filter comes from layer_filters, where one chain per
+operator serves all the specs passed together. Before its activation every
+low-pass and single-scale band-pass response is linear in Theta,
+F (X Theta) = (F X) Theta. When the layer input is a constant,
+filter_responses computes the F X products once and both aggregations take
+a matmul per channel instead of a diffusion chain per channel, per head and
+per epoch (the SGC precomputation applied to the hybrid filter set);
+otherwise the concat layer runs layer_filters on each channel's X Theta and
+an attention head once on its shared X Theta.
 """
 
 from __future__ import annotations
@@ -23,15 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DimensionMismatch, IsolatedNodeError
+from .errors import IsolatedNodeError
 from .graph import RENORM_ADJACENCY, Graph, residual_diffusion
-from .scattering import (
-    ABS,
-    IDENTITY,
-    Nonlinearity,
-    cascade_tensor,
-    scatter_layer,
-)
+from .scattering import ABS, Nonlinearity, cascade_tensor
 from .wavelets import WaveletBank, wavelet_sweep
 
 ATTENTION_LEAKY_SLOPE = 0.2  # GAT convention; the source text leaves it open
@@ -110,10 +106,6 @@ class HybridLayerConfig:
             return sum(c.width for c in self.low + self.band)
         return self.heads * self.low[0].width if self.low else self.heads * self.band[0].width
 
-    def max_scale(self) -> int:
-        scales = [k for c in self.band for k in c.path]
-        return max(scales) if scales else 0
-
 
 @dataclass
 class HeadAttention:
@@ -134,34 +126,34 @@ def _as_tensor(x):
     return x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
 
 
-FilterResponses = tuple[list[np.ndarray], list[np.ndarray]]
+FilterResponses = list[np.ndarray]   # F_c X per channel, in cfg.low + cfg.band order
 
 
-def layer_filters(g: Graph, cfg: HybridLayerConfig,
-                  t: ad.Tensor) -> tuple[list[ad.Tensor], list[ad.Tensor]]:
-    """(A^r t per low channel, U_p t per band channel) on the tape.
+def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> list[ad.Tensor]:
+    """F_c t for each channel spec, in order, on the tape: A^r t or U_p t.
 
     One renormalized-adjacency chain up to the largest power serves every
     low channel and one dyadic wavelet sweep every single-scale band
     channel; a multi-scale path runs its own cascade.
     """
-    if cfg.low and g.has_isolated_nodes:
+    if any(spec.kind == "low" for spec in specs) and g.has_isolated_nodes:
         raise IsolatedNodeError("GCN channel requires a graph without isolated nodes")
-    powers = ad.op_chain(g, RENORM_ADJACENCY, t, max((spec.r for spec in cfg.low), default=0))
-    bank = WaveletBank(g, K=cfg.max_scale())
-    scales = sorted({spec.path[0] for spec in cfg.band if len(spec.path) == 1})
+    powers = ad.op_chain(g, RENORM_ADJACENCY, t, max((spec.r for spec in specs
+                                                      if spec.kind == "low"), default=0))
+    bank = WaveletBank(g, K=max((k for spec in specs for k in spec.path), default=0))
+    scales = sorted({spec.path[0] for spec in specs
+                     if spec.kind == "band" and len(spec.path) == 1})
     psi = dict(zip(scales, wavelet_sweep(bank, scales, t)))
-    band = [psi[spec.path[0]] if len(spec.path) == 1
-            else cascade_tensor(bank, spec.path, ABS, t) for spec in cfg.band]
-    return [powers[spec.r] for spec in cfg.low], band
+    return [powers[spec.r] if spec.kind == "low"
+            else psi[spec.path[0]] if len(spec.path) == 1
+            else cascade_tensor(bank, spec.path, ABS, t) for spec in specs]
 
 
 def filter_responses(g: Graph, cfg: HybridLayerConfig, X: np.ndarray) -> FilterResponses:
-    """(A^r X per low channel, Psi_k X per band channel), band paths single-scale."""
+    """F_c X for every channel of cfg, low then band, band paths single-scale."""
     if any(len(spec.path) != 1 for spec in cfg.band):
         raise ValueError("filter responses need single-scale band paths")
-    low, band = layer_filters(g, cfg, ad.constant(X))
-    return [t.value for t in low], [t.value for t in band]
+    return [t.value for t in layer_filters(g, cfg.low + cfg.band, ad.constant(X))]
 
 
 def precompute_pays(cfg: HybridLayerConfig, X) -> bool:
@@ -199,7 +191,7 @@ class ResponseCache:
         x = X.value if isinstance(X, ad.Tensor) else np.asarray(X, dtype=np.float64)
         if self._key is None or self._key[0] is not g or not np.array_equal(self._key[1], x):
             self._responses = filter_responses(g, self.cfg, x)
-            for F in self._responses[0] + self._responses[1]:
+            for F in self._responses:
                 F.flags.writeable = False   # handed out on every later call
             self._key = (g, x.copy())
         return self._responses
@@ -226,36 +218,38 @@ def _outer_activation(t: ad.Tensor, sigma: Nonlinearity, q: float) -> ad.Tensor:
     return t
 
 
-def _linear_response(F: np.ndarray, theta) -> ad.Tensor:
-    """(F X) Theta from a precomputed filter response F X."""
-    return ad.matmul(ad.constant(F), _as_tensor(theta))
+def _channel_filters(g: Graph, specs: tuple[ChannelSpec, ...], x, theta,
+                     responses: FilterResponses | None,
+                     xt: ad.Tensor | None = None) -> list[ad.Tensor]:
+    """F_c X Theta for each spec, in order.
+
+    Given responses (F_c X per spec) each is one matmul with Theta;
+    otherwise layer_filters runs the shared chains on X Theta, or on xt
+    when the caller already holds that product.
+    """
+    theta = _as_tensor(theta)
+    if responses is not None:
+        return [ad.matmul(ad.constant(F), theta) for F in responses]
+    return layer_filters(g, specs, ad.matmul(x, theta) if xt is None else xt)
 
 
 def hybrid_forward_concat(g: Graph, cfg: HybridLayerConfig, params, X,
                           responses: FilterResponses | None = None) -> ad.Tensor:
-    """Concatenate channel responses: low channels in spec order, then band.
+    """Concatenate channels sigma(F_c X Theta_c + B_c), low in spec order, then band.
 
-    responses, from filter_responses(g, cfg, X), replaces the diffusion
-    chains by one matmul per channel.
+    A band channel raises its activation to the power q (1 for low
+    channels). Each channel has its own Theta, so each runs its own
+    filters; responses, from filter_responses(g, cfg, X), replaces their
+    diffusion chains by one matmul per channel.
     """
     if cfg.aggregation != "concat":
         raise ValueError("config does not use concat aggregation")
-    bank = WaveletBank(g, K=cfg.max_scale())
     x = _as_tensor(X)
     outs = []
-    for i, (spec, (theta, bias)) in enumerate(zip(cfg.low, params["low"])):
-        if responses is None:
-            outs.append(gcn_channel(g, spec.r, theta, bias, spec.sigma, x))
-            continue
-        t = _linear_response(responses[0][i], theta)
-        if bias is not None:
-            t = ad.add(t, _as_tensor(bias))
-        outs.append(spec.sigma.apply_tensor(t))
-    for i, (spec, (theta, bias)) in enumerate(zip(cfg.band, params["band"])):
-        if responses is None:
-            t = scatter_layer(bank, spec.path, theta, None, IDENTITY, x)
-        else:
-            t = _linear_response(responses[1][i], theta)
+    for i, (spec, (theta, bias)) in enumerate(zip(cfg.low + cfg.band,
+                                                  params["low"] + params["band"])):
+        (t,) = _channel_filters(g, (spec,), x, theta,
+                                None if responses is None else responses[i:i + 1])
         if bias is not None:
             t = ad.add(t, _as_tensor(bias))
         outs.append(_outer_activation(t, spec.sigma, spec.q))
@@ -271,16 +265,14 @@ def attention_head(g: Graph, cfg: HybridLayerConfig, theta_shared, a, X,
     LeakyReLU([X_bar || X_bar_f] a) are softmax-normalized per node across
     all C_low + C_band filters, and the weighted sum is rescaled by 1/C after
     the ReLU. Given responses from filter_responses(g, cfg, X), each X_bar_f
-    is one matmul; otherwise layer_filters(g, cfg, X_bar) builds them all.
+    is one matmul; otherwise one layer_filters call on X_bar builds them all.
     Returns (output tensor, HeadAttention).
     """
-    xbar = ad.matmul(_as_tensor(X), _as_tensor(theta_shared))
-    if responses is None:
-        low, band = layer_filters(g, cfg, xbar)
-    else:
-        low = [_linear_response(F, theta_shared) for F in responses[0]]
-        band = [_linear_response(F, theta_shared) for F in responses[1]]
-    responses = low + [ad.abs_val(t) for t in band]
+    x = _as_tensor(X)
+    xbar = ad.matmul(x, _as_tensor(theta_shared))
+    n_low = len(cfg.low)
+    filters = _channel_filters(g, cfg.low + cfg.band, x, theta_shared, responses, xbar)
+    responses = filters[:n_low] + [ad.abs_val(t) for t in filters[n_low:]]
 
     a_t = _as_tensor(a)
     scores = [ad.leaky_relu(ad.matmul(ad.concat_cols([xbar, resp]), a_t),
@@ -288,7 +280,6 @@ def attention_head(g: Graph, cfg: HybridLayerConfig, theta_shared, a, X,
               for resp in responses]                     # each (n, 1)
     alpha = ad.softmax_filters(ad.stack_filters(scores))  # (C, n, 1)
 
-    n_low = len(cfg.low)
     c_total = len(responses)
     acc = None
     for i, resp in enumerate(responses):

@@ -1,10 +1,10 @@
-"""Scattering cascades, graph-level moments, and the learned scattering layer.
+"""Scattering cascades, graph-level moments and the pointwise nonlinearities.
 
 A path p = (k_1, ..., k_m) alternates wavelets and a pointwise nonlinearity,
 U_p x = Psi_{k_m} sigma Psi_{k_{m-1}} ... sigma Psi_{k_1} x, with no
-nonlinearity after the outermost wavelet. The learned layer applies the
-channel transform first: sigma(U_p(X Theta) + B), with an optional q-th
-power folded into the outermost activation only.
+nonlinearity after the outermost wavelet. The learned band-pass channel
+sigma(U_p(X Theta) + B)^q is a hybrid-layer channel: layers.layer_filters
+builds its U_p from these cascades.
 """
 
 from __future__ import annotations
@@ -119,20 +119,3 @@ def graph_moments(U: np.ndarray, qmax: int) -> np.ndarray:
         U = U[:, None]
     absu = np.abs(U)
     return np.stack([np.sum(absu ** q, axis=0) for q in range(1, qmax + 1)], axis=1)
-
-
-def scatter_layer(bank: WaveletBank, p, theta, bias, sigma: Nonlinearity, X,
-                  cascade_sigma: Nonlinearity = ABS) -> ad.Tensor:
-    """Learned scattering channel sigma(U_p(X Theta) + B).
-
-    Transformation, aggregation by U_p, then activation, in that order; the
-    result participates in reverse-mode differentiation w.r.t. theta and bias.
-    sigma is the outermost activation (where any q-th power lives); the
-    nonlinearity inside the cascade stays cascade_sigma and never carries q.
-    """
-    x = X if isinstance(X, ad.Tensor) else ad.constant(np.asarray(X, dtype=np.float64))
-    t = ad.matmul(x, theta if isinstance(theta, ad.Tensor) else ad.constant(theta))
-    t = cascade_tensor(bank, p, cascade_sigma, t)
-    if bias is not None:
-        t = ad.add(t, bias if isinstance(bias, ad.Tensor) else ad.constant(bias))
-    return sigma.apply_tensor(t)

@@ -13,12 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tape
-from .errors import DimensionMismatch, EmptyMask, NonFiniteLoss
+from .autodiff import Tape
+from .errors import EmptyMask, NonFiniteLoss
 from .graph import Graph
-
-# ParamTensor in the interface vocabulary is autodiff.Parameter
-ParamTensor = Parameter
 
 
 @dataclass(frozen=True)
@@ -58,28 +55,6 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-
-
-def forward_loss(model, g: Graph, X: np.ndarray, labels: np.ndarray,
-                 mask: np.ndarray) -> tuple[float, Tape]:
-    """Masked cross-entropy of the model logits; returns (loss, tape)."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise EmptyMask("loss mask is empty")
-    logits = model.forward(g, X)
-    n_classes = int(np.max(labels)) + 1
-    if logits.value.shape[1] < n_classes:
-        raise DimensionMismatch(
-            f"model width {logits.value.shape[1]} < class count {n_classes}")
-    loss = ad.masked_cross_entropy(logits, labels, mask)
-    if not np.isfinite(loss.value):
-        raise NonFiniteLoss(f"loss evaluated to {loss.value}")
-    return float(loss.value), Tape(loss)
-
-
-def backward(tape: Tape):
-    """Populate .grad on every parameter reachable from the tape's loss."""
-    tape.backward()
 
 
 class _SGD:

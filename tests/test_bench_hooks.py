@@ -1,0 +1,64 @@
+"""The benchmark's tracer still finds every name it wraps in the package.
+
+perfbench/tracer.py wraps functions at the names their callers resolve, so
+renaming or deleting one of them breaks traced benchmark runs; this test
+installs the tracer on the live modules and takes it off again.
+"""
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+from graphscat import (
+    autodiff,
+    cli,
+    datasets,
+    experiment,
+    fixtures,
+    graph,
+    layers,
+    models,
+    scattering,
+    spectral,
+    theory,
+    train,
+)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# the module namespace perfbench/worker.py hands to tracer.install
+GS = SimpleNamespace(autodiff=autodiff, cli=cli, datasets=datasets, experiment=experiment,
+                     fixtures=fixtures, graph=graph, layers=layers, models=models,
+                     scattering=scattering, spectral=spectral, theory=theory, train=train)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _current(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_tracer_installs_and_unpatches_every_name():
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, GS)
+        saved = list(tracer._saved)
+        for owner, attr, orig in saved:
+            assert _current(owner, attr) is not orig, f"{attr} was not wrapped"
+    finally:
+        tracer.unpatch()
+    patched = {(owner, attr) for owner, attr, _ in saved}
+    for must in [(models.ScGCN, "forward"), (models.GSAN, "forward"),
+                 (models, "hybrid_forward_concat"), (models, "residual_conv"),
+                 (layers, "gcn_channel"), (layers, "attention_head"),
+                 (layers, "cascade_tensor"), (train.Tape, "backward"),
+                 (train._Adam, "step"), (train, "fit"), (autodiff, "backward")]:
+        assert must in patched
+    for owner, attr, orig in saved:
+        assert _current(owner, attr) is orig, f"{attr} not restored"

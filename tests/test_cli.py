@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from graphscat import experiment
 from graphscat.cli import main
 from graphscat.config import ConfigError, ConfigView, parse_config_text
-from graphscat.datasets import SBMSpec, generate_sbm, save_dataset
+from graphscat.datasets import SBMSpec, generate_sbm, load_dataset, save_dataset
 from graphscat.experiment import run_experiment
+from graphscat.layers import attention_ratio
+from graphscat.models import GSAN, build_model
 
 
 class TestConfigParsing:
@@ -85,6 +88,27 @@ class TestCliCommands:
                    "--out", str(metrics)])
         assert rc == 0
         assert len(metrics.read_text().splitlines()) == 6   # header + 5 epochs
+
+    def test_attention_ratios_beside_extensionless_out(self, small_dataset_dir, tmp_path,
+                                                      capsys):
+        # the ratio file name comes from --out without its extension; a dot
+        # in a directory name is not one
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("model.preset = gsan\nmodel.heads = 1\nmodel.hidden = 6\n"
+                       "train.epochs = 3\n")
+        out_dir = tmp_path / "runs.v2"
+        out_dir.mkdir()
+        rc = main(["train", "--config", str(cfg),
+                   "--graph", str(small_dataset_dir / "edges.tsv"),
+                   "--features", str(small_dataset_dir / "features.csv"),
+                   "--labels", str(small_dataset_dir / "labels.csv"),
+                   "--splits", str(small_dataset_dir / "splits.json"),
+                   "--out", str(out_dir / "metrics")])
+        assert rc == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "metrics", "metrics_attention_ratios.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.cfg", "runs.v2"]
+        assert str(out_dir / "metrics_attention_ratios.csv") in capsys.readouterr().out
 
     def test_train_missing_files_flagged(self, capsys):
         rc = main(["train", "--preset", "sc-gcn"])
@@ -230,6 +254,37 @@ class TestCliCommands:
 
 
 class TestRunExperimentSBMMode:
+    def test_attention_ratios_from_the_evaluation_forward(self, small_dataset_dir, tmp_path,
+                                                          monkeypatch):
+        # one forward per epoch plus the test evaluation, which runs at the
+        # restored best parameters; the ratios file comes from that forward
+        models_seen, forwards = [], []
+
+        def build(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            models_seen.append(model)
+            return model
+
+        monkeypatch.setattr(experiment, "build_model", build)
+        orig_forward = GSAN.forward
+        monkeypatch.setattr(GSAN, "forward",
+                            lambda self, g, X: forwards.append(1) or orig_forward(self, g, X))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset.dir = {small_dataset_dir}\nmodel.preset = gsan\n"
+                       "model.heads = 2\nmodel.hidden = 6\ntrain.epochs = 6\n")
+        run_experiment(cfg, out_dir=tmp_path / "res", echo=lambda *_: None)
+        epochs = len((tmp_path / "res" / "metrics.csv").read_text().splitlines()) - 1
+        assert epochs == 6
+        assert len(forwards) == epochs + 1
+
+        (model,) = models_seen
+        ds = load_dataset(small_dataset_dir)
+        model.forward(ds.graph, ds.features)
+        expected = tmp_path / "expected.csv"
+        experiment.write_attention_ratios(expected, attention_ratio(model.last_attention))
+        assert (tmp_path / "res" / "attention_ratios.csv").read_text() == expected.read_text()
+
+
     def test_sbm_config_end_to_end(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

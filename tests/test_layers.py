@@ -26,7 +26,9 @@ from graphscat.layers import (
     residual_conv,
 )
 from graphscat.models import ModelSpec, build_model
-from graphscat.scattering import ABS, IDENTITY, RELU
+from graphscat.scattering import ABS, IDENTITY, RELU, cascade
+from graphscat.train import Tape
+from graphscat.wavelets import WaveletBank
 
 from conftest import count_kernel_calls, dense_ops, dense_wavelet, random_connected_graph
 
@@ -123,11 +125,47 @@ class TestHybridConcat:
         params = init_hybrid_params(cfg, 2, rng)
         X = rng.standard_normal((7, 2))
         out = hybrid_forward_concat(g, cfg, params, X)
-        from graphscat.scattering import cascade
-        from graphscat.wavelets import WaveletBank
         base = cascade(WaveletBank(g, K=1), (1,), ABS,
                        X @ params["band"][0][0].value)
         assert np.max(np.abs(out.value - np.abs(base) ** 4)) < 1e-12
+
+    @staticmethod
+    def _band_layer(path, width, sigma, q=1.0):
+        return HybridLayerConfig(low=(), band=(band_channel(path, width, sigma=sigma, q=q),),
+                                 aggregation="concat")
+
+    def test_identity_band_channel_reduces_to_cascade(self, rng):
+        edges, g = random_connected_graph(rng, 8)
+        X = rng.standard_normal((8, 3))
+        cfg = self._band_layer((1, 2), 3, IDENTITY)
+        out = hybrid_forward_concat(g, cfg, {"low": [], "band": [(np.eye(3), None)]}, X)
+        expected = cascade(WaveletBank(g, K=2), (1, 2), ABS, X)
+        assert np.max(np.abs(out.value - expected)) < 1e-12
+
+    def test_band_channel_on_three_node_path_matches_dense_oracle(self, rng):
+        edges = [(0, 1), (1, 2)]
+        g = build_graph(edges)
+        P = dense_ops(3, edges)["P"]
+        X = rng.standard_normal((3, 2))
+        theta = rng.standard_normal((2, 2))
+        bias = rng.standard_normal((1, 2))
+        cfg = self._band_layer((0, 1), 2, ABS)
+        out = hybrid_forward_concat(g, cfg, {"low": [], "band": [(theta, bias)]}, X)
+        expected = np.abs(dense_wavelet(P, 1) @ np.abs(dense_wavelet(P, 0)
+                                                       @ (X @ theta)) + bias)
+        assert np.max(np.abs(out.value - expected)) < 1e-10
+
+    def test_band_channel_differentiable_wrt_theta_and_bias(self, rng):
+        edges, g = random_connected_graph(rng, 6)
+        X = rng.standard_normal((6, 2))
+        theta = ad.Parameter(rng.standard_normal((2, 2)))
+        bias = ad.Parameter(np.zeros((1, 2)))
+        cfg = self._band_layer((1,), 2, ABS, q=2.0)
+        _, (g_theta, g_bias) = _loss_and_grads(
+            lambda: hybrid_forward_concat(g, cfg, {"low": [], "band": [(theta, bias)]}, X),
+            [theta, bias], np.ones((6, 2)))
+        assert np.any(g_theta != 0)
+        assert np.any(g_bias != 0)
 
     def test_reduces_to_gcn_rule_without_band_channels(self, rng):
         # oracle: literal layer rule sigma(A X Theta) with dense renormalized A
@@ -326,11 +364,10 @@ def _dense_cascade(P, path, X, upstream):
 class TestLayerFilters:
     """The shared-chain filter builder against dense operators built from scratch."""
 
-    CFG = HybridLayerConfig(
-        low=tuple(low_channel(r, 2) for r in (2, 1, 3, 2)),
-        band=(band_channel((3,), 2), band_channel((0,), 2), band_channel((1, 2), 2),
-              band_channel((1,), 2)),
-        aggregation="concat")
+    # low and band specs interleaved: the output follows the spec order
+    SPECS = (low_channel(2, 2), band_channel((3,), 2), low_channel(1, 2),
+             band_channel((0,), 2), low_channel(3, 2), band_channel((1, 2), 2),
+             low_channel(2, 2), band_channel((1,), 2))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 16))
@@ -339,14 +376,11 @@ class TestLayerFilters:
         edges, g = random_connected_graph(rng, n, weighted=True)
         ops = dense_ops(n, edges)
         X = ad.Parameter(rng.standard_normal((n, 3)))
-        channels = len(self.CFG.low) + len(self.CFG.band)
-        weights = rng.standard_normal((n, 3 * channels))
+        weights = rng.standard_normal((n, 3 * len(self.SPECS)))
         values, (grad,) = _loss_and_grads(
-            lambda: ad.concat_cols([t for group in layer_filters(g, self.CFG, X)
-                                    for t in group]),
-            [X], weights)
+            lambda: ad.concat_cols(layer_filters(g, self.SPECS, X)), [X], weights)
         want_values, want_grad = [], np.zeros_like(X.value)
-        for i, spec in enumerate(self.CFG.low + self.CFG.band):
+        for i, spec in enumerate(self.SPECS):
             w = weights[:, 3 * i:3 * i + 3]
             if spec.kind == "low":
                 F = np.linalg.matrix_power(ops["A"], spec.r)
@@ -361,7 +395,8 @@ class TestLayerFilters:
     def test_chains_shared_across_channels(self, rng, monkeypatch):
         _, g = random_connected_graph(rng, 10)
         calls = count_kernel_calls(monkeypatch)
-        layer_filters(g, self.CFG, ad.constant(rng.standard_normal((10, 2))))
+        filters = layer_filters(g, self.SPECS, ad.constant(rng.standard_normal((10, 2))))
+        assert len(filters) == len(self.SPECS)
         # A^3 chain, one 2^3-step sweep, and the (1, 2) cascade's 2 + 4 steps
         assert len(calls) == 3 + 8 + 6
 
@@ -478,6 +513,20 @@ class TestFilterResponses:
         calls = count_kernel_calls(monkeypatch)
         model.forward(g, X)
         assert len(calls) == heads * (3 + 8) + 1
+
+    def test_sc_gcn_per_epoch_plan(self, rng, monkeypatch):
+        # d_in > every width: each concat channel runs its own chain on its
+        # X Theta, A^1, A^2, A^3 and the 2- and 8-step sweeps for Psi_1 and
+        # Psi_3, then the residual convolution; backward runs each transposed
+        _, g = random_connected_graph(rng, 12)
+        X = rng.standard_normal((12, 8))
+        model = build_model(ModelSpec(preset="sc-gcn"), 8, 2, seed=1)
+        calls = count_kernel_calls(monkeypatch)
+        logits = model.forward(g, X)
+        assert len(calls) == (1 + 2 + 3) + (2 + 8) + 1
+        Tape(ad.masked_cross_entropy(logits, np.zeros(12, dtype=np.int64),
+                                     np.arange(12))).backward()
+        assert len(calls) == 2 * 17
 
     @pytest.mark.parametrize("kw,d_in", [
         ({"preset": "sc-gcn"}, 8),                                # d_in > widths 10,10,10,11,6

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import graphscat.autodiff as ad
 from graphscat.errors import ScaleOutOfRange
 from graphscat.graph import SYM_NORM_ADJACENCY, apply_operator, build_graph
 from graphscat.scattering import (
@@ -12,7 +11,6 @@ from graphscat.scattering import (
     cascade,
     graph_moments,
     leaky,
-    scatter_layer,
 )
 from graphscat.wavelets import WaveletBank
 
@@ -141,49 +139,3 @@ class TestGraphMoments:
     def test_qmax_validation(self):
         with pytest.raises(ValueError):
             graph_moments(np.zeros(3), 0)
-
-
-class TestScatterLayer:
-    def test_identity_config_reduces_to_cascade(self, rng):
-        edges, g = random_connected_graph(rng, 8)
-        bank = WaveletBank(g, K=2)
-        X = rng.standard_normal((8, 3))
-        out = scatter_layer(bank, (1, 2), np.eye(3), None, IDENTITY, X,
-                            cascade_sigma=ABS)
-        assert np.max(np.abs(out.value - cascade(bank, (1, 2), ABS, X))) < 1e-12
-
-    def test_outer_power_activation(self, rng):
-        edges, g = random_connected_graph(rng, 8)
-        bank = WaveletBank(g, K=1)
-        X = rng.standard_normal((8, 2))
-        theta = rng.standard_normal((2, 2))
-        out = scatter_layer(bank, (1,), theta, None, abs_pow(4.0), X)
-        base = cascade(bank, (1,), ABS, X @ theta)
-        assert np.max(np.abs(out.value - np.abs(base) ** 4)) < 1e-12
-
-    def test_three_node_path_matches_dense_oracle(self, rng):
-        edges = [(0, 1), (1, 2)]
-        g = build_graph(edges)
-        P = dense_ops(3, edges)["P"]
-        bank = WaveletBank(g, K=1)
-        X = rng.standard_normal((3, 2))
-        theta = rng.standard_normal((2, 2))
-        bias = rng.standard_normal((1, 2))
-        out = scatter_layer(bank, (0, 1), theta, bias, ABS, X)
-        expected = np.abs(dense_wavelet(P, 1) @ np.abs(dense_wavelet(P, 0)
-                                                       @ (X @ theta)) + bias)
-        assert np.max(np.abs(out.value - expected)) < 1e-10
-
-    def test_differentiable_wrt_theta_and_bias(self, rng):
-        edges, g = random_connected_graph(rng, 6)
-        bank = WaveletBank(g, K=1)
-        X = rng.standard_normal((6, 2))
-        theta = ad.Parameter(rng.standard_normal((2, 2)))
-        bias = ad.Parameter(np.zeros((1, 2)))
-        out = scatter_layer(bank, (1,), theta, bias, abs_pow(2.0), X)
-        total = ad.matmul(ad.matmul(ad.constant(np.ones((1, 6))), out),
-                          ad.constant(np.ones((2, 1))))
-        ad.backward(ad.Tensor(total.value.reshape(()), (total,),
-                              lambda gr: (gr.reshape(1, 1),)))
-        assert np.any(theta.grad != 0)
-        assert np.any(bias.grad != 0)

@@ -4,15 +4,8 @@ import pytest
 import graphscat.autodiff as ad
 from graphscat.datasets import SBMSpec, generate_sbm
 from graphscat.errors import EmptyMask, NonFiniteLoss
-from graphscat.graph import build_graph
 from graphscat.models import ModelSpec, build_model
-from graphscat.train import (
-    SplitMasks,
-    TrainConfig,
-    evaluate,
-    fit,
-    forward_loss,
-)
+from graphscat.train import SplitMasks, TrainConfig, evaluate, fit
 
 from conftest import random_connected_graph
 
@@ -55,37 +48,35 @@ def tiny_dataset(rng, n=30):
 
 
 class TestForwardLoss:
+    """The training loss of a forward pass: masked cross-entropy of its logits."""
+
+    @staticmethod
+    def _loss(model, g, X, labels, mask):
+        return float(ad.masked_cross_entropy(model.forward(g, X), labels, mask).value)
+
     def test_confident_logits_give_tiny_loss(self, rng):
         g, X, labels, masks = tiny_dataset(rng)
         logits = np.full((g.n, 2), -40.0)
         logits[np.arange(g.n), labels] = 40.0
-        loss, _ = forward_loss(FixedLogitsModel(logits), g, X, labels, masks.train)
-        assert loss < 1e-12
+        assert self._loss(FixedLogitsModel(logits), g, X, labels, masks.train) < 1e-12
 
     def test_uniform_logits_give_log_c(self, rng):
         g, X, labels, masks = tiny_dataset(rng)
-        loss, _ = forward_loss(FixedLogitsModel(np.zeros((g.n, 2))),
-                               g, X, labels, masks.train)
+        loss = self._loss(FixedLogitsModel(np.zeros((g.n, 2))), g, X, labels, masks.train)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
-
-    def test_empty_mask_rejected(self, rng):
-        g, X, labels, _ = tiny_dataset(rng)
-        with pytest.raises(EmptyMask):
-            forward_loss(FixedLogitsModel(np.zeros((g.n, 2))), g, X, labels,
-                         np.array([], dtype=np.int64))
 
     def test_nonfinite_loss_rejected(self, rng):
         g, X, labels, masks = tiny_dataset(rng)
         bad = np.zeros((g.n, 2))
         bad[masks.train[0], 0] = np.nan
         with pytest.raises(NonFiniteLoss):
-            forward_loss(FixedLogitsModel(bad), g, X, labels, masks.train)
+            fit(FixedLogitsModel(bad), g, X, labels, masks, TrainConfig(max_epochs=3))
 
     def test_bit_identical_across_runs(self, rng):
         g, X, labels, masks = tiny_dataset(rng)
         model = build_model(ModelSpec(preset="sc-gcn"), 4, 2, seed=11)
-        a, _ = forward_loss(model, g, X, labels, masks.train)
-        b, _ = forward_loss(model, g, X, labels, masks.train)
+        a = self._loss(model, g, X, labels, masks.train)
+        b = self._loss(model, g, X, labels, masks.train)
         assert a == b
 
 
