@@ -26,6 +26,7 @@ from .scattering import (
     RELU,
     Nonlinearity,
     cascade,
+    first_wavelets,
     graph_moments,
 )
 from .spectral import (

@@ -4,9 +4,10 @@ Tensors form an implicit computation tape through parent links; backward()
 walks the tape once in reverse topological order, descending only into
 nodes that require a gradient (those with a Parameter among their
 ancestors). Only the operations needed by the layer zoo are provided:
-matmul, fixed-operator matvec, broadcast add/mul, concat, the activation
-family, filter-axis softmax, and masked cross-entropy. Gradients land on Parameter.grad and are zeroed by the
-optimizer between steps.
+matmul, fixed-operator matvec, broadcast add/mul, column concat and slice,
+the activation family, filter-axis softmax, and masked cross-entropy.
+Gradients land on Parameter.grad and are zeroed by the optimizer between
+steps.
 """
 
 from __future__ import annotations
@@ -145,6 +146,19 @@ def concat_cols(tensors) -> Tensor:
         return tuple(np.split(g, splits, axis=1))
 
     return Tensor(out, tensors, vjp)
+
+
+def take_cols(a, start: int, stop: int) -> Tensor:
+    """Columns start:stop of a 2-D tensor; the gradient lands in that block."""
+    a = _as_tensor(a)
+    shape = a.value.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        full[:, start:stop] = g
+        return (full,)
+
+    return Tensor(a.value[:, start:stop], (a,), vjp)
 
 
 def stack_filters(tensors) -> Tensor:

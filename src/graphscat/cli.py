@@ -11,6 +11,7 @@ import contextlib
 import os
 import sys
 
+from . import autodiff as ad
 from .config import ConfigView, parse_config, parse_paths
 from .datasets import (
     SBMSpec,
@@ -34,7 +35,7 @@ from .fixtures import run_verify_suite
 from .graph import read_edge_list
 from .layers import attention_ratio
 from .models import PRESETS, ModelSpec
-from .scattering import ABS, cascade
+from .scattering import ABS, cascade, first_wavelets
 from .spectral import (
     FilterSpec,
     chebyshev_filter,
@@ -61,7 +62,7 @@ def _cmd_train(args) -> int:
     file_flags = ("graph", "features", "labels", "splits")
     given = [getattr(args, r) is not None for r in file_flags]
     if args.config and not any(given):
-        run_experiment(args.config, out_dir=args.out_dir)
+        run_experiment(args.config, out_dir=args.out_dir, preset=args.preset, seed=args.seed)
         return 0
     missing = [f"--{r}" for r, g_ in zip(file_flags, given) if not g_]
     if missing:
@@ -78,7 +79,7 @@ def _cmd_train(args) -> int:
         tcfg = train_config_from_config(view, seed=args.seed)
     else:
         spec = ModelSpec(preset=args.preset or "sc-gcn")
-        tcfg = TrainConfig(seed=args.seed)
+        tcfg = TrainConfig(seed=0 if args.seed is None else args.seed)
     model, result, acc = run_trained_model(ds, spec, tcfg)
     write_metrics_csv(args.out, result.history)
     print(f"test_accuracy: {acc:.4f}")
@@ -95,7 +96,8 @@ def _cmd_scatter(args) -> int:
     g = read_edge_list(args.graph, n=features.shape[0])
     paths = parse_paths(args.paths)
     bank = WaveletBank(g, K=max((max(p) for p in paths if p), default=0))
-    outs = [cascade(bank, p, ABS, features) for p in paths]
+    swept = first_wavelets(bank, paths, ad.constant(features))
+    outs = [cascade(bank, p, ABS, features, swept) for p in paths]
     with _output(args.out) as fh:
         header = ["node"]
         for p in paths:
@@ -180,14 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a preset on a dataset")
-    p.add_argument("--config", help="experiment config file (overrides file flags)")
+    p.add_argument("--config", help="experiment config file; --preset and --seed override it")
     p.add_argument("--graph", help="edges.tsv path")
     p.add_argument("--features", help="features.csv path")
     p.add_argument("--labels", help="labels.csv path")
     p.add_argument("--splits", help="splits.json path")
     p.add_argument("--preset", choices=PRESETS, default=None,
                    help="model preset (default sc-gcn, or the config's model.preset)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="training seed (default 0, or the config's train.seed)")
     p.add_argument("--out", default="metrics.csv", help="metrics CSV path")
     p.add_argument("--out-dir", default=None, help="output directory for --config mode")
     p.set_defaults(func=_cmd_train)

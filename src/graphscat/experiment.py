@@ -99,8 +99,12 @@ def run_trained_model(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig):
     return model, result, acc
 
 
-def run_experiment(config_path, out_dir=None, echo=print) -> dict:
-    """Execute one configured run and write the metrics files."""
+def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None) -> dict:
+    """Execute one configured run and write the metrics files.
+
+    preset and seed, when given, override the config's model.preset and
+    train.seed.
+    """
     cfg = ConfigView(parse_config(config_path))
     cfg.reject_unknown_keys(KNOWN_KEYS)
     out_dir = out_dir or cfg.get_str("out.dir", "results")
@@ -108,8 +112,8 @@ def run_experiment(config_path, out_dir=None, echo=print) -> dict:
 
     ds = dataset_from_config(cfg)
     echo(describe(ds))
-    spec = model_spec_from_config(cfg)
-    tcfg = train_config_from_config(cfg)
+    spec = model_spec_from_config(cfg, preset=preset)
+    tcfg = train_config_from_config(cfg, seed=seed)
 
     start = time.perf_counter()
     model, result, acc = run_trained_model(ds, spec, tcfg)

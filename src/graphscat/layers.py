@@ -15,6 +15,11 @@ a matmul per channel instead of a diffusion chain per channel, per head and
 per epoch (the SGC precomputation applied to the hybrid filter set);
 otherwise the concat layer runs layer_filters on each channel's X Theta and
 an attention head once on its shared X Theta.
+
+The dense product and the sparse diffusion commute, so each layer takes the
+cheaper order: the concat layer takes every channel's X Theta_c from one
+stacked product X [Theta_1 | ... | Theta_C], and the residual convolution
+diffuses after Theta (n_classes columns, not the hidden width).
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import IsolatedNodeError
 from .graph import RENORM_ADJACENCY, Graph, residual_diffusion
-from .scattering import ABS, Nonlinearity, cascade_tensor
-from .wavelets import WaveletBank, wavelet_sweep
+from .scattering import ABS, Nonlinearity, cascade_tensor, first_wavelets
+from .wavelets import WaveletBank
 
 ATTENTION_LEAKY_SLOPE = 0.2  # GAT convention; the source text leaves it open
 
@@ -133,20 +138,17 @@ def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> lis
     """F_c t for each channel spec, in order, on the tape: A^r t or U_p t.
 
     One renormalized-adjacency chain up to the largest power serves every
-    low channel and one dyadic wavelet sweep every single-scale band
-    channel; a multi-scale path runs its own cascade.
+    low channel and one dyadic wavelet sweep gives every band channel its
+    first wavelet; a multi-scale path continues its cascade from there.
     """
     if any(spec.kind == "low" for spec in specs) and g.has_isolated_nodes:
         raise IsolatedNodeError("GCN channel requires a graph without isolated nodes")
     powers = ad.op_chain(g, RENORM_ADJACENCY, t, max((spec.r for spec in specs
                                                       if spec.kind == "low"), default=0))
     bank = WaveletBank(g, K=max((k for spec in specs for k in spec.path), default=0))
-    scales = sorted({spec.path[0] for spec in specs
-                     if spec.kind == "band" and len(spec.path) == 1})
-    psi = dict(zip(scales, wavelet_sweep(bank, scales, t)))
+    swept = first_wavelets(bank, [spec.path for spec in specs if spec.kind == "band"], t)
     return [powers[spec.r] if spec.kind == "low"
-            else psi[spec.path[0]] if len(spec.path) == 1
-            else cascade_tensor(bank, spec.path, ABS, t) for spec in specs]
+            else cascade_tensor(bank, spec.path, ABS, t, swept) for spec in specs]
 
 
 def filter_responses(g: Graph, cfg: HybridLayerConfig, X: np.ndarray) -> FilterResponses:
@@ -218,38 +220,32 @@ def _outer_activation(t: ad.Tensor, sigma: Nonlinearity, q: float) -> ad.Tensor:
     return t
 
 
-def _channel_filters(g: Graph, specs: tuple[ChannelSpec, ...], x, theta,
-                     responses: FilterResponses | None,
-                     xt: ad.Tensor | None = None) -> list[ad.Tensor]:
-    """F_c X Theta for each spec, in order.
-
-    Given responses (F_c X per spec) each is one matmul with Theta;
-    otherwise layer_filters runs the shared chains on X Theta, or on xt
-    when the caller already holds that product.
-    """
-    theta = _as_tensor(theta)
-    if responses is not None:
-        return [ad.matmul(ad.constant(F), theta) for F in responses]
-    return layer_filters(g, specs, ad.matmul(x, theta) if xt is None else xt)
-
-
 def hybrid_forward_concat(g: Graph, cfg: HybridLayerConfig, params, X,
                           responses: FilterResponses | None = None) -> ad.Tensor:
     """Concatenate channels sigma(F_c X Theta_c + B_c), low in spec order, then band.
 
     A band channel raises its activation to the power q (1 for low
     channels). Each channel has its own Theta, so each runs its own
-    filters; responses, from filter_responses(g, cfg, X), replaces their
-    diffusion chains by one matmul per channel.
+    filters on its own X Theta_c. The products come from one
+    X [Theta_1 | ... | Theta_C], which reads X once forward and once
+    backward; each channel takes its column block. Given responses, from
+    filter_responses(g, cfg, X), each channel is one matmul F_c X Theta_c
+    and runs no diffusion chain.
     """
     if cfg.aggregation != "concat":
         raise ValueError("config does not use concat aggregation")
-    x = _as_tensor(X)
+    specs = cfg.low + cfg.band
+    pairs = params["low"] + params["band"]
+    thetas = [_as_tensor(theta) for theta, _ in pairs]
+    if responses is not None:
+        filters = [ad.matmul(ad.constant(F), theta) for F, theta in zip(responses, thetas)]
+    else:
+        xt = ad.matmul(_as_tensor(X), ad.concat_cols(thetas))
+        ends = np.cumsum([theta.shape[1] for theta in thetas])
+        filters = [layer_filters(g, (spec,), ad.take_cols(xt, end - theta.shape[1], end))[0]
+                   for spec, theta, end in zip(specs, thetas, ends)]
     outs = []
-    for i, (spec, (theta, bias)) in enumerate(zip(cfg.low + cfg.band,
-                                                  params["low"] + params["band"])):
-        (t,) = _channel_filters(g, (spec,), x, theta,
-                                None if responses is None else responses[i:i + 1])
+    for spec, t, (_, bias) in zip(specs, filters, pairs):
         if bias is not None:
             t = ad.add(t, _as_tensor(bias))
         outs.append(_outer_activation(t, spec.sigma, spec.q))
@@ -268,10 +264,11 @@ def attention_head(g: Graph, cfg: HybridLayerConfig, theta_shared, a, X,
     is one matmul; otherwise one layer_filters call on X_bar builds them all.
     Returns (output tensor, HeadAttention).
     """
-    x = _as_tensor(X)
-    xbar = ad.matmul(x, _as_tensor(theta_shared))
+    theta = _as_tensor(theta_shared)
+    xbar = ad.matmul(_as_tensor(X), theta)
     n_low = len(cfg.low)
-    filters = _channel_filters(g, cfg.low + cfg.band, x, theta_shared, responses, xbar)
+    filters = (layer_filters(g, cfg.low + cfg.band, xbar) if responses is None
+               else [ad.matmul(ad.constant(F), theta) for F in responses])
     responses = filters[:n_low] + [ad.abs_val(t) for t in filters[n_low:]]
 
     a_t = _as_tensor(a)
@@ -317,9 +314,12 @@ def gsan_layer(g: Graph, cfg: HybridLayerConfig, params, X,
 
 
 def residual_conv(g: Graph, alpha: float, theta, bias, X) -> ad.Tensor:
-    """Graph residual convolution A_res(alpha) X Theta + B (no nonlinearity)."""
-    t = ad.op_apply(g, residual_diffusion(alpha), _as_tensor(X))
-    t = ad.matmul(t, _as_tensor(theta))
+    """Graph residual convolution A_res(alpha) X Theta + B (no nonlinearity).
+
+    The diffusion runs after Theta, A_res (X Theta), on the output columns
+    (n_classes in the models) rather than the input width.
+    """
+    t = ad.op_apply(g, residual_diffusion(alpha), ad.matmul(_as_tensor(X), _as_tensor(theta)))
     if bias is not None:
         t = ad.add(t, _as_tensor(bias))
     return t

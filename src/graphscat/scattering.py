@@ -90,20 +90,35 @@ def wavelet_tensor(bank: WaveletBank, k: int, t: ad.Tensor) -> ad.Tensor:
     return wavelet_sweep(bank, (k,), t)[0]
 
 
-def cascade_tensor(bank: WaveletBank, p, sigma: Nonlinearity, t: ad.Tensor) -> ad.Tensor:
-    """U_p on the tape; the empty path is the identity cascade."""
+def first_wavelets(bank: WaveletBank, paths, t: ad.Tensor) -> dict[int, ad.Tensor]:
+    """{k: Psi_k t} for every path's first scale k, from one wavelet sweep."""
+    scales = sorted({validate_path(bank, p)[0] for p in paths if p})
+    return dict(zip(scales, wavelet_sweep(bank, scales, t)))
+
+
+def cascade_tensor(bank: WaveletBank, p, sigma: Nonlinearity, t: ad.Tensor,
+                   swept: dict[int, ad.Tensor] | None = None) -> ad.Tensor:
+    """U_p on the tape; the empty path is the identity cascade.
+
+    swept, from first_wavelets(bank, paths, t), supplies Psi_{p[0]} t, so
+    paths that share it run no chain of their own for their first wavelet.
+    """
     p = validate_path(bank, p)
     for i, k in enumerate(p):
         if i > 0:
             t = sigma.apply_tensor(t)
-        t = wavelet_tensor(bank, k, t)
+        t = swept[k] if i == 0 and swept else wavelet_tensor(bank, k, t)
     return t
 
 
-def cascade(bank: WaveletBank, p, sigma: Nonlinearity, X: np.ndarray) -> np.ndarray:
-    """U_p X as a plain array; single-scale paths apply no nonlinearity at all."""
+def cascade(bank: WaveletBank, p, sigma: Nonlinearity, X: np.ndarray,
+            swept: dict[int, ad.Tensor] | None = None) -> np.ndarray:
+    """U_p X as a plain array; single-scale paths apply no nonlinearity at all.
+
+    swept is as for cascade_tensor, from first_wavelets on constant(X).
+    """
     X = np.asarray(X, dtype=np.float64)
-    return cascade_tensor(bank, p, sigma, ad.constant(X)).value
+    return cascade_tensor(bank, p, sigma, ad.constant(X), swept).value
 
 
 def graph_moments(U: np.ndarray, qmax: int) -> np.ndarray:

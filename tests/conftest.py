@@ -4,6 +4,7 @@ package's CSR/matvec path, built straight from edge lists."""
 import numpy as np
 import pytest
 
+from graphscat import autodiff as autodiff_module
 from graphscat import graph as graph_module
 from graphscat.graph import build_graph
 
@@ -68,16 +69,33 @@ def random_connected_graph(rng, n, extra=None, weighted=False):
 
 
 def count_kernel_calls(monkeypatch):
-    """List that grows by one entry per graph.adjacency_matvec call from now on."""
+    """List that gets each graph.adjacency_matvec call's column count from now on.
+
+    Its length is the number of kernel calls; a vector input counts as one
+    column.
+    """
     calls = []
     orig = graph_module.adjacency_matvec
 
     def counted(g, X):
-        calls.append(1)
+        calls.append(1 if np.ndim(X) == 1 else np.shape(X)[1])
         return orig(g, X)
 
     monkeypatch.setattr(graph_module, "adjacency_matvec", counted)
     return calls
+
+
+def record_matmul_operands(monkeypatch):
+    """List that gets each autodiff.matmul call's left operand array from now on."""
+    lefts = []
+    orig = autodiff_module.matmul
+
+    def recorded(a, b):
+        lefts.append(a.value if isinstance(a, autodiff_module.Tensor) else a)
+        return orig(a, b)
+
+    monkeypatch.setattr(autodiff_module, "matmul", recorded)
+    return lefts
 
 
 @pytest.fixture

@@ -37,6 +37,7 @@ from graphscat.layers import (
     filter_responses,
     hybrid_forward_concat,
     low_channel,
+    residual_conv,
 )
 from graphscat.models import ModelSpec, build_model
 from graphscat.spectral import gcn_unnormalized, spectral_response, wavelet_filter
@@ -236,7 +237,11 @@ def test_criterion_6_gradient_suite():
     concat = HybridLayerConfig(
         low=(low_channel(2, 2),), band=(band_channel((1,), 2, q=3.0),), aggregation="concat")
 
-    def make_ops(a, b, w, labels, mask, kind, v=None):
+    def square(t):
+        return ad.mul(t, t)
+
+    def make_ops(a, b, w, labels, mask, kind, v=None, u=None):
+        # u: a second channel's Theta (3 x 2) and two (1 x 2) biases
         return {
             "matmul": lambda: scalarize(ad.mul(ad.matmul(a, w), ad.matmul(a, w))),
             "sparse-matvec": lambda: scalarize(
@@ -258,6 +263,12 @@ def test_criterion_6_gradient_suite():
             "precomputed-concat": lambda: scalarize(hybrid_forward_concat(
                 g, concat, {"low": [(w, None)], "band": [(w, None)]}, a.value,
                 filter_responses(g, concat, a.value))),
+            "column-slice": lambda: scalarize(ad.mul(ad.take_cols(a, 1, 3),
+                                                     ad.take_cols(a, 0, 2))),
+            # X on the tape, one Theta and bias per channel, band q = 3
+            "per-epoch-concat": lambda: scalarize(square(hybrid_forward_concat(
+                g, concat, {"low": [(w, u[1])], "band": [(u[0], u[2])]}, a))),
+            "residual-conv": lambda: scalarize(square(residual_conv(g, 0.4, w, u[1], a))),
         }
 
     with Timer() as t:
@@ -272,12 +283,19 @@ def test_criterion_6_gradient_suite():
                 kind = kinds[int(rng.integers(len(kinds)))]
                 precomputed = name.startswith("precomputed")
                 v = ad.Parameter(rng.standard_normal((4, 1))) if precomputed else None
-                build = make_ops(a, b, w, labels, mask, kind, v)[name]
+                per_epoch = name in ("per-epoch-concat", "residual-conv")
+                u = [ad.Parameter(rng.standard_normal(shape))
+                     for shape in ((3, 2), (1, 2), (1, 2))] if per_epoch else None
+                build = make_ops(a, b, w, labels, mask, kind, v, u)[name]
                 params = [a, w] if name == "matmul" else (
-                    [a] if name in ("relu", "leaky-relu", "abs-pow",
-                                    "sparse-matvec", "cross-entropy") else [a, b])
+                    [a] if name in ("relu", "leaky-relu", "abs-pow", "sparse-matvec",
+                                    "cross-entropy", "column-slice") else [a, b])
                 if precomputed:
                     params = [w, v] if name == "precomputed-attention" else [w]
+                if name == "per-epoch-concat":
+                    params = [a, w] + u[:3]
+                if name == "residual-conv":
+                    params = [a, w, u[1]]
                 if not _fd_gradient_ok(build, params):
                     failures.append(name)
                     break

@@ -3,13 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from graphscat import experiment
+from graphscat import cli, experiment
 from graphscat.cli import main
 from graphscat.config import ConfigError, ConfigView, parse_config_text
 from graphscat.datasets import SBMSpec, generate_sbm, load_dataset, save_dataset
-from graphscat.experiment import run_experiment
+from graphscat.experiment import run_experiment, run_trained_model
 from graphscat.layers import attention_ratio
 from graphscat.models import GSAN, build_model
+from graphscat.scattering import ABS, cascade
+from graphscat.wavelets import WaveletBank
+
+from conftest import count_kernel_calls
 
 
 class TestConfigParsing:
@@ -109,6 +113,38 @@ class TestCliCommands:
             "metrics", "metrics_attention_ratios.csv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.cfg", "runs.v2"]
         assert str(out_dir / "metrics_attention_ratios.csv") in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags,want", [
+        ([], ("sc-gcn", 3)),                                 # the config decides
+        (["--seed", "5"], ("sc-gcn", 5)),
+        (["--preset", "gcn-baseline", "--seed", "0"], ("gcn-baseline", 0)),
+    ])
+    @pytest.mark.parametrize("with_files", [False, True])
+    def test_given_flags_override_the_config(self, small_dataset_dir, tmp_path, monkeypatch,
+                                             capsys, flags, want, with_files):
+        # a flag that is given wins over model.preset / train.seed; one that
+        # is not given leaves the config's value, in both train modes
+        seen = []
+
+        def spy(ds, spec, tcfg):
+            seen.append((spec.preset, tcfg.seed))
+            return run_trained_model(ds, spec, tcfg)
+
+        monkeypatch.setattr(cli, "run_trained_model", spy)
+        monkeypatch.setattr(experiment, "run_trained_model", spy)
+        settings = "model.preset = sc-gcn\ntrain.seed = 3\ntrain.epochs = 2\n"
+        argv = ["train", "--config", str(tmp_path / "exp.cfg")] + flags
+        if with_files:
+            argv += ["--out", str(tmp_path / "m.csv")]
+            for flag, name in (("graph", "edges.tsv"), ("features", "features.csv"),
+                               ("labels", "labels.csv"), ("splits", "splits.json")):
+                argv += [f"--{flag}", str(small_dataset_dir / name)]
+        else:
+            settings += f"dataset.dir = {small_dataset_dir}\n"
+            argv += ["--out-dir", str(tmp_path / "res")]
+        (tmp_path / "exp.cfg").write_text(settings)
+        assert main(argv) == 0
+        assert seen == [want]
 
     def test_train_missing_files_flagged(self, capsys):
         rc = main(["train", "--preset", "sc-gcn"])
@@ -227,6 +263,24 @@ class TestCliCommands:
         assert len(lines) == 41
         # 1 id column + 2 paths x 8 feature columns
         assert len(lines[1].split(",")) == 17
+
+    def test_scatter_shares_first_layer_sweep(self, small_dataset_dir, tmp_path, monkeypatch):
+        # one 2^3-step sweep gives Psi_0..Psi_3 X for every path's first
+        # wavelet; (0, 1) and (1, 2) then add 2 and 4 steps; the values are
+        # those of one cascade per path
+        out = tmp_path / "scatter.csv"
+        paths = ((1,), (2,), (3,), (0, 1), (1, 2))
+        calls = count_kernel_calls(monkeypatch)
+        rc = main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
+                   "--features", str(small_dataset_dir / "features.csv"),
+                   "--paths", "1|2|3|0,1|1,2", "--out", str(out)])
+        assert rc == 0
+        assert len(calls) == 8 + 2 + 4
+        ds = load_dataset(small_dataset_dir)
+        bank = WaveletBank(ds.graph, K=3)
+        want = np.concatenate([cascade(bank, p, ABS, ds.features) for p in paths], axis=1)
+        rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
+        assert rows == [[f"{x:.10g}" for x in row] for row in want]
 
     def test_spectra_csv_matches_gcn_response(self, tmp_path):
         edges = tmp_path / "edges.tsv"

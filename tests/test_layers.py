@@ -30,7 +30,13 @@ from graphscat.scattering import ABS, IDENTITY, RELU, cascade
 from graphscat.train import Tape
 from graphscat.wavelets import WaveletBank
 
-from conftest import count_kernel_calls, dense_ops, dense_wavelet, random_connected_graph
+from conftest import (
+    count_kernel_calls,
+    dense_ops,
+    dense_wavelet,
+    random_connected_graph,
+    record_matmul_operands,
+)
 
 
 def cycle(n):
@@ -397,8 +403,9 @@ class TestLayerFilters:
         calls = count_kernel_calls(monkeypatch)
         filters = layer_filters(g, self.SPECS, ad.constant(rng.standard_normal((10, 2))))
         assert len(filters) == len(self.SPECS)
-        # A^3 chain, one 2^3-step sweep, and the (1, 2) cascade's 2 + 4 steps
-        assert len(calls) == 3 + 8 + 6
+        # A^3 chain, one 2^3-step sweep that also gives (1, 2) its Psi_1, and
+        # that cascade's 4-step Psi_2
+        assert len(calls) == 3 + 8 + 4
 
 
 def _loss_and_grads(build, params, weights):
@@ -528,6 +535,36 @@ class TestFilterResponses:
                                      np.arange(12))).backward()
         assert len(calls) == 2 * 17
 
+    def test_sc_gcn_per_epoch_reads_x_once(self, rng, monkeypatch):
+        # one stacked X [Theta_1 | ... | Theta_5]; each channel diffuses its
+        # own column block, and the residual diffusion runs after Theta_res
+        # on the 2 class columns instead of the 47 hidden ones
+        _, g = random_connected_graph(rng, 12)
+        X = rng.standard_normal((12, 8))
+        model = build_model(ModelSpec(preset="sc-gcn"), 8, 2, seed=1)
+        calls = count_kernel_calls(monkeypatch)
+        lefts = record_matmul_operands(monkeypatch)
+        model.forward(g, X)
+        assert sum(a is X for a in lefts) == 1
+        assert calls == [10] * (1 + 2 + 3) + [11] * 2 + [6] * 8 + [2]
+
+    @pytest.mark.parametrize("preset,d_in", [
+        ("sc-gcn", 8), ("sc-gcn", 2), ("gsan", 6), ("gsan", 3),   # per epoch, precomputed
+    ])
+    def test_residual_diffusion_at_class_width(self, rng, monkeypatch, preset, d_in):
+        _, g = random_connected_graph(rng, 12)
+        X = rng.standard_normal((12, d_in))
+        model = build_model(ModelSpec(preset=preset, hidden=4), d_in, 3, seed=1)
+        model.forward(g, X)            # fills the response cache where it pays
+        calls = count_kernel_calls(monkeypatch)
+        logits = model.forward(g, X)
+        forward = len(calls)
+        Tape(ad.masked_cross_entropy(logits, np.zeros(12, dtype=np.int64),
+                                     np.arange(12))).backward()
+        # the last forward call and the first transposed one
+        assert calls[forward - 1] == calls[forward] == 3
+        assert calls.count(3) == 2
+
     @pytest.mark.parametrize("kw,d_in", [
         ({"preset": "sc-gcn"}, 8),                                # d_in > widths 10,10,10,11,6
         ({"preset": "sc-gcn", "band_paths": ((1, 2), (3,))}, 2),  # multi-scale path
@@ -562,3 +599,82 @@ class TestFilterResponses:
         after = model.forward(g2, X).value
         assert not np.array_equal(before, after)
         assert np.array_equal(after, self._gsan(3).forward(g2, X).value)
+
+
+class TestAgainstDenseComposition:
+    """The stacked concat layer and the residual convolution against dense math.
+
+    The oracle runs every channel on its own X Theta_c with dense filter
+    matrices and a hand-written backward, so it shares neither the stacked
+    product nor the tape with the layers.
+    """
+
+    CONCAT = HybridLayerConfig(
+        low=(low_channel(1, 2, sigma=ABS), low_channel(3, 3, sigma=ABS)),
+        band=(band_channel((1,), 2, sigma=ABS, q=3.0), band_channel((1, 2), 3, sigma=ABS),
+              band_channel((0,), 2, sigma=ABS, q=2.0)),
+        aggregation="concat")
+
+    @pytest.mark.parametrize("x_on_tape", [False, True])
+    @pytest.mark.parametrize("d_in", [2, 6])     # below and above the channel widths
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 16))
+    def test_concat_layer(self, d_in, x_on_tape, seed, n):
+        rng = np.random.default_rng(seed)
+        edges, g = random_connected_graph(rng, n, weighted=True)
+        ops = dense_ops(n, edges)
+        X = rng.standard_normal((n, d_in))
+        params = init_hybrid_params(self.CONCAT, d_in, rng)
+        pairs = params["low"] + params["band"]
+        for _, bias in pairs:
+            bias.value = rng.standard_normal(bias.value.shape)
+        x = ad.Parameter(X.copy()) if x_on_tape else X
+        flat = [p for pair in pairs for p in pair] + ([x] if x_on_tape else [])
+        weights = rng.standard_normal((n, self.CONCAT.output_width))
+        values, grads = _loss_and_grads(
+            lambda: hybrid_forward_concat(g, self.CONCAT, params, x), flat, weights)
+
+        want_values, want_grads, grad_x, start = [], [], np.zeros_like(X), 0
+        for spec, (theta, bias) in zip(self.CONCAT.low + self.CONCAT.band, pairs):
+            w = weights[:, start:start + spec.width]
+            start += spec.width
+            y = X @ theta.value
+            if spec.kind == "low":
+                F = np.linalg.matrix_power(ops["A"], spec.r)
+                pre = F @ y + bias.value
+            else:
+                pre = _dense_cascade(ops["P"], spec.path, y, w)[0] + bias.value
+            g_pre = w * spec.q * np.abs(pre) ** (spec.q - 1.0) * np.sign(pre)
+            g_y = F.T @ g_pre if spec.kind == "low" else _dense_cascade(
+                ops["P"], spec.path, y, g_pre)[1]
+            want_values.append(np.abs(pre) ** spec.q)
+            want_grads += [X.T @ g_y, g_pre.sum(axis=0, keepdims=True)]
+            grad_x += g_y @ theta.value.T
+        if x_on_tape:
+            want_grads.append(grad_x)
+        assert _close(values, np.concatenate(want_values, axis=1))
+        for got, want in zip(grads, want_grads, strict=True):
+            assert _close(got, want)
+
+    @pytest.mark.parametrize("x_on_tape", [False, True])
+    @pytest.mark.parametrize("d_in,d_out", [(6, 2), (2, 6), (3, 3)])  # Theta narrows, widens, neither
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 16),
+           alpha=st.floats(0.0, 2.0))
+    def test_residual_conv(self, d_in, d_out, x_on_tape, seed, n, alpha):
+        rng = np.random.default_rng(seed)
+        edges, g = random_connected_graph(rng, n, weighted=True)
+        R = dense_ops(n, edges)["res"](alpha)
+        X = rng.standard_normal((n, d_in))
+        theta = ad.Parameter(rng.standard_normal((d_in, d_out)))
+        bias = ad.Parameter(rng.standard_normal((1, d_out)))
+        x = ad.Parameter(X.copy()) if x_on_tape else X
+        weights = rng.standard_normal((n, d_out))
+        values, grads = _loss_and_grads(lambda: residual_conv(g, alpha, theta, bias, x),
+                                        [theta, bias] + ([x] if x_on_tape else []), weights)
+        want_grads = [(R @ X).T @ weights, weights.sum(axis=0, keepdims=True)]
+        if x_on_tape:
+            want_grads.append(R.T @ weights @ theta.value.T)
+        assert _close(values, R @ X @ theta.value + bias.value)
+        for got, want in zip(grads, want_grads, strict=True):
+            assert _close(got, want)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphscat import autodiff as ad
 from graphscat.errors import ScaleOutOfRange
 from graphscat.graph import SYM_NORM_ADJACENCY, apply_operator, build_graph
 from graphscat.scattering import (
@@ -9,12 +10,13 @@ from graphscat.scattering import (
     Nonlinearity,
     abs_pow,
     cascade,
+    first_wavelets,
     graph_moments,
     leaky,
 )
 from graphscat.wavelets import WaveletBank
 
-from conftest import dense_ops, dense_wavelet, random_connected_graph
+from conftest import count_kernel_calls, dense_ops, dense_wavelet, random_connected_graph
 
 
 def cycle(n):
@@ -78,10 +80,27 @@ class TestCascade:
         out = cascade(bank, (0, 1, 2), ABS, x)
         assert np.max(np.abs(out - expected)) < 1e-10
 
+    def test_shared_first_wavelets_change_no_value(self, rng, monkeypatch):
+        # one 2^2-step sweep gives Psi_0 and Psi_2 to every path; only the
+        # later wavelets of (0, 1) and (2, 0, 1) run chains of their own
+        edges, g = random_connected_graph(rng, 9)
+        bank = WaveletBank(g, K=2)
+        x = rng.standard_normal((9, 3))
+        paths = [(), (2,), (0, 1), (2, 0, 1), (0,)]
+        want = [cascade(bank, p, ABS, x) for p in paths]
+        calls = count_kernel_calls(monkeypatch)
+        swept = first_wavelets(bank, paths, ad.constant(x))
+        got = [cascade(bank, p, ABS, x, swept) for p in paths]
+        assert len(calls) == 4 + 2 + (1 + 2)
+        for u, v in zip(got, want, strict=True):
+            assert np.array_equal(u, v)
+
     def test_scale_out_of_range(self):
         bank = WaveletBank(build_graph(cycle(4)), K=1)
         with pytest.raises(ScaleOutOfRange):
             cascade(bank, (0, 3), ABS, np.zeros(4))
+        with pytest.raises(ScaleOutOfRange):
+            first_wavelets(bank, [(0,), (2, 0)], ad.constant(np.zeros(4)))
 
     def test_permutation_equivariance(self, rng):
         n = 11
