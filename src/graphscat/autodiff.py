@@ -5,7 +5,8 @@ walks the tape once in reverse topological order, descending only into
 nodes that require a gradient (those with a Parameter among their
 ancestors). Only the operations needed by the layer zoo are provided:
 matmul, fixed-operator matvec, broadcast add/mul, column concat and slice,
-the activation family, filter-axis softmax, and masked cross-entropy.
+the activation family, the fused filter attention of the attention layer,
+and masked cross-entropy.
 Gradients land on Parameter.grad and are zeroed by the optimizer between
 steps.
 """
@@ -161,30 +162,6 @@ def take_cols(a, start: int, stop: int) -> Tensor:
     return Tensor(a.value[:, start:stop], (a,), vjp)
 
 
-def stack_filters(tensors) -> Tensor:
-    """Stack equal-shape tensors along a new leading (filter) axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.stack([t.value for t in tensors], axis=0)
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return Tensor(out, tensors, vjp)
-
-
-def take_filter(a, i: int) -> Tensor:
-    """Select slice i along the leading axis."""
-    a = _as_tensor(a)
-    shape = a.value.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[i] = g
-        return (full,)
-
-    return Tensor(a.value[i], (a,), vjp)
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.value > 0
@@ -217,14 +194,72 @@ def abs_pow(a, q: float) -> Tensor:
     return Tensor(absx ** q, (a,), lambda g: (g * deriv,))
 
 
-def softmax_filters(a) -> Tensor:
-    """Softmax along axis 0 of a (filters, nodes[, width]) score stack."""
-    a = _as_tensor(a)
-    z = a.value - np.max(a.value, axis=0, keepdims=True)
-    e = np.exp(z)
-    s = e / np.sum(e, axis=0, keepdims=True)
-    return Tensor(s, (a,),
-                  lambda g: (s * (g - np.sum(g * s, axis=0, keepdims=True)),))
+def filter_attention(xbar, filtered, a, n_low: int, slope: float):
+    """Per-node attention over C filter responses, for H heads in one node.
+
+    xbar is X [Theta_1 | ... | Theta_H], shape (n, H W). The row stack of
+    filtered is [F_1 xbar; ...; F_C xbar], shape (C n, H W): one tensor
+    per filter or one for all. a is [a_1 | ... | a_H], shape (2 W, H).
+    Responses R_c are F_c xbar for the first n_low filters and |F_c xbar|
+    for the band-pass rest. At node v, head h (columns hW:(h+1)W) scores
+    filter c by LeakyReLU(xbar_h a_h^1 + R_c a_h^2), with a_h^1 and a_h^2
+    the halves of a_h, takes the softmax alpha over c and returns
+    ReLU(sum_c alpha_c R_c) / C. Returns (output (n, H W), alpha, scores),
+    the last two (C, n, H) arrays with scores after the LeakyReLU.
+    """
+    xbar, a = _as_tensor(xbar), _as_tensor(a)
+    filtered = [_as_tensor(t) for t in filtered]
+    n, hw = xbar.value.shape
+    width, heads = a.value.shape[0] // 2, a.value.shape[1]
+    R = np.concatenate([t.value for t in filtered])
+    c = R.shape[0] // n
+    if a.value.shape[0] != 2 * width or hw != heads * width or R.shape != (c * n, hw):
+        raise DimensionMismatch(f"filter attention on xbar {xbar.shape}, "
+                                f"responses {R.shape}, attention vectors {a.shape}")
+    sign = np.sign(R[n_low * n:])
+    np.abs(R[n_low * n:], out=R[n_low * n:])
+    heads_idx = np.arange(heads)
+
+    def block_diag(v):
+        # (W, H) -> (H W, H): column h holds v[:, h] in head h's rows, so a
+        # 2-D matmul scores every head at once
+        m = np.zeros((heads, width, heads))
+        m[heads_idx, :, heads_idx] = v.T
+        return m.reshape(hw, heads)
+
+    def diag_blocks(m):
+        # inverse of block_diag's layout: head h's rows of column h, (W, H)
+        return m.reshape(heads, width, heads)[heads_idx, :, heads_idx].T
+
+    a_self, a_filter = block_diag(a.value[:width]), block_diag(a.value[width:])
+    pre = (R @ a_filter).reshape(c, n, heads) + xbar.value @ a_self
+    pos = pre > 0
+    scores = np.where(pos, pre, slope * pre)
+    z = np.exp(scores - np.max(scores, axis=0, keepdims=True))
+    alpha = z / np.sum(z, axis=0, keepdims=True)
+    R4 = R.reshape(c, n, heads, width)
+    # unoptimized einsum beats broadcast-and-sum on these contractions
+    agg = np.einsum("cnh,cnhw->nhw", alpha, R4)
+    mask = agg > 0
+    ends = np.cumsum([t.value.shape[0] for t in filtered])
+
+    def vjp(g):
+        dagg = g.reshape(n, heads, width) * mask * (1.0 / c)
+        dalpha = np.einsum("cnhw,nhw->cnh", R4, dagg)
+        dz = alpha * (dalpha - np.sum(alpha * dalpha, axis=0))
+        dpre = np.where(pos, dz, slope * dz)
+        dself = np.sum(dpre, axis=0)
+        dpre = dpre.reshape(c * n, heads)
+        dR = np.einsum("cnh,nhw->cnhw", alpha, dagg).reshape(c * n, hw)
+        dR += dpre @ a_filter.T
+        dR[n_low * n:] *= sign
+        dxbar = dself @ a_self.T if xbar.requires_grad else None
+        da = (np.vstack([diag_blocks(xbar.value.T @ dself), diag_blocks(R.T @ dpre)])
+              if a.requires_grad else None)
+        return (dxbar, da, *(dR[end - t.value.shape[0]:end] for t, end in zip(filtered, ends)))
+
+    out = (np.maximum(agg, 0.0) * (1.0 / c)).reshape(n, hw)
+    return Tensor(out, (xbar, a, *filtered), vjp), alpha, scores
 
 
 def masked_cross_entropy(logits, labels: np.ndarray, mask: np.ndarray) -> Tensor:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -131,6 +132,8 @@ def _parse_filters(text: str) -> list[tuple[str, FilterSpec]]:
             filters.append(("cheb", chebyshev_filter(thetas)))
         else:
             raise ValueError(f"unknown filter {name!r}")
+    if not filters:
+        raise ValueError(f"--filters names no filter: {text!r}")
     return filters
 
 
@@ -151,6 +154,8 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_verify_theory(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     results = run_verify_suite(tol=args.tol)
     width = max(len(r.name) for r in results)
     failures = 0

@@ -74,6 +74,8 @@ class SBMSpec:
         self.block_sizes = tuple(int(b) for b in self.block_sizes)
         if len(self.block_sizes) < 2:
             raise ValueError("need at least 2 blocks")
+        if min(self.block_sizes) < 1:
+            raise ValueError(f"every block needs at least 1 node, got {self.block_sizes}")
         if not (0.0 <= self.p_in <= 1.0 and 0.0 <= self.p_out <= 1.0):
             raise ValueError("edge probabilities must lie in [0, 1]")
         if self.feature_means is None:

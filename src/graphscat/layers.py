@@ -4,17 +4,22 @@ Low-pass channels are GCN-style filters sigma(A^r X Theta + B) on the
 renormalized adjacency; band-pass channels are learned scattering channels.
 A hybrid layer aggregates them either by horizontal concatenation or by a
 per-node attention module whose softmax runs across all filters, and a graph
-residual convolution cleans up afterwards.
+residual convolution cleans up afterwards. The attention layer computes all
+its heads at once: stacked products over [Theta_1 | ... | Theta_H], and one
+tape node (autodiff.filter_attention) for the scores, the softmax and the
+weighted sum of every head and filter.
 
 Every channel filter comes from layer_filters, where one chain per
 operator serves all the specs passed together. Before its activation every
 low-pass and single-scale band-pass response is linear in Theta,
 F (X Theta) = (F X) Theta. When the layer input is a constant,
-filter_responses computes the F X products once and both aggregations take
-a matmul per channel instead of a diffusion chain per channel, per head and
-per epoch (the SGC precomputation applied to the hybrid filter set);
+filter_responses computes the F X products once; the concat layer then
+takes a matmul per channel and the attention layer one matmul for every
+filter and head, instead of diffusion chains per epoch (the SGC
+precomputation applied to the hybrid filter set);
 otherwise the concat layer runs layer_filters on each channel's X Theta and
-an attention head once on its shared X Theta.
+the attention layer runs it once on X [Theta_1 | ... | Theta_H] for every
+head.
 
 The dense product and the sparse diffusion commute, so each layer takes the
 cheaper order: the concat layer takes every channel's X Theta_c from one
@@ -114,7 +119,7 @@ class HybridLayerConfig:
 
 @dataclass
 class HeadAttention:
-    """Per-head attention weights and raw scores, shape (channels, n)."""
+    """Per-head attention weights and scores (after the LeakyReLU), shape (channels, n)."""
 
     alpha_low: np.ndarray
     alpha_band: np.ndarray
@@ -131,7 +136,7 @@ def _as_tensor(x):
     return x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
 
 
-FilterResponses = list[np.ndarray]   # F_c X per channel, in cfg.low + cfg.band order
+FilterResponses = np.ndarray   # (C, n, d_in): F_c X per channel, cfg.low then cfg.band
 
 
 def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> list[ad.Tensor]:
@@ -152,10 +157,14 @@ def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> lis
 
 
 def filter_responses(g: Graph, cfg: HybridLayerConfig, X: np.ndarray) -> FilterResponses:
-    """F_c X for every channel of cfg, low then band, band paths single-scale."""
+    """F_c X for every channel of cfg, low then band, band paths single-scale.
+
+    Returns one (C, n, d_in) array: the concat layer takes its channel
+    slices and the attention layer all of them in one product.
+    """
     if any(len(spec.path) != 1 for spec in cfg.band):
         raise ValueError("filter responses need single-scale band paths")
-    return [t.value for t in layer_filters(g, cfg.low + cfg.band, ad.constant(X))]
+    return np.stack([t.value for t in layer_filters(g, cfg.low + cfg.band, ad.constant(X))])
 
 
 def precompute_pays(cfg: HybridLayerConfig, X) -> bool:
@@ -193,8 +202,7 @@ class ResponseCache:
         x = X.value if isinstance(X, ad.Tensor) else np.asarray(X, dtype=np.float64)
         if self._key is None or self._key[0] is not g or not np.array_equal(self._key[1], x):
             self._responses = filter_responses(g, self.cfg, x)
-            for F in self._responses:
-                F.flags.writeable = False   # handed out on every later call
+            self._responses.flags.writeable = False   # handed out on every later call
             self._key = (g, x.copy())
         return self._responses
 
@@ -252,65 +260,53 @@ def hybrid_forward_concat(g: Graph, cfg: HybridLayerConfig, params, X,
     return ad.concat_cols(outs)
 
 
-def attention_head(g: Graph, cfg: HybridLayerConfig, theta_shared, a, X,
+def attention_head(g: Graph, cfg: HybridLayerConfig, params, X,
                    responses: FilterResponses | None = None):
-    """One attention head over the channel responses.
+    """Every attention head over the channel responses, stacked.
 
-    X_bar = X Theta is shared by every filter; aggregation inputs are
-    bias-free and band responses pass through an absolute value. Scores
-    LeakyReLU([X_bar || X_bar_f] a) are softmax-normalized per node across
-    all C_low + C_band filters, and the weighted sum is rescaled by 1/C after
-    the ReLU. Given responses from filter_responses(g, cfg, X), each X_bar_f
-    is one matmul; otherwise one layer_filters call on X_bar builds them all.
-    Returns (output tensor, HeadAttention).
+    params holds (theta_shared, a) per head. One product
+    X_bar = X [Theta_1 | ... | Theta_H] serves all heads, and the filters
+    come stacked as well: [F_1 X; ...; F_C X] [Theta_1 | ... | Theta_H]
+    given responses from filter_responses(g, cfg, X), otherwise one
+    layer_filters call on X_bar, so one set of chains serves every head.
+    Aggregation inputs are bias-free and band responses pass through an
+    absolute value. Head h scores each filter by
+    LeakyReLU([X_bar_h || F X_bar_h] a_h), softmax-normalizes the scores
+    per node across all C_low + C_band filters and rescales the weighted
+    sum by 1/C after the ReLU; ad.filter_attention does this for every
+    head in one tape node. Returns (output tensor with the heads side by
+    side, AttentionState).
     """
-    theta = _as_tensor(theta_shared)
-    xbar = ad.matmul(_as_tensor(X), theta)
+    thetas = ad.concat_cols([_as_tensor(theta) for theta, _ in params])
+    xbar = ad.matmul(_as_tensor(X), thetas)
+    if responses is None:
+        filtered = layer_filters(g, cfg.low + cfg.band, xbar)
+    else:
+        c, n, d = responses.shape
+        filtered = [ad.matmul(ad.constant(responses.reshape(c * n, d)), thetas)]
     n_low = len(cfg.low)
-    filters = (layer_filters(g, cfg.low + cfg.band, xbar) if responses is None
-               else [ad.matmul(ad.constant(F), theta) for F in responses])
-    responses = filters[:n_low] + [ad.abs_val(t) for t in filters[n_low:]]
-
-    a_t = _as_tensor(a)
-    scores = [ad.leaky_relu(ad.matmul(ad.concat_cols([xbar, resp]), a_t),
-                            ATTENTION_LEAKY_SLOPE)
-              for resp in responses]                     # each (n, 1)
-    alpha = ad.softmax_filters(ad.stack_filters(scores))  # (C, n, 1)
-
-    c_total = len(responses)
-    acc = None
-    for i, resp in enumerate(responses):
-        term = ad.mul(ad.take_filter(alpha, i), resp)
-        acc = term if acc is None else ad.add(acc, term)
-    out = ad.scale(ad.relu(acc), 1.0 / c_total)
-
-    state = HeadAttention(
-        alpha_low=alpha.value[:n_low, :, 0].copy(),
-        alpha_band=alpha.value[n_low:, :, 0].copy(),
-        scores_low=np.stack([s.value[:, 0] for s in scores[:n_low]]) if n_low else
-        np.zeros((0, g.n)),
-        scores_band=np.stack([s.value[:, 0] for s in scores[n_low:]]) if c_total > n_low else
-        np.zeros((0, g.n)),
-    )
+    out, alpha, scores = ad.filter_attention(
+        xbar, filtered, ad.concat_cols([_as_tensor(a) for _, a in params]), n_low,
+        ATTENTION_LEAKY_SLOPE)
+    state = AttentionState([
+        HeadAttention(alpha_low=alpha[:n_low, :, h].copy(),
+                      alpha_band=alpha[n_low:, :, h].copy(),
+                      scores_low=scores[:n_low, :, h].copy(),
+                      scores_band=scores[n_low:, :, h].copy())
+        for h in range(len(params))])
     return out, state
 
 
 def gsan_layer(g: Graph, cfg: HybridLayerConfig, params, X,
                responses: FilterResponses | None = None):
-    """Concatenation of heads; params is a list of (theta_shared, a) per head.
+    """The attention layer; params is a list of (theta_shared, a) per head.
 
-    Every head shares responses when given. Returns (output tensor,
-    AttentionState over all heads).
+    Returns (output tensor, AttentionState over all heads) from
+    attention_head, which computes every head at once.
     """
     if cfg.aggregation != "attention":
         raise ValueError("config does not use attention aggregation")
-    x = _as_tensor(X)
-    outs, state = [], AttentionState()
-    for theta, a in params:
-        out, head_state = attention_head(g, cfg, theta, a, x, responses)
-        outs.append(out)
-        state.heads.append(head_state)
-    return (outs[0] if len(outs) == 1 else ad.concat_cols(outs)), state
+    return attention_head(g, cfg, params, X, responses)
 
 
 def residual_conv(g: Graph, alpha: float, theta, bias, X) -> ad.Tensor:

@@ -100,6 +100,10 @@ class FilterSpec:
     thetas: tuple[float, ...] | None = None
     theta: float = 1.0
 
+    def __post_init__(self):
+        if self.kind in ("wavelet", "lowpass") and (self.k is None or self.k < 0):
+            raise ValueError(f"{self.kind} scale must be >= 0, got {self.k}")
+
 
 def gcn_unnormalized(theta: float = 1.0) -> FilterSpec:
     return FilterSpec("gcn_unnormalized", theta=theta)

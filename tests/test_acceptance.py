@@ -253,13 +253,15 @@ def test_criterion_6_gradient_suite():
             "leaky-relu": lambda: scalarize(ad.leaky_relu(a, 0.2)),
             "abs": lambda: scalarize(ad.mul(ad.abs_val(a), ad.abs_val(b))),
             "abs-pow": lambda: scalarize(ad.abs_pow(a, 3.0)),
-            "softmax-filters": lambda: scalarize(
-                ad.mul(ad.take_filter(ad.softmax_filters(ad.stack_filters([a, b])), 0),
-                       ad.take_filter(ad.softmax_filters(ad.stack_filters([a, b])), 1))),
+            # the fused attention's softmax over filters a and b (one head of
+            # width 3, fixed attention vector)
+            "softmax-filters": lambda: scalarize(ad.filter_attention(
+                ad.constant(np.ones((6, 3))), [a, b],
+                ad.constant(np.linspace(-1.0, 1.0, 6).reshape(6, 1)), 2, 0.2)[0]),
             "hadamard": lambda: scalarize(ad.mul(a, b)),
             "cross-entropy": lambda: ad.masked_cross_entropy(a, labels, mask),
             "precomputed-attention": lambda: scalarize(attention_head(
-                g, attention, w, v, a.value, filter_responses(g, attention, a.value))[0]),
+                g, attention, [(w, v)], a.value, filter_responses(g, attention, a.value))[0]),
             "precomputed-concat": lambda: scalarize(hybrid_forward_concat(
                 g, concat, {"low": [(w, None)], "band": [(w, None)]}, a.value,
                 filter_responses(g, concat, a.value))),
@@ -269,6 +271,10 @@ def test_criterion_6_gradient_suite():
             "per-epoch-concat": lambda: scalarize(square(hybrid_forward_concat(
                 g, concat, {"low": [(w, u[1])], "band": [(u[0], u[2])]}, a))),
             "residual-conv": lambda: scalarize(square(residual_conv(g, 0.4, w, u[1], a))),
+            # two heads of width 2 over one response block for filter 0 and
+            # one for the band-pass filters 1 and 2
+            "fused-attention": lambda: scalarize(square(ad.filter_attention(
+                u[0], [u[1], u[2]], u[3], 1, 0.2)[0])),
         }
 
     with Timer() as t:
@@ -286,6 +292,9 @@ def test_criterion_6_gradient_suite():
                 per_epoch = name in ("per-epoch-concat", "residual-conv")
                 u = [ad.Parameter(rng.standard_normal(shape))
                      for shape in ((3, 2), (1, 2), (1, 2))] if per_epoch else None
+                if name == "fused-attention":
+                    u = [ad.Parameter(rng.standard_normal(shape))
+                         for shape in ((6, 4), (6, 4), (12, 4), (4, 2))]
                 build = make_ops(a, b, w, labels, mask, kind, v, u)[name]
                 params = [a, w] if name == "matmul" else (
                     [a] if name in ("relu", "leaky-relu", "abs-pow", "sparse-matvec",
@@ -296,6 +305,8 @@ def test_criterion_6_gradient_suite():
                     params = [a, w] + u[:3]
                 if name == "residual-conv":
                     params = [a, w, u[1]]
+                if name == "fused-attention":
+                    params = u
                 if not _fd_gradient_ok(build, params):
                     failures.append(name)
                     break

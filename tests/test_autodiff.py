@@ -13,7 +13,13 @@ from graphscat.graph import (
 from graphscat.scattering import wavelet_tensor
 from graphscat.wavelets import WaveletBank
 
-from conftest import dense_ops, dense_wavelet, random_connected_graph
+from conftest import (
+    dense_ops,
+    dense_wavelet,
+    random_connected_graph,
+    stack_filters,
+    take_filter,
+)
 
 FD_H = 1e-5
 FD_RTOL = 1e-5
@@ -95,16 +101,17 @@ class TestBasicOps:
             if op == "scale":
                 return to_scalar(quadratic(ad.scale(a, -1.7)))
             if op == "stack_take":
-                stacked = ad.stack_filters([a, b])
-                return to_scalar(quadratic(ad.mul(ad.take_filter(stacked, 0),
-                                                  ad.take_filter(stacked, 1))))
-            stacked = ad.stack_filters([a, b])
-            sm = ad.softmax_filters(stacked)
-            return to_scalar(quadratic(ad.mul(ad.take_filter(sm, 0),
-                                              ad.take_filter(sm, 1))))
+                # the filter-axis ops of the per-filter attention oracle
+                stacked = stack_filters([a, b])
+                return to_scalar(quadratic(ad.mul(take_filter(stacked, 0),
+                                                  take_filter(stacked, 1))))
+            # the fused attention: three heads of width 1, two filters (b
+            # band-pass), gradients through scores, softmax and weighted sum
+            return to_scalar(quadratic(ad.filter_attention(a, [a, b], att, 1, 0.2)[0]))
 
+        att = ad.Parameter(rng.standard_normal((2, 3)))
         params = {"add": [a, bias], "sub": [a, b], "mul": [a, b],
-                  "matmul": [a, w], "concat": [a, b]}.get(op, [a, b])
+                  "matmul": [a, w], "concat": [a, b], "softmax": [a, b, att]}.get(op, [a, b])
         fd_check(build, params)
 
     def test_abs_subgradient_zero_at_origin(self):

@@ -65,6 +65,15 @@ class TestCliCommands:
             assert (out / fname).exists()
         assert "n=30" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("blocks", ["0,5", "5,-1"])
+    def test_gen_sbm_rejects_empty_block(self, tmp_path, capsys, blocks):
+        # a block without nodes would leave a class id unused, which every
+        # loader rejects as non-dense
+        out = tmp_path / "out"
+        assert main(["gen-sbm", "--blocks", blocks, "--out", str(out)]) == 2
+        assert "error: every block needs at least 1 node" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_with_explicit_files(self, small_dataset_dir, tmp_path, capsys):
         metrics = tmp_path / "metrics.csv"
         rc = main(["train",
@@ -293,6 +302,24 @@ class TestCliCommands:
         assert lines[0] == "eigenvalue,gcn,wavelet_1,lowpass_2"
         rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert np.allclose(rows[:, 1], 2.0 - rows[:, 0], atol=1e-8)
+
+    @pytest.mark.parametrize("filters,message", [
+        (";", "--filters names no filter"),
+        (" ; ", "--filters names no filter"),
+        ("wavelet:-1", "wavelet scale must be >= 0"),
+        ("gcn;lowpass:-2", "lowpass scale must be >= 0"),
+    ])
+    def test_spectra_rejects_bad_filter_list(self, tmp_path, capsys, filters, message):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\n1\t2\n")
+        assert main(["spectra", "--graph", str(edges), "--filters", filters]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
+    def test_verify_theory_rejects_bad_tol(self, capsys, tol):
+        assert main(["verify-theory", f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol must be finite and positive")
 
     def test_verify_theory_exits_zero(self, capsys):
         rc = main(["verify-theory"])

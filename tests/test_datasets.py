@@ -61,6 +61,11 @@ class TestGenerateSBM:
         with pytest.raises(InfeasibleSpec):
             generate_sbm(SBMSpec(block_sizes=(10, 10), p_in=0.0, p_out=0.0, seed=0))
 
+    @pytest.mark.parametrize("blocks", [(0, 5), (5, 5, 0), (-2, 5)])
+    def test_empty_block_rejected(self, blocks):
+        with pytest.raises(ValueError, match="at least 1 node"):
+            generate_sbm(SBMSpec(block_sizes=blocks, p_in=0.3, p_out=0.05, seed=0))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SBMSpec(block_sizes=(10,), p_in=0.1, p_out=0.1)

@@ -34,6 +34,7 @@ from conftest import (
     count_kernel_calls,
     dense_ops,
     dense_wavelet,
+    per_filter_attention,
     random_connected_graph,
     record_matmul_operands,
 )
@@ -234,9 +235,9 @@ class TestAttention:
         edges, g = random_connected_graph(rng, 8)
         cfg = self._cfg()
         theta = rng.standard_normal((3, 3))
-        out, state = attention_head(g, cfg, theta, np.zeros((6, 1)),
+        out, state = attention_head(g, cfg, [(theta, np.zeros((6, 1)))],
                                     rng.standard_normal((8, 3)))
-        stacked = np.vstack([state.alpha_low, state.alpha_band])
+        stacked = np.vstack([state.heads[0].alpha_low, state.heads[0].alpha_band])
         assert np.allclose(stacked, 0.25, atol=1e-12)
 
     def test_weights_sum_to_one_per_node(self, rng):
@@ -244,10 +245,11 @@ class TestAttention:
         cfg = self._cfg()
         theta = rng.standard_normal((4, 3))
         a = rng.standard_normal((6, 1))
-        _, state = attention_head(g, cfg, theta, a, rng.standard_normal((10, 4)))
-        total = state.alpha_low.sum(axis=0) + state.alpha_band.sum(axis=0)
+        _, state = attention_head(g, cfg, [(theta, a)], rng.standard_normal((10, 4)))
+        head = state.heads[0]
+        total = head.alpha_low.sum(axis=0) + head.alpha_band.sum(axis=0)
         assert np.max(np.abs(total - 1.0)) < 1e-9
-        assert np.all(state.alpha_low >= 0) and np.all(state.alpha_band >= 0)
+        assert np.all(head.alpha_low >= 0) and np.all(head.alpha_band >= 0)
 
     def test_matches_literal_formula_oracle(self, rng):
         n = 4
@@ -257,19 +259,28 @@ class TestAttention:
         theta = rng.standard_normal((2, 3))
         a = rng.standard_normal((6, 1))
         X = rng.standard_normal((n, 2))
-        out, state = attention_head(g, cfg, theta, a, X)
+        out, state = attention_head(g, cfg, [(theta, a)], X)
         expected, alpha = literal_attention_oracle(n, edges, cfg, theta, a, X)
         assert np.max(np.abs(out.value - expected)) < 1e-9
-        assert np.max(np.abs(np.vstack([state.alpha_low, state.alpha_band])
+        assert np.max(np.abs(np.vstack([state.heads[0].alpha_low, state.heads[0].alpha_band])
                              - alpha[:, :, 0])) < 1e-9
 
     def test_score_shift_invariance(self, rng):
         # softmax with max subtraction: adding a constant to all scores of a
-        # node leaves the weights unchanged; emulate via the a-vector scale
-        z = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])
-        t = ad.softmax_filters(ad.constant(z))
-        t_shift = ad.softmax_filters(ad.constant(z + 7.5))
-        assert np.array_equal(t.value, t_shift.value)
+        # node leaves the weights unchanged. One head of width 1 with a = (1, 1)
+        # scores filter c at node v by xbar_v + R_cv, so shifting xbar shifts
+        # every score of the node; all scores stay positive (LeakyReLU is the
+        # identity there) and every sum is exact in binary
+        z = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])     # (filters, nodes)
+        responses = [ad.constant(z.reshape(-1, 1))]
+        a = ad.constant(np.ones((2, 1)))
+        out, alpha, scores = ad.filter_attention(
+            ad.constant(np.full((2, 1), 1.5)), responses, a, 3, ATTENTION_LEAKY_SLOPE)
+        out_s, alpha_s, scores_s = ad.filter_attention(
+            ad.constant(np.full((2, 1), 9.0)), responses, a, 3, ATTENTION_LEAKY_SLOPE)
+        assert np.array_equal(scores_s[:, :, 0], z + 9.0)
+        assert np.array_equal(alpha, alpha_s)
+        assert np.array_equal(out.value, out_s.value)
 
     def test_gsan_single_head_equals_attention_head(self, rng):
         edges, g = random_connected_graph(rng, 9)
@@ -277,7 +288,7 @@ class TestAttention:
         params = init_attention_params(cfg, 3, np.random.default_rng(3))
         X = rng.standard_normal((9, 3))
         out, state = gsan_layer(g, cfg, params, X)
-        ref, _ = attention_head(g, cfg, params[0][0], params[0][1], X)
+        ref, _ = attention_head(g, cfg, params, X)
         assert np.array_equal(out.value, ref.value)
         assert len(state.heads) == 1
 
@@ -446,10 +457,10 @@ class TestFilterResponses:
         theta, a = init_attention_params(self.ATTENTION, 3, rng)[0]
         weights = rng.standard_normal((n, 4))
         responses = filter_responses(g, self.ATTENTION, X)
-        chains = _loss_and_grads(lambda: attention_head(g, self.ATTENTION, theta, a, X)[0],
+        chains = _loss_and_grads(lambda: attention_head(g, self.ATTENTION, [(theta, a)], X)[0],
                                  [theta, a], weights)
         fused = _loss_and_grads(
-            lambda: attention_head(g, self.ATTENTION, theta, a, X, responses)[0],
+            lambda: attention_head(g, self.ATTENTION, [(theta, a)], X, responses)[0],
             [theta, a], weights)
         assert _close(fused[0], chains[0])
         for got, want in zip(fused[1], chains[1]):
@@ -510,16 +521,20 @@ class TestFilterResponses:
         model.forward(g, X)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 3])
     def test_per_epoch_heads_share_chains(self, rng, monkeypatch, heads):
-        # d_in > width: each head runs one renormalized chain to A^3 and one
-        # 2^3-step wavelet sweep on X Theta for all its channels
+        # d_in > width: one renormalized chain to A^3 and one 2^3-step wavelet
+        # sweep on X [Theta_1 | ... | Theta_H] serve every channel of every
+        # head, then the residual convolution
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 6))
         model = self._gsan(6, heads=heads)
         calls = count_kernel_calls(monkeypatch)
+        lefts = record_matmul_operands(monkeypatch)
         model.forward(g, X)
-        assert len(calls) == heads * (3 + 8) + 1
+        assert len(calls) == 3 + 8 + 1
+        assert calls[0] == heads * 4
+        assert sum(a is X for a in lefts) == 1
 
     def test_sc_gcn_per_epoch_plan(self, rng, monkeypatch):
         # d_in > every width: each concat channel runs its own chain on its
@@ -678,3 +693,71 @@ class TestAgainstDenseComposition:
         assert _close(values, R @ X @ theta.value + bias.value)
         for got, want in zip(grads, want_grads, strict=True):
             assert _close(got, want)
+
+
+def _tape_nodes(root):
+    """Number of tensors reachable from root through parents, root included."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+class TestStackedAttention:
+    """The all-heads attention layer against the head-by-head, filter-by-filter
+    composition in conftest.per_filter_attention."""
+
+    @staticmethod
+    def _cfg(heads):
+        return HybridLayerConfig(
+            low=tuple(low_channel(r, 3, sigma=ABS) for r in (1, 3)),
+            band=tuple(band_channel((k,), 3, sigma=ABS) for k in (0, 1, 2)),
+            aggregation="attention", heads=heads, shared_weights=True)
+
+    @pytest.mark.parametrize("plan", ["precomputed", "per-epoch", "per-epoch-x-on-tape"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 16), heads=st.integers(1, 3))
+    def test_matches_per_filter_composition(self, plan, seed, n, heads):
+        rng = np.random.default_rng(seed)
+        _, g = random_connected_graph(rng, n, weighted=True)
+        cfg = self._cfg(heads)
+        X = rng.standard_normal((n, 2 if plan == "precomputed" else 5))
+        params = init_attention_params(cfg, X.shape[1], rng)
+        x = ad.Parameter(X.copy()) if plan == "per-epoch-x-on-tape" else X
+        responses = filter_responses(g, cfg, X) if plan == "precomputed" else None
+        flat = [p for pair in params for p in pair] + ([x] if isinstance(x, ad.Tensor) else [])
+        weights = rng.standard_normal((n, cfg.output_width))
+        stacked = _loss_and_grads(lambda: attention_head(g, cfg, params, x, responses)[0],
+                                  flat, weights)
+        oracle = _loss_and_grads(
+            lambda: per_filter_attention(g, cfg, params, x, responses)[0], flat, weights)
+        assert _close(stacked[0], oracle[0])
+        for got, want in zip(stacked[1], oracle[1], strict=True):
+            assert _close(got, want)
+
+    @pytest.mark.parametrize("d_in", [3, 6])     # precomputed, per epoch
+    def test_last_attention_matches_per_filter_composition(self, rng, d_in):
+        _, g = random_connected_graph(rng, 14, weighted=True)
+        X = rng.standard_normal((14, d_in))
+        model = build_model(ModelSpec(preset="gsan", hidden=4, heads=3), d_in, 2, seed=2)
+        model.forward(g, X)
+        _, want = per_filter_attention(g, model.cfg, model.head_params, X)
+        assert len(model.last_attention.heads) == len(want.heads) == 3
+        for got, ref in zip(model.last_attention.heads, want.heads):
+            for name in ("alpha_low", "alpha_band", "scores_low", "scores_band"):
+                assert getattr(got, name).shape == getattr(ref, name).shape == (3, 14)
+                assert _close(getattr(got, name), getattr(ref, name), tol=1e-12)
+
+    def test_gsan_forward_and_loss_tape_nodes(self, rng):
+        # two heads on precomputed responses (d_in <= hidden), as on the
+        # criterion-7 block model: 11 nodes for the attention layer, 5 for the
+        # residual convolution and the loss; the per-filter composition took 122
+        _, g = random_connected_graph(rng, 12)
+        X = rng.standard_normal((12, 3))
+        model = build_model(ModelSpec(preset="gsan", hidden=4), 3, 2, seed=1)
+        loss = ad.masked_cross_entropy(model.forward(g, X), np.zeros(12, dtype=np.int64),
+                                       np.arange(12))
+        assert _tape_nodes(loss) == 11 + 5 + 1 < 30
