@@ -12,6 +12,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import autodiff as ad
 from .config import ConfigView, parse_config, parse_paths
 from .datasets import (
@@ -21,6 +23,7 @@ from .datasets import (
     read_dataset,
     read_features,
     save_dataset,
+    write_rows,
 )
 from .errors import GraphScatError
 from .experiment import (
@@ -105,11 +108,8 @@ def _cmd_scatter(args) -> int:
             tag = "p" + "-".join(map(str, p)) if p else "identity"
             header.extend(f"{tag}_c{j}" for j in range(features.shape[1]))
         fh.write(",".join(header) + "\n")
-        for v in range(g.n):
-            row = [str(v)]
-            for U in outs:
-                row.extend(f"{x:.10g}" for x in U[v])
-            fh.write(",".join(row) + "\n")
+        write_rows(fh, ["%d"] + ["%.10g"] * (len(outs) * features.shape[1]),
+                   np.column_stack([np.arange(g.n), *outs]))
     return 0
 
 
@@ -140,16 +140,10 @@ def _parse_filters(text: str) -> list[tuple[str, FilterSpec]]:
 def _cmd_spectra(args) -> int:
     g = read_edge_list(args.graph)
     filters = _parse_filters(args.filters)
-    columns = []
-    lam = None
-    for _, flt in filters:
-        lam, resp = spectral_response(g, flt)
-        columns.append(resp)
+    lam, responses = spectral_response(g, [flt for _, flt in filters])
     with _output(args.out) as fh:
         fh.write(",".join(["eigenvalue"] + [name for name, _ in filters]) + "\n")
-        for i in range(lam.size):
-            fh.write(",".join([f"{lam[i]:.10g}"] +
-                              [f"{col[i]:.10g}" for col in columns]) + "\n")
+        write_rows(fh, ["%.10g"] * (1 + len(filters)), np.column_stack([lam, *responses]))
     return 0
 
 

@@ -155,8 +155,7 @@ def save_dataset(ds: Dataset, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     write_edge_list(ds.graph, os.path.join(out_dir, "edges.tsv"))
     with open(os.path.join(out_dir, "features.csv"), "w", encoding="utf-8") as fh:
-        for row in ds.features:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        write_rows(fh, ["%.17g"] * ds.features.shape[1], ds.features)
     with open(os.path.join(out_dir, "labels.csv"), "w", encoding="utf-8") as fh:
         for y in ds.labels:
             fh.write(f"{int(y)}\n")
@@ -165,6 +164,16 @@ def save_dataset(ds: Dataset, out_dir):
                    "val": ds.splits.val.tolist(),
                    "test": ds.splits.test.tolist()}, fh)
         fh.write("\n")
+
+
+def write_rows(fh, formats: list[str], table: np.ndarray):
+    """Write each row of a 2-D table as one comma-separated line.
+
+    formats holds one %-format per column; a row is written with a single
+    % operation, one line at a time.
+    """
+    fmt = ",".join(formats) + "\n"
+    fh.writelines(fmt % tuple(row) for row in table.tolist())
 
 
 DATASET_FILES = ("edges.tsv", "features.csv", "labels.csv", "splits.json")
@@ -192,10 +201,13 @@ def read_dataset(edges_path, features_path, labels_path, splits_path,
 
     labels = []
     with open(labels_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                labels.append(int(line))
+                try:
+                    labels.append(int(line))
+                except ValueError as exc:
+                    raise ValueError(f"{labels_path}:{lineno}: {exc}") from None
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != n:
         raise RowCountMismatch(

@@ -104,54 +104,72 @@ def residual_diffusion(alpha: float) -> OperatorKind:
 
 
 def build_graph(edges, n: int | None = None) -> Graph:
-    """Build a Graph from (u, v) or (u, v, weight) triples.
+    """Build a Graph from (u, v) pairs or (u, v, weight) triples, or an (m, 2|3) array.
 
-    Rejects self-loops, duplicate undirected edges, and conflicting weights
-    for the same pair. Emits IsolatedNodeWarning when some degree is zero.
+    Rejects self-loops, negative ids, non-finite or non-positive weights,
+    duplicate undirected edges and conflicting weights for the same pair,
+    naming the first offending edge in input order. Emits
+    IsolatedNodeWarning when some degree is zero.
     """
-    seen: dict[tuple[int, int], float] = {}
-    max_id = -1
-    for e in edges:
-        if len(e) == 2:
-            u, v = e
-            w = 1.0
-        else:
-            u, v, w = e
-        u, v, w = int(u), int(v), float(w)
-        if u == v:
-            raise SelfLoopError(f"self-loop at node {u}")
-        if u < 0 or v < 0:
-            raise ValueError(f"negative node id in edge ({u}, {v})")
-        if w <= 0:
-            raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            if seen[key] != w:
-                raise NonSymmetricInput(
-                    f"edge {key} given with conflicting weights {seen[key]} and {w}")
-            raise DuplicateEdge(f"duplicate undirected edge {key}")
-        seen[key] = w
-        max_id = max(max_id, u, v)
+    E = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if E.size == 0:
+        E = E.reshape(0, 2)
+    if E.ndim != 2 or E.shape[1] not in (2, 3):
+        raise ValueError("edges must be (u, v) pairs or (u, v, weight) triples")
+    w = E[:, 2].astype(np.float64) if E.shape[1] == 3 else np.ones(E.shape[0])
+    return _graph_from_arrays(E[:, 0].astype(np.int64), E[:, 1].astype(np.int64), w, n)
 
+
+def _first_occurrences(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Index of the first edge, in input order, with each edge's key (lo, hi)."""
+    order = np.lexsort((hi, lo))            # stable: equal keys keep input order
+    lo, hi = lo[order], hi[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def _raise_edge_error(u: int, v: int, w: float, w_first: float):
+    """The error of the first rejected edge; w_first is its key's first weight."""
+    if u == v:
+        raise SelfLoopError(f"self-loop at node {u}")
+    if u < 0 or v < 0:
+        raise ValueError(f"negative node id in edge ({u}, {v})")
+    if not np.isfinite(w):
+        raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
+    if w <= 0:
+        raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+    key = (min(u, v), max(u, v))
+    if w_first != w:
+        raise NonSymmetricInput(
+            f"edge {key} given with conflicting weights {w_first} and {w}")
+    raise DuplicateEdge(f"duplicate undirected edge {key}")
+
+
+def _graph_from_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int | None) -> Graph:
+    """Validate int64 endpoint and float64 weight arrays, then build the CSR."""
+    first = _first_occurrences(np.minimum(u, v), np.maximum(u, v))
+    bad = ((u == v) | (u < 0) | (v < 0) | ~(np.isfinite(w) & (w > 0))
+           | (first != np.arange(u.size)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _raise_edge_error(int(u[i]), int(v[i]), float(w[i]), float(w[first[i]]))
+
+    max_id = int(max(u.max(), v.max())) if u.size else -1
     if n is None:
         n = max_id + 1
     elif max_id >= n:
         raise ValueError(f"node id {max_id} out of range for n={n}")
 
-    rows = np.empty(2 * len(seen), dtype=np.int64)
-    cols = np.empty(2 * len(seen), dtype=np.int64)
-    wts = np.empty(2 * len(seen), dtype=np.float64)
-    for i, ((u, v), w) in enumerate(seen.items()):
-        rows[2 * i], cols[2 * i], wts[2 * i] = u, v, w
-        rows[2 * i + 1], cols[2 * i + 1], wts[2 * i + 1] = v, u, w
-
-    order = np.lexsort((cols, rows))
-    rows, cols, wts = rows[order], cols[order], wts[order]
+    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.argsort(rows * n + cols)     # ids are now in 0..n-1 and the keys distinct
+    rows, cols, wts = rows[order], cols[order], np.concatenate((w, w))[order]
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    offsets = np.cumsum(offsets)
-    degrees = np.zeros(n, dtype=np.float64)
-    np.add.at(degrees, rows, wts)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    # bincount adds each row's weights in CSR order, one after another
+    degrees = np.bincount(rows, weights=wts, minlength=n).astype(np.float64, copy=False)
 
     for a in (offsets, cols, wts, degrees):
         a.flags.writeable = False
@@ -282,27 +300,42 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     """Read the one-edge-per-line text format: "u<TAB>v[<TAB>weight]", '#' comments.
 
     Node ids are dense 0-based integers. Exact duplicates and mirrored pairs
-    are deduplicated; conflicting weights raise NonSymmetricInput.
+    are deduplicated, keeping the first; conflicting weights raise
+    NonSymmetricInput. Errors name the offending line as path:lineno.
     """
-    seen: dict[tuple[int, int], float] = {}
+    us, vs, ws, linenos = [], [], [], []
+    error = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                if seen[key] != w:
-                    raise NonSymmetricInput(
-                        f"{path}:{lineno}: edge {key} has conflicting weights")
-                continue
-            seen[key] = w
-    return build_graph([(u, v, w) for (u, v), w in seen.items()], n=n)
+            try:
+                if len(parts) not in (2, 3):
+                    raise ValueError("expected 'u v [weight]'")
+                u, v = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError as exc:
+                # reported after any conflict on an earlier line
+                error = ValueError(f"{path}:{lineno}: {exc}")
+                break
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+            linenos.append(lineno)
+    u, v = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    lo, hi, w = np.minimum(u, v), np.maximum(u, v), np.array(ws, dtype=np.float64)
+    first = _first_occurrences(lo, hi)
+    keep = first == np.arange(w.size)
+    # a repeat whose weight compares unequal to the first one's (NaN included)
+    clash = ~keep & (w != w[first])
+    if clash.any():
+        i = int(np.argmax(clash))
+        raise NonSymmetricInput(f"{path}:{linenos[i]}: edge {(int(lo[i]), int(hi[i]))} "
+                                "has conflicting weights")
+    if error is not None:
+        raise error
+    return _graph_from_arrays(lo[keep], hi[keep], w[keep], n)
 
 
 def write_edge_list(g: Graph, path):

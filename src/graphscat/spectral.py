@@ -121,11 +121,12 @@ def chebyshev_filter(thetas) -> FilterSpec:
     return FilterSpec("chebyshev", thetas=tuple(float(t) for t in thetas))
 
 
-def _filter_matrix(flt: FilterSpec, L: np.ndarray) -> np.ndarray:
+def _filter_matrix(flt: FilterSpec, L: np.ndarray, lam_max: float) -> np.ndarray:
     """Dense symmetric realization of a filter in terms of the Laplacian.
 
     Walk filters use the symmetrized conjugate P_sym = I - L/2 of the lazy
-    walk; the similarity transform preserves the spectrum.
+    walk; the similarity transform preserves the spectrum. Chebyshev
+    filters rescale L by its largest eigenvalue lam_max.
     """
     n = L.shape[0]
     eye = np.eye(n)
@@ -139,7 +140,6 @@ def _filter_matrix(flt: FilterSpec, L: np.ndarray) -> np.ndarray:
             return eye - P
         return np.linalg.matrix_power(P, 2 ** (flt.k - 1)) - np.linalg.matrix_power(P, 2 ** flt.k)
     if flt.kind == "chebyshev":
-        lam_max = float(np.max(eigendecompose(L).eigenvalues))
         Lt = 2.0 * L / lam_max - eye
         acc = np.zeros_like(L)
         t_prev, t_cur = eye, Lt
@@ -152,16 +152,21 @@ def _filter_matrix(flt: FilterSpec, L: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown filter kind {flt.kind!r}")
 
 
-def spectral_response(g: Graph, flt: FilterSpec,
+def spectral_response(g: Graph, filters,
                       dense_limit: int = DEFAULT_DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
-    """Measure a filter's per-eigenvalue multipliers by conjugating with Q.
+    """Measure each filter's per-eigenvalue multipliers by conjugating with Q.
 
-    Returns (eigenvalues of the normalized Laplacian, multipliers). All the
-    supported filters commute with the Laplacian, so the conjugated matrix is
+    Returns (eigenvalues of the normalized Laplacian, multipliers), with one
+    row of multipliers per filter in the given sequence. L and its
+    eigendecomposition are built once for all the filters. Every supported
+    filter commutes with the Laplacian, so each conjugated matrix is
     diagonal up to roundoff and its diagonal is the measured response.
     """
     L = sym_normalized_laplacian(g, dense_limit)
     eig = eigendecompose(L)
-    M = _filter_matrix(flt, L)
-    R = eig.eigenvectors.T @ M @ eig.eigenvectors
-    return eig.eigenvalues.copy(), np.diag(R).copy()
+    lam_max = float(np.max(eig.eigenvalues))
+    Q = eig.eigenvectors
+    responses = np.empty((len(filters), g.n))
+    for i, flt in enumerate(filters):
+        responses[i] = np.diag(Q.T @ _filter_matrix(flt, L, lam_max) @ Q)
+    return eig.eigenvalues.copy(), responses

@@ -1,13 +1,20 @@
 """Shared oracle helpers: dense operator constructions independent of the
-package's CSR/matvec path, built straight from edge lists, and the
-per-filter composition of the attention layer."""
+package's CSR/matvec path, built straight from edge lists; the per-filter
+composition of the attention layer; and the per-edge, per-trial and
+per-value loops that the array-built graph, the batched random-GCN trials
+and the row writer replace."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from graphscat import autodiff as autodiff_module
 from graphscat import graph as graph_module
-from graphscat.graph import build_graph
+from graphscat import spectral as spectral_module
+from graphscat.errors import DuplicateEdge, IsolatedNodeWarning, NonSymmetricInput, SelfLoopError
+from graphscat.graph import RENORM_ADJACENCY, Graph, apply_operator, build_graph
 from graphscat.layers import ATTENTION_LEAKY_SLOPE, AttentionState, HeadAttention, layer_filters
 
 
@@ -162,6 +169,123 @@ def per_filter_attention(g, cfg, params, X, responses=None):
             alpha_low=alpha.value[:n_low, :, 0].copy(), alpha_band=alpha.value[n_low:, :, 0].copy(),
             scores_low=stacked[:n_low], scores_band=stacked[n_low:]))
     return (outs[0] if len(outs) == 1 else ad.concat_cols(outs)), state
+
+
+def count_eigendecompositions(monkeypatch):
+    """List that gets each spectral.eigendecompose call's matrix size from now on."""
+    calls = []
+    orig = spectral_module.eigendecompose
+
+    def counted(M):
+        calls.append(np.shape(M)[0])
+        return orig(M)
+
+    monkeypatch.setattr(spectral_module, "eigendecompose", counted)
+    return calls
+
+
+def per_edge_build_graph(edges, n=None):
+    """graph.build_graph as one Python step per edge, with the same checks
+    in the same order, and the CSR filled two entries per edge."""
+    seen = {}
+    max_id = -1
+    for e in edges:
+        if len(e) == 2:
+            u, v = e
+            w = 1.0
+        else:
+            u, v, w = e
+        u, v, w = int(u), int(v), float(w)
+        if u == v:
+            raise SelfLoopError(f"self-loop at node {u}")
+        if u < 0 or v < 0:
+            raise ValueError(f"negative node id in edge ({u}, {v})")
+        if not math.isfinite(w):
+            raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
+        if w <= 0:
+            raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            if seen[key] != w:
+                raise NonSymmetricInput(
+                    f"edge {key} given with conflicting weights {seen[key]} and {w}")
+            raise DuplicateEdge(f"duplicate undirected edge {key}")
+        seen[key] = w
+        max_id = max(max_id, u, v)
+
+    if n is None:
+        n = max_id + 1
+    elif max_id >= n:
+        raise ValueError(f"node id {max_id} out of range for n={n}")
+
+    rows = np.empty(2 * len(seen), dtype=np.int64)
+    cols = np.empty(2 * len(seen), dtype=np.int64)
+    wts = np.empty(2 * len(seen), dtype=np.float64)
+    for i, ((u, v), w) in enumerate(seen.items()):
+        rows[2 * i], cols[2 * i], wts[2 * i] = u, v, w
+        rows[2 * i + 1], cols[2 * i + 1], wts[2 * i + 1] = v, u, w
+
+    order = np.lexsort((cols, rows))
+    rows, cols, wts = rows[order], cols[order], wts[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(offsets, rows + 1, 1)
+    offsets = np.cumsum(offsets)
+    degrees = np.zeros(n, dtype=np.float64)
+    np.add.at(degrees, rows, wts)
+    g = Graph(n=n, csr_offsets=offsets, csr_targets=cols, csr_weights=wts,
+              degrees=degrees)
+    if g.has_isolated_nodes:
+        warnings.warn(IsolatedNodeWarning(f"{int(np.sum(degrees == 0))} isolated node(s)"))
+    return g
+
+
+def per_edge_read_edge_list(path, n=None):
+    """graph.read_edge_list deduplicating through a dict, one line at a time."""
+    seen = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                if seen[key] != w:
+                    raise NonSymmetricInput(
+                        f"{path}:{lineno}: edge {key} has conflicting weights")
+                continue
+            seen[key] = w
+    return per_edge_build_graph([(u, v, w) for (u, v), w in seen.items()], n=n)
+
+
+def per_trial_gcn_deviation(g, v, pv, X, L, trials, seed, hidden=4):
+    """theory._random_gcn_deviation running one trial and one layer per operator call."""
+    rng = np.random.default_rng(seed)
+    max_dev = float(np.max(np.abs(X[v] - X[pv])))
+    for _ in range(trials):
+        H = X
+        for _ in range(L):
+            theta = rng.standard_normal((H.shape[1], hidden))
+            H = apply_operator(g, RENORM_ADJACENCY, H @ theta)
+            H = np.maximum(H, 0.0)
+            max_dev = max(max_dev, float(np.max(np.abs(H[v] - H[pv]))))
+    return max_dev
+
+
+def per_value_csv(header, columns, specs):
+    """CSV text with every value formatted on its own, format(value, spec),
+    as the commands wrote it before the one-%-per-row writer."""
+    lines = [",".join(header) + "\n"] if header is not None else []
+    for i in range(len(columns[0]) if columns else 0):
+        lines.append(",".join(format(col[i], spec) for col, spec in zip(columns, specs)) + "\n")
+    return "".join(lines)
 
 
 @pytest.fixture

@@ -108,11 +108,11 @@ def _erdos_renyi_connected(n, p, seed):
 def test_criterion_2_spectral_multipliers():
     with Timer() as t:
         g = _erdos_renyi_connected(50, 0.12, seed=23)
-        lam, resp = spectral_response(g, gcn_unnormalized())
+        lam, (resp,) = spectral_response(g, [gcn_unnormalized()])
         gcn_dev = float(np.max(np.abs(resp - (2.0 - lam))))
         wav_dev = 0.0
         for k in range(4):
-            _, wresp = spectral_response(g, wavelet_filter(k))
+            _, (wresp,) = spectral_response(g, [wavelet_filter(k)])
             wav_dev = max(wav_dev, abs(float(wresp[0])))
     report(2, "spectral multipliers", gcn_dev < 1e-8 and wav_dev < 1e-8,
            f"gcn response dev {gcn_dev:.2e}, wavelet dev at lambda=0 {wav_dev:.2e}",

@@ -8,12 +8,20 @@ from graphscat.cli import main
 from graphscat.config import ConfigError, ConfigView, parse_config_text
 from graphscat.datasets import SBMSpec, generate_sbm, load_dataset, save_dataset
 from graphscat.experiment import run_experiment, run_trained_model
+from graphscat.graph import read_edge_list
 from graphscat.layers import attention_ratio
 from graphscat.models import GSAN, build_model
 from graphscat.scattering import ABS, cascade
+from graphscat.spectral import (
+    chebyshev_filter,
+    gcn_unnormalized,
+    lowpass_filter,
+    spectral_response,
+    wavelet_filter,
+)
 from graphscat.wavelets import WaveletBank
 
-from conftest import count_kernel_calls
+from conftest import count_eigendecompositions, count_kernel_calls, per_value_csv
 
 
 class TestConfigParsing:
@@ -64,6 +72,15 @@ class TestCliCommands:
         for fname in ("edges.tsv", "features.csv", "labels.csv", "splits.json"):
             assert (out / fname).exists()
         assert "n=30" in capsys.readouterr().out
+
+    def test_gen_sbm_features_match_per_value_writer(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-sbm", "--blocks", "15,12", "--p-in", "0.3", "--p-out", "0.05",
+                     "--feature-dim", "5", "--seed", "4", "--out", str(out)]) == 0
+        ds = generate_sbm(SBMSpec(block_sizes=(15, 12), p_in=0.3, p_out=0.05,
+                                  feature_dim=5, seed=4))
+        want = per_value_csv(None, list(ds.features.T), [".17g"] * 5)
+        assert (out / "features.csv").read_text() == want
 
     @pytest.mark.parametrize("blocks", ["0,5", "5,-1"])
     def test_gen_sbm_rejects_empty_block(self, tmp_path, capsys, blocks):
@@ -302,6 +319,52 @@ class TestCliCommands:
         assert lines[0] == "eigenvalue,gcn,wavelet_1,lowpass_2"
         rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert np.allclose(rows[:, 1], 2.0 - rows[:, 0], atol=1e-8)
+
+    def test_spectra_csv_bytes_and_one_eigendecomposition(self, tmp_path, monkeypatch):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("".join(f"{i}\t{(i + 1) % 9}\t{1 + i % 3}\n" for i in range(9))
+                         + "0\t4\n2\t7\t0.25\n")
+        g = read_edge_list(edges)
+        filters = [gcn_unnormalized(), wavelet_filter(1), wavelet_filter(2),
+                   lowpass_filter(3), chebyshev_filter([1.0, 0.5])]
+        columns = [spectral_response(g, [flt]) for flt in filters]
+        want = per_value_csv(["eigenvalue", "gcn", "wavelet_1", "wavelet_2", "lowpass_3", "cheb"],
+                             [columns[0][0]] + [resp for _, (resp,) in columns], [".10g"] * 6)
+        out = tmp_path / "spectra.csv"
+        calls = count_eigendecompositions(monkeypatch)
+        rc = main(["spectra", "--graph", str(edges),
+                   "--filters", "gcn;wavelet:1;wavelet:2;lowpass:3;cheb:1,0.5", "--out", str(out)])
+        assert rc == 0
+        assert calls == [9]
+        assert out.read_text() == want
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_spectra_rejects_non_finite_weight(self, tmp_path, capsys, weight):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text(f"0\t1\n1\t2\t{weight}\n2\t0\n")
+        assert main(["spectra", "--graph", str(edges)]) == 2
+        assert f"error: edge (1, 2) has non-finite weight {weight}" in capsys.readouterr().err
+
+    def test_scatter_csv_bytes_match_per_value_writer(self, small_dataset_dir, tmp_path):
+        out = tmp_path / "scatter.csv"
+        rc = main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
+                   "--features", str(small_dataset_dir / "features.csv"),
+                   "--paths", "1|0,1", "--out", str(out)])
+        assert rc == 0
+        ds = load_dataset(small_dataset_dir)
+        bank = WaveletBank(ds.graph, K=1)
+        outs = [cascade(bank, p, ABS, ds.features) for p in ((1,), (0, 1))]
+        header = ["node"] + [f"{tag}_c{j}" for tag in ("p1", "p0-1") for j in range(8)]
+        columns = [range(ds.graph.n)] + [U[:, j] for U in outs for j in range(8)]
+        assert out.read_text() == per_value_csv(header, columns, ["d"] + [".10g"] * 16)
+
+    def test_labels_parse_error_names_line(self, small_dataset_dir, tmp_path, capsys):
+        labels = (small_dataset_dir / "labels.csv").read_text().splitlines()
+        labels[4] = "1.5"
+        bad = tmp_path / "labels.csv"
+        bad.write_text("\n".join(labels) + "\n")
+        assert self._train_with_files(small_dataset_dir, tmp_path, labels=bad) == 2
+        assert f"error: {bad}:5: invalid literal for int()" in capsys.readouterr().err
 
     @pytest.mark.parametrize("filters,message", [
         (";", "--filters names no filter"),

@@ -1,3 +1,8 @@
+import math
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +32,13 @@ from graphscat.graph import (
     write_edge_list,
 )
 
-from conftest import dense_ops, dense_w, random_connected_graph
+from conftest import (
+    dense_ops,
+    dense_w,
+    per_edge_build_graph,
+    per_edge_read_edge_list,
+    random_connected_graph,
+)
 
 
 def two_coloring(n):
@@ -343,4 +354,104 @@ class TestEdgeListIO:
         path = tmp_path / "edges.tsv"
         path.write_text("0\t1\t1.0\n1\t0\t2.0\n")
         with pytest.raises(NonSymmetricInput):
+            read_edge_list(path)
+
+
+GOOD_WEIGHTS = (0.5, 1.0, 2.0, 3.25)
+INJECTIONS = ("none", "none", "self-loop", "negative", "0", "-1", "nan", "inf", "-inf")
+
+
+@st.composite
+def edge_lists(draw):
+    """Small (u, v, w) lists with at most one injected bad edge, then exact
+    and mirrored copies of earlier edges, some with another weight."""
+    edges = [(u, (u + du) % 8, w) for u, du, w in draw(st.lists(
+        st.tuples(st.integers(0, 7), st.integers(1, 7), st.sampled_from(GOOD_WEIGHTS)),
+        max_size=10))]
+    bad = draw(st.sampled_from(INJECTIONS))
+    if bad != "none":
+        u, v = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        if bad == "self-loop":
+            v = u
+        elif bad == "negative":
+            v = -1 - v
+        w = 1.0 if bad in ("self-loop", "negative") else float(bad)
+        edges.insert(draw(st.integers(0, len(edges))), (u, v, w))
+    for _ in range(draw(st.integers(0, 3))):
+        if not edges:
+            break
+        u, v, w = edges[draw(st.integers(0, len(edges) - 1))]
+        if draw(st.booleans()):
+            u, v = v, u
+        if draw(st.booleans()):
+            w = draw(st.sampled_from(GOOD_WEIGHTS))
+        edges.insert(draw(st.integers(0, len(edges))), (u, v, w))
+    return edges
+
+
+def outcome(build, *args, **kwargs):
+    """(arrays, warnings) of a built graph, or (exception type, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = build(*args, **kwargs)
+        except Exception as exc:        # noqa: BLE001 - compared, not handled
+            return type(exc), str(exc)
+    arrays = [(a.dtype.str, a.shape, a.tobytes())
+              for a in (g.csr_offsets, g.csr_targets, g.csr_weights, g.degrees)]
+    return (g.n, arrays), [(w.category, str(w.message)) for w in caught]
+
+
+class TestArrayBuiltGraph:
+    """build_graph and read_edge_list against the per-edge loops in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edges=edge_lists(), n=st.one_of(st.none(), st.integers(0, 10)),
+           form=st.sampled_from(["triples", "pairs", "array"]))
+    def test_matches_per_edge_loop(self, edges, n, form):
+        if form == "pairs":
+            edges = [(u, v) for u, v, _ in edges]
+        given_edges = np.array(edges) if form == "array" else edges
+        assert outcome(build_graph, given_edges, n=n) == outcome(per_edge_build_graph, edges, n=n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edges=edge_lists(), n=st.one_of(st.none(), st.integers(0, 10)),
+           data=st.data())
+    def test_reader_matches_per_edge_loop(self, edges, n, data):
+        lines = [f"{u}\t{v}" if w == 1.0 and data.draw(st.booleans()) else f"{u} {v}\t{w!r}"
+                 for u, v, w in edges]
+        for extra in data.draw(st.lists(st.sampled_from(
+                ["# comment", "", "0\tx", "1", "0 1 abc", "0 1 2 3", "2 3  # tail"]), max_size=2)):
+            lines.insert(data.draw(st.integers(0, len(lines))), extra)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edges.tsv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+            assert outcome(read_edge_list, path, n=n) == outcome(per_edge_read_edge_list, path, n=n)
+
+    def test_weighted_degrees_are_sequential_sums(self, rng):
+        # rows of up to ~30 entries, where a pairwise sum would round differently
+        edges, _ = random_connected_graph(rng, 40, extra=400, weighted=True)
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        assert outcome(build_graph, edges) == outcome(per_edge_build_graph, edges)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match=rf"edge \(2, 1\) has non-finite weight {w}"):
+            build_graph([(0, 1, 1.0), (2, 1, w)])
+
+    @pytest.mark.parametrize("line,message", [
+        ("0\tx", "invalid literal for int"),
+        ("0\t1\tabc", "could not convert string to float"),
+    ])
+    def test_parse_error_names_line(self, tmp_path, line, message):
+        path = tmp_path / "edges.tsv"
+        path.write_text(f"# header\n0\t1\n{line}\n")
+        with pytest.raises(ValueError, match=rf"^{path}:3: {message}"):
+            read_edge_list(path)
+
+    def test_conflict_before_a_later_parse_error(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("0\t1\t1.0\n1\t0\t2.0\n0\tx\n")
+        with pytest.raises(NonSymmetricInput, match=rf"^{path}:2: edge \(0, 1\)"):
             read_edge_list(path)

@@ -15,7 +15,7 @@ from graphscat.spectral import (
     wavelet_filter,
 )
 
-from conftest import dense_ops, random_connected_graph
+from conftest import count_eigendecompositions, dense_ops, random_connected_graph
 
 
 def cycle(n):
@@ -173,45 +173,45 @@ class TestFourier:
 class TestSpectralResponse:
     def test_gcn_unnormalized_is_two_minus_lambda(self, rng):
         edges, g = random_connected_graph(rng, 21)
-        lam, resp = spectral_response(g, gcn_unnormalized())
+        lam, (resp,) = spectral_response(g, [gcn_unnormalized()])
         assert np.max(np.abs(resp - (2.0 - lam))) < 1e-8
 
     def test_gcn_zeroes_top_of_spectrum_on_c4(self):
         g = build_graph(cycle(4))
-        lam, resp = spectral_response(g, gcn_unnormalized())
+        lam, (resp,) = spectral_response(g, [gcn_unnormalized()])
         assert lam[-1] == pytest.approx(2.0, abs=1e-10)
         assert abs(resp[-1]) < 1e-10
 
     @pytest.mark.parametrize("K", [0, 1, 3])
     def test_lowpass_fixes_zero_mode(self, rng, K):
         edges, g = random_connected_graph(rng, 13)
-        lam, resp = spectral_response(g, lowpass_filter(K))
+        lam, (resp,) = spectral_response(g, [lowpass_filter(K)])
         assert abs(resp[0] - 1.0) < 1e-8
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_wavelets_vanish_at_zero_and_are_bandpass(self, rng, k):
         edges, g = random_connected_graph(rng, 19)
-        lam, resp = spectral_response(g, wavelet_filter(k))
+        lam, (resp,) = spectral_response(g, [wavelet_filter(k)])
         assert abs(resp[0]) < 1e-8
         assert resp.max() > 1e-3
 
     def test_wavelet_matches_symmetrized_formula(self, rng):
         edges, g = random_connected_graph(rng, 15)
         for k in (0, 1, 2):
-            lam, resp = spectral_response(g, wavelet_filter(k))
+            lam, (resp,) = spectral_response(g, [wavelet_filter(k)])
             mu = 1.0 - lam / 2.0
             formula = (1.0 - mu) if k == 0 else mu ** (2 ** (k - 1)) - mu ** (2 ** k)
             assert np.max(np.abs(resp - formula)) < 1e-8
 
     def test_chebyshev_constant_term(self, rng):
         edges, g = random_connected_graph(rng, 11)
-        lam, resp = spectral_response(g, chebyshev_filter([1.0]))
+        lam, (resp,) = spectral_response(g, [chebyshev_filter([1.0])])
         assert np.allclose(resp, 1.0, atol=1e-8)
 
     def test_chebyshev_matches_recurrence_formula(self, rng):
         edges, g = random_connected_graph(rng, 16)
         thetas = [0.3, -1.2, 0.8, 0.05]
-        lam, resp = spectral_response(g, chebyshev_filter(thetas))
+        lam, (resp,) = spectral_response(g, [chebyshev_filter(thetas)])
         lt = 2.0 * lam / lam[-1] - 1.0
         t_prev, t_cur = np.ones_like(lt), lt.copy()
         expected = thetas[0] * t_prev + thetas[1] * t_cur
@@ -222,7 +222,19 @@ class TestSpectralResponse:
 
     def test_lowpass_response_is_power_of_base(self, rng):
         edges, g = random_connected_graph(rng, 12)
-        _, base = spectral_response(g, lowpass_filter(0))
+        _, (base,) = spectral_response(g, [lowpass_filter(0)])
         for K in (1, 2, 3):
-            _, resp = spectral_response(g, lowpass_filter(K))
+            _, (resp,) = spectral_response(g, [lowpass_filter(K)])
             assert np.max(np.abs(resp - base ** (2 ** K))) < 1e-7
+
+    def test_filters_share_one_eigendecomposition(self, rng, monkeypatch):
+        edges, g = random_connected_graph(rng, 14, weighted=True)
+        filters = [gcn_unnormalized(), wavelet_filter(1), wavelet_filter(2),
+                   lowpass_filter(3), chebyshev_filter([1.0, 0.5])]
+        singles = [spectral_response(g, [flt]) for flt in filters]
+        calls = count_eigendecompositions(monkeypatch)
+        lam, responses = spectral_response(g, filters)
+        assert calls == [14]
+        assert responses.shape == (5, 14)
+        for (lam1, (resp,)), row in zip(singles, responses):
+            assert lam1.tobytes() == lam.tobytes() and resp.tobytes() == row.tobytes()

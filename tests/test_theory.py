@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphscat import theory
+from graphscat.cli import main
 
 from graphscat.errors import HypothesisViolated, PartialMap
 from graphscat.fixtures import (
@@ -33,7 +38,13 @@ from graphscat.theory import (
     verify_theorem3,
 )
 
-from conftest import dense_ops, dense_wavelet, random_connected_graph
+from conftest import (
+    count_kernel_calls,
+    dense_ops,
+    dense_wavelet,
+    per_trial_gcn_deviation,
+    random_connected_graph,
+)
 
 
 class TestIntrinsicFeatures:
@@ -379,3 +390,33 @@ class TestFixtureRunner:
         results = run_verify_suite()
         failed = [r for r in results if not r.ok]
         assert not failed, failed
+
+
+class TestBatchedRandomGCN:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), trials=st.integers(0, 6), L=st.integers(0, 4),
+           hidden=st.integers(1, 5), d=st.integers(1, 3), weighted=st.booleans())
+    def test_matches_per_trial_loop_bitwise(self, seed, trials, L, hidden, d, weighted):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(3, 16))
+        _, g = random_connected_graph(r, n, weighted=weighted)
+        X = 3.0 * r.standard_normal((n, d))
+        v, pv = (int(i) for i in r.choice(n, 2, replace=False))
+        got = theory._random_gcn_deviation(g, v, pv, X, L, trials, seed, hidden)
+        want = per_trial_gcn_deviation(g, v, pv, X, L, trials, seed, hidden)
+        assert got == want
+
+    def test_verify_suite_kernel_calls(self, monkeypatch):
+        # one renormalized-adjacency call per layer for all trials together;
+        # one call per layer per trial made it 532
+        from graphscat.fixtures import run_verify_suite
+        calls = count_kernel_calls(monkeypatch)
+        run_verify_suite()
+        assert len(calls) == 92
+
+    def test_verify_theory_output_matches_per_trial_loop(self, monkeypatch, capsys):
+        assert main(["verify-theory"]) == 0
+        batched = capsys.readouterr().out
+        monkeypatch.setattr(theory, "_random_gcn_deviation", per_trial_gcn_deviation)
+        assert main(["verify-theory"]) == 0
+        assert capsys.readouterr().out == batched
