@@ -8,7 +8,6 @@ suite for the underlying node-discriminability theory.
 
 from .graph import (
     LAZY_WALK,
-    RANDOM_WALK,
     RENORM_ADJACENCY,
     SYM_NORM_ADJACENCY,
     Graph,
@@ -27,13 +26,10 @@ from .scattering import (
     Nonlinearity,
     cascade,
     first_wavelets,
-    graph_moments,
 )
 from .spectral import (
     EigenDecomposition,
     eigendecompose,
-    graph_fourier,
-    inverse_fourier,
     spectral_response,
     sym_normalized_laplacian,
 )
@@ -51,6 +47,6 @@ from .theory import (
     verify_theorem3,
 )
 from .train import SplitMasks, TrainConfig, evaluate, fit
-from .wavelets import WaveletBank, bank_sweep, wavelet_sweep
+from .wavelets import bank_sweep, wavelet_sweep
 
 __version__ = "0.1.0"

@@ -204,8 +204,8 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
     for the band-pass rest. At node v, head h (columns hW:(h+1)W) scores
     filter c by LeakyReLU(xbar_h a_h^1 + R_c a_h^2), with a_h^1 and a_h^2
     the halves of a_h, takes the softmax alpha over c and returns
-    ReLU(sum_c alpha_c R_c) / C. Returns (output (n, H W), alpha, scores),
-    the last two (C, n, H) arrays with scores after the LeakyReLU.
+    ReLU(sum_c alpha_c R_c) / C. Returns (output (n, H W), alpha), alpha
+    a (C, n, H) array.
     """
     xbar, a = _as_tensor(xbar), _as_tensor(a)
     filtered = [_as_tensor(t) for t in filtered]
@@ -259,7 +259,7 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
         return (dxbar, da, *(dR[end - t.value.shape[0]:end] for t, end in zip(filtered, ends)))
 
     out = (np.maximum(agg, 0.0) * (1.0 / c)).reshape(n, hw)
-    return Tensor(out, (xbar, a, *filtered), vjp), alpha, scores
+    return Tensor(out, (xbar, a, *filtered), vjp), alpha
 
 
 def masked_cross_entropy(logits, labels: np.ndarray, mask: np.ndarray) -> Tensor:

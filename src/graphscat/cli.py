@@ -23,7 +23,6 @@ from .datasets import (
     read_dataset,
     read_features,
     save_dataset,
-    write_rows,
 )
 from .errors import GraphScatError
 from .experiment import (
@@ -36,7 +35,7 @@ from .experiment import (
     write_metrics_csv,
 )
 from .fixtures import run_verify_suite
-from .graph import read_edge_list
+from .graph import read_edge_list, write_rows
 from .layers import attention_ratio
 from .models import PRESETS, ModelSpec
 from .scattering import ABS, cascade, first_wavelets
@@ -49,7 +48,6 @@ from .spectral import (
     wavelet_filter,
 )
 from .train import TrainConfig
-from .wavelets import WaveletBank
 
 
 @contextlib.contextmanager
@@ -99,16 +97,15 @@ def _cmd_scatter(args) -> int:
     features = read_features(args.features)
     g = read_edge_list(args.graph, n=features.shape[0])
     paths = parse_paths(args.paths)
-    bank = WaveletBank(g, K=max((max(p) for p in paths if p), default=0))
-    swept = first_wavelets(bank, paths, ad.constant(features))
-    outs = [cascade(bank, p, ABS, features, swept) for p in paths]
+    swept = first_wavelets(g, paths, ad.constant(features))
+    outs = [cascade(g, p, ABS, features, swept) for p in paths]
     with _output(args.out) as fh:
         header = ["node"]
         for p in paths:
             tag = "p" + "-".join(map(str, p)) if p else "identity"
             header.extend(f"{tag}_c{j}" for j in range(features.shape[1]))
         fh.write(",".join(header) + "\n")
-        write_rows(fh, ["%d"] + ["%.10g"] * (len(outs) * features.shape[1]),
+        write_rows(fh, ",".join(["%d"] + ["%.10g"] * (len(outs) * features.shape[1])),
                    np.column_stack([np.arange(g.n), *outs]))
     return 0
 
@@ -143,7 +140,8 @@ def _cmd_spectra(args) -> int:
     lam, responses = spectral_response(g, [flt for _, flt in filters])
     with _output(args.out) as fh:
         fh.write(",".join(["eigenvalue"] + [name for name, _ in filters]) + "\n")
-        write_rows(fh, ["%.10g"] * (1 + len(filters)), np.column_stack([lam, *responses]))
+        write_rows(fh, ",".join(["%.10g"] * (1 + len(filters))),
+                   np.column_stack([lam, *responses]))
     return 0
 
 

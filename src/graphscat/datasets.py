@@ -24,7 +24,7 @@ from .errors import (
     RowCountMismatch,
     SplitIndexOutOfRange,
 )
-from .graph import Graph, build_graph, read_edge_list, write_edge_list
+from .graph import Graph, build_graph, read_edge_list, write_edge_list, write_rows
 from .theory import homophily
 from .train import SplitMasks
 
@@ -57,6 +57,10 @@ def describe(ds: Dataset) -> str:
             f"homophily={homophily(ds.graph, ds.labels):.3f}")
 
 
+SBM_SPLIT_RATIOS = (5.0, 1.0, 1.0)   # train:val:test
+SBM_MAX_RESAMPLES = 100
+
+
 @dataclass
 class SBMSpec:
     """Stochastic block model with per-block Gaussian feature clouds."""
@@ -65,10 +69,8 @@ class SBMSpec:
     p_in: float
     p_out: float
     feature_dim: int = 8
-    feature_means: np.ndarray | None = None   # (blocks, feature_dim)
     noise_scale: float = 1.0
     seed: int = 0
-    split_ratios: tuple[float, float, float] = (5.0, 1.0, 1.0)
 
     def __post_init__(self):
         self.block_sizes = tuple(int(b) for b in self.block_sizes)
@@ -78,17 +80,6 @@ class SBMSpec:
             raise ValueError(f"every block needs at least 1 node, got {self.block_sizes}")
         if not (0.0 <= self.p_in <= 1.0 and 0.0 <= self.p_out <= 1.0):
             raise ValueError("edge probabilities must lie in [0, 1]")
-        if self.feature_means is None:
-            # block i leans +1 on its own slice of dimensions, -1 elsewhere
-            B, d = len(self.block_sizes), self.feature_dim
-            means = -np.ones((B, d))
-            for i in range(B):
-                means[i, (np.arange(d) * B) // d == i] = 1.0
-            self.feature_means = means
-        else:
-            self.feature_means = np.asarray(self.feature_means, dtype=np.float64)
-            if self.feature_means.shape != (len(self.block_sizes), self.feature_dim):
-                raise ValueError("feature_means must be (blocks, feature_dim)")
 
 
 def _sample_sbm_edges(spec: SBMSpec, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -126,12 +117,12 @@ def stratified_splits(labels: np.ndarray, ratios, rng: np.random.Generator) -> S
     return SplitMasks(train=np.sort(train), val=np.sort(val), test=np.sort(test))
 
 
-def generate_sbm(spec: SBMSpec, max_resamples: int = 100) -> Dataset:
+def generate_sbm(spec: SBMSpec) -> Dataset:
     """Deterministic SBM dataset; resamples the graph until no node is isolated."""
     rng = np.random.default_rng(spec.seed)
     n = sum(spec.block_sizes)
     labels = np.repeat(np.arange(len(spec.block_sizes)), spec.block_sizes)
-    for _ in range(max_resamples):
+    for _ in range(SBM_MAX_RESAMPLES):
         edges = _sample_sbm_edges(spec, rng)
         if not edges:
             continue
@@ -143,10 +134,12 @@ def generate_sbm(spec: SBMSpec, max_resamples: int = 100) -> Dataset:
             break
     else:
         raise InfeasibleSpec(
-            f"could not avoid isolated nodes in {max_resamples} resamples")
-    features = spec.feature_means[labels] + spec.noise_scale * rng.standard_normal(
-        (n, spec.feature_dim))
-    splits = stratified_splits(labels, spec.split_ratios, rng)
+            f"could not avoid isolated nodes in {SBM_MAX_RESAMPLES} resamples")
+    B, d = len(spec.block_sizes), spec.feature_dim
+    # block i's cloud centre is +1 on its own slice of the dimensions, -1 elsewhere
+    means = np.where((np.arange(d) * B) // d == np.arange(B)[:, None], 1.0, -1.0)
+    features = means[labels] + spec.noise_scale * rng.standard_normal((n, d))
+    splits = stratified_splits(labels, SBM_SPLIT_RATIOS, rng)
     return Dataset(name=f"sbm-{'x'.join(map(str, spec.block_sizes))}-seed{spec.seed}",
                    graph=g, features=features, labels=labels, splits=splits)
 
@@ -155,7 +148,7 @@ def save_dataset(ds: Dataset, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     write_edge_list(ds.graph, os.path.join(out_dir, "edges.tsv"))
     with open(os.path.join(out_dir, "features.csv"), "w", encoding="utf-8") as fh:
-        write_rows(fh, ["%.17g"] * ds.features.shape[1], ds.features)
+        write_rows(fh, ",".join(["%.17g"] * ds.features.shape[1]), ds.features)
     with open(os.path.join(out_dir, "labels.csv"), "w", encoding="utf-8") as fh:
         for y in ds.labels:
             fh.write(f"{int(y)}\n")
@@ -164,16 +157,6 @@ def save_dataset(ds: Dataset, out_dir):
                    "val": ds.splits.val.tolist(),
                    "test": ds.splits.test.tolist()}, fh)
         fh.write("\n")
-
-
-def write_rows(fh, formats: list[str], table: np.ndarray):
-    """Write each row of a 2-D table as one comma-separated line.
-
-    formats holds one %-format per column; a row is written with a single
-    % operation, one line at a time.
-    """
-    fmt = ",".join(formats) + "\n"
-    fh.writelines(fmt % tuple(row) for row in table.tolist())
 
 
 DATASET_FILES = ("edges.tsv", "features.csv", "labels.csv", "splits.json")

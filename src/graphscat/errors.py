@@ -30,7 +30,7 @@ class DimensionMismatch(GraphScatError):
 
 
 class ScaleOutOfRange(GraphScatError):
-    """A wavelet scale index lies outside the bank's 0..K range."""
+    """A wavelet scale is negative."""
 
 
 class NotSymmetric(GraphScatError):

@@ -33,10 +33,6 @@ def cycle_graph(n: int) -> Graph:
     return build_graph([(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    return build_graph([(i, i + 1) for i in range(n - 1)])
-
-
 def complete_bipartite(a: int, b: int) -> Graph:
     return build_graph([(i, a + j) for i in range(a) for j in range(b)])
 

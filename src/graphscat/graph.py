@@ -70,6 +70,10 @@ class Graph:
     def neighbor_weights(self, v: int) -> np.ndarray:
         return self.csr_weights[self.csr_offsets[v]:self.csr_offsets[v + 1]]
 
+    def entry_rows(self) -> np.ndarray:
+        """Source node of every CSR entry, aligned with csr_targets."""
+        return np.repeat(np.arange(self.n), np.diff(self.csr_offsets))
+
 
 @dataclass(frozen=True)
 class OperatorKind:
@@ -88,13 +92,11 @@ class OperatorKind:
     @property
     def needs_inverse_degree(self) -> bool:
         # renorm_adjacency uses degrees + 1, which never vanishes
-        return self.tag in ("lazy_walk", "random_walk", "residual_diffusion",
-                            "sym_norm_adjacency")
+        return self.tag in ("lazy_walk", "residual_diffusion", "sym_norm_adjacency")
 
 
 LAZY_WALK = OperatorKind("lazy_walk")
 RENORM_ADJACENCY = OperatorKind("renorm_adjacency")
-RANDOM_WALK = OperatorKind("random_walk")
 SYM_NORM_ADJACENCY = OperatorKind("sym_norm_adjacency")
 
 
@@ -218,7 +220,6 @@ def apply_operator(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
 
     lazy_walk          P          = (I + W D^-1) / 2
     renorm_adjacency   A          = (D+I)^-1/2 (W+I) (D+I)^-1/2
-    random_walk        R          = W D^-1
     residual_diffusion A_res(a)   = (I + a W D^-1) / (a + 1)
     sym_norm_adjacency             I + D^-1/2 W D^-1/2
     """
@@ -227,8 +228,6 @@ def apply_operator(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
     d = _column(g.degrees, X)
     if kind.tag == "lazy_walk":
         return 0.5 * X + 0.5 * adjacency_matvec(g, X / d)
-    if kind.tag == "random_walk":
-        return adjacency_matvec(g, X / d)
     if kind.tag == "residual_diffusion":
         a = kind.alpha
         if a == 0.0:
@@ -255,8 +254,6 @@ def apply_operator_transpose(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.
     d = _column(g.degrees, X)
     if kind.tag == "lazy_walk":
         return 0.5 * X + 0.5 * adjacency_matvec(g, X) / d
-    if kind.tag == "random_walk":
-        return adjacency_matvec(g, X) / d
     if kind.tag == "residual_diffusion":
         a = kind.alpha
         if a == 0.0:
@@ -339,11 +336,21 @@ def read_edge_list(path, n: int | None = None) -> Graph:
 
 
 def write_edge_list(g: Graph, path):
-    """Write the graph in the read_edge_list format, one undirected edge per line."""
+    """Write the graph in the read_edge_list format, one undirected edge per line.
+
+    Edges come in CSR order, each once as its u < v entry.
+    """
+    rows = g.entry_rows()
+    upper = rows < g.csr_targets
     with open(path, "w", encoding="utf-8") as fh:
-        for u in range(g.n):
-            nbrs = g.neighbors(u)
-            wts = g.neighbor_weights(u)
-            for v, w in zip(nbrs, wts):
-                if u < v:
-                    fh.write(f"{u}\t{v}\t{w:.17g}\n")
+        write_rows(fh, "%d\t%d\t%.17g", np.column_stack(
+            [rows[upper], g.csr_targets[upper], g.csr_weights[upper]]))
+
+
+def write_rows(fh, fmt: str, table: np.ndarray):
+    """Write each row of a 2-D table as one line, with a single % operation.
+
+    fmt is the %-format of a whole row, without the newline.
+    """
+    fmt += "\n"
+    fh.writelines(fmt % tuple(row) for row in table.tolist())

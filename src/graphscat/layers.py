@@ -38,7 +38,7 @@ from . import autodiff as ad
 from .errors import IsolatedNodeError
 from .graph import RENORM_ADJACENCY, Graph, residual_diffusion
 from .scattering import ABS, Nonlinearity, cascade_tensor, first_wavelets
-from .wavelets import WaveletBank
+from .wavelets import check_scale
 
 ATTENTION_LEAKY_SLOPE = 0.2  # GAT convention; the source text leaves it open
 
@@ -78,6 +78,8 @@ class ChannelSpec:
         else:
             if self.q < 1:
                 raise ValueError("band-pass q must be >= 1")
+            for k in self.path:
+                check_scale(k)
 
 
 def low_channel(r: int, width: int, sigma: Nonlinearity = ABS) -> ChannelSpec:
@@ -94,14 +96,11 @@ class HybridLayerConfig:
     band: tuple[ChannelSpec, ...]
     aggregation: str = "concat"   # "concat" | "attention"
     heads: int = 1
-    shared_weights: bool = False
 
     def __post_init__(self):
         if self.aggregation not in ("concat", "attention"):
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.aggregation == "attention":
-            if not self.shared_weights:
-                raise ValueError("attention aggregation requires shared_weights")
             if self.heads < 1:
                 raise ValueError("attention needs at least one head")
             widths = {c.width for c in self.low + self.band}
@@ -119,12 +118,10 @@ class HybridLayerConfig:
 
 @dataclass
 class HeadAttention:
-    """Per-head attention weights and scores (after the LeakyReLU), shape (channels, n)."""
+    """Per-head attention weights, shape (channels, n)."""
 
     alpha_low: np.ndarray
     alpha_band: np.ndarray
-    scores_low: np.ndarray
-    scores_band: np.ndarray
 
 
 @dataclass
@@ -150,10 +147,9 @@ def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> lis
         raise IsolatedNodeError("GCN channel requires a graph without isolated nodes")
     powers = ad.op_chain(g, RENORM_ADJACENCY, t, max((spec.r for spec in specs
                                                       if spec.kind == "low"), default=0))
-    bank = WaveletBank(g, K=max((k for spec in specs for k in spec.path), default=0))
-    swept = first_wavelets(bank, [spec.path for spec in specs if spec.kind == "band"], t)
+    swept = first_wavelets(g, [spec.path for spec in specs if spec.kind == "band"], t)
     return [powers[spec.r] if spec.kind == "low"
-            else cascade_tensor(bank, spec.path, ABS, t, swept) for spec in specs]
+            else cascade_tensor(g, spec.path, ABS, t, swept) for spec in specs]
 
 
 def filter_responses(g: Graph, cfg: HybridLayerConfig, X: np.ndarray) -> FilterResponses:
@@ -285,14 +281,12 @@ def attention_head(g: Graph, cfg: HybridLayerConfig, params, X,
         c, n, d = responses.shape
         filtered = [ad.matmul(ad.constant(responses.reshape(c * n, d)), thetas)]
     n_low = len(cfg.low)
-    out, alpha, scores = ad.filter_attention(
+    out, alpha = ad.filter_attention(
         xbar, filtered, ad.concat_cols([_as_tensor(a) for _, a in params]), n_low,
         ATTENTION_LEAKY_SLOPE)
     state = AttentionState([
         HeadAttention(alpha_low=alpha[:n_low, :, h].copy(),
-                      alpha_band=alpha[n_low:, :, h].copy(),
-                      scores_low=scores[:n_low, :, h].copy(),
-                      scores_band=scores[n_low:, :, h].copy())
+                      alpha_band=alpha[n_low:, :, h].copy())
         for h in range(len(params))])
     return out, state
 

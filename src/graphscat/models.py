@@ -118,7 +118,7 @@ class GSAN:
         low = tuple(low_channel(r, spec.hidden, sigma=ABS) for r in spec.low_powers)
         band = tuple(band_channel((k,), spec.hidden, sigma=ABS) for k in (1, 2, 3))
         self.cfg = HybridLayerConfig(low=low, band=band, aggregation="attention",
-                                     heads=spec.heads, shared_weights=True)
+                                     heads=spec.heads)
         self.alpha = spec.alpha
         self.head_params = init_attention_params(self.cfg, d_in, rng)
         self.responses = ResponseCache(self.cfg)

@@ -1,4 +1,4 @@
-"""Scattering cascades, graph-level moments and the pointwise nonlinearities.
+"""Scattering cascades and the pointwise nonlinearities.
 
 A path p = (k_1, ..., k_m) alternates wavelets and a pointwise nonlinearity,
 U_p x = Psi_{k_m} sigma Psi_{k_{m-1}} ... sigma Psi_{k_1} x, with no
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ScaleOutOfRange
-from .wavelets import WaveletBank, wavelet_sweep
-
-ScatteringPath = tuple[int, ...]
+from .graph import Graph
+from .wavelets import wavelet_sweep
 
 
 @dataclass(frozen=True)
@@ -77,60 +75,32 @@ def leaky(slope: float = 0.2) -> Nonlinearity:
     return Nonlinearity("leaky_relu", slope=slope)
 
 
-def validate_path(bank: WaveletBank, p) -> ScatteringPath:
-    p = tuple(int(k) for k in p)
-    for k in p:
-        if not 0 <= k <= bank.K:
-            raise ScaleOutOfRange(f"path scale {k} outside bank range 0..{bank.K}")
-    return p
-
-
-def wavelet_tensor(bank: WaveletBank, k: int, t: ad.Tensor) -> ad.Tensor:
-    """Differentiable Psi_k: a wavelet sweep over the single scale k."""
-    return wavelet_sweep(bank, (k,), t)[0]
-
-
-def first_wavelets(bank: WaveletBank, paths, t: ad.Tensor) -> dict[int, ad.Tensor]:
+def first_wavelets(g: Graph, paths, t: ad.Tensor) -> dict[int, ad.Tensor]:
     """{k: Psi_k t} for every path's first scale k, from one wavelet sweep."""
-    scales = sorted({validate_path(bank, p)[0] for p in paths if p})
-    return dict(zip(scales, wavelet_sweep(bank, scales, t)))
+    scales = sorted({p[0] for p in paths if p})
+    return dict(zip(scales, wavelet_sweep(g, scales, t)))
 
 
-def cascade_tensor(bank: WaveletBank, p, sigma: Nonlinearity, t: ad.Tensor,
+def cascade_tensor(g: Graph, p, sigma: Nonlinearity, t: ad.Tensor,
                    swept: dict[int, ad.Tensor] | None = None) -> ad.Tensor:
     """U_p on the tape; the empty path is the identity cascade.
 
-    swept, from first_wavelets(bank, paths, t), supplies Psi_{p[0]} t, so
+    swept, from first_wavelets(g, paths, t), supplies Psi_{p[0]} t, so
     paths that share it run no chain of their own for their first wavelet.
     """
-    p = validate_path(bank, p)
     for i, k in enumerate(p):
         if i > 0:
             t = sigma.apply_tensor(t)
-        t = swept[k] if i == 0 and swept else wavelet_tensor(bank, k, t)
+        t = swept[k] if i == 0 and swept else wavelet_sweep(g, (k,), t)[0]
     return t
 
 
-def cascade(bank: WaveletBank, p, sigma: Nonlinearity, X: np.ndarray,
+def cascade(g: Graph, p, sigma: Nonlinearity, X: np.ndarray,
             swept: dict[int, ad.Tensor] | None = None) -> np.ndarray:
     """U_p X as a plain array; single-scale paths apply no nonlinearity at all.
 
     swept is as for cascade_tensor, from first_wavelets on constant(X).
     """
     X = np.asarray(X, dtype=np.float64)
-    return cascade_tensor(bank, p, sigma, ad.constant(X), swept).value
+    return cascade_tensor(g, p, sigma, ad.constant(X), swept).value
 
-
-def graph_moments(U: np.ndarray, qmax: int) -> np.ndarray:
-    """q-th order readouts sum_v |U[v, j]|^q for q = 1..qmax.
-
-    Returns an array of shape (columns, qmax); row j holds the moment vector
-    of column j.
-    """
-    if qmax < 1:
-        raise ValueError("qmax must be >= 1")
-    U = np.asarray(U, dtype=np.float64)
-    if U.ndim == 1:
-        U = U[:, None]
-    absu = np.abs(U)
-    return np.stack([np.sum(absu ** q, axis=0) for q in range(1, qmax + 1)], axis=1)

@@ -36,8 +36,7 @@ def dense_adjacency(g: Graph, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndar
     if g.n > dense_limit:
         raise TooLargeForDense(f"n={g.n} exceeds dense limit {dense_limit}")
     W = np.zeros((g.n, g.n), dtype=np.float64)
-    for u in range(g.n):
-        W[u, g.neighbors(u)] = g.neighbor_weights(u)
+    W[g.entry_rows(), g.csr_targets] = g.csr_weights
     return W
 
 
@@ -67,24 +66,6 @@ def eigendecompose(M: np.ndarray) -> EigenDecomposition:
         peak = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])]
         Q = np.where(peak < 0, -Q, Q)
     return EigenDecomposition(eigenvalues=lam, eigenvectors=Q)
-
-
-def graph_fourier(X: np.ndarray, eig: EigenDecomposition) -> np.ndarray:
-    """Fourier coefficients Q^T X of a signal or feature matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] != eig.eigenvectors.shape[0]:
-        raise DimensionMismatch(
-            f"signal length {X.shape[0]} != basis size {eig.eigenvectors.shape[0]}")
-    return eig.eigenvectors.T @ X
-
-
-def inverse_fourier(Xhat: np.ndarray, eig: EigenDecomposition) -> np.ndarray:
-    """Inverse transform Q Xhat."""
-    Xhat = np.asarray(Xhat, dtype=np.float64)
-    if Xhat.shape[0] != eig.eigenvectors.shape[0]:
-        raise DimensionMismatch(
-            f"coefficient length {Xhat.shape[0]} != basis size {eig.eigenvectors.shape[0]}")
-    return eig.eigenvectors @ Xhat
 
 
 @dataclass(frozen=True)

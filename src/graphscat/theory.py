@@ -26,7 +26,6 @@ from .graph import (
     neighborhood,
 )
 from .scattering import Nonlinearity, cascade
-from .wavelets import WaveletBank
 
 EQUALITY_ATOL = 1e-9  # all equality/inequality decisions in 64-bit arithmetic
 
@@ -370,8 +369,7 @@ def binary_expansion_path(d: int) -> tuple[int, ...]:
 def scatter_separation(g: Graph, v: int, pv: int, X: np.ndarray, p,
                        sigma: Nonlinearity) -> float:
     """Max-abs difference of the U_p cascade outputs at v and phi(v)."""
-    bank = WaveletBank(g, K=max(p) if p else 0)
-    U = cascade(bank, p, sigma, X)
+    U = cascade(g, p, sigma, X)
     return float(np.max(np.abs(U[v] - U[pv])))
 
 
@@ -475,13 +473,9 @@ def homophily(g: Graph, labels) -> float:
     labels = np.asarray(labels)
     if labels.shape[0] != g.n:
         raise ValueError("labels must cover every node")
-    same = 0
-    total = 0
-    for u in range(g.n):
-        for w in g.neighbors(u):
-            if u < w:
-                total += 1
-                same += bool(labels[u] == labels[w])
+    rows = g.entry_rows()
+    upper = rows < g.csr_targets
+    total = int(np.count_nonzero(upper))
     if total == 0:
         raise ValueError("graph has no edges")
-    return same / total
+    return int(np.count_nonzero(labels[rows[upper]] == labels[g.csr_targets[upper]])) / total

@@ -17,6 +17,9 @@ from .autodiff import Tape
 from .errors import EmptyMask, NonFiniteLoss
 from .graph import Graph
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class SplitMasks:
@@ -44,10 +47,11 @@ class TrainConfig:
     patience: int = 30
     seed: int = 0
     optimizer: str = "adam"   # "adam" | "sgd"
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
 
     def __post_init__(self):
+        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         # lr = 0 is legal and leaves parameters untouched (useful in tests)
         if self.lr < 0 or self.max_epochs <= 0 or self.patience <= 0:
             raise ValueError("lr must be >= 0; max_epochs and patience positive")
@@ -78,7 +82,7 @@ class _Adam:
         self.t = 0
 
     def step(self):
-        b1, b2 = self.cfg.betas
+        b1, b2 = ADAM_BETAS
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad + self.cfg.weight_decay * p.value
@@ -86,7 +90,7 @@ class _Adam:
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             mhat = self.m[i] / (1 - b1 ** self.t)
             vhat = self.v[i] / (1 - b2 ** self.t)
-            p.value = p.value - self.cfg.lr * mhat / (np.sqrt(vhat) + self.cfg.eps)
+            p.value = p.value - self.cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             p.zero_grad()
 
 

@@ -1,14 +1,15 @@
 """Shared oracle helpers: dense operator constructions independent of the
 package's CSR/matvec path, built straight from edge lists; the per-filter
-composition of the attention layer; and the per-edge, per-trial and
-per-value loops that the array-built graph, the batched random-GCN trials
-and the row writer replace."""
+composition of the attention layer; and the per-edge, per-node, per-trial
+and per-value loops that the array-built graph, the CSR array expressions,
+the batched random-GCN trials and the row writer replace."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from graphscat import autodiff as autodiff_module
 from graphscat import graph as graph_module
@@ -75,6 +76,20 @@ def random_connected_graph(rng, n, extra=None, weighted=False):
     if weighted:
         edges = [(u, v, float(rng.uniform(0.5, 2.0))) for u, v in edges]
     return edges, build_graph(edges, n=n)
+
+
+@st.composite
+def weighted_graphs(draw, max_n=12):
+    """Graphs on 1..max_n nodes, isolated nodes allowed, with any positive finite weights."""
+    n = draw(st.integers(1, max_n))
+    pairs = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e))), max_size=3 * n)))
+    weights = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                            min_size=len(pairs), max_size=len(pairs)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IsolatedNodeWarning)
+        return build_graph([(u, v, w) for (u, v), w in zip(pairs, weights)], n=n)
 
 
 def count_kernel_calls(monkeypatch):
@@ -164,10 +179,8 @@ def per_filter_attention(g, cfg, params, X, responses=None):
             term = ad.mul(take_filter(alpha, i), r)
             acc = term if acc is None else ad.add(acc, term)
         outs.append(ad.scale(ad.relu(acc), 1.0 / len(resps)))
-        stacked = np.stack([s.value[:, 0] for s in scores])
         state.heads.append(HeadAttention(
-            alpha_low=alpha.value[:n_low, :, 0].copy(), alpha_band=alpha.value[n_low:, :, 0].copy(),
-            scores_low=stacked[:n_low], scores_band=stacked[n_low:]))
+            alpha_low=alpha.value[:n_low, :, 0].copy(), alpha_band=alpha.value[n_low:, :, 0].copy()))
     return (outs[0] if len(outs) == 1 else ad.concat_cols(outs)), state
 
 
@@ -263,6 +276,36 @@ def per_edge_read_edge_list(path, n=None):
                 continue
             seen[key] = w
     return per_edge_build_graph([(u, v, w) for (u, v), w in seen.items()], n=n)
+
+
+def per_edge_write_edge_list(g, path):
+    """graph.write_edge_list as one f-string per edge, node by node."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for u in range(g.n):
+            for v, w in zip(g.neighbors(u), g.neighbor_weights(u)):
+                if u < v:
+                    fh.write(f"{u}\t{v}\t{w:.17g}\n")
+
+
+def per_node_homophily(g, labels):
+    """theory.homophily counting edges node by node."""
+    same = total = 0
+    for u in range(g.n):
+        for w in g.neighbors(u):
+            if u < w:
+                total += 1
+                same += bool(labels[u] == labels[w])
+    if total == 0:
+        raise ValueError("graph has no edges")
+    return same / total
+
+
+def per_node_dense_adjacency(g):
+    """spectral.dense_adjacency filled one row at a time."""
+    W = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        W[u, g.neighbors(u)] = g.neighbor_weights(u)
+    return W
 
 
 def per_trial_gcn_deviation(g, v, pv, X, L, trials, seed, hidden=4):

@@ -50,7 +50,7 @@ from graphscat.theory import (
     verify_theorem3,
 )
 from graphscat.train import TrainConfig, evaluate, fit
-from graphscat.wavelets import WaveletBank, bank_sweep
+from graphscat.wavelets import bank_sweep
 
 from conftest import random_connected_graph
 
@@ -79,9 +79,8 @@ def test_criterion_1_frame_identity():
         for _ in range(50):
             n = int(rng.integers(5, 201))
             _, g = random_connected_graph(rng, n)
-            bank = WaveletBank(g, K=3)
             X = rng.standard_normal((n, 2))
-            outs = bank_sweep(bank, X)
+            outs = bank_sweep(g, 3, X)
             worst = max(worst, float(np.max(np.abs(sum(outs) - X))))
     report(1, "frame identity", worst < 1e-10,
            f"max telescoping deviation {worst:.2e} over 50 graphs", t.elapsed, 5.0)
@@ -233,7 +232,7 @@ def test_criterion_6_gradient_suite():
     attention = HybridLayerConfig(
         low=(low_channel(1, 2), low_channel(2, 2)),
         band=(band_channel((0,), 2), band_channel((2,), 2)),
-        aggregation="attention", shared_weights=True)
+        aggregation="attention")
     concat = HybridLayerConfig(
         low=(low_channel(2, 2),), band=(band_channel((1,), 2, q=3.0),), aggregation="concat")
 

@@ -19,9 +19,13 @@ from graphscat.spectral import (
     spectral_response,
     wavelet_filter,
 )
-from graphscat.wavelets import WaveletBank
 
-from conftest import count_eigendecompositions, count_kernel_calls, per_value_csv
+from conftest import (
+    count_eigendecompositions,
+    count_kernel_calls,
+    per_edge_write_edge_list,
+    per_value_csv,
+)
 
 
 class TestConfigParsing:
@@ -81,6 +85,8 @@ class TestCliCommands:
                                   feature_dim=5, seed=4))
         want = per_value_csv(None, list(ds.features.T), [".17g"] * 5)
         assert (out / "features.csv").read_text() == want
+        per_edge_write_edge_list(ds.graph, tmp_path / "edges.tsv")
+        assert (out / "edges.tsv").read_bytes() == (tmp_path / "edges.tsv").read_bytes()
 
     @pytest.mark.parametrize("blocks", ["0,5", "5,-1"])
     def test_gen_sbm_rejects_empty_block(self, tmp_path, capsys, blocks):
@@ -171,6 +177,32 @@ class TestCliCommands:
         (tmp_path / "exp.cfg").write_text(settings)
         assert main(argv) == 0
         assert seen == [want]
+
+    @pytest.mark.parametrize("paths", ["-1", "1|0,-1"])
+    def test_scatter_rejects_negative_scale(self, small_dataset_dir, tmp_path, capsys, paths):
+        out = tmp_path / "scatter.csv"
+        assert main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
+                     "--features", str(small_dataset_dir / "features.csv"),
+                     f"--paths={paths}", "--out", str(out)]) == 2
+        assert "error: wavelet scale -1 must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting,message", [
+        ("model.band_paths = -1|3", "wavelet scale -1 must be >= 0"),
+        ("train.lr = nan", "lr must be finite, got nan"),
+        ("train.weight_decay = inf", "weight_decay must be finite, got inf"),
+    ])
+    def test_train_config_rejected_before_fitting(self, small_dataset_dir, tmp_path, capsys,
+                                                   monkeypatch, setting, message):
+        def no_fit(*args, **kwargs):
+            pytest.fail("fit started")
+
+        monkeypatch.setattr(experiment, "fit", no_fit)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset.dir = {small_dataset_dir}\n{setting}\n"
+                       f"out.dir = {tmp_path / 'results'}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_train_missing_files_flagged(self, capsys):
         rc = main(["train", "--preset", "sc-gcn"])
@@ -303,8 +335,7 @@ class TestCliCommands:
         assert rc == 0
         assert len(calls) == 8 + 2 + 4
         ds = load_dataset(small_dataset_dir)
-        bank = WaveletBank(ds.graph, K=3)
-        want = np.concatenate([cascade(bank, p, ABS, ds.features) for p in paths], axis=1)
+        want = np.concatenate([cascade(ds.graph, p, ABS, ds.features) for p in paths], axis=1)
         rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
         assert rows == [[f"{x:.10g}" for x in row] for row in want]
 
@@ -352,8 +383,7 @@ class TestCliCommands:
                    "--paths", "1|0,1", "--out", str(out)])
         assert rc == 0
         ds = load_dataset(small_dataset_dir)
-        bank = WaveletBank(ds.graph, K=1)
-        outs = [cascade(bank, p, ABS, ds.features) for p in ((1,), (0, 1))]
+        outs = [cascade(ds.graph, p, ABS, ds.features) for p in ((1,), (0, 1))]
         header = ["node"] + [f"{tag}_c{j}" for tag in ("p1", "p0-1") for j in range(8)]
         columns = [range(ds.graph.n)] + [U[:, j] for U in outs for j in range(8)]
         assert out.read_text() == per_value_csv(header, columns, ["d"] + [".10g"] * 16)

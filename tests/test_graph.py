@@ -19,7 +19,6 @@ from graphscat.errors import (
 )
 from graphscat.graph import (
     LAZY_WALK,
-    RANDOM_WALK,
     RENORM_ADJACENCY,
     SYM_NORM_ADJACENCY,
     adjacency_matvec,
@@ -37,7 +36,9 @@ from conftest import (
     dense_w,
     per_edge_build_graph,
     per_edge_read_edge_list,
+    per_edge_write_edge_list,
     random_connected_graph,
+    weighted_graphs,
 )
 
 
@@ -179,16 +180,16 @@ class TestApplyOperator:
     def test_isolated_node_rejected_at_apply_time(self):
         with pytest.warns(IsolatedNodeWarning):
             g = build_graph([(0, 1)], n=3)
-        for kind in (LAZY_WALK, RANDOM_WALK, SYM_NORM_ADJACENCY, residual_diffusion(1.0)):
+        for kind in (LAZY_WALK, SYM_NORM_ADJACENCY, residual_diffusion(1.0)):
             with pytest.raises(IsolatedNodeError):
                 apply_operator(g, kind, np.zeros(3))
         # renormalized adjacency adds self-loops, degree zero is fine there
         apply_operator(g, RENORM_ADJACENCY, np.zeros(3))
 
     @pytest.mark.parametrize("kind,key", [
-        (LAZY_WALK, "P"), (RENORM_ADJACENCY, "A"), (RANDOM_WALK, "R"),
+        (LAZY_WALK, "P"), (RENORM_ADJACENCY, "A"),
         (SYM_NORM_ADJACENCY, "sym"), (residual_diffusion(0.7), None),
-    ])
+    ], ids=["kind0-P", "kind1-A", "kind3-sym", "kind4-None"])   # kind2 was the random walk
     def test_matches_dense_oracle(self, rng, kind, key):
         edges, g = random_connected_graph(rng, 23, weighted=True)
         ops = dense_ops(23, edges)
@@ -196,13 +197,14 @@ class TestApplyOperator:
         X = rng.standard_normal((23, 4))
         assert np.allclose(apply_operator(g, kind, X), M @ X, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", [LAZY_WALK, RENORM_ADJACENCY, RANDOM_WALK,
-                                      SYM_NORM_ADJACENCY, residual_diffusion(0.3)])
+    @pytest.mark.parametrize("kind", [LAZY_WALK, RENORM_ADJACENCY,
+                                      SYM_NORM_ADJACENCY, residual_diffusion(0.3)],
+                             ids=["kind0", "kind1", "kind3", "kind4"])
     def test_transpose_matches_dense_oracle(self, rng, kind):
         edges, g = random_connected_graph(rng, 17, weighted=True)
         ops = dense_ops(17, edges)
         dense = {"lazy_walk": ops["P"], "renorm_adjacency": ops["A"],
-                 "random_walk": ops["R"], "sym_norm_adjacency": ops["sym"],
+                 "sym_norm_adjacency": ops["sym"],
                  "residual_diffusion": ops["res"](0.3)}[kind.tag]
         X = rng.standard_normal((17, 3))
         assert np.allclose(apply_operator_transpose(g, kind, X), dense.T @ X, atol=1e-12)
@@ -332,6 +334,16 @@ class TestInvariantProperties:
 
 
 class TestEdgeListIO:
+    @settings(max_examples=300, deadline=None)
+    @given(g=weighted_graphs())
+    def test_writer_bytes_match_per_edge_loop(self, g):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got.tsv"), os.path.join(tmp, "want.tsv")
+            write_edge_list(g, got)
+            per_edge_write_edge_list(g, want)
+            with open(got, "rb") as a, open(want, "rb") as b:
+                assert a.read() == b.read()
+
     def test_round_trip(self, tmp_path, rng):
         edges, g = random_connected_graph(rng, 12, weighted=True)
         path = tmp_path / "edges.tsv"

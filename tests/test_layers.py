@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
-from graphscat.errors import IsolatedNodeError, IsolatedNodeWarning
+from graphscat.errors import IsolatedNodeError, IsolatedNodeWarning, ScaleOutOfRange
 from graphscat.graph import build_graph
 from graphscat.layers import (
     ATTENTION_LEAKY_SLOPE,
@@ -28,7 +28,6 @@ from graphscat.layers import (
 from graphscat.models import ModelSpec, build_model
 from graphscat.scattering import ABS, IDENTITY, RELU, cascade
 from graphscat.train import Tape
-from graphscat.wavelets import WaveletBank
 
 from conftest import (
     count_kernel_calls,
@@ -132,7 +131,7 @@ class TestHybridConcat:
         params = init_hybrid_params(cfg, 2, rng)
         X = rng.standard_normal((7, 2))
         out = hybrid_forward_concat(g, cfg, params, X)
-        base = cascade(WaveletBank(g, K=1), (1,), ABS,
+        base = cascade(g, (1,), ABS,
                        X @ params["band"][0][0].value)
         assert np.max(np.abs(out.value - np.abs(base) ** 4)) < 1e-12
 
@@ -146,7 +145,7 @@ class TestHybridConcat:
         X = rng.standard_normal((8, 3))
         cfg = self._band_layer((1, 2), 3, IDENTITY)
         out = hybrid_forward_concat(g, cfg, {"low": [], "band": [(np.eye(3), None)]}, X)
-        expected = cascade(WaveletBank(g, K=2), (1, 2), ABS, X)
+        expected = cascade(g, (1, 2), ABS, X)
         assert np.max(np.abs(out.value - expected)) < 1e-12
 
     def test_band_channel_on_three_node_path_matches_dense_oracle(self, rng):
@@ -190,12 +189,18 @@ class TestHybridConcat:
         with pytest.raises(ValueError):
             HybridLayerConfig(low=(), band=(), aggregation="concat")
         with pytest.raises(ValueError):
-            HybridLayerConfig(low=(low_channel(1, 2),), band=(),
-                              aggregation="attention", shared_weights=False)
+            HybridLayerConfig(low=(low_channel(1, 2),), band=(band_channel((1,), 3),),
+                              aggregation="attention")
         with pytest.raises(ValueError):
             low_channel(0, 2)
         with pytest.raises(ValueError):
             band_channel((1,), 2, q=0.5)
+
+    def test_negative_band_scale_rejected_at_build(self):
+        with pytest.raises(ScaleOutOfRange, match="wavelet scale -1 must be >= 0"):
+            band_channel((2, -1), 3)
+        with pytest.raises(ScaleOutOfRange, match="wavelet scale -1 must be >= 0"):
+            build_model(ModelSpec(preset="sc-gcn", band_paths=((-1,), (3,))), 4, 2)
 
 
 def literal_attention_oracle(n, edges, cfg, theta, a, X):
@@ -229,7 +234,7 @@ class TestAttention:
         return HybridLayerConfig(
             low=tuple(low_channel(r, 3, sigma=ABS) for r in (1, 2)),
             band=tuple(band_channel((k,), 3, sigma=ABS) for k in (1, 2)),
-            aggregation="attention", heads=heads, shared_weights=True)
+            aggregation="attention", heads=heads)
 
     def test_equal_scores_give_uniform_weights(self, rng):
         edges, g = random_connected_graph(rng, 8)
@@ -274,11 +279,10 @@ class TestAttention:
         z = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])     # (filters, nodes)
         responses = [ad.constant(z.reshape(-1, 1))]
         a = ad.constant(np.ones((2, 1)))
-        out, alpha, scores = ad.filter_attention(
+        out, alpha = ad.filter_attention(
             ad.constant(np.full((2, 1), 1.5)), responses, a, 3, ATTENTION_LEAKY_SLOPE)
-        out_s, alpha_s, scores_s = ad.filter_attention(
+        out_s, alpha_s = ad.filter_attention(
             ad.constant(np.full((2, 1), 9.0)), responses, a, 3, ATTENTION_LEAKY_SLOPE)
-        assert np.array_equal(scores_s[:, :, 0], z + 9.0)
         assert np.array_equal(alpha, alpha_s)
         assert np.array_equal(out.value, out_s.value)
 
@@ -334,8 +338,7 @@ class TestResidualConv:
 class TestAttentionRatio:
     def _state(self, alpha_low, alpha_band):
         return AttentionState(heads=[HeadAttention(
-            alpha_low=np.asarray(alpha_low), alpha_band=np.asarray(alpha_band),
-            scores_low=np.zeros_like(alpha_low), scores_band=np.zeros_like(alpha_band))])
+            alpha_low=np.asarray(alpha_low), alpha_band=np.asarray(alpha_band))])
 
     def test_uniform_attention_gives_ratio_one(self):
         state = self._state(np.full((3, 5), 1.0 / 6.0), np.full((3, 5), 1.0 / 6.0))
@@ -350,7 +353,7 @@ class TestAttentionRatio:
         for _ in range(3):
             al = rng.uniform(0.01, 1.0, size=(2, 6))
             ab = rng.uniform(0.01, 1.0, size=(3, 6))
-            heads.append(HeadAttention(al, ab, np.zeros_like(al), np.zeros_like(ab)))
+            heads.append(HeadAttention(al, ab))
         state = AttentionState(heads=heads)
         zeta = attention_ratio(state)
         for v in range(6):
@@ -442,7 +445,7 @@ class TestFilterResponses:
     ATTENTION = HybridLayerConfig(
         low=tuple(low_channel(r, 4, sigma=ABS) for r in (1, 2, 3)),
         band=tuple(band_channel((k,), 4, sigma=ABS) for k in (0, 1, 3)),
-        aggregation="attention", heads=1, shared_weights=True)
+        aggregation="attention", heads=1)
     CONCAT = HybridLayerConfig(
         low=(low_channel(1, 3, sigma=ABS), low_channel(3, 4, sigma=RELU)),
         band=(band_channel((1,), 4, sigma=ABS, q=4.0), band_channel((2,), 3, sigma=ABS)),
@@ -715,7 +718,7 @@ class TestStackedAttention:
         return HybridLayerConfig(
             low=tuple(low_channel(r, 3, sigma=ABS) for r in (1, 3)),
             band=tuple(band_channel((k,), 3, sigma=ABS) for k in (0, 1, 2)),
-            aggregation="attention", heads=heads, shared_weights=True)
+            aggregation="attention", heads=heads)
 
     @pytest.mark.parametrize("plan", ["precomputed", "per-epoch", "per-epoch-x-on-tape"])
     @settings(max_examples=15, deadline=None)
@@ -747,7 +750,7 @@ class TestStackedAttention:
         _, want = per_filter_attention(g, model.cfg, model.head_params, X)
         assert len(model.last_attention.heads) == len(want.heads) == 3
         for got, ref in zip(model.last_attention.heads, want.heads):
-            for name in ("alpha_low", "alpha_band", "scores_low", "scores_band"):
+            for name in ("alpha_low", "alpha_band"):
                 assert getattr(got, name).shape == getattr(ref, name).shape == (3, 14)
                 assert _close(getattr(got, name), getattr(ref, name), tol=1e-12)
 

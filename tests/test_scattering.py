@@ -11,10 +11,8 @@ from graphscat.scattering import (
     abs_pow,
     cascade,
     first_wavelets,
-    graph_moments,
     leaky,
 )
-from graphscat.wavelets import WaveletBank
 
 from conftest import count_kernel_calls, dense_ops, dense_wavelet, random_connected_graph
 
@@ -52,55 +50,52 @@ class TestNonlinearity:
 class TestCascade:
     def test_empty_path_is_identity(self, rng):
         edges, g = random_connected_graph(rng, 7)
-        bank = WaveletBank(g, K=2)
         X = rng.standard_normal((7, 2))
-        assert np.array_equal(cascade(bank, (), ABS, X), X)
+        assert np.array_equal(cascade(g, (), ABS, X), X)
 
     def test_single_scale_on_c4_two_coloring(self):
         g = build_graph(cycle(4))
-        bank = WaveletBank(g, K=1)
         x = two_coloring(4)
-        assert np.array_equal(cascade(bank, (0,), ABS, x), x)
+        assert np.array_equal(cascade(g, (0,), ABS, x), x)
 
     def test_two_step_abs_cascade_annihilates_two_coloring(self):
         # |Psi_0 x| is constant on the regular cycle, then Psi_0 kills it
         g = build_graph(cycle(4))
-        bank = WaveletBank(g, K=1)
         x = two_coloring(4)
-        out = cascade(bank, (0, 0), ABS, x)
+        out = cascade(g, (0, 0), ABS, x)
         assert np.max(np.abs(out)) < 1e-12
 
     def test_matches_dense_composition_oracle(self, rng):
         edges, g = random_connected_graph(rng, 9)
         P = dense_ops(9, edges)["P"]
-        bank = WaveletBank(g, K=2)
         x = rng.standard_normal((9, 2))
         expected = dense_wavelet(P, 2) @ np.abs(dense_wavelet(P, 1)
                                                 @ np.abs(dense_wavelet(P, 0) @ x))
-        out = cascade(bank, (0, 1, 2), ABS, x)
+        out = cascade(g, (0, 1, 2), ABS, x)
         assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_shared_first_wavelets_change_no_value(self, rng, monkeypatch):
         # one 2^2-step sweep gives Psi_0 and Psi_2 to every path; only the
         # later wavelets of (0, 1) and (2, 0, 1) run chains of their own
         edges, g = random_connected_graph(rng, 9)
-        bank = WaveletBank(g, K=2)
         x = rng.standard_normal((9, 3))
         paths = [(), (2,), (0, 1), (2, 0, 1), (0,)]
-        want = [cascade(bank, p, ABS, x) for p in paths]
+        want = [cascade(g, p, ABS, x) for p in paths]
         calls = count_kernel_calls(monkeypatch)
-        swept = first_wavelets(bank, paths, ad.constant(x))
-        got = [cascade(bank, p, ABS, x, swept) for p in paths]
+        swept = first_wavelets(g, paths, ad.constant(x))
+        got = [cascade(g, p, ABS, x, swept) for p in paths]
         assert len(calls) == 4 + 2 + (1 + 2)
         for u, v in zip(got, want, strict=True):
             assert np.array_equal(u, v)
 
     def test_scale_out_of_range(self):
-        bank = WaveletBank(build_graph(cycle(4)), K=1)
-        with pytest.raises(ScaleOutOfRange):
-            cascade(bank, (0, 3), ABS, np.zeros(4))
-        with pytest.raises(ScaleOutOfRange):
-            first_wavelets(bank, [(0,), (2, 0)], ad.constant(np.zeros(4)))
+        # scales are bounded below only; the error names the negative scale
+        g = build_graph(cycle(4))
+        assert np.array_equal(cascade(g, (0, 3), ABS, np.zeros(4)), np.zeros(4))
+        with pytest.raises(ScaleOutOfRange, match="wavelet scale -1 must be >= 0"):
+            cascade(g, (0, -1), ABS, np.zeros(4))
+        with pytest.raises(ScaleOutOfRange, match="wavelet scale -2 "):
+            first_wavelets(g, [(0,), (-2, 0)], ad.constant(np.zeros(4)))
 
     def test_permutation_equivariance(self, rng):
         n = 11
@@ -109,19 +104,18 @@ class TestCascade:
         inv = np.argsort(perm)
         pg = build_graph([(int(perm[u]), int(perm[v])) for u, v in edges], n=n)
         x = rng.standard_normal((n, 2))
-        out = cascade(WaveletBank(g, K=2), (0, 2), ABS, x)
-        pout = cascade(WaveletBank(pg, K=2), (0, 2), ABS, x[inv])
+        out = cascade(g, (0, 2), ABS, x)
+        pout = cascade(pg, (0, 2), ABS, x[inv])
         assert np.max(np.abs(pout - out[inv])) < 1e-12
 
     def test_energy_bound_in_weighted_norm(self, rng):
         for _ in range(5):
             n = int(rng.integers(5, 30))
             edges, g = random_connected_graph(rng, n)
-            bank = WaveletBank(g, K=3)
             x = rng.standard_normal(n)
             norm_x = np.sqrt(x @ (x / g.degrees))
             for p in [(0,), (1, 2), (0, 1, 3)]:
-                u = cascade(bank, p, ABS, x)
+                u = cascade(g, p, ABS, x)
                 norm_u = np.sqrt(u @ (u / g.degrees))
                 assert norm_u <= norm_x * (1.0 + 1e-8)
 
@@ -134,27 +128,5 @@ class TestTwoColoringDichotomy:
         g, x = cases[name]
         low = apply_operator(g, SYM_NORM_ADJACENCY, x)
         assert np.max(np.abs(low)) < 1e-12
-        bank = WaveletBank(g, K=0)
-        assert np.max(np.abs(cascade(bank, (0,), ABS, x) - x)) < 1e-12
+        assert np.max(np.abs(cascade(g, (0,), ABS, x) - x)) < 1e-12
 
-
-class TestGraphMoments:
-    def test_zero_column(self):
-        m = graph_moments(np.zeros((5, 2)), 3)
-        assert np.array_equal(m, np.zeros((2, 3)))
-
-    def test_hand_sum(self):
-        m = graph_moments(np.array([1.0, -1.0]), 2)
-        assert np.array_equal(m, [[2.0, 2.0]])
-
-    def test_matches_loop_oracle(self, rng):
-        U = rng.standard_normal((5, 3))
-        m = graph_moments(U, 4)
-        for j in range(3):
-            for q in range(1, 5):
-                expected = sum(abs(U[i, j]) ** q for i in range(5))
-                assert abs(m[j, q - 1] - expected) < 1e-12
-
-    def test_qmax_validation(self):
-        with pytest.raises(ValueError):
-            graph_moments(np.zeros(3), 0)

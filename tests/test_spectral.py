@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from graphscat.errors import NotSymmetric, TooLargeForDense
 from graphscat.graph import build_graph
 from graphscat.spectral import (
     chebyshev_filter,
+    dense_adjacency,
     eigendecompose,
     gcn_unnormalized,
-    graph_fourier,
-    inverse_fourier,
     lowpass_filter,
     spectral_response,
     sym_normalized_laplacian,
     wavelet_filter,
 )
 
-from conftest import count_eigendecompositions, dense_ops, random_connected_graph
+from conftest import (
+    count_eigendecompositions,
+    dense_ops,
+    per_node_dense_adjacency,
+    random_connected_graph,
+    weighted_graphs,
+)
 
 
 def cycle(n):
@@ -37,6 +43,11 @@ def char_poly_roots(M):
 
 
 class TestLaplacian:
+    @settings(max_examples=200, deadline=None)
+    @given(g=weighted_graphs())
+    def test_dense_adjacency_equals_per_node_fill(self, g):
+        assert np.array_equal(dense_adjacency(g), per_node_dense_adjacency(g))
+
     def test_k2_eigenvalues(self):
         g = build_graph([(0, 1)])
         L = sym_normalized_laplacian(g)
@@ -131,11 +142,13 @@ class TestEigendecompose:
 
 
 class TestFourier:
+    """The eigenvector basis Q of eigendecompose as a graph Fourier basis, x_hat = Q^T x."""
+
     def test_basis_vector_maps_to_unit_coefficient(self, rng):
         edges, g = random_connected_graph(rng, 9)
         eig = eigendecompose(sym_normalized_laplacian(g))
         for i in (0, 4, 8):
-            xhat = graph_fourier(eig.eigenvectors[:, i], eig)
+            xhat = eig.eigenvectors.T @ eig.eigenvectors[:, i]
             expected = np.zeros(9)
             expected[i] = 1.0
             assert np.allclose(xhat, expected, atol=1e-8)
@@ -144,7 +157,8 @@ class TestFourier:
         edges, g = random_connected_graph(rng, 14)
         eig = eigendecompose(sym_normalized_laplacian(g))
         X = rng.standard_normal((14, 3))
-        assert np.max(np.abs(inverse_fourier(graph_fourier(X, eig), eig) - X)) < 1e-8
+        Q = eig.eigenvectors
+        assert np.max(np.abs(Q @ (Q.T @ X) - X)) < 1e-8
 
     def test_constant_signal_lives_on_zero_mode(self, rng):
         # oracle: the zero eigenvector is D^(1/2) 1 normalized, so on a
@@ -152,7 +166,7 @@ class TestFourier:
         g = build_graph(cycle(12))
         eig = eigendecompose(sym_normalized_laplacian(g))
         x = np.ones(12)
-        xhat = graph_fourier(x, eig)
+        xhat = eig.eigenvectors.T @ x
         assert abs(np.sum(xhat ** 2) - xhat[0] ** 2) < 1e-8
 
         # irregular graph: mode-0 coefficient still matches the oracle vector
@@ -160,14 +174,14 @@ class TestFourier:
         eig = eigendecompose(sym_normalized_laplacian(g))
         q0 = np.sqrt(g.degrees)
         q0 /= np.linalg.norm(q0)
-        xhat = graph_fourier(np.ones(12), eig)
+        xhat = eig.eigenvectors.T @ np.ones(12)
         assert abs(abs(xhat[0]) - abs(q0 @ np.ones(12))) < 1e-8
 
     def test_parseval(self, rng):
         edges, g = random_connected_graph(rng, 17)
         eig = eigendecompose(sym_normalized_laplacian(g))
         x = rng.standard_normal(17)
-        assert abs(np.sum(x ** 2) - np.sum(graph_fourier(x, eig) ** 2)) < 1e-8
+        assert abs(np.sum(x ** 2) - np.sum((eig.eigenvectors.T @ x) ** 2)) < 1e-8
 
 
 class TestSpectralResponse:

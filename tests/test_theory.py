@@ -42,8 +42,10 @@ from conftest import (
     count_kernel_calls,
     dense_ops,
     dense_wavelet,
+    per_node_homophily,
     per_trial_gcn_deviation,
     random_connected_graph,
+    weighted_graphs,
 )
 
 
@@ -382,6 +384,16 @@ class TestHomophily:
         labels = rng.integers(0, 3, size=20)
         same = sum(1 for u, v in edges if labels[u] == labels[v])
         assert homophily(g, labels) == pytest.approx(same / len(edges))
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=weighted_graphs(), data=st.data())
+    def test_equals_per_node_loop(self, g, data):
+        labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
+        if g.num_edges:
+            assert homophily(g, labels) == per_node_homophily(g, labels)
+        else:
+            with pytest.raises(ValueError, match="^graph has no edges$"):
+                homophily(g, labels)
 
 
 class TestFixtureRunner:

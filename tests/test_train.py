@@ -202,3 +202,9 @@ class TestConfigsAndMasks:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="sgdm")
         TrainConfig(lr=0.0)   # explicitly legal
+
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_train_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            TrainConfig(**{field: value})
