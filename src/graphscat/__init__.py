@@ -14,7 +14,6 @@ from .graph import (
     OperatorKind,
     apply_operator,
     build_graph,
-    neighborhood,
     read_edge_list,
     residual_diffusion,
     write_edge_list,

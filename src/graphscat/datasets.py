@@ -150,8 +150,7 @@ def save_dataset(ds: Dataset, out_dir):
     with open(os.path.join(out_dir, "features.csv"), "w", encoding="utf-8") as fh:
         write_rows(fh, ",".join(["%.17g"] * ds.features.shape[1]), ds.features)
     with open(os.path.join(out_dir, "labels.csv"), "w", encoding="utf-8") as fh:
-        for y in ds.labels:
-            fh.write(f"{int(y)}\n")
+        write_rows(fh, "%d", ds.labels.reshape(-1, 1))
     with open(os.path.join(out_dir, "splits.json"), "w", encoding="utf-8") as fh:
         json.dump({"train": ds.splits.train.tolist(),
                    "val": ds.splits.val.tolist(),

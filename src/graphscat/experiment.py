@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import ConfigError, ConfigView, parse_config
 from .datasets import Dataset, SBMSpec, describe, generate_sbm, load_dataset
+from .graph import write_rows
 from .layers import attention_ratio
 from .models import ModelSpec, build_model
 from .train import FitResult, TrainConfig, evaluate, fit
@@ -80,15 +81,13 @@ def write_metrics_csv(path, history: dict):
     cols = ["epoch", "train_loss", "val_loss", "train_acc", "val_acc"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(len(history["epoch"])):
-            fh.write(",".join(f"{history[c][i]:.10g}" for c in cols) + "\n")
+        write_rows(fh, ",".join(["%.10g"] * len(cols)), np.column_stack([history[c] for c in cols]))
 
 
 def write_attention_ratios(path, zeta: np.ndarray):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("node,zeta\n")
-        for v, z in enumerate(zeta):
-            fh.write(f"{v},{z:.10g}\n")
+        write_rows(fh, "%d,%.10g", np.column_stack([np.arange(len(zeta)), zeta]))
 
 
 def run_trained_model(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig):

@@ -3,14 +3,15 @@
 The central object is the lazy random walk P = (I + W D^-1) / 2, applied
 column-wise to feature matrices without ever materializing an n x n power.
 All arithmetic is float64; neighbor lists are sorted so runs are
-bit-reproducible.
+bit-reproducible. Hop distances, which only the theory checks ask for, come
+from one n x n table that a Graph builds on first use (Graph.hops).
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,8 @@ class Graph:
     positive weight, no self-loops, and degrees[v] equals the row sum of W.
     Arrays are frozen (non-writeable), so instances are safely shareable.
     The kernel's row segmentation, the isolated-node flag and the operator
-    divisors are derived once at construction.
+    divisors are derived once at construction; the hop table is derived on
+    first use, since training never reads it.
     """
 
     n: int
@@ -73,6 +75,31 @@ class Graph:
     def entry_rows(self) -> np.ndarray:
         """Source node of every CSR entry, aligned with csr_targets."""
         return np.repeat(np.arange(self.n), np.diff(self.csr_offsets))
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """Read-only (n, n) int64 hop distances, -1 between components, built on first use.
+
+        One breadth-first search from all sources at once expands each level's
+        (source, node) pairs through their CSR rows: O(n (n + nnz)) array work.
+        """
+        n = self.n
+        table = np.full(n * n, -1, dtype=np.int64)
+        frontier, level = np.arange(n) * (n + 1), 0     # flat (v, v) pairs
+        while frontier.size:
+            table[frontier] = level
+            level += 1
+            sources, nodes = np.divmod(frontier, n)
+            deg = np.diff(self.csr_offsets)[nodes]
+            ends = np.cumsum(deg)
+            entries = np.arange(ends[-1]) + np.repeat(self.csr_offsets[nodes] + deg - ends, deg)
+            reached = np.repeat(sources * n, deg) + self.csr_targets[entries]
+            # repeats dropped after a sort: np.unique would import numpy.ma (1.2 MB)
+            reached = np.sort(reached[table[reached] < 0])
+            frontier = reached[np.diff(reached, prepend=-1) != 0]
+        table = table.reshape(n, n)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -261,36 +288,6 @@ def apply_operator_transpose(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.
         return (X + a * adjacency_matvec(g, X) / d) / (a + 1.0)
     # renorm_adjacency and sym_norm_adjacency are symmetric
     return apply_operator(g, kind, X)
-
-
-def bfs_distances(g: Graph, v: int, cap: int | None = None) -> np.ndarray:
-    """Hop distances from v; unreachable nodes get -1. Stops beyond cap if given."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"node {v} out of range")
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[v] = 0
-    q = deque([v])
-    while q:
-        u = q.popleft()
-        if cap is not None and dist[u] >= cap:
-            continue
-        for w in g.neighbors(u):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                q.append(int(w))
-    return dist
-
-
-def neighborhood(g: Graph, v: int, K: int, closed: bool = False) -> set[int]:
-    """K-step neighborhood {u : 1 <= d(u,v) <= K}; closed variant adds v itself.
-
-    K=0 gives the empty set (closed: {v}).
-    """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    dist = bfs_distances(g, v, cap=K)
-    lo = 0 if closed else 1
-    return {int(u) for u in np.flatnonzero((dist >= lo) & (dist <= K))}
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:

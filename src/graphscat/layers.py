@@ -38,7 +38,7 @@ from . import autodiff as ad
 from .errors import IsolatedNodeError
 from .graph import RENORM_ADJACENCY, Graph, residual_diffusion
 from .scattering import ABS, Nonlinearity, cascade_tensor, first_wavelets
-from .wavelets import check_scale
+from .wavelets import check_scales
 
 ATTENTION_LEAKY_SLOPE = 0.2  # GAT convention; the source text leaves it open
 
@@ -78,8 +78,7 @@ class ChannelSpec:
         else:
             if self.q < 1:
                 raise ValueError("band-pass q must be >= 1")
-            for k in self.path:
-                check_scale(k)
+            check_scales(self.path)
 
 
 def low_channel(r: int, width: int, sigma: Nonlinearity = ABS) -> ChannelSpec:

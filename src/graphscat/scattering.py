@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import Graph
-from .wavelets import wavelet_sweep
+from .wavelets import check_scales, wavelet_sweep
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,9 @@ def leaky(slope: float = 0.2) -> Nonlinearity:
 
 
 def first_wavelets(g: Graph, paths, t: ad.Tensor) -> dict[int, ad.Tensor]:
-    """{k: Psi_k t} for every path's first scale k, from one wavelet sweep."""
+    """{k: Psi_k t} for every path's first scale k, from one wavelet sweep;
+    every scale of every path is checked first."""
+    check_scales(k for p in paths for k in p)
     scales = sorted({p[0] for p in paths if p})
     return dict(zip(scales, wavelet_sweep(g, scales, t)))
 
@@ -87,7 +89,9 @@ def cascade_tensor(g: Graph, p, sigma: Nonlinearity, t: ad.Tensor,
 
     swept, from first_wavelets(g, paths, t), supplies Psi_{p[0]} t, so
     paths that share it run no chain of their own for their first wavelet.
+    Every scale of p is checked before the first chain runs.
     """
+    check_scales(p)
     for i, k in enumerate(p):
         if i > 0:
             t = sigma.apply_tensor(t)

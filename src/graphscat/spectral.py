@@ -20,6 +20,7 @@ from .errors import (
     TooLargeForDense,
 )
 from .graph import Graph
+from .wavelets import check_scales
 
 DEFAULT_DENSE_LIMIT = 2048
 
@@ -82,8 +83,10 @@ class FilterSpec:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.kind in ("wavelet", "lowpass") and (self.k is None or self.k < 0):
-            raise ValueError(f"{self.kind} scale must be >= 0, got {self.k}")
+        if self.kind in ("wavelet", "lowpass"):
+            if self.k is None:
+                raise ValueError(f"{self.kind} filter needs a scale k")
+            check_scales((self.k,))
 
 
 def gcn_unnormalized(theta: float = 1.0) -> FilterSpec:

@@ -6,25 +6,19 @@ features or degrees disagree across phi (with the degree-feature product
 refinement on boundary nodes); the low-pass impossibility statement is
 checked with random-weight GCNs, and the scattering separation statement is
 checked by building the wavelet path from the binary expansion of the
-difference distance and propagating it layer by layer.
+difference distance and propagating it layer by layer. Every hop question
+(balls, boundaries, distances, shortest paths) reads the graph's hop table,
+Graph.hops, which each checked graph builds once.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import HypothesisViolated, PartialMap
-from .graph import (
-    LAZY_WALK,
-    RENORM_ADJACENCY,
-    Graph,
-    apply_operator,
-    bfs_distances,
-    neighborhood,
-)
+from .graph import LAZY_WALK, RENORM_ADJACENCY, Graph, apply_operator
 from .scattering import Nonlinearity, cascade
 
 EQUALITY_ATOL = 1e-9  # all equality/inequality decisions in 64-bit arithmetic
@@ -35,8 +29,8 @@ class IntrinsicFeatureKind:
     """Topology-derived node features.
 
     degree          weighted degree (locality 1)
-    avg_degree      mean degree over the closed (K-1)-neighborhood (locality K)
-    triangle_count  triangles inside the induced closed K-neighborhood (locality K)
+    avg_degree      mean degree over the closed (K-1)-hop ball (locality K)
+    triangle_count  triangles inside the induced closed K-hop ball (locality K)
     """
 
     kind: str
@@ -66,6 +60,21 @@ def triangle_count(K: int) -> IntrinsicFeatureKind:
     return IntrinsicFeatureKind("triangle_count", K)
 
 
+def _hops_from(g: Graph, v: int) -> np.ndarray:
+    """Row v of the hop table."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"node {v} out of range")
+    return g.hops[v]
+
+
+def _ball(g: Graph, v: int, K: int) -> np.ndarray:
+    """Ascending ids of the closed K-ball {u : d(u, v) <= K}."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    dist = _hops_from(g, v)
+    return np.flatnonzero((dist >= 0) & (dist <= K))
+
+
 def intrinsic_features(g: Graph, kind: IntrinsicFeatureKind) -> np.ndarray:
     """One feature column determined by each node's local isomorphism class."""
     if kind.kind == "degree":
@@ -73,20 +82,14 @@ def intrinsic_features(g: Graph, kind: IntrinsicFeatureKind) -> np.ndarray:
     out = np.zeros((g.n, 1))
     if kind.kind == "avg_degree":
         for v in range(g.n):
-            hood = sorted(neighborhood(g, v, kind.K - 1, closed=True))
-            out[v, 0] = float(np.mean(g.degrees[hood]))
+            out[v, 0] = float(np.mean(g.degrees[_ball(g, v, kind.K - 1)]))
         return out
+    adj = (g.hops == 1).astype(np.int64)
     for v in range(g.n):
-        hood = neighborhood(g, v, kind.K, closed=True)
-        count = 0
-        for u in hood:
-            nu = set(int(w) for w in g.neighbors(u)) & hood
-            for w in nu:
-                if w <= u:
-                    continue
-                common = nu & set(int(z) for z in g.neighbors(w)) & hood
-                count += sum(1 for z in common if z > w)
-        out[v, 0] = float(count)
+        ball = _ball(g, v, kind.K)
+        A = adj[np.ix_(ball, ball)]
+        # each triangle of the induced ball is six closed walks of length 3
+        out[v, 0] = float(np.sum((A @ A) * A) // 6)
     return out
 
 
@@ -111,44 +114,25 @@ class NodeMap:
     def domain(self) -> set[int]:
         return set(self.mapping)
 
-    def image_of(self, nodes) -> set[int]:
-        return {self(u) for u in nodes}
-
 
 def validate_isomorphism(g: Graph, phi: NodeMap, v: int, radius: int) -> bool:
     """True iff phi maps G(N_v^radius, closed) isomorphically (weights included)
     onto G(N_phi(v)^radius, closed)."""
-    ball = neighborhood(g, v, radius, closed=True)
-    for u in ball:
-        phi(u)  # PartialMap if missing
-    target = neighborhood(g, phi(v), radius, closed=True)
-    if phi.image_of(ball) != target:
+    ball = _ball(g, v, radius)
+    image = np.array([phi(int(u)) for u in ball], dtype=np.int64)  # PartialMap if missing
+    if not np.array_equal(np.sort(image), _ball(g, phi(v), radius)):
         return False
-
-    def induced_edges(nodes):
-        edges = {}
-        for u in nodes:
-            for w, wt in zip(g.neighbors(u), g.neighbor_weights(u)):
-                if int(w) in nodes and u < w:
-                    edges[(u, int(w))] = wt
-        return edges
-
-    src = induced_edges(ball)
-    dst = induced_edges(target)
-    if len(src) != len(dst):
-        return False
-    for (u, w), wt in src.items():
-        pu, pw = phi(u), phi(w)
-        key = (min(pu, pw), max(pu, pw))
-        if key not in dst or dst[key] != wt:
-            return False
-    return True
+    W = np.zeros((g.n, g.n))
+    W[g.entry_rows(), g.csr_targets] = g.csr_weights
+    return np.array_equal(W[np.ix_(ball, ball)], W[np.ix_(image, image)])
 
 
 def region_boundary(g: Graph, region: set[int]) -> set[int]:
     """Nodes of the region with at least one neighbor outside it."""
-    return {u for u in region
-            if any(int(w) not in region for w in g.neighbors(u))}
+    nodes = np.array(sorted(region), dtype=np.int64)
+    outside = np.ones(g.n, dtype=bool)
+    outside[nodes] = False
+    return set(nodes[np.any((g.hops[nodes] == 1) & outside, axis=1)].tolist())
 
 
 @dataclass
@@ -188,29 +172,20 @@ def structural_differences(g: Graph, phi: NodeMap, X: np.ndarray, region,
     report = StructuralDifferenceReport()
     for u in sorted(region):
         pu = phi(u)
-        feat = bool(np.max(np.abs(X[u] - X[pu])) > atol)
-        deg = bool(abs(g.degrees[u] - g.degrees[pu]) > atol)
-        if u in boundary:
-            prod = bool(np.max(np.abs(g.degrees[pu] * X[u] - g.degrees[u] * X[pu])) > atol)
-            tags = []
-            if feat:
-                tags.append("feature-diff")
-            if deg:
-                tags.append("degree-diff")
-            if prod:
-                report.causes[u] = tuple(tags) + ("boundary-product-diff",)
-            elif feat or deg:
-                report.excluded[u] = tuple(tags) + ("boundary-cancelled",)
-        else:
-            tags = []
-            if feat:
-                tags.append("feature-diff")
-            if deg:
-                tags.append("degree-diff")
+        tags = ()
+        if np.max(np.abs(X[u] - X[pu])) > atol:
+            tags += ("feature-diff",)
+        if abs(g.degrees[u] - g.degrees[pu]) > atol:
+            tags += ("degree-diff",)
+        if u not in boundary:
             if tags:
-                report.causes[u] = tuple(tags)
+                report.causes[u] = tags
+        elif np.max(np.abs(g.degrees[pu] * X[u] - g.degrees[u] * X[pu])) > atol:
+            report.causes[u] = tags + ("boundary-product-diff",)
+        elif tags:
+            report.excluded[u] = tags + ("boundary-cancelled",)
     if center is not None and report.causes:
-        dist = bfs_distances(g, center)
+        dist = _hops_from(g, center)
         report.d = int(min(dist[u] for u in report.causes if dist[u] >= 0))
     return report
 
@@ -248,22 +223,13 @@ def check_coincidental_correspondence(g: Graph, phi: NodeMap, X: np.ndarray,
 
 
 def count_shortest_paths(g: Graph, a: int, b: int) -> int:
-    """Number of distinct shortest a-b paths (BFS path counting)."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    count = np.zeros(g.n, dtype=np.int64)
-    dist[a] = 0
-    count[a] = 1
-    q = deque([a])
-    while q:
-        u = q.popleft()
-        for w in g.neighbors(u):
-            w = int(w)
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                count[w] = count[u]
-                q.append(w)
-            elif dist[w] == dist[u] + 1:
-                count[w] += count[u]
+    """Number of distinct shortest a-b paths: a node at distance k from a is
+    reached by the paths of its neighbors at distance k - 1."""
+    dist = g.hops[a]
+    adj = (g.hops == 1).astype(np.int64)
+    count = (dist == 0).astype(np.int64)
+    for k in range(1, int(dist[b]) + 1):
+        count = np.where(dist == k, adj @ count, 0)
     return int(count[b])
 
 
@@ -273,20 +239,15 @@ def generalized_path(g: Graph, v: int, diff_nodes) -> tuple[int, set[int], list[
     diff_nodes = set(int(u) for u in diff_nodes)
     if not diff_nodes:
         raise ValueError("no difference nodes supplied")
-    dist_v = bfs_distances(g, v)
+    dist_v = _hops_from(g, v)
     reachable = [u for u in diff_nodes if dist_v[u] >= 0]
     if not reachable:
         raise ValueError("difference nodes unreachable from v")
     d = int(min(dist_v[u] for u in reachable))
     vd = {u for u in reachable if dist_v[u] == d}
-    layers = [set() for _ in range(d + 1)]
-    for u0 in vd:
-        dist_u0 = bfs_distances(g, u0)
-        on_path = np.flatnonzero((dist_u0 >= 0) & (dist_v >= 0)
-                                 & (dist_u0 + dist_v == d))
-        for w in on_path:
-            layers[int(dist_u0[w])].add(int(w))
-    return d, vd, layers
+    # w is on a minimal u0-v path iff d(u0, w) + d(w, v) = d, in layer d - d(w, v)
+    on_path = np.any(g.hops[sorted(vd)] + dist_v == d, axis=0)
+    return d, vd, [set(np.flatnonzero(on_path & (dist_v == d - j)).tolist()) for j in range(d + 1)]
 
 
 @dataclass
@@ -331,7 +292,7 @@ def verify_theorem1(g: Graph, phi: NodeMap, v: int, K: int, L: int,
                     tol: float = EQUALITY_ATOL, seed: int = 0) -> Theorem1Report:
     """Random-weight GCNs cannot tell v from phi(v) through L layers.
 
-    Requires phi-isomorphic closed (K+L)-neighborhoods and features of
+    Requires phi-isomorphic closed (K+L)-hop balls and features of
     locality at most K.
     """
     if kind.locality > K:
@@ -378,8 +339,7 @@ def _onion_layers_match(g: Graph, phi: NodeMap, v: int, X: np.ndarray, d: int,
     """Onion check: diffs of P^j X inside the closed (d-j)-ball equal U_j."""
     Y = X
     for j in range(d + 1):
-        ball = neighborhood(g, v, d - j, closed=True)
-        found = structural_differences(g, phi, Y, ball, atol=atol).nodes
+        found = structural_differences(g, phi, Y, _ball(g, v, d - j), atol=atol).nodes
         if found != layers[j]:
             return False
         if j < d:
@@ -399,7 +359,7 @@ def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
         raise HypothesisViolated(
             f"(K+L)-neighborhoods of {v} and {phi(v)} are not phi-isomorphic")
     X = intrinsic_features(g, kind)
-    domain = neighborhood(g, v, K + L, closed=True)
+    domain = _ball(g, v, K + L)
     diffs = structural_differences(g, phi, X, domain, center=v, atol=tol)
     if not diffs.causes:
         raise HypothesisViolated("no structural difference in the (K+L)-neighborhood")
@@ -414,7 +374,7 @@ def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
             raise HypothesisViolated(
                 f"{n_paths} shortest paths between {v} and {u0}")
     if not skip_coincidence:
-        ball_d = neighborhood(g, v, d, closed=True)
+        ball_d = set(_ball(g, v, d).tolist())
         interior = ball_d - region_boundary(g, ball_d)
         offenders = check_coincidental_correspondence(
             g, phi, X, interior, up_to_radius=d, atol=tol)
@@ -447,7 +407,7 @@ def verify_theorem2(g: Graph, phi: NodeMap, v: int, K: int, L: int,
     """Scattering separates v from phi(v) once a structural difference exists.
 
     Hypotheses checked before the construction: phi-isomorphic closed
-    (K+L)-neighborhoods, at least one structural difference inside, no
+    (K+L)-hop balls, at least one structural difference inside, no
     coincidental correspondence on the interior of the d-ball (including the
     diffused-feature extension), and a strictly monotonic nonlinearity. The
     scattering path is the binary expansion of the difference distance.

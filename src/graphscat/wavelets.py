@@ -17,10 +17,11 @@ from .errors import ScaleOutOfRange
 from .graph import LAZY_WALK, Graph
 
 
-def check_scale(k: int):
-    """Reject a negative wavelet scale, naming it."""
-    if k < 0:
-        raise ScaleOutOfRange(f"wavelet scale {k} must be >= 0")
+def check_scales(scales):
+    """Reject the first negative wavelet scale, naming it."""
+    for k in scales:
+        if k < 0:
+            raise ScaleOutOfRange(f"wavelet scale {k} must be >= 0")
 
 
 def _psi(chain: list[ad.Tensor], k: int) -> ad.Tensor:
@@ -30,14 +31,13 @@ def _psi(chain: list[ad.Tensor], k: int) -> ad.Tensor:
 
 def wavelet_sweep(g: Graph, scales, t: ad.Tensor) -> list[ad.Tensor]:
     """[Psi_k t for k in scales] on the tape from one lazy-walk chain to 2^max(scales)."""
-    for k in scales:
-        check_scale(k)
+    check_scales(scales)
     chain = ad.op_chain(g, LAZY_WALK, t, max((2 ** k for k in scales), default=0))
     return [_psi(chain, k) for k in scales]
 
 
 def bank_sweep(g: Graph, K: int, X: np.ndarray) -> list[np.ndarray]:
     """[Psi_0 X, ..., Psi_K X, Phi_K X] from one shared chain (2^K matvecs)."""
-    check_scale(K)
+    check_scales((K,))
     chain = ad.op_chain(g, LAZY_WALK, ad.constant(X), 2 ** K)
     return [_psi(chain, k).value for k in range(K + 1)] + [chain[-1].value]

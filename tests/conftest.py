@@ -4,6 +4,7 @@ composition of the attention layer; and the per-edge, per-node, per-trial
 and per-value loops that the array-built graph, the CSR array expressions,
 the batched random-GCN trials and the row writer replace."""
 
+import functools
 import math
 import warnings
 
@@ -107,6 +108,21 @@ def count_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(graph_module, "adjacency_matvec", counted)
     return calls
+
+
+def count_hop_builds(monkeypatch):
+    """List that gets each Graph whose hop table is built from now on."""
+    built = []
+    build = Graph.hops.func
+
+    def counted(g):
+        built.append(g)
+        return build(g)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Graph, "hops")
+    monkeypatch.setattr(Graph, "hops", prop)
+    return built
 
 
 def record_matmul_operands(monkeypatch):

@@ -24,9 +24,7 @@ from graphscat.graph import (
     RENORM_ADJACENCY,
     SYM_NORM_ADJACENCY,
     apply_operator,
-    bfs_distances,
     build_graph,
-    neighborhood,
     residual_diffusion,
 )
 from graphscat.layers import (
@@ -100,7 +98,7 @@ def _erdos_renyi_connected(n, p, seed):
         if counts.min() == 0:
             continue
         g = build_graph(edges, n=n)
-        if np.all(bfs_distances(g, 0) >= 0):
+        if np.all(g.hops[0] >= 0):
             return g
 
 
@@ -176,7 +174,7 @@ def test_criterion_5_theorem_2_onion_and_guards():
             _, _, layers = generalized_path(g, case.v, diffs.nodes)
             Y = X
             for j in range(d + 1):
-                ball = neighborhood(g, case.v, d - j, closed=True)
+                ball = [u for u in range(g.n) if 0 <= g.hops[case.v, u] <= d - j]
                 assert structural_differences(g, phi, Y, ball).nodes == layers[j]
                 Y = apply_operator(g, LAZY_WALK, Y)
 

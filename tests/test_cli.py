@@ -28,6 +28,29 @@ from conftest import (
 )
 
 
+# `graphscat verify-theory` stdout: one line per fixture, then the tally
+VERIFY_THEORY_STDOUT = """\
+two-coloring-C4            PASS  lowpass dev 1.11e-16, band dev 0.00e+00
+two-coloring-C6            PASS  lowpass dev 1.11e-16, band dev 0.00e+00
+two-coloring-C8            PASS  lowpass dev 1.11e-16, band dev 0.00e+00
+two-coloring-K33           PASS  lowpass dev 2.22e-16, band dev 0.00e+00
+two-coloring-cube          PASS  lowpass dev 2.22e-16, band dev 0.00e+00
+c6-rotation                PASS  max deviation 0.000e+00
+pendant-path-hidden-leaf   PASS  max deviation 0.000e+00
+pendant-path-radius-guard  PASS  guard fired: (K+L)-neighborhoods of 0 and 6 are not phi-isomorphic
+pendant-path-d1            PASS  d=1 path=(0,) separation=8.333e-02 gcn=0.000e+00 onion=True
+pendant-path-d2            PASS  d=2 path=(1,) separation=2.083e-02 gcn=0.000e+00 onion=True
+pendant-path-d3            PASS  d=3 path=(0, 1) separation=5.208e-03 gcn=0.000e+00 onion=True
+pendant-path-d5            PASS  d=5 path=(0, 2) separation=3.255e-04 gcn=0.000e+00 onion=True
+barbell-bell-vs-leaves     PASS  d=4 path=(2,) separation=7.813e-04 gcn=0.000e+00 onion=True
+coincidental-gadget        PASS  guard fired: coincidental correspondence at nodes [0]
+pendant-path-d3-unique     PASS  d=3 path=(0, 1) separation=5.208e-03 gcn=0.000e+00 onion=True
+fork-equidistant           PASS  guard fired: nearest difference node not unique: [2, 7]
+square-double-path         PASS  guard fired: 2 shortest paths between 0 and 3
+17/17 fixtures passed
+"""
+
+
 class TestConfigParsing:
     def test_basic_parse_with_comments(self):
         values = parse_config_text("# top\nmodel.preset = gsan  # inline\n\ntrain.lr=0.02\n")
@@ -179,13 +202,17 @@ class TestCliCommands:
         assert seen == [want]
 
     @pytest.mark.parametrize("paths", ["-1", "1|0,-1"])
-    def test_scatter_rejects_negative_scale(self, small_dataset_dir, tmp_path, capsys, paths):
+    def test_scatter_rejects_negative_scale(self, small_dataset_dir, tmp_path, capsys,
+                                            monkeypatch, paths):
+        # every scale is checked before the first chain runs
+        calls = count_kernel_calls(monkeypatch)
         out = tmp_path / "scatter.csv"
         assert main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
                      "--features", str(small_dataset_dir / "features.csv"),
                      f"--paths={paths}", "--out", str(out)]) == 2
         assert "error: wavelet scale -1 must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+        assert calls == []
 
     @pytest.mark.parametrize("setting,message", [
         ("model.band_paths = -1|3", "wavelet scale -1 must be >= 0"),
@@ -388,6 +415,28 @@ class TestCliCommands:
         columns = [range(ds.graph.n)] + [U[:, j] for U in outs for j in range(8)]
         assert out.read_text() == per_value_csv(header, columns, ["d"] + [".10g"] * 16)
 
+    def test_metrics_ratios_and_labels_match_per_value_writer(self, small_dataset_dir,
+                                                               tmp_path):
+        nan, inf = float("nan"), float("inf")
+        history = {"epoch": [0, 1, 2, 10 ** 12],
+                   "train_loss": [0.5, nan, inf, -0.0],
+                   "val_loss": [1 / 3, -inf, 1e-300, 2.5],
+                   "train_acc": [0.0, 0.25, 1.0, 2 / 3],
+                   "val_acc": [1.0, 0.125, nan, 0.1]}
+        cols = list(history)
+        experiment.write_metrics_csv(tmp_path / "metrics.csv", history)
+        assert (tmp_path / "metrics.csv").read_text() == per_value_csv(
+            cols, [history[c] for c in cols], [".10g"] * len(cols))
+
+        zeta = np.array([0.25, np.nan, np.inf, -np.inf, 1 / 3, 12345678901.5])
+        experiment.write_attention_ratios(tmp_path / "ratios.csv", zeta)
+        assert (tmp_path / "ratios.csv").read_text() == per_value_csv(
+            ["node", "zeta"], [range(zeta.size), zeta], ["d", ".10g"])
+
+        ds = load_dataset(small_dataset_dir)
+        assert (small_dataset_dir / "labels.csv").read_text() == per_value_csv(
+            None, [[int(y) for y in ds.labels]], ["d"])
+
     def test_labels_parse_error_names_line(self, small_dataset_dir, tmp_path, capsys):
         labels = (small_dataset_dir / "labels.csv").read_text().splitlines()
         labels[4] = "1.5"
@@ -399,8 +448,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("filters,message", [
         (";", "--filters names no filter"),
         (" ; ", "--filters names no filter"),
-        ("wavelet:-1", "wavelet scale must be >= 0"),
-        ("gcn;lowpass:-2", "lowpass scale must be >= 0"),
+        ("wavelet:-1", "wavelet scale -1 must be >= 0"),
+        ("gcn;lowpass:-2", "wavelet scale -2 must be >= 0"),
     ])
     def test_spectra_rejects_bad_filter_list(self, tmp_path, capsys, filters, message):
         edges = tmp_path / "edges.tsv"
@@ -417,9 +466,7 @@ class TestCliCommands:
     def test_verify_theory_exits_zero(self, capsys):
         rc = main(["verify-theory"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "fixtures passed" in out
-        assert "FAIL" not in out
+        assert capsys.readouterr().out == VERIFY_THEORY_STDOUT
 
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main(["scatter", "--graph", str(tmp_path / "absent.tsv"),

@@ -25,7 +25,6 @@ from graphscat.graph import (
     apply_operator,
     apply_operator_transpose,
     build_graph,
-    neighborhood,
     read_edge_list,
     residual_diffusion,
     write_edge_list,
@@ -260,28 +259,47 @@ class TestOperatorPower:
 class TestNeighborhood:
     def test_path_radius_one(self):
         g = build_graph([(0, 1), (1, 2)])
-        assert neighborhood(g, 0, 1) == {1}
+        assert np.flatnonzero(g.hops[0] == 1).tolist() == [1]
 
     def test_path_radius_two(self):
         g = build_graph([(0, 1), (1, 2)])
-        assert neighborhood(g, 0, 2) == {1, 2}
+        assert g.hops[0].tolist() == [0, 1, 2]
 
     def test_radius_zero(self):
         g = build_graph(cycle(5))
-        assert neighborhood(g, 2, 0) == set()
-        assert neighborhood(g, 2, 0, closed=True) == {2}
+        assert np.flatnonzero(g.hops[2] == 0).tolist() == [2]
+        assert np.array_equal(np.diag(g.hops), np.zeros(5))
 
     def test_bfs_semantics_against_matrix_oracle(self, rng):
-        edges, g = random_connected_graph(rng, 15)
-        ops = dense_ops(15, edges)
-        reach = np.eye(15, dtype=bool)
-        adj = ops["W"] > 0
-        for K in range(4):
-            if K > 0:
+        # d(v, u) is the first K whose K-step reach from v contains u
+        n = 15
+        e1, _ = random_connected_graph(rng, 6)
+        e2, _ = random_connected_graph(rng, 7)
+        split = e1 + [(u + 6, v + 6) for u, v in e2]        # nodes 13, 14 isolated
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IsolatedNodeWarning)
+            graphs = [random_connected_graph(rng, n),
+                      random_connected_graph(rng, n, weighted=True),
+                      (split, build_graph(split, n=n))]
+        for edges, g in graphs:
+            adj = dense_w(n, edges) > 0
+            expected = np.full((n, n), -1)
+            reach = np.eye(n, dtype=bool)
+            for K in range(n):
+                expected[reach & (expected < 0)] = K
                 reach = reach | (reach @ adj)
-            for v in range(15):
-                expected = set(np.flatnonzero(reach[v])) - {v}
-                assert neighborhood(g, v, K) == expected
+            assert g.hops.dtype == np.int64
+            assert np.array_equal(g.hops, expected)
+        assert g.hops[0, 6] == g.hops[13, 14] == -1 and g.hops[14, 14] == 0
+
+    def test_table_is_built_on_first_use_cached_and_read_only(self):
+        g = build_graph(cycle(6))
+        assert "hops" not in vars(g)
+        table = g.hops
+        assert g.hops is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 1] = 5
 
 
 class TestInvariantProperties:

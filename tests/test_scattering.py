@@ -88,14 +88,19 @@ class TestCascade:
         for u, v in zip(got, want, strict=True):
             assert np.array_equal(u, v)
 
-    def test_scale_out_of_range(self):
-        # scales are bounded below only; the error names the negative scale
+    def test_scale_out_of_range(self, monkeypatch):
+        # scales are bounded below only; the error names the negative scale,
+        # and every scale is checked before the first chain runs
         g = build_graph(cycle(4))
         assert np.array_equal(cascade(g, (0, 3), ABS, np.zeros(4)), np.zeros(4))
+        calls = count_kernel_calls(monkeypatch)
         with pytest.raises(ScaleOutOfRange, match="wavelet scale -1 must be >= 0"):
             cascade(g, (0, -1), ABS, np.zeros(4))
         with pytest.raises(ScaleOutOfRange, match="wavelet scale -2 "):
             first_wavelets(g, [(0,), (-2, 0)], ad.constant(np.zeros(4)))
+        with pytest.raises(ScaleOutOfRange, match="wavelet scale -3 "):
+            first_wavelets(g, [(1,), (0, -3)], ad.constant(np.zeros(4)))
+        assert calls == []
 
     def test_permutation_equivariance(self, rng):
         n = 11

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from graphscat.errors import NotSymmetric, TooLargeForDense
+from graphscat.errors import NotSymmetric, ScaleOutOfRange, TooLargeForDense
 from graphscat.graph import build_graph
 from graphscat.spectral import (
+    FilterSpec,
     chebyshev_filter,
     dense_adjacency,
     eigendecompose,
@@ -252,3 +253,14 @@ class TestSpectralResponse:
         assert responses.shape == (5, 14)
         for (lam1, (resp,)), row in zip(singles, responses):
             assert lam1.tobytes() == lam.tobytes() and resp.tobytes() == row.tobytes()
+
+    def test_scales_follow_the_wavelet_rule(self):
+        # one rule for every scale: the message scatter and models give
+        with pytest.raises(ScaleOutOfRange, match="^wavelet scale -1 must be >= 0$"):
+            wavelet_filter(-1)
+        with pytest.raises(ScaleOutOfRange, match="^wavelet scale -2 must be >= 0$"):
+            lowpass_filter(-2)
+        for kind in ("wavelet", "lowpass"):
+            with pytest.raises(ValueError, match=f"{kind} filter needs a scale k"):
+                FilterSpec(kind)
+        assert lowpass_filter(0).k == 0

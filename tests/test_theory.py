@@ -17,7 +17,7 @@ from graphscat.fixtures import (
     square_double_path_pair,
     theorem1_cases,
 )
-from graphscat.graph import build_graph, bfs_distances, neighborhood
+from graphscat.graph import build_graph
 from graphscat.scattering import ABS, IDENTITY
 from graphscat.theory import (
     DEGREE,
@@ -39,9 +39,11 @@ from graphscat.theory import (
 )
 
 from conftest import (
+    count_hop_builds,
     count_kernel_calls,
     dense_ops,
     dense_wavelet,
+    per_node_dense_adjacency,
     per_node_homophily,
     per_trial_gcn_deviation,
     random_connected_graph,
@@ -64,7 +66,7 @@ class TestIntrinsicFeatures:
         g = case.graph
         feats = intrinsic_features(g, avg_degree(2))[:, 0]
         for v in range(g.n):
-            dist = bfs_distances(g, v)
+            dist = g.hops[v]
             hood = [u for u in range(g.n) if 0 <= dist[u] <= 1]
             assert feats[v] == pytest.approx(np.mean(g.degrees[hood]), abs=1e-12)
 
@@ -73,7 +75,7 @@ class TestIntrinsicFeatures:
         W = dense_ops(12, edges)["W"] > 0
         feats = intrinsic_features(g, triangle_count(1))[:, 0]
         for v in range(12):
-            hood = sorted(neighborhood(g, v, 1, closed=True))
+            hood = [u for u in range(12) if 0 <= g.hops[v, u] <= 1]
             count = 0
             for i, a in enumerate(hood):
                 for b in hood[i + 1:]:
@@ -144,7 +146,7 @@ class TestStructuralDifferences:
         X = intrinsic_features(g, avg_degree(2))
         rep = structural_differences(g, phi, X, phi.domain, center=0)
         expected = set()
-        dist = bfs_distances(g, 0)
+        dist = g.hops[0]
         for u in sorted(phi.domain):
             pu = phi(u)
             boundary = any(int(w) not in phi.domain for w in g.neighbors(u))
@@ -174,7 +176,7 @@ class TestCoincidentalCorrespondence:
             case = pendant_path_pair(d)
             g, phi = case.graph, case.phi
             X = intrinsic_features(g, avg_degree(2))
-            ball = neighborhood(g, 0, d, closed=True)
+            ball = {u for u in range(g.n) if 0 <= g.hops[0, u] <= d}
             interior = {u for u in ball
                         if all(int(w) in ball for w in g.neighbors(u))}
             assert check_coincidental_correspondence(
@@ -214,6 +216,20 @@ class TestPathsAndExpansion:
         assert count_shortest_paths(g, 0, 3) == 2   # both ways around
         path = build_graph([(0, 1), (1, 2)])
         assert count_shortest_paths(path, 0, 2) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=weighted_graphs())
+    def test_count_shortest_paths_matches_walk_oracle(self, g):
+        # the first walk length joining a and b is d(a, b), and every walk of
+        # that length is a shortest path
+        adj = (per_node_dense_adjacency(g) > 0).astype(np.int64)
+        walks = [np.eye(g.n, dtype=np.int64)]
+        for _ in range(g.n):
+            walks.append(walks[-1] @ adj)
+        for a in range(g.n):
+            for b in range(g.n):
+                counts = [int(w[a, b]) for w in walks if w[a, b]]
+                assert count_shortest_paths(g, a, b) == (counts[0] if counts else 0)
 
     def test_generalized_path_on_pendant_fixture(self):
         case = pendant_path_pair(3)
@@ -363,7 +379,7 @@ class TestOnionPropagation:
         assert dd == d
         Y = X
         for j in range(d + 1):
-            ball = neighborhood(g, 0, d - j, closed=True)
+            ball = [u for u in range(g.n) if 0 <= g.hops[0, u] <= d - j]
             found = structural_differences(g, phi, Y, ball).nodes
             assert found == layers[j] == {d - j}
             Y = apply_operator(g, LAZY_WALK, Y)
@@ -425,6 +441,16 @@ class TestBatchedRandomGCN:
         calls = count_kernel_calls(monkeypatch)
         run_verify_suite()
         assert len(calls) == 92
+
+    def test_verify_suite_builds_each_hop_table_once(self, monkeypatch):
+        # one table per checked fixture graph; the two Theorem 1 cases on the
+        # pendant path share theirs, and the two-coloring graphs need none
+        from graphscat.fixtures import (run_verify_suite, theorem1_cases,
+                                        theorem2_cases, theorem3_cases)
+        built = count_hop_builds(monkeypatch)
+        run_verify_suite()
+        graphs = {id(c.graph) for c in theorem1_cases() + theorem2_cases() + theorem3_cases()}
+        assert len(built) == len({id(g) for g in built}) == len(graphs) == 11
 
     def test_verify_theory_output_matches_per_trial_loop(self, monkeypatch, capsys):
         assert main(["verify-theory"]) == 0

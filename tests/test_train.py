@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import graphscat.autodiff as ad
-from graphscat.datasets import SBMSpec, generate_sbm
+from graphscat.datasets import SBMSpec, describe, generate_sbm
 from graphscat.errors import EmptyMask, NonFiniteLoss
 from graphscat.models import ModelSpec, build_model
 from graphscat.train import SplitMasks, TrainConfig, evaluate, fit
 
-from conftest import random_connected_graph
+from conftest import count_hop_builds, random_connected_graph
 
 
 class FixedLogitsModel:
@@ -110,6 +110,17 @@ class TestFit:
         fit(model, ds.graph, ds.features, ds.labels, ds.splits, TrainConfig(seed=0))
         train_acc = evaluate(model, ds.graph, ds.features, ds.labels, ds.splits.train)
         assert train_acc == 1.0
+
+    @pytest.mark.parametrize("preset", ["gcn-baseline", "sc-gcn", "gsan"])
+    def test_fit_never_builds_the_hop_table(self, monkeypatch, preset):
+        # the n x n table is for the theory checks; training and describe do without
+        built = count_hop_builds(monkeypatch)
+        ds = generate_sbm(SBMSpec(block_sizes=(20, 20), p_in=0.2, p_out=0.02, seed=1))
+        describe(ds)
+        model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes, seed=0)
+        fit(model, ds.graph, ds.features, ds.labels, ds.splits, TrainConfig(seed=0, max_epochs=5))
+        evaluate(model, ds.graph, ds.features, ds.labels, ds.splits.test)
+        assert built == []
 
     def test_same_seed_identical_history(self, rng):
         g, X, labels, masks = tiny_dataset(rng)
