@@ -21,7 +21,6 @@ from .graph import (
 from .scattering import (
     ABS,
     IDENTITY,
-    RELU,
     Nonlinearity,
     cascade,
     first_wavelets,

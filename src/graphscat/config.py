@@ -47,9 +47,6 @@ def parse_paths(text: str) -> tuple[tuple[int, ...], ...]:
                  for part in text.split("|"))
 
 
-_REQUIRED = object()
-
-
 class ConfigView:
     """Typed getters over a parsed config; errors carry the line number."""
 
@@ -61,8 +58,6 @@ class ConfigView:
 
     def _fetch(self, key: str, default):
         if key not in self.values:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key {key!r}")
             return None, default
         return self.values[key], None
 

@@ -29,36 +29,34 @@ KNOWN_KEYS = frozenset(
                               "optimizer")])
 
 
+def _present(cfg: ConfigView, fields) -> dict:
+    """{name: value} for each (key, name, getter) whose key the config sets."""
+    return {name: getattr(cfg, getter)(key) for key, name, getter in fields if cfg.has(key)}
+
+
 def model_spec_from_config(cfg: ConfigView, preset: str | None = None) -> ModelSpec:
-    kwargs = dict(preset=preset or cfg.get_str("model.preset", "sc-gcn"))
-    if cfg.has("model.hidden"):
-        kwargs["hidden"] = cfg.get_int("model.hidden")
-    if cfg.has("model.alpha"):
-        kwargs["alpha"] = cfg.get_float("model.alpha")
-    if cfg.has("model.q"):
-        kwargs["q"] = cfg.get_float("model.q")
-    if cfg.has("model.heads"):
-        kwargs["heads"] = cfg.get_int("model.heads")
-    if cfg.has("model.low_powers"):
-        kwargs["low_powers"] = cfg.get_int_tuple("model.low_powers")
-    if cfg.has("model.low_widths"):
-        kwargs["low_widths"] = cfg.get_int_tuple("model.low_widths")
-    if cfg.has("model.band_widths"):
-        kwargs["band_widths"] = cfg.get_int_tuple("model.band_widths")
-    if cfg.has("model.band_paths"):
-        kwargs["band_paths"] = cfg.get_paths("model.band_paths")
-    return ModelSpec(**kwargs)
+    kwargs = _present(cfg, [("model.hidden", "hidden", "get_int"),
+                            ("model.alpha", "alpha", "get_float"),
+                            ("model.q", "q", "get_float"),
+                            ("model.heads", "heads", "get_int"),
+                            ("model.low_powers", "low_powers", "get_int_tuple"),
+                            ("model.low_widths", "low_widths", "get_int_tuple"),
+                            ("model.band_widths", "band_widths", "get_int_tuple"),
+                            ("model.band_paths", "band_paths", "get_paths")])
+    return ModelSpec(preset=preset or cfg.get_str("model.preset", "sc-gcn"), **kwargs)
 
 
 def train_config_from_config(cfg: ConfigView, seed: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg.get_float("train.lr", 1e-2),
-        weight_decay=cfg.get_float("train.weight_decay", 5e-4),
-        max_epochs=cfg.get_int("train.epochs", 200),
-        patience=cfg.get_int("train.patience", 30),
-        seed=seed if seed is not None else cfg.get_int("train.seed", 0),
-        optimizer=cfg.get_str("train.optimizer", "adam"),
-    )
+    """TrainConfig from the train.* keys the config sets; seed overrides train.seed."""
+    fields = [("train.lr", "lr", "get_float"),
+              ("train.weight_decay", "weight_decay", "get_float"),
+              ("train.epochs", "max_epochs", "get_int"),
+              ("train.patience", "patience", "get_int"),
+              ("train.optimizer", "optimizer", "get_str")]
+    if seed is None:
+        fields.append(("train.seed", "seed", "get_int"))
+        return TrainConfig(**_present(cfg, fields))
+    return TrainConfig(**_present(cfg, fields), seed=seed)
 
 
 def dataset_from_config(cfg: ConfigView) -> Dataset:
@@ -66,15 +64,13 @@ def dataset_from_config(cfg: ConfigView) -> Dataset:
         return load_dataset(cfg.get_str("dataset.dir"))
     if not cfg.has("sbm.blocks"):
         raise ConfigError("config must set dataset.dir or sbm.blocks")
-    spec = SBMSpec(
+    return generate_sbm(SBMSpec(
         block_sizes=cfg.get_int_tuple("sbm.blocks"),
         p_in=cfg.get_float("sbm.p_in", 0.1),
         p_out=cfg.get_float("sbm.p_out", 0.01),
-        feature_dim=cfg.get_int("sbm.feature_dim", 8),
-        noise_scale=cfg.get_float("sbm.noise", 1.0),
-        seed=cfg.get_int("sbm.seed", 0),
-    )
-    return generate_sbm(spec)
+        **_present(cfg, [("sbm.feature_dim", "feature_dim", "get_int"),
+                         ("sbm.noise", "noise_scale", "get_float"),
+                         ("sbm.seed", "seed", "get_int")])))
 
 
 def write_metrics_csv(path, history: dict):

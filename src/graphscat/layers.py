@@ -1,9 +1,11 @@
 """Trainable channels and their aggregation.
 
-Low-pass channels are GCN-style filters sigma(A^r X Theta + B) on the
-renormalized adjacency; band-pass channels are learned scattering channels.
-A hybrid layer aggregates them either by horizontal concatenation or by a
-per-node attention module whose softmax runs across all filters, and a graph
+A hybrid layer is a tuple of channel specs, low-pass channels first, then
+band-pass ones. A low-pass channel filters with A^r, the renormalized
+adjacency to the power r; a band-pass channel is a learned scattering
+channel U_p. The layer joins them either by horizontal concatenation, each
+channel |F_c X Theta_c + B_c|^q (q = 1 for low-pass channels), or by a
+per-node attention module whose softmax runs across all filters; a graph
 residual convolution cleans up afterwards. The attention layer computes all
 its heads at once: stacked products over [Theta_1 | ... | Theta_H], and one
 tape node (autodiff.filter_attention) for the scores, the softmax and the
@@ -54,15 +56,15 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
 class ChannelSpec:
     """One hybrid-layer channel: low-pass power r or band-pass path, plus width.
 
-    q is the outer-activation exponent and is only meaningful for band-pass
-    channels (the power never enters the cascade).
+    In the concat layer the channel ends in |.|^q; q is 1 for low-pass
+    channels and any q >= 1 for band-pass ones (the power never enters the
+    cascade).
     """
 
     kind: str                 # "low" | "band"
     width: int
     r: int = 1
     path: tuple[int, ...] = ()
-    sigma: Nonlinearity = ABS
     q: float = 1.0
 
     def __post_init__(self):
@@ -81,38 +83,12 @@ class ChannelSpec:
             check_scales(self.path)
 
 
-def low_channel(r: int, width: int, sigma: Nonlinearity = ABS) -> ChannelSpec:
-    return ChannelSpec("low", width=width, r=r, sigma=sigma)
+def low_channel(r: int, width: int) -> ChannelSpec:
+    return ChannelSpec("low", width=width, r=r)
 
 
-def band_channel(path, width: int, sigma: Nonlinearity = ABS, q: float = 1.0) -> ChannelSpec:
-    return ChannelSpec("band", width=width, path=tuple(path), sigma=sigma, q=q)
-
-
-@dataclass(frozen=True)
-class HybridLayerConfig:
-    low: tuple[ChannelSpec, ...]
-    band: tuple[ChannelSpec, ...]
-    aggregation: str = "concat"   # "concat" | "attention"
-    heads: int = 1
-
-    def __post_init__(self):
-        if self.aggregation not in ("concat", "attention"):
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
-        if self.aggregation == "attention":
-            if self.heads < 1:
-                raise ValueError("attention needs at least one head")
-            widths = {c.width for c in self.low + self.band}
-            if len(widths) > 1:
-                raise ValueError("shared weights require equal channel widths")
-        if not self.low and not self.band:
-            raise ValueError("a hybrid layer needs at least one channel")
-
-    @property
-    def output_width(self) -> int:
-        if self.aggregation == "concat":
-            return sum(c.width for c in self.low + self.band)
-        return self.heads * self.low[0].width if self.low else self.heads * self.band[0].width
+def band_channel(path, width: int, q: float = 1.0) -> ChannelSpec:
+    return ChannelSpec("band", width=width, path=tuple(path), q=q)
 
 
 @dataclass
@@ -128,11 +104,7 @@ class AttentionState:
     heads: list[HeadAttention] = field(default_factory=list)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
-
-
-FilterResponses = np.ndarray   # (C, n, d_in): F_c X per channel, cfg.low then cfg.band
+FilterResponses = np.ndarray   # (C, n, d_in): F_c X per channel, in spec order
 
 
 def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> list[ad.Tensor]:
@@ -151,18 +123,18 @@ def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> lis
             else cascade_tensor(g, spec.path, ABS, t, swept) for spec in specs]
 
 
-def filter_responses(g: Graph, cfg: HybridLayerConfig, X: np.ndarray) -> FilterResponses:
-    """F_c X for every channel of cfg, low then band, band paths single-scale.
+def filter_responses(g: Graph, specs: tuple[ChannelSpec, ...], X: np.ndarray) -> FilterResponses:
+    """F_c X for every channel spec, in order, band paths single-scale.
 
     Returns one (C, n, d_in) array: the concat layer takes its channel
     slices and the attention layer all of them in one product.
     """
-    if any(len(spec.path) != 1 for spec in cfg.band):
+    if any(len(spec.path) != 1 for spec in specs if spec.kind == "band"):
         raise ValueError("filter responses need single-scale band paths")
-    return np.stack([t.value for t in layer_filters(g, cfg.low + cfg.band, ad.constant(X))])
+    return np.stack([t.value for t in layer_filters(g, specs, ad.constant(X))])
 
 
-def precompute_pays(cfg: HybridLayerConfig, X) -> bool:
+def precompute_pays(specs: tuple[ChannelSpec, ...], X) -> bool:
     """Whether filter_responses should replace the per-call diffusion chains.
 
     It must be exact (a constant input, single-scale band paths) and cheaper:
@@ -174,8 +146,8 @@ def precompute_pays(cfg: HybridLayerConfig, X) -> bool:
             return False
         X = X.value
     return (np.ndim(X) == 2
-            and all(len(spec.path) == 1 for spec in cfg.band)
-            and X.shape[1] <= min(spec.width for spec in cfg.low + cfg.band))
+            and all(len(spec.path) == 1 for spec in specs if spec.kind == "band")
+            and X.shape[1] <= min(spec.width for spec in specs))
 
 
 class ResponseCache:
@@ -185,18 +157,18 @@ class ResponseCache:
     taken when the responses were computed, so an in-place edit of X is seen.
     """
 
-    def __init__(self, cfg: HybridLayerConfig):
-        self.cfg = cfg
+    def __init__(self, specs: tuple[ChannelSpec, ...]):
+        self.specs = specs
         self._key: tuple[Graph, np.ndarray] | None = None
         self._responses: FilterResponses | None = None
 
     def get(self, g: Graph, X) -> FilterResponses | None:
         """Responses for (g, X), or None when the per-call chains are the better plan."""
-        if not precompute_pays(self.cfg, X):
+        if not precompute_pays(self.specs, X):
             return None
         x = X.value if isinstance(X, ad.Tensor) else np.asarray(X, dtype=np.float64)
         if self._key is None or self._key[0] is not g or not np.array_equal(self._key[1], x):
-            self._responses = filter_responses(g, self.cfg, x)
+            self._responses = filter_responses(g, self.specs, x)
             self._responses.flags.writeable = False   # handed out on every later call
             self._key = (g, x.copy())
         return self._responses
@@ -208,61 +180,48 @@ def gcn_channel(g: Graph, r: int, theta, bias, sigma: Nonlinearity, X) -> ad.Ten
         raise ValueError("r must be >= 1")
     if g.has_isolated_nodes:
         raise IsolatedNodeError("GCN channel requires a graph without isolated nodes")
-    t = ad.op_chain(g, RENORM_ADJACENCY, ad.matmul(_as_tensor(X), _as_tensor(theta)), r)[r]
+    t = ad.op_chain(g, RENORM_ADJACENCY, ad.matmul(X, theta), r)[r]
     if bias is not None:
-        t = ad.add(t, _as_tensor(bias))
+        t = ad.add(t, bias)
     return sigma.apply_tensor(t)
 
 
-def _outer_activation(t: ad.Tensor, sigma: Nonlinearity, q: float) -> ad.Tensor:
-    # |sigma(.)|^q; the paper's outermost activation uses sigma = |.| so the
-    # extra abs is a no-op there and keeps fractional powers defined
-    t = sigma.apply_tensor(t)
-    if q != 1.0:
-        t = ad.abs_pow(t, q)
-    return t
-
-
-def hybrid_forward_concat(g: Graph, cfg: HybridLayerConfig, params, X,
+def hybrid_forward_concat(g: Graph, specs: tuple[ChannelSpec, ...], params, X,
                           responses: FilterResponses | None = None) -> ad.Tensor:
-    """Concatenate channels sigma(F_c X Theta_c + B_c), low in spec order, then band.
+    """Concatenate channels |F_c X Theta_c + B_c|^q_c in spec order.
 
-    A band channel raises its activation to the power q (1 for low
-    channels). Each channel has its own Theta, so each runs its own
-    filters on its own X Theta_c. The products come from one
-    X [Theta_1 | ... | Theta_C], which reads X once forward and once
-    backward; each channel takes its column block. Given responses, from
-    filter_responses(g, cfg, X), each channel is one matmul F_c X Theta_c
-    and runs no diffusion chain.
+    params holds one (theta, bias) pair per spec; bias may be None. Each
+    channel has its own Theta, so each runs its own filters on its own
+    X Theta_c. The products come from one X [Theta_1 | ... | Theta_C],
+    which reads X once forward and once backward; each channel takes its
+    column block. Given responses, from filter_responses(g, specs, X), each
+    channel is one matmul F_c X Theta_c and runs no diffusion chain.
     """
-    if cfg.aggregation != "concat":
-        raise ValueError("config does not use concat aggregation")
-    specs = cfg.low + cfg.band
-    pairs = params["low"] + params["band"]
-    thetas = [_as_tensor(theta) for theta, _ in pairs]
+    thetas = [theta for theta, _ in params]
     if responses is not None:
         filters = [ad.matmul(ad.constant(F), theta) for F, theta in zip(responses, thetas)]
     else:
-        xt = ad.matmul(_as_tensor(X), ad.concat_cols(thetas))
+        xt = ad.matmul(X, ad.concat_cols(thetas))
         ends = np.cumsum([theta.shape[1] for theta in thetas])
         filters = [layer_filters(g, (spec,), ad.take_cols(xt, end - theta.shape[1], end))[0]
                    for spec, theta, end in zip(specs, thetas, ends)]
     outs = []
-    for spec, t, (_, bias) in zip(specs, filters, pairs):
+    for spec, t, (_, bias) in zip(specs, filters, params):
         if bias is not None:
-            t = ad.add(t, _as_tensor(bias))
-        outs.append(_outer_activation(t, spec.sigma, spec.q))
+            t = ad.add(t, bias)
+        outs.append(ad.abs_pow(t, spec.q))
     return ad.concat_cols(outs)
 
 
-def attention_head(g: Graph, cfg: HybridLayerConfig, params, X,
+def attention_head(g: Graph, specs: tuple[ChannelSpec, ...], params, X,
                    responses: FilterResponses | None = None):
     """Every attention head over the channel responses, stacked.
 
-    params holds (theta_shared, a) per head. One product
+    specs lists the low channels first, then the band ones, all of one
+    width. params holds (theta_shared, a) per head. One product
     X_bar = X [Theta_1 | ... | Theta_H] serves all heads, and the filters
     come stacked as well: [F_1 X; ...; F_C X] [Theta_1 | ... | Theta_H]
-    given responses from filter_responses(g, cfg, X), otherwise one
+    given responses from filter_responses(g, specs, X), otherwise one
     layer_filters call on X_bar, so one set of chains serves every head.
     Aggregation inputs are bias-free and band responses pass through an
     absolute value. Head h scores each filter by
@@ -272,34 +231,23 @@ def attention_head(g: Graph, cfg: HybridLayerConfig, params, X,
     head in one tape node. Returns (output tensor with the heads side by
     side, AttentionState).
     """
-    thetas = ad.concat_cols([_as_tensor(theta) for theta, _ in params])
-    xbar = ad.matmul(_as_tensor(X), thetas)
+    n_low = sum(spec.kind == "low" for spec in specs)
+    if any(spec.kind == "low" for spec in specs[n_low:]):
+        raise ValueError("attention channel specs must list the low channels first")
+    thetas = ad.concat_cols([theta for theta, _ in params])
+    xbar = ad.matmul(X, thetas)
     if responses is None:
-        filtered = layer_filters(g, cfg.low + cfg.band, xbar)
+        filtered = layer_filters(g, specs, xbar)
     else:
         c, n, d = responses.shape
         filtered = [ad.matmul(ad.constant(responses.reshape(c * n, d)), thetas)]
-    n_low = len(cfg.low)
     out, alpha = ad.filter_attention(
-        xbar, filtered, ad.concat_cols([_as_tensor(a) for _, a in params]), n_low,
-        ATTENTION_LEAKY_SLOPE)
+        xbar, filtered, ad.concat_cols([a for _, a in params]), n_low, ATTENTION_LEAKY_SLOPE)
     state = AttentionState([
         HeadAttention(alpha_low=alpha[:n_low, :, h].copy(),
                       alpha_band=alpha[n_low:, :, h].copy())
         for h in range(len(params))])
     return out, state
-
-
-def gsan_layer(g: Graph, cfg: HybridLayerConfig, params, X,
-               responses: FilterResponses | None = None):
-    """The attention layer; params is a list of (theta_shared, a) per head.
-
-    Returns (output tensor, AttentionState over all heads) from
-    attention_head, which computes every head at once.
-    """
-    if cfg.aggregation != "attention":
-        raise ValueError("config does not use attention aggregation")
-    return attention_head(g, cfg, params, X, responses)
 
 
 def residual_conv(g: Graph, alpha: float, theta, bias, X) -> ad.Tensor:
@@ -308,9 +256,9 @@ def residual_conv(g: Graph, alpha: float, theta, bias, X) -> ad.Tensor:
     The diffusion runs after Theta, A_res (X Theta), on the output columns
     (n_classes in the models) rather than the input width.
     """
-    t = ad.op_apply(g, residual_diffusion(alpha), ad.matmul(_as_tensor(X), _as_tensor(theta)))
+    t = ad.op_apply(g, residual_diffusion(alpha), ad.matmul(X, theta))
     if bias is not None:
-        t = ad.add(t, _as_tensor(bias))
+        t = ad.add(t, bias)
     return t
 
 
@@ -331,24 +279,27 @@ def attention_ratio(state: AttentionState) -> np.ndarray:
     return zeta
 
 
-def init_hybrid_params(cfg: HybridLayerConfig, d_in: int, rng: np.random.Generator):
-    """Glorot thetas and zero biases for a concat hybrid layer."""
-    params = {"low": [], "band": []}
-    for spec in cfg.low:
-        params["low"].append((ad.Parameter(glorot_uniform(rng, d_in, spec.width)),
-                              ad.Parameter(np.zeros((1, spec.width)))))
-    for spec in cfg.band:
-        params["band"].append((ad.Parameter(glorot_uniform(rng, d_in, spec.width)),
-                               ad.Parameter(np.zeros((1, spec.width)))))
-    return params
+def init_hybrid_params(specs: tuple[ChannelSpec, ...], d_in: int, rng: np.random.Generator):
+    """Glorot theta and zero bias per channel of a concat layer, in spec order."""
+    if not specs:
+        raise ValueError("a hybrid layer needs at least one channel")
+    return [(ad.Parameter(glorot_uniform(rng, d_in, spec.width)),
+             ad.Parameter(np.zeros((1, spec.width)))) for spec in specs]
 
 
-def init_attention_params(cfg: HybridLayerConfig, d_in: int, rng: np.random.Generator):
-    """Per-head (theta_shared, attention vector) pairs."""
-    width = (cfg.low + cfg.band)[0].width
-    heads = []
-    for _ in range(cfg.heads):
+def init_attention_params(specs: tuple[ChannelSpec, ...], heads: int, d_in: int,
+                          rng: np.random.Generator):
+    """Per-head (theta_shared, attention vector) pairs; the channels share one width."""
+    if heads < 1:
+        raise ValueError("attention needs at least one head")
+    if not specs:
+        raise ValueError("a hybrid layer needs at least one channel")
+    if len({spec.width for spec in specs}) > 1:
+        raise ValueError("shared weights require equal channel widths")
+    width = specs[0].width
+    params = []
+    for _ in range(heads):
         theta = ad.Parameter(glorot_uniform(rng, d_in, width))
         a = ad.Parameter(glorot_uniform(rng, 2 * width, 1, shape=(2 * width, 1)))
-        heads.append((theta, a))
-    return heads
+        params.append((theta, a))
+    return params

@@ -18,21 +18,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import layers
 from .graph import RENORM_ADJACENCY, Graph
 from .layers import (
     AttentionState,
-    HybridLayerConfig,
     ResponseCache,
     band_channel,
     glorot_uniform,
-    gsan_layer,
     hybrid_forward_concat,
     init_attention_params,
     init_hybrid_params,
     low_channel,
     residual_conv,
 )
-from .scattering import ABS
 
 PRESETS = ("gcn-baseline", "sc-gcn", "gsan")
 
@@ -73,8 +71,7 @@ class GCNBaseline:
         return [self.t1, self.t2]
 
     def forward(self, g: Graph, X) -> ad.Tensor:
-        x = X if isinstance(X, ad.Tensor) else ad.constant(np.asarray(X, dtype=np.float64))
-        h = ad.relu(ad.op_apply(g, RENORM_ADJACENCY, ad.matmul(x, self.t1)))
+        h = ad.relu(ad.op_apply(g, RENORM_ADJACENCY, ad.matmul(X, self.t1)))
         return ad.op_apply(g, RENORM_ADJACENCY, ad.matmul(h, self.t2))
 
 
@@ -82,27 +79,23 @@ class ScGCN:
     """Hybrid concat layer plus graph residual convolution to the class logits."""
 
     def __init__(self, d_in: int, n_classes: int, spec: ModelSpec, rng: np.random.Generator):
-        low = tuple(low_channel(r, w, sigma=ABS)
-                    for r, w in zip(spec.low_powers, spec.low_widths))
-        band = tuple(band_channel(p, w, sigma=ABS, q=spec.q)
-                     for p, w in zip(spec.band_paths, spec.band_widths))
-        self.cfg = HybridLayerConfig(low=low, band=band, aggregation="concat")
+        self.specs = (tuple(low_channel(r, w) for r, w in zip(spec.low_powers, spec.low_widths))
+                      + tuple(band_channel(p, w, q=spec.q)
+                              for p, w in zip(spec.band_paths, spec.band_widths)))
         self.alpha = spec.alpha
-        self.params = init_hybrid_params(self.cfg, d_in, rng)
-        self.responses = ResponseCache(self.cfg)
-        width = self.cfg.output_width
+        self.params = init_hybrid_params(self.specs, d_in, rng)
+        self.responses = ResponseCache(self.specs)
+        width = sum(c.width for c in self.specs)
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
         self.bias_res = ad.Parameter(np.zeros((1, n_classes)))
 
     def parameters(self):
-        ps = []
-        for theta, bias in self.params["low"] + self.params["band"]:
-            ps.extend([theta, bias])
+        ps = [p for pair in self.params for p in pair]
         ps.extend([self.theta_res, self.bias_res])
         return ps
 
     def forward(self, g: Graph, X) -> ad.Tensor:
-        h = hybrid_forward_concat(g, self.cfg, self.params, X, self.responses.get(g, X))
+        h = hybrid_forward_concat(g, self.specs, self.params, X, self.responses.get(g, X))
         return residual_conv(g, self.alpha, self.theta_res, self.bias_res, h)
 
 
@@ -115,27 +108,24 @@ class GSAN:
     """
 
     def __init__(self, d_in: int, n_classes: int, spec: ModelSpec, rng: np.random.Generator):
-        low = tuple(low_channel(r, spec.hidden, sigma=ABS) for r in spec.low_powers)
-        band = tuple(band_channel((k,), spec.hidden, sigma=ABS) for k in (1, 2, 3))
-        self.cfg = HybridLayerConfig(low=low, band=band, aggregation="attention",
-                                     heads=spec.heads)
+        self.specs = (tuple(low_channel(r, spec.hidden) for r in spec.low_powers)
+                      + tuple(band_channel((k,), spec.hidden) for k in (1, 2, 3)))
         self.alpha = spec.alpha
-        self.head_params = init_attention_params(self.cfg, d_in, rng)
-        self.responses = ResponseCache(self.cfg)
-        width = self.cfg.output_width
+        self.head_params = init_attention_params(self.specs, spec.heads, d_in, rng)
+        self.responses = ResponseCache(self.specs)
+        width = spec.heads * spec.hidden
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
         self.bias_res = ad.Parameter(np.zeros((1, n_classes)))
         self.last_attention: AttentionState | None = None
 
     def parameters(self):
-        ps = []
-        for theta, a in self.head_params:
-            ps.extend([theta, a])
+        ps = [p for pair in self.head_params for p in pair]
         ps.extend([self.theta_res, self.bias_res])
         return ps
 
     def forward(self, g: Graph, X) -> ad.Tensor:
-        h, state = gsan_layer(g, self.cfg, self.head_params, X, self.responses.get(g, X))
+        h, state = layers.attention_head(g, self.specs, self.head_params, X,
+                                         self.responses.get(g, X))
         self.last_attention = state
         return residual_conv(g, self.alpha, self.theta_res, self.bias_res, h)
 

@@ -1,10 +1,10 @@
-"""Scattering cascades and the pointwise nonlinearities.
+"""Scattering cascades and the pointwise nonlinearities between their wavelets.
 
-A path p = (k_1, ..., k_m) alternates wavelets and a pointwise nonlinearity,
-U_p x = Psi_{k_m} sigma Psi_{k_{m-1}} ... sigma Psi_{k_1} x, with no
+A path p = (k_1, ..., k_m) alternates wavelets and a pointwise nonlinearity
+sigma, U_p x = Psi_{k_m} sigma Psi_{k_{m-1}} ... sigma Psi_{k_1} x, with no
 nonlinearity after the outermost wavelet. The learned band-pass channel
-sigma(U_p(X Theta) + B)^q is a hybrid-layer channel: layers.layer_filters
-builds its U_p from these cascades.
+|U_p(X Theta) + B|^q is a hybrid-layer channel: layers.layer_filters
+builds its U_p from these cascades with sigma = |.|.
 """
 
 from __future__ import annotations
@@ -20,55 +20,29 @@ from .wavelets import check_scales, wavelet_sweep
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Pointwise activation; abs_pow(1) normalizes to plain abs."""
+    """Pointwise activation between the wavelets of a cascade, or after gcn_channel."""
 
-    kind: str  # "abs" | "abs_pow" | "relu" | "leaky_relu" | "identity"
-    q: float = 1.0
+    kind: str  # "abs" | "leaky_relu" | "identity"
     slope: float = 0.2
 
     def __post_init__(self):
-        if self.kind not in ("abs", "abs_pow", "relu", "leaky_relu", "identity"):
+        if self.kind not in ("abs", "leaky_relu", "identity"):
             raise ValueError(f"unknown nonlinearity {self.kind!r}")
-        if self.kind == "abs_pow":
-            if self.q < 1:
-                raise ValueError("abs_pow requires q >= 1")
-            if self.q == 1.0:
-                object.__setattr__(self, "kind", "abs")
 
     @property
     def is_strictly_monotonic(self) -> bool:
         return self.kind == "identity" or (self.kind == "leaky_relu" and self.slope > 0)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "abs":
-            return np.abs(x)
-        if self.kind == "abs_pow":
-            return np.abs(x) ** self.q
-        if self.kind == "relu":
-            return np.maximum(x, 0.0)
-        if self.kind == "leaky_relu":
-            return np.where(x > 0, x, self.slope * x)
-        return x
-
     def apply_tensor(self, t: ad.Tensor) -> ad.Tensor:
         if self.kind == "abs":
             return ad.abs_val(t)
-        if self.kind == "abs_pow":
-            return ad.abs_pow(t, self.q)
-        if self.kind == "relu":
-            return ad.relu(t)
         if self.kind == "leaky_relu":
             return ad.leaky_relu(t, self.slope)
         return t
 
 
 ABS = Nonlinearity("abs")
-RELU = Nonlinearity("relu")
 IDENTITY = Nonlinearity("identity")
-
-
-def abs_pow(q: float) -> Nonlinearity:
-    return Nonlinearity("abs_pow", q=q)
 
 
 def leaky(slope: float = 0.2) -> Nonlinearity:

@@ -140,7 +140,8 @@ class StructuralDifferenceReport:
     """Counted difference nodes with cause tags, plus excluded boundary cases.
 
     d is the minimum hop distance of a counted node from the designated
-    center (None without a center or without differences).
+    center (None without a center or when no counted node can be reached
+    from it).
     """
 
     causes: dict[int, tuple[str, ...]] = field(default_factory=dict)
@@ -186,7 +187,9 @@ def structural_differences(g: Graph, phi: NodeMap, X: np.ndarray, region,
             report.excluded[u] = tags + ("boundary-cancelled",)
     if center is not None and report.causes:
         dist = _hops_from(g, center)
-        report.d = int(min(dist[u] for u in report.causes if dist[u] >= 0))
+        reached = [dist[u] for u in report.causes if dist[u] >= 0]
+        if reached:
+            report.d = int(min(reached))
     return report
 
 
@@ -349,8 +352,10 @@ def _onion_layers_match(g: Graph, phi: NodeMap, v: int, X: np.ndarray, d: int,
 
 def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
                    kind: IntrinsicFeatureKind, sigma: Nonlinearity,
-                   tol: float, theta, skip_coincidence: bool,
-                   require_unique_path: bool) -> DiscriminabilityReport:
+                   tol: float, theta, unique_path: bool) -> DiscriminabilityReport:
+    """Theorem 2 (unique_path False) assumes no coincidental correspondence;
+    Theorem 3 (unique_path True) a unique nearest difference node and a
+    unique shortest path to it instead."""
     if kind.locality > K:
         raise ValueError(f"{kind.kind} features have locality {kind.locality} > K={K}")
     if not sigma.is_strictly_monotonic:
@@ -364,7 +369,7 @@ def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
     if not diffs.causes:
         raise HypothesisViolated("no structural difference in the (K+L)-neighborhood")
     d, vd, layers = generalized_path(g, v, diffs.nodes)
-    if require_unique_path:
+    if unique_path:
         if len(vd) != 1:
             raise HypothesisViolated(
                 f"nearest difference node not unique: {sorted(vd)}")
@@ -373,7 +378,7 @@ def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
         if n_paths != 1:
             raise HypothesisViolated(
                 f"{n_paths} shortest paths between {v} and {u0}")
-    if not skip_coincidence:
+    else:
         ball_d = set(_ball(g, v, d).tolist())
         interior = ball_d - region_boundary(g, ball_d)
         offenders = check_coincidental_correspondence(
@@ -412,8 +417,7 @@ def verify_theorem2(g: Graph, phi: NodeMap, v: int, K: int, L: int,
     diffused-feature extension), and a strictly monotonic nonlinearity. The
     scattering path is the binary expansion of the difference distance.
     """
-    return _theorem2_core(g, phi, v, K, L, kind, sigma, tol, theta,
-                          skip_coincidence=False, require_unique_path=False)
+    return _theorem2_core(g, phi, v, K, L, kind, sigma, tol, theta, unique_path=False)
 
 
 def verify_theorem3(g: Graph, phi: NodeMap, v: int, K: int, L: int,
@@ -424,8 +428,7 @@ def verify_theorem3(g: Graph, phi: NodeMap, v: int, K: int, L: int,
     Requires a unique nearest difference node and a unique shortest path to
     it; raises HypothesisViolated otherwise.
     """
-    return _theorem2_core(g, phi, v, K, L, kind, sigma, tol, theta,
-                          skip_coincidence=True, require_unique_path=True)
+    return _theorem2_core(g, phi, v, K, L, kind, sigma, tol, theta, unique_path=True)
 
 
 def homophily(g: Graph, labels) -> float:

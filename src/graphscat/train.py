@@ -107,9 +107,8 @@ def evaluate(model, g: Graph, X: np.ndarray, labels: np.ndarray,
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise EmptyMask("evaluation mask is empty")
-    logits = model.forward(g, X).value
-    pred = np.argmax(logits[mask], axis=1)
-    return float(np.mean(pred == np.asarray(labels, dtype=np.int64)[mask]))
+    return _accuracy_from_logits(model.forward(g, X).value,
+                                 np.asarray(labels, dtype=np.int64), mask)
 
 
 def _accuracy_from_logits(logits: np.ndarray, labels, mask) -> float:

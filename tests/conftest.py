@@ -167,7 +167,7 @@ def softmax_filters(a):
         s, (a,), lambda g: (s * (g - np.sum(g * s, axis=0, keepdims=True)),))
 
 
-def per_filter_attention(g, cfg, params, X, responses=None):
+def per_filter_attention(g, specs, params, X, responses=None):
     """The attention layer composed head by head and filter by filter.
 
     Each head multiplies X by its own Theta, runs its own filters (or
@@ -179,12 +179,12 @@ def per_filter_attention(g, cfg, params, X, responses=None):
     """
     ad = autodiff_module
     x = ad._as_tensor(X)
-    n_low = len(cfg.low)
+    n_low = sum(spec.kind == "low" for spec in specs)
     outs, state = [], AttentionState()
     for theta, a in params:
         theta, a = ad._as_tensor(theta), ad._as_tensor(a)
         xbar = ad.matmul(x, theta)
-        filters = (layer_filters(g, cfg.low + cfg.band, xbar) if responses is None
+        filters = (layer_filters(g, specs, xbar) if responses is None
                    else [ad.matmul(ad.constant(F), theta) for F in responses])
         resps = filters[:n_low] + [ad.abs_val(t) for t in filters[n_low:]]
         scores = [ad.leaky_relu(ad.matmul(ad.concat_cols([xbar, r]), a), ATTENTION_LEAKY_SLOPE)

@@ -28,7 +28,6 @@ from graphscat.graph import (
     residual_diffusion,
 )
 from graphscat.layers import (
-    HybridLayerConfig,
     attention_head,
     attention_ratio,
     band_channel,
@@ -227,12 +226,9 @@ def test_criterion_6_gradient_suite():
     kinds = [LAZY_WALK, RENORM_ADJACENCY, SYM_NORM_ADJACENCY, residual_diffusion(0.4)]
     # layers on precomputed filter responses: the constant input is a's value,
     # w (3 x 2) the channel weights, so each response is (F X) w
-    attention = HybridLayerConfig(
-        low=(low_channel(1, 2), low_channel(2, 2)),
-        band=(band_channel((0,), 2), band_channel((2,), 2)),
-        aggregation="attention")
-    concat = HybridLayerConfig(
-        low=(low_channel(2, 2),), band=(band_channel((1,), 2, q=3.0),), aggregation="concat")
+    attention = (low_channel(1, 2), low_channel(2, 2), band_channel((0,), 2),
+                 band_channel((2,), 2))
+    concat = (low_channel(2, 2), band_channel((1,), 2, q=3.0))
 
     def square(t):
         return ad.mul(t, t)
@@ -260,13 +256,13 @@ def test_criterion_6_gradient_suite():
             "precomputed-attention": lambda: scalarize(attention_head(
                 g, attention, [(w, v)], a.value, filter_responses(g, attention, a.value))[0]),
             "precomputed-concat": lambda: scalarize(hybrid_forward_concat(
-                g, concat, {"low": [(w, None)], "band": [(w, None)]}, a.value,
+                g, concat, [(w, None), (w, None)], a.value,
                 filter_responses(g, concat, a.value))),
             "column-slice": lambda: scalarize(ad.mul(ad.take_cols(a, 1, 3),
                                                      ad.take_cols(a, 0, 2))),
             # X on the tape, one Theta and bias per channel, band q = 3
             "per-epoch-concat": lambda: scalarize(square(hybrid_forward_concat(
-                g, concat, {"low": [(w, u[1])], "band": [(u[0], u[2])]}, a))),
+                g, concat, [(w, u[1]), (u[0], u[2])], a))),
             "residual-conv": lambda: scalarize(square(residual_conv(g, 0.4, w, u[1], a))),
             # two heads of width 2 over one response block for filter 0 and
             # one for the band-pass filters 1 and 2

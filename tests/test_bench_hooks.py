@@ -24,6 +24,8 @@ from graphscat import (
     train,
 )
 
+from conftest import random_connected_graph
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # the module namespace perfbench/worker.py hands to tracer.install
@@ -62,3 +64,27 @@ def test_tracer_installs_and_unpatches_every_name():
         assert must in patched
     for owner, attr, orig in saved:
         assert _current(owner, attr) is orig, f"{attr} not restored"
+
+
+def test_traced_forwards_record_every_layer_span(rng):
+    # sc-gcn with d_in 8 above its narrowest width 6 takes the per-epoch plan;
+    # the spans are named where the models call their layers
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    _, g = random_connected_graph(rng, 12)
+    X = rng.standard_normal((12, 8))
+    scgcn = models.build_model(models.ModelSpec(preset="sc-gcn"), 8, 2, seed=1)
+    gsan = models.build_model(models.ModelSpec(preset="gsan", hidden=4), 8, 2, seed=1)
+    assert scgcn.responses.get(g, X) is None
+    try:
+        tracing.install(tracer, GS)
+        scgcn.forward(g, X)
+        gsan.forward(g, X)
+    finally:
+        tracer.unpatch()
+    names = [rec[tracing.NAME] for rec in tracer.spans]
+    assert names.count("models.forward") == 2
+    for name in ("layers.hybrid_forward_concat", "layers.attention_head",
+                 "layers.residual_conv"):
+        assert name in names
+    assert names.count("layers.residual_conv") == 2

@@ -218,6 +218,7 @@ class TestCliCommands:
         ("model.band_paths = -1|3", "wavelet scale -1 must be >= 0"),
         ("train.lr = nan", "lr must be finite, got nan"),
         ("train.weight_decay = inf", "weight_decay must be finite, got inf"),
+        ("model.preset = gsan\nmodel.heads = 0", "attention needs at least one head"),
     ])
     def test_train_config_rejected_before_fitting(self, small_dataset_dir, tmp_path, capsys,
                                                    monkeypatch, setting, message):

@@ -9,14 +9,13 @@ from graphscat.graph import build_graph
 from graphscat.layers import (
     ATTENTION_LEAKY_SLOPE,
     AttentionState,
+    ChannelSpec,
     HeadAttention,
-    HybridLayerConfig,
     attention_head,
     attention_ratio,
     band_channel,
     filter_responses,
     gcn_channel,
-    gsan_layer,
     hybrid_forward_concat,
     init_attention_params,
     init_hybrid_params,
@@ -26,7 +25,7 @@ from graphscat.layers import (
     residual_conv,
 )
 from graphscat.models import ModelSpec, build_model
-from graphscat.scattering import ABS, IDENTITY, RELU, cascade
+from graphscat.scattering import ABS, IDENTITY, cascade, leaky
 from graphscat.train import Tape
 
 from conftest import (
@@ -77,7 +76,7 @@ class TestGcnChannel:
         with pytest.warns(IsolatedNodeWarning):
             g = build_graph([(0, 1)], n=3)
         with pytest.raises(IsolatedNodeError):
-            gcn_channel(g, 1, np.eye(1), None, RELU, np.zeros((3, 1)))
+            gcn_channel(g, 1, np.eye(1), None, ABS, np.zeros((3, 1)))
 
     def test_reduces_to_plain_gcn_rule(self, rng):
         # oracle: literal sigma(A X Theta) with dense renormalized A
@@ -85,67 +84,51 @@ class TestGcnChannel:
         A = dense_ops(12, edges)["A"]
         X = rng.standard_normal((12, 3))
         theta = rng.standard_normal((3, 2))
-        out = gcn_channel(g, 1, theta, None, RELU, X)
-        assert np.max(np.abs(out.value - np.maximum(A @ X @ theta, 0.0))) < 1e-12
+        out = gcn_channel(g, 1, theta, None, leaky(0.1), X)
+        z = A @ X @ theta
+        assert np.max(np.abs(out.value - np.where(z > 0, z, 0.1 * z))) < 1e-12
 
 
 class TestHybridConcat:
-    def _cfg(self):
-        return HybridLayerConfig(
-            low=(low_channel(1, 3, sigma=ABS),),
-            band=(band_channel((1,), 2, sigma=ABS, q=1.0),),
-            aggregation="concat")
+    SPECS = (low_channel(1, 3), band_channel((1,), 2, q=1.0))
 
     def test_output_width_is_sum(self, rng):
         edges, g = random_connected_graph(rng, 9)
-        cfg = self._cfg()
-        params = init_hybrid_params(cfg, 4, rng)
-        out = hybrid_forward_concat(g, cfg, params, rng.standard_normal((9, 4)))
+        params = init_hybrid_params(self.SPECS, 4, rng)
+        out = hybrid_forward_concat(g, self.SPECS, params, rng.standard_normal((9, 4)))
         assert out.value.shape == (9, 5)
-        assert cfg.output_width == 5
 
     def test_zero_input_zero_output(self, rng):
         edges, g = random_connected_graph(rng, 6)
-        cfg = self._cfg()
-        params = init_hybrid_params(cfg, 4, rng)
-        out = hybrid_forward_concat(g, cfg, params, np.zeros((6, 4)))
+        params = init_hybrid_params(self.SPECS, 4, rng)
+        out = hybrid_forward_concat(g, self.SPECS, params, np.zeros((6, 4)))
         assert np.max(np.abs(out.value)) < 1e-12
 
     def test_channel_order_permutes_blocks(self, rng):
         edges, g = random_connected_graph(rng, 8)
         X = rng.standard_normal((8, 3))
-        lows = (low_channel(1, 2, sigma=ABS), low_channel(2, 3, sigma=ABS))
-        cfg_a = HybridLayerConfig(low=lows, band=(), aggregation="concat")
-        cfg_b = HybridLayerConfig(low=lows[::-1], band=(), aggregation="concat")
-        params = init_hybrid_params(cfg_a, 3, np.random.default_rng(0))
-        params_swapped = {"low": params["low"][::-1], "band": []}
-        out_a = hybrid_forward_concat(g, cfg_a, params, X).value
-        out_b = hybrid_forward_concat(g, cfg_b, params_swapped, X).value
+        lows = (low_channel(1, 2), low_channel(2, 3))
+        params = init_hybrid_params(lows, 3, np.random.default_rng(0))
+        out_a = hybrid_forward_concat(g, lows, params, X).value
+        out_b = hybrid_forward_concat(g, lows[::-1], params[::-1], X).value
         assert np.array_equal(out_b, np.concatenate([out_a[:, 2:], out_a[:, :2]], axis=1))
 
     def test_band_outer_power(self, rng):
         edges, g = random_connected_graph(rng, 7)
-        cfg = HybridLayerConfig(
-            low=(), band=(band_channel((1,), 2, sigma=ABS, q=4.0),),
-            aggregation="concat")
-        params = init_hybrid_params(cfg, 2, rng)
+        specs = (band_channel((1,), 2, q=4.0),)
+        params = init_hybrid_params(specs, 2, rng)
         X = rng.standard_normal((7, 2))
-        out = hybrid_forward_concat(g, cfg, params, X)
-        base = cascade(g, (1,), ABS,
-                       X @ params["band"][0][0].value)
+        out = hybrid_forward_concat(g, specs, params, X)
+        base = cascade(g, (1,), ABS, X @ params[0][0].value)
         assert np.max(np.abs(out.value - np.abs(base) ** 4)) < 1e-12
 
-    @staticmethod
-    def _band_layer(path, width, sigma, q=1.0):
-        return HybridLayerConfig(low=(), band=(band_channel(path, width, sigma=sigma, q=q),),
-                                 aggregation="concat")
-
     def test_identity_band_channel_reduces_to_cascade(self, rng):
+        # Theta = I and no bias: the channel is |U_p X|
         edges, g = random_connected_graph(rng, 8)
         X = rng.standard_normal((8, 3))
-        cfg = self._band_layer((1, 2), 3, IDENTITY)
-        out = hybrid_forward_concat(g, cfg, {"low": [], "band": [(np.eye(3), None)]}, X)
-        expected = cascade(g, (1, 2), ABS, X)
+        specs = (band_channel((1, 2), 3),)
+        out = hybrid_forward_concat(g, specs, [(np.eye(3), None)], X)
+        expected = np.abs(cascade(g, (1, 2), ABS, X))
         assert np.max(np.abs(out.value - expected)) < 1e-12
 
     def test_band_channel_on_three_node_path_matches_dense_oracle(self, rng):
@@ -155,8 +138,7 @@ class TestHybridConcat:
         X = rng.standard_normal((3, 2))
         theta = rng.standard_normal((2, 2))
         bias = rng.standard_normal((1, 2))
-        cfg = self._band_layer((0, 1), 2, ABS)
-        out = hybrid_forward_concat(g, cfg, {"low": [], "band": [(theta, bias)]}, X)
+        out = hybrid_forward_concat(g, (band_channel((0, 1), 2),), [(theta, bias)], X)
         expected = np.abs(dense_wavelet(P, 1) @ np.abs(dense_wavelet(P, 0)
                                                        @ (X @ theta)) + bias)
         assert np.max(np.abs(out.value - expected)) < 1e-10
@@ -166,35 +148,37 @@ class TestHybridConcat:
         X = rng.standard_normal((6, 2))
         theta = ad.Parameter(rng.standard_normal((2, 2)))
         bias = ad.Parameter(np.zeros((1, 2)))
-        cfg = self._band_layer((1,), 2, ABS, q=2.0)
+        specs = (band_channel((1,), 2, q=2.0),)
         _, (g_theta, g_bias) = _loss_and_grads(
-            lambda: hybrid_forward_concat(g, cfg, {"low": [], "band": [(theta, bias)]}, X),
+            lambda: hybrid_forward_concat(g, specs, [(theta, bias)], X),
             [theta, bias], np.ones((6, 2)))
         assert np.any(g_theta != 0)
         assert np.any(g_bias != 0)
 
     def test_reduces_to_gcn_rule_without_band_channels(self, rng):
-        # oracle: literal layer rule sigma(A X Theta) with dense renormalized A
+        # oracle: literal layer rule |A X Theta| with dense renormalized A
         edges, g = random_connected_graph(rng, 10)
         A = dense_ops(10, edges)["A"]
-        cfg = HybridLayerConfig(low=(low_channel(1, 2, sigma=RELU),), band=(),
-                                aggregation="concat")
         theta = rng.standard_normal((3, 2))
-        params = {"low": [(ad.constant(theta), None)], "band": []}
         X = rng.standard_normal((10, 3))
-        out = hybrid_forward_concat(g, cfg, params, X)
-        assert np.max(np.abs(out.value - np.maximum(A @ X @ theta, 0.0))) < 1e-12
+        out = hybrid_forward_concat(g, (low_channel(1, 2),), [(ad.constant(theta), None)], X)
+        assert np.max(np.abs(out.value - np.abs(A @ X @ theta))) < 1e-12
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            HybridLayerConfig(low=(), band=(), aggregation="concat")
-        with pytest.raises(ValueError):
-            HybridLayerConfig(low=(low_channel(1, 2),), band=(band_channel((1,), 3),),
-                              aggregation="attention")
-        with pytest.raises(ValueError):
+    def test_config_validation(self, rng):
+        with pytest.raises(ValueError, match="needs at least one channel"):
+            init_hybrid_params((), 2, rng)
+        with pytest.raises(ValueError, match="shared weights require equal channel widths"):
+            init_attention_params((low_channel(1, 2), band_channel((1,), 3)), 1, 2, rng)
+        with pytest.raises(ValueError, match="attention needs at least one head"):
+            init_attention_params((low_channel(1, 2),), 0, 2, rng)
+        with pytest.raises(ValueError, match="channel width must be >= 1"):
+            low_channel(1, 0)
+        with pytest.raises(ValueError, match="low-pass power r must be >= 1"):
             low_channel(0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="band-pass q must be >= 1"):
             band_channel((1,), 2, q=0.5)
+        with pytest.raises(ValueError, match="q applies only to band-pass channels"):
+            ChannelSpec("low", width=2, q=2.0)
 
     def test_negative_band_scale_rejected_at_build(self):
         with pytest.raises(ScaleOutOfRange, match="wavelet scale -1 must be >= 0"):
@@ -203,20 +187,20 @@ class TestHybridConcat:
             build_model(ModelSpec(preset="sc-gcn", band_paths=((-1,), (3,))), 4, 2)
 
 
-def literal_attention_oracle(n, edges, cfg, theta, a, X):
+def literal_attention_oracle(n, edges, specs, theta, a, X):
     """Direct dense implementation of the per-node filter attention."""
     ops = dense_ops(n, edges)
     xbar = X @ theta
     responses = []
-    for spec in cfg.low:
-        responses.append(np.linalg.matrix_power(ops["A"], spec.r) @ xbar)
-    P = ops["P"]
-    for spec in cfg.band:
+    for spec in specs:
+        if spec.kind == "low":
+            responses.append(np.linalg.matrix_power(ops["A"], spec.r) @ xbar)
+            continue
         out = xbar.copy()
         for i, k in enumerate(spec.path):
             if i > 0:
                 out = np.abs(out)
-            out = dense_wavelet(P, k) @ out
+            out = dense_wavelet(ops["P"], k) @ out
         responses.append(np.abs(out))
     scores = []
     for resp in responses:
@@ -230,27 +214,22 @@ def literal_attention_oracle(n, edges, cfg, theta, a, X):
 
 
 class TestAttention:
-    def _cfg(self, heads=1):
-        return HybridLayerConfig(
-            low=tuple(low_channel(r, 3, sigma=ABS) for r in (1, 2)),
-            band=tuple(band_channel((k,), 3, sigma=ABS) for k in (1, 2)),
-            aggregation="attention", heads=heads)
+    SPECS = (tuple(low_channel(r, 3) for r in (1, 2))
+             + tuple(band_channel((k,), 3) for k in (1, 2)))
 
     def test_equal_scores_give_uniform_weights(self, rng):
         edges, g = random_connected_graph(rng, 8)
-        cfg = self._cfg()
         theta = rng.standard_normal((3, 3))
-        out, state = attention_head(g, cfg, [(theta, np.zeros((6, 1)))],
+        out, state = attention_head(g, self.SPECS, [(theta, np.zeros((6, 1)))],
                                     rng.standard_normal((8, 3)))
         stacked = np.vstack([state.heads[0].alpha_low, state.heads[0].alpha_band])
         assert np.allclose(stacked, 0.25, atol=1e-12)
 
     def test_weights_sum_to_one_per_node(self, rng):
         edges, g = random_connected_graph(rng, 10)
-        cfg = self._cfg()
         theta = rng.standard_normal((4, 3))
         a = rng.standard_normal((6, 1))
-        _, state = attention_head(g, cfg, [(theta, a)], rng.standard_normal((10, 4)))
+        _, state = attention_head(g, self.SPECS, [(theta, a)], rng.standard_normal((10, 4)))
         head = state.heads[0]
         total = head.alpha_low.sum(axis=0) + head.alpha_band.sum(axis=0)
         assert np.max(np.abs(total - 1.0)) < 1e-9
@@ -260,12 +239,11 @@ class TestAttention:
         n = 4
         edges = [(0, 1), (1, 2), (2, 3), (0, 2)]
         g = build_graph(edges)
-        cfg = self._cfg()
         theta = rng.standard_normal((2, 3))
         a = rng.standard_normal((6, 1))
         X = rng.standard_normal((n, 2))
-        out, state = attention_head(g, cfg, [(theta, a)], X)
-        expected, alpha = literal_attention_oracle(n, edges, cfg, theta, a, X)
+        out, state = attention_head(g, self.SPECS, [(theta, a)], X)
+        expected, alpha = literal_attention_oracle(n, edges, self.SPECS, theta, a, X)
         assert np.max(np.abs(out.value - expected)) < 1e-9
         assert np.max(np.abs(np.vstack([state.heads[0].alpha_low, state.heads[0].alpha_band])
                              - alpha[:, :, 0])) < 1e-9
@@ -286,32 +264,39 @@ class TestAttention:
         assert np.array_equal(alpha, alpha_s)
         assert np.array_equal(out.value, out_s.value)
 
+    def test_band_before_low_rejected(self, rng):
+        # alpha_low and alpha_band are the first and the last filters
+        _, g = random_connected_graph(rng, 6)
+        params = init_attention_params(self.SPECS, 1, 2, rng)
+        with pytest.raises(ValueError, match="must list the low channels first"):
+            attention_head(g, self.SPECS[::-1], params, rng.standard_normal((6, 2)))
+
     def test_gsan_single_head_equals_attention_head(self, rng):
+        # the GSAN model is its attention layer followed by the residual convolution
         edges, g = random_connected_graph(rng, 9)
-        cfg = self._cfg(heads=1)
-        params = init_attention_params(cfg, 3, np.random.default_rng(3))
+        model = build_model(ModelSpec(preset="gsan", hidden=3, heads=1), 3, 2, seed=3)
         X = rng.standard_normal((9, 3))
-        out, state = gsan_layer(g, cfg, params, X)
-        ref, _ = attention_head(g, cfg, params, X)
+        out = model.forward(g, X)
+        h, state = attention_head(g, model.specs, model.head_params, X,
+                                  model.responses.get(g, X))
+        ref = residual_conv(g, model.alpha, model.theta_res, model.bias_res, h)
         assert np.array_equal(out.value, ref.value)
-        assert len(state.heads) == 1
+        assert len(state.heads) == len(model.last_attention.heads) == 1
 
     def test_gsan_identical_heads_duplicate_blocks(self, rng):
         edges, g = random_connected_graph(rng, 7)
-        cfg = self._cfg(heads=2)
-        head = init_attention_params(self._cfg(heads=1), 3, np.random.default_rng(5))[0]
+        head = init_attention_params(self.SPECS, 1, 3, np.random.default_rng(5))[0]
         X = rng.standard_normal((7, 3))
-        out, _ = gsan_layer(g, cfg, [head, head], X)
+        out, _ = attention_head(g, self.SPECS, [head, head], X)
         assert out.value.shape == (7, 6)
         assert np.array_equal(out.value[:, :3], out.value[:, 3:])
 
     def test_gsan_output_width(self, rng):
         edges, g = random_connected_graph(rng, 6)
-        cfg = self._cfg(heads=3)
-        params = init_attention_params(cfg, 2, rng)
-        out, _ = gsan_layer(g, cfg, params, rng.standard_normal((6, 2)))
+        params = init_attention_params(self.SPECS, 3, 2, rng)
+        out, state = attention_head(g, self.SPECS, params, rng.standard_normal((6, 2)))
         assert out.value.shape == (6, 9)
-        assert cfg.output_width == 9
+        assert len(state.heads) == 3
 
 
 class TestResidualConv:
@@ -442,14 +427,10 @@ def _close(a, b, tol=1e-10):
 class TestFilterResponses:
     """The precomputed (F X) Theta path against the per-call chains F (X Theta)."""
 
-    ATTENTION = HybridLayerConfig(
-        low=tuple(low_channel(r, 4, sigma=ABS) for r in (1, 2, 3)),
-        band=tuple(band_channel((k,), 4, sigma=ABS) for k in (0, 1, 3)),
-        aggregation="attention", heads=1)
-    CONCAT = HybridLayerConfig(
-        low=(low_channel(1, 3, sigma=ABS), low_channel(3, 4, sigma=RELU)),
-        band=(band_channel((1,), 4, sigma=ABS, q=4.0), band_channel((2,), 3, sigma=ABS)),
-        aggregation="concat")
+    ATTENTION = (tuple(low_channel(r, 4) for r in (1, 2, 3))
+                 + tuple(band_channel((k,), 4) for k in (0, 1, 3)))
+    CONCAT = (low_channel(1, 3), low_channel(3, 4),
+              band_channel((1,), 4, q=4.0), band_channel((2,), 3))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 16))
@@ -457,7 +438,7 @@ class TestFilterResponses:
         rng = np.random.default_rng(seed)
         _, g = random_connected_graph(rng, n, weighted=True)
         X = rng.standard_normal((n, 3))
-        theta, a = init_attention_params(self.ATTENTION, 3, rng)[0]
+        theta, a = init_attention_params(self.ATTENTION, 1, 3, rng)[0]
         weights = rng.standard_normal((n, 4))
         responses = filter_responses(g, self.ATTENTION, X)
         chains = _loss_and_grads(lambda: attention_head(g, self.ATTENTION, [(theta, a)], X)[0],
@@ -476,10 +457,10 @@ class TestFilterResponses:
         _, g = random_connected_graph(rng, n, weighted=True)
         X = rng.standard_normal((n, 3))
         params = init_hybrid_params(self.CONCAT, 3, rng)
-        flat = [p for pair in params["low"] + params["band"] for p in pair]
-        for theta, bias in params["low"] + params["band"]:
+        flat = [p for pair in params for p in pair]
+        for theta, bias in params:
             bias.value = rng.standard_normal(bias.value.shape)
-        weights = rng.standard_normal((n, self.CONCAT.output_width))
+        weights = rng.standard_normal((n, sum(spec.width for spec in self.CONCAT)))
         responses = filter_responses(g, self.CONCAT, X)
         chains = _loss_and_grads(lambda: hybrid_forward_concat(g, self.CONCAT, params, X),
                                  flat, weights)
@@ -495,8 +476,7 @@ class TestFilterResponses:
         assert precompute_pays(self.ATTENTION, ad.constant(X))
         assert not precompute_pays(self.ATTENTION, ad.Parameter(X))
         assert not precompute_pays(self.ATTENTION, rng.standard_normal((6, 5)))
-        multi = HybridLayerConfig(low=(low_channel(1, 4),), band=(band_channel((1, 2), 4),),
-                                  aggregation="concat")
+        multi = (low_channel(1, 4), band_channel((1, 2), 4))
         assert not precompute_pays(multi, X)
         with pytest.raises(ValueError):
             filter_responses(build_graph(cycle(6)), multi, X)
@@ -504,9 +484,8 @@ class TestFilterResponses:
     def test_isolated_node_rejected(self):
         with pytest.warns(IsolatedNodeWarning):
             g = build_graph([(0, 1), (1, 2)], n=4)
-        cfg = HybridLayerConfig(low=(low_channel(1, 2),), band=(), aggregation="concat")
         with pytest.raises(IsolatedNodeError):
-            filter_responses(g, cfg, np.ones((4, 2)))
+            filter_responses(g, (low_channel(1, 2),), np.ones((4, 2)))
 
     @staticmethod
     def _gsan(d_in, **kw):
@@ -596,7 +575,7 @@ class TestFilterResponses:
         per_forward = len(calls)
         model.forward(g, X)
         assert len(calls) == 2 * per_forward
-        ref = hybrid_forward_concat(g, model.cfg, model.params, X)
+        ref = hybrid_forward_concat(g, model.specs, model.params, X)
         ref = residual_conv(g, model.alpha, model.theta_res, model.bias_res, ref)
         assert np.array_equal(first, ref.value)
 
@@ -627,11 +606,8 @@ class TestAgainstDenseComposition:
     product nor the tape with the layers.
     """
 
-    CONCAT = HybridLayerConfig(
-        low=(low_channel(1, 2, sigma=ABS), low_channel(3, 3, sigma=ABS)),
-        band=(band_channel((1,), 2, sigma=ABS, q=3.0), band_channel((1, 2), 3, sigma=ABS),
-              band_channel((0,), 2, sigma=ABS, q=2.0)),
-        aggregation="concat")
+    CONCAT = (low_channel(1, 2), low_channel(3, 3), band_channel((1,), 2, q=3.0),
+              band_channel((1, 2), 3), band_channel((0,), 2, q=2.0))
 
     @pytest.mark.parametrize("x_on_tape", [False, True])
     @pytest.mark.parametrize("d_in", [2, 6])     # below and above the channel widths
@@ -642,18 +618,17 @@ class TestAgainstDenseComposition:
         edges, g = random_connected_graph(rng, n, weighted=True)
         ops = dense_ops(n, edges)
         X = rng.standard_normal((n, d_in))
-        params = init_hybrid_params(self.CONCAT, d_in, rng)
-        pairs = params["low"] + params["band"]
+        pairs = init_hybrid_params(self.CONCAT, d_in, rng)
         for _, bias in pairs:
             bias.value = rng.standard_normal(bias.value.shape)
         x = ad.Parameter(X.copy()) if x_on_tape else X
         flat = [p for pair in pairs for p in pair] + ([x] if x_on_tape else [])
-        weights = rng.standard_normal((n, self.CONCAT.output_width))
+        weights = rng.standard_normal((n, sum(spec.width for spec in self.CONCAT)))
         values, grads = _loss_and_grads(
-            lambda: hybrid_forward_concat(g, self.CONCAT, params, x), flat, weights)
+            lambda: hybrid_forward_concat(g, self.CONCAT, pairs, x), flat, weights)
 
         want_values, want_grads, grad_x, start = [], [], np.zeros_like(X), 0
-        for spec, (theta, bias) in zip(self.CONCAT.low + self.CONCAT.band, pairs):
+        for spec, (theta, bias) in zip(self.CONCAT, pairs):
             w = weights[:, start:start + spec.width]
             start += spec.width
             y = X @ theta.value
@@ -713,12 +688,8 @@ class TestStackedAttention:
     """The all-heads attention layer against the head-by-head, filter-by-filter
     composition in conftest.per_filter_attention."""
 
-    @staticmethod
-    def _cfg(heads):
-        return HybridLayerConfig(
-            low=tuple(low_channel(r, 3, sigma=ABS) for r in (1, 3)),
-            band=tuple(band_channel((k,), 3, sigma=ABS) for k in (0, 1, 2)),
-            aggregation="attention", heads=heads)
+    SPECS = (tuple(low_channel(r, 3) for r in (1, 3))
+             + tuple(band_channel((k,), 3) for k in (0, 1, 2)))
 
     @pytest.mark.parametrize("plan", ["precomputed", "per-epoch", "per-epoch-x-on-tape"])
     @settings(max_examples=15, deadline=None)
@@ -726,17 +697,16 @@ class TestStackedAttention:
     def test_matches_per_filter_composition(self, plan, seed, n, heads):
         rng = np.random.default_rng(seed)
         _, g = random_connected_graph(rng, n, weighted=True)
-        cfg = self._cfg(heads)
         X = rng.standard_normal((n, 2 if plan == "precomputed" else 5))
-        params = init_attention_params(cfg, X.shape[1], rng)
+        params = init_attention_params(self.SPECS, heads, X.shape[1], rng)
         x = ad.Parameter(X.copy()) if plan == "per-epoch-x-on-tape" else X
-        responses = filter_responses(g, cfg, X) if plan == "precomputed" else None
+        responses = filter_responses(g, self.SPECS, X) if plan == "precomputed" else None
         flat = [p for pair in params for p in pair] + ([x] if isinstance(x, ad.Tensor) else [])
-        weights = rng.standard_normal((n, cfg.output_width))
-        stacked = _loss_and_grads(lambda: attention_head(g, cfg, params, x, responses)[0],
-                                  flat, weights)
+        weights = rng.standard_normal((n, heads * 3))
+        stacked = _loss_and_grads(
+            lambda: attention_head(g, self.SPECS, params, x, responses)[0], flat, weights)
         oracle = _loss_and_grads(
-            lambda: per_filter_attention(g, cfg, params, x, responses)[0], flat, weights)
+            lambda: per_filter_attention(g, self.SPECS, params, x, responses)[0], flat, weights)
         assert _close(stacked[0], oracle[0])
         for got, want in zip(stacked[1], oracle[1], strict=True):
             assert _close(got, want)
@@ -747,7 +717,7 @@ class TestStackedAttention:
         X = rng.standard_normal((14, d_in))
         model = build_model(ModelSpec(preset="gsan", hidden=4, heads=3), d_in, 2, seed=2)
         model.forward(g, X)
-        _, want = per_filter_attention(g, model.cfg, model.head_params, X)
+        _, want = per_filter_attention(g, model.specs, model.head_params, X)
         assert len(model.last_attention.heads) == len(want.heads) == 3
         for got, ref in zip(model.last_attention.heads, want.heads):
             for name in ("alpha_low", "alpha_band"):

@@ -8,7 +8,6 @@ from graphscat.scattering import (
     ABS,
     IDENTITY,
     Nonlinearity,
-    abs_pow,
     cascade,
     first_wavelets,
     leaky,
@@ -27,24 +26,32 @@ def two_coloring(n):
 
 class TestNonlinearity:
     def test_abs_pow_one_normalizes_to_abs(self):
-        assert abs_pow(1.0) == ABS
+        # a q = 1 concat channel ends in ad.abs_pow(t, 1): bitwise ABS, forward and back
+        x = np.array([[-2.5, 0.0, 3.0, -1e-300]])
+        upstream = np.array([[0.3, -1.0, 2.0, 7.0]])
+        a, b = ad.Parameter(x.copy()), ad.Parameter(x.copy())
+        got, want = ad.abs_pow(a, 1.0), ABS.apply_tensor(b)
+        ad.backward(ad.Tensor(0.0, (got,), lambda g: (upstream,)))
+        ad.backward(ad.Tensor(0.0, (want,), lambda g: (upstream,)))
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(a.grad, b.grad)
 
-    def test_abs_pow_requires_q_at_least_one(self):
-        with pytest.raises(ValueError):
-            abs_pow(0.5)
+    def test_unknown_kind_rejected(self):
+        for kind in ("tanh", "sigmoid"):
+            with pytest.raises(ValueError, match="unknown nonlinearity"):
+                Nonlinearity(kind)
 
     def test_monotonicity_flags(self):
         assert IDENTITY.is_strictly_monotonic
         assert leaky(0.2).is_strictly_monotonic
+        assert not leaky(0.0).is_strictly_monotonic
         assert not ABS.is_strictly_monotonic
-        assert not Nonlinearity("relu").is_strictly_monotonic
 
     def test_apply_values(self):
-        x = np.array([-2.0, 0.0, 3.0])
-        assert np.array_equal(ABS(x), [2.0, 0.0, 3.0])
-        assert np.array_equal(abs_pow(2)(x), [4.0, 0.0, 9.0])
-        assert np.array_equal(leaky(0.5)(x), [-1.0, 0.0, 3.0])
-        assert np.array_equal(Nonlinearity("relu")(x), [0.0, 0.0, 3.0])
+        x = ad.constant(np.array([-2.0, 0.0, 3.0]))
+        assert np.array_equal(ABS.apply_tensor(x).value, [2.0, 0.0, 3.0])
+        assert np.array_equal(leaky(0.5).apply_tensor(x).value, [-1.0, 0.0, 3.0])
+        assert IDENTITY.apply_tensor(x) is x
 
 
 class TestCascade:

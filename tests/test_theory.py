@@ -139,6 +139,14 @@ class TestStructuralDifferences:
         assert rep.d == 2
         assert "feature-diff" in rep.causes[2]
 
+    def test_unreachable_differences_leave_d_none(self):
+        # the differences lie in the component of 3..6, the center in that of 0..2
+        g = build_graph([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+        phi = NodeMap({3: 4, 4: 3})
+        rep = structural_differences(g, phi, np.arange(7), {3, 4}, center=0)
+        assert rep.nodes == {3, 4}
+        assert rep.d is None
+
     def test_pendant_fixture_attachment_nodes(self):
         # enumeration oracle over the whole mapped region
         case = pendant_path_pair(2)
@@ -280,10 +288,10 @@ class TestTheorem2:
         edges = [(u, int(w)) for u in range(g.n) for w in g.neighbors(u) if u < w]
         P = dense_ops(g.n, edges)["P"]
         X = intrinsic_features(g, avg_degree(2))
-        sigma = LEAKY
-        U = dense_wavelet(P, 1) @ sigma(dense_wavelet(P, 0) @ X)
+        Z = dense_wavelet(P, 0) @ X
+        U = dense_wavelet(P, 1) @ np.where(Z > 0, Z, LEAKY.slope * Z)
         expected = float(np.max(np.abs(U[0] - U[case.phi(0)])))
-        rep = verify_theorem2(g, case.phi, 0, case.K, case.L, case.kind, sigma)
+        rep = verify_theorem2(g, case.phi, 0, case.K, case.L, case.kind, LEAKY)
         assert rep.separation == pytest.approx(expected, rel=1e-12)
         assert expected > 1e-9
 
