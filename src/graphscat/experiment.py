@@ -47,16 +47,20 @@ def model_spec_from_config(cfg: ConfigView, preset: str | None = None) -> ModelS
 
 
 def train_config_from_config(cfg: ConfigView, seed: int | None = None) -> TrainConfig:
-    """TrainConfig from the train.* keys the config sets; seed overrides train.seed."""
-    fields = [("train.lr", "lr", "get_float"),
-              ("train.weight_decay", "weight_decay", "get_float"),
-              ("train.epochs", "max_epochs", "get_int"),
-              ("train.patience", "patience", "get_int"),
-              ("train.optimizer", "optimizer", "get_str")]
-    if seed is None:
-        fields.append(("train.seed", "seed", "get_int"))
-        return TrainConfig(**_present(cfg, fields))
-    return TrainConfig(**_present(cfg, fields), seed=seed)
+    """TrainConfig from the train.* keys the config sets; seed overrides train.seed.
+
+    train.seed is parsed even when seed is given, so a config file is valid
+    or invalid whatever the flags.
+    """
+    kwargs = _present(cfg, [("train.lr", "lr", "get_float"),
+                            ("train.weight_decay", "weight_decay", "get_float"),
+                            ("train.epochs", "max_epochs", "get_int"),
+                            ("train.patience", "patience", "get_int"),
+                            ("train.optimizer", "optimizer", "get_str"),
+                            ("train.seed", "seed", "get_int")])
+    if seed is not None:
+        kwargs["seed"] = seed
+    return TrainConfig(**kwargs)
 
 
 def dataset_from_config(cfg: ConfigView) -> Dataset:

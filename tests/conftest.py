@@ -298,7 +298,8 @@ def per_edge_write_edge_list(g, path):
     """graph.write_edge_list as one f-string per edge, node by node."""
     with open(path, "w", encoding="utf-8") as fh:
         for u in range(g.n):
-            for v, w in zip(g.neighbors(u), g.neighbor_weights(u)):
+            row = slice(g.csr_offsets[u], g.csr_offsets[u + 1])
+            for v, w in zip(g.csr_targets[row], g.csr_weights[row]):
                 if u < v:
                     fh.write(f"{u}\t{v}\t{w:.17g}\n")
 
@@ -320,7 +321,8 @@ def per_node_dense_adjacency(g):
     """spectral.dense_adjacency filled one row at a time."""
     W = np.zeros((g.n, g.n))
     for u in range(g.n):
-        W[u, g.neighbors(u)] = g.neighbor_weights(u)
+        row = slice(g.csr_offsets[u], g.csr_offsets[u + 1])
+        W[u, g.csr_targets[row]] = g.csr_weights[row]
     return W
 
 

@@ -60,13 +60,16 @@ def to_scalar(t):
 
 class TestBasicOps:
     def test_matmul_quadratic_hand_gradient(self, rng):
-        # loss = ||X Theta||^2, gradient 2 X^T X Theta
-        X = rng.standard_normal((4, 3))
-        theta = ad.Parameter(rng.standard_normal((3, 2)))
-        prod = ad.matmul(ad.constant(X), theta)
-        loss = to_scalar(quadratic(prod))
-        ad.backward(loss)
-        assert np.allclose(theta.grad, 2.0 * X.T @ X @ theta.value, atol=1e-10)
+        # loss = ||X Theta||^2, gradient 2 X^T X Theta; the 300 x 200 X is a
+        # tall contraction like a wide first layer's weight gradient
+        for n, d, k in ((4, 3, 2), (300, 200, 7)):
+            X = rng.standard_normal((n, d))
+            theta = ad.Parameter(rng.standard_normal((d, k)))
+            prod = ad.matmul(ad.constant(X), theta)
+            loss = to_scalar(quadratic(prod))
+            ad.backward(loss)
+            want = 2.0 * X.T @ X @ theta.value
+            assert np.allclose(theta.grad, want, rtol=1e-12, atol=1e-10 * np.abs(want).max())
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul", "concat",
                                     "relu", "leaky", "abs", "abs_pow", "scale",

@@ -274,6 +274,17 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert bad_key.split(" =")[0] in err and "line 3" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3"]])
+    def test_bad_train_seed_rejected_whatever_the_flags(self, small_dataset_dir, tmp_path,
+                                                        capsys, flags):
+        # the config's train.seed is validated even when --seed overrides it
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset.dir = {small_dataset_dir}\ntrain.epochs = 2\ntrain.seed = abc\n")
+        rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "res")] + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "train.seed" in err and "line 3" in err
+
     def test_misspelt_key_rejected_with_file_flags(self, small_dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "model.cfg"
         cfg.write_text("model.preset = sc-gcn\ntrain.epoch = 3\n")

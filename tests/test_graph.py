@@ -108,10 +108,15 @@ def reference_matvec(g, X):
     return out
 
 
-def graph_with_isolated_nodes(rng, n, isolated):
+def graph_with_isolated_nodes(rng, n, isolated, hub=False, extra=None):
     """Random weighted graph on the first n - len(isolated) ids, shuffled so the
-    degree-zero nodes fall at the given positions."""
-    edges, _ = random_connected_graph(rng, n - len(isolated), weighted=True)
+    degree-zero nodes fall at the given positions. A hub joins the first of
+    those ids to every other one."""
+    m = n - len(isolated)
+    edges, _ = random_connected_graph(rng, m, extra=extra, weighted=True)
+    if hub:
+        have = {(u, v) for u, v, _ in edges}
+        edges += [(0, v, float(rng.uniform(0.5, 2.0))) for v in range(1, m) if (0, v) not in have]
     keep = [v for v in range(n) if v not in isolated]
     edges = [(keep[u], keep[v], w) for u, v, w in edges]
     with pytest.warns(IsolatedNodeWarning):
@@ -119,25 +124,40 @@ def graph_with_isolated_nodes(rng, n, isolated):
     return edges, g
 
 
+def kernel_layouts(X):
+    """X in C order, in F order, and as a non-contiguous column block of a wider array."""
+    wider = np.column_stack([X, X])
+    return X, np.asfortranarray(X), wider[:, 0] if X.ndim == 1 else wider[:, 1:1 + X.shape[1]]
+
+
 class TestAdjacencyKernel:
     @pytest.mark.parametrize("isolated", [(), (0,), (4, 5), (11,)])
-    @pytest.mark.parametrize("width", [None, 1, 8, 16, 32])
+    @pytest.mark.parametrize("width", [None, 1, 8, 16, 32, 47, 64])
     def test_bitwise_equal_to_reference_kernel(self, rng, isolated, width):
+        # every layout, on a 12-node graph and on a 24-node one whose hub row
+        # holds 20 or more entries
         if isolated:
             _, g = graph_with_isolated_nodes(rng, 12, isolated)
         else:
             _, g = random_connected_graph(rng, 12, weighted=True)
-        X = rng.standard_normal(12 if width is None else (12, width))
-        assert adjacency_matvec(g, X).tobytes() == reference_matvec(g, X).tobytes()
+        _, hub = graph_with_isolated_nodes(rng, 24, isolated + (23,), hub=True)
+        assert np.diff(hub.csr_offsets).max() >= 20
+        for graph in (g, hub):
+            X = rng.standard_normal(graph.n if width is None else (graph.n, width))
+            for Y in kernel_layouts(X):
+                assert adjacency_matvec(graph, Y).tobytes() == reference_matvec(graph, Y).tobytes()
 
     @pytest.mark.parametrize("isolated", [(0,), (3, 9), (0, 1, 13)])
-    def test_matches_dense_product_with_isolated_nodes(self, rng, isolated):
-        edges, g = graph_with_isolated_nodes(rng, 14, isolated)
-        W = dense_w(14, edges)
-        for X in (rng.standard_normal(14), rng.standard_normal((14, 5))):
-            out = adjacency_matvec(g, X)
-            assert np.allclose(out, W @ X, atol=1e-12)
-            assert np.array_equal(out[list(isolated)], np.zeros_like(out[list(isolated)]))
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), extra=st.integers(0, 30),
+           width=st.one_of(st.none(), st.integers(1, 64)))
+    def test_matches_dense_product_with_isolated_nodes(self, isolated, seed, extra, width):
+        rng = np.random.default_rng(seed)
+        edges, g = graph_with_isolated_nodes(rng, 14, isolated, extra=extra)
+        X = rng.standard_normal(14 if width is None else (14, width))
+        out = adjacency_matvec(g, X)
+        assert np.allclose(out, dense_w(14, edges) @ X, atol=1e-12)
+        assert np.array_equal(out[list(isolated)], np.zeros_like(out[list(isolated)]))
 
     def test_edgeless_graph_gives_zeros(self):
         with pytest.warns(IsolatedNodeWarning):
