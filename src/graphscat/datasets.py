@@ -199,9 +199,6 @@ def read_dataset(edges_path, features_path, labels_path, splits_path,
         raise BadClassIds("class ids must be dense integers starting at 0")
 
     g = read_edge_list(edges_path, n=n)
-    if g.n != n:
-        raise RowCountMismatch(f"graph has {g.n} nodes, features have {n}")
-
     return Dataset(name=name, graph=g, features=features, labels=labels,
                    splits=read_splits(splits_path))
 

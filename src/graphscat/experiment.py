@@ -107,12 +107,13 @@ def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None
     cfg = ConfigView(parse_config(config_path))
     cfg.reject_unknown_keys(KNOWN_KEYS)
     out_dir = out_dir or cfg.get_str("out.dir", "results")
-    os.makedirs(out_dir, exist_ok=True)
 
     ds = dataset_from_config(cfg)
     echo(describe(ds))
     spec = model_spec_from_config(cfg, preset=preset)
     tcfg = train_config_from_config(cfg, seed=seed)
+    # only a run whose inputs all parsed gets a results directory
+    os.makedirs(out_dir, exist_ok=True)
 
     start = time.perf_counter()
     model, result, acc = run_trained_model(ds, spec, tcfg)

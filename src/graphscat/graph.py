@@ -142,16 +142,39 @@ def build_graph(edges, n: int | None = None) -> Graph:
         E = E.reshape(0, 2)
     if E.ndim != 2 or E.shape[1] not in (2, 3):
         raise ValueError("edges must be (u, v) pairs or (u, v, weight) triples")
+    u, v = E[:, 0].astype(np.int64), E[:, 1].astype(np.int64)
     w = E[:, 2].astype(np.float64) if E.shape[1] == 3 else np.ones(E.shape[0])
-    return _graph_from_arrays(E[:, 0].astype(np.int64), E[:, 1].astype(np.int64), w, n)
+    _check_edges(u, v, w, _first_occurrences(np.minimum(u, v), np.maximum(u, v)))
+    max_id = int(max(u.max(), v.max())) if u.size else -1
+    if n is None:
+        n = max_id + 1
+    elif max_id >= n:
+        raise ValueError(f"node id {max_id} out of range for n={n}")
+    return _csr_graph(u, v, w, n)
 
 
 def _first_occurrences(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Index of the first edge, in input order, with each edge's key (lo, hi)."""
-    order = np.lexsort((hi, lo))            # stable: equal keys keep input order
-    lo, hi = lo[order], hi[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    """Index of the first edge, in input order, with each edge's key (lo, hi), lo <= hi.
+
+    When the ids are non-negative and lo * (max_id + 1) + hi fits in int64,
+    one stable argsort of that key replaces the two-key lexsort; both give
+    the same order. On the 4360-edge sbm-gsan benchmark file this function
+    takes 69 us that way against 479 us on a 2-core x86 box with numpy
+    2.4.6 (376 against 605 us on a shuffled copy); on about 100 edges it
+    is 3 us slower.
+    """
+    span = int(hi.max()) + 1 if hi.size else 0
+    if hi.size and lo.min() >= 0 and span * span <= 2 ** 63:
+        keys = (lo * span + hi,)
+        order = np.argsort(keys[0], kind="stable")   # stable: equal keys keep input order
+    else:
+        keys = (lo, hi)
+        order = np.lexsort((hi, lo))
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        key = key[order]
+        starts[1:] |= key[1:] != key[:-1]
     first = np.empty_like(order)
     first[order] = order[starts][np.cumsum(starts) - 1]
     return first
@@ -174,23 +197,23 @@ def _raise_edge_error(u: int, v: int, w: float, w_first: float):
     raise DuplicateEdge(f"duplicate undirected edge {key}")
 
 
-def _graph_from_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int | None) -> Graph:
-    """Validate int64 endpoint and float64 weight arrays, then build the CSR."""
-    first = _first_occurrences(np.minimum(u, v), np.maximum(u, v))
+def _check_edges(u: np.ndarray, v: np.ndarray, w: np.ndarray, first: np.ndarray):
+    """Raise the error of the first rejected edge in input order.
+
+    first[i] is the index of the first edge with edge i's undirected key;
+    an edge with an earlier first occurrence is a duplicate.
+    """
     bad = ((u == v) | (u < 0) | (v < 0) | ~(np.isfinite(w) & (w > 0))
            | (first != np.arange(u.size)))
     if bad.any():
         i = int(np.argmax(bad))
         _raise_edge_error(int(u[i]), int(v[i]), float(w[i]), float(w[first[i]]))
 
-    max_id = int(max(u.max(), v.max())) if u.size else -1
-    if n is None:
-        n = max_id + 1
-    elif max_id >= n:
-        raise ValueError(f"node id {max_id} out of range for n={n}")
 
+def _csr_graph(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> Graph:
+    """The CSR Graph of checked, distinct int64 edges with ids in 0..n-1."""
     rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-    order = np.argsort(rows * n + cols)     # ids are now in 0..n-1 and the keys distinct
+    order = np.argsort(rows * n + cols)     # the keys are distinct
     rows, cols, wts = rows[order], cols[order], np.concatenate((w, w))[order]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
@@ -301,12 +324,72 @@ def apply_operator_transpose(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.
     return apply_operator(g, kind, X)
 
 
+# record layouts numpy's C reader fills, by field count of the data lines
+_EDGE_RECORDS = {2: np.dtype([("u", np.int64), ("v", np.int64)]),
+                 3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])}
+
+
 def read_edge_list(path, n: int | None = None) -> Graph:
     """Read the one-edge-per-line text format: "u<TAB>v[<TAB>weight]", '#' comments.
 
     Node ids are dense 0-based integers. Exact duplicates and mirrored pairs
-    are deduplicated, keeping the first; conflicting weights raise
-    NonSymmetricInput. Errors name the offending line as path:lineno.
+    are deduplicated, keeping the first, with one sort of the edges (see
+    _first_occurrences); conflicting weights raise NonSymmetricInput. Errors
+    name the offending line as path:lineno, an id >= n included.
+
+    An ASCII file whose data lines all have two fields, or all three, is
+    parsed by one np.loadtxt call, numpy's C reader, at about 0.1 us a line
+    on a 2-core x86 box. On ASCII tokens it reads what it accepts as int()
+    and float() do, and it refuses every token they reject and some they
+    accept (underscores, as in "1_0"). Every other file, and every file
+    whose error must name a line (a weight clash, an id >= n), goes through
+    the per-line parser, at about 0.8 us a line, which stays the reference:
+    both give the same graph or the same exception.
+    """
+    table = _load_uniform(path)
+    g = None if table is None else _graph_from_lines(path, n, *table)
+    return g if g is not None else _graph_from_lines(path, n, *_parse_lines(path))
+
+
+def _load_uniform(path):
+    """(u, v, w) from np.loadtxt, or None when the C reader cannot take the file.
+
+    Only ASCII files qualify: numpy 2.4's integer parser reads some
+    non-ASCII letters as digits ("1" then U+01FE gives 472), and a U+10FFFF
+    in an id made it segfault. The lines are those of text-mode iteration, so they match the
+    per-line parser's. The field count of the first data line picks the
+    record layout; a later line with another count, like any token the
+    reader refuses, makes np.loadtxt raise. A file without data lines is
+    left to the per-line parser, since np.loadtxt warns on it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except ValueError:          # UnicodeDecodeError: the per-line parser raises it
+        return None
+    if not text.isascii():
+        return None
+    lines = text.split("\n")
+    fields = 0
+    for line in lines:
+        fields = len(line.split("#", 1)[0].split())
+        if fields:
+            break
+    if fields not in _EDGE_RECORDS:
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=_EDGE_RECORDS[fields], comments="#", ndmin=1)
+    except ValueError:
+        return None
+    w = table["w"] if fields == 3 else np.ones(table.size)
+    return table["u"], table["v"], w
+
+
+def _parse_lines(path):
+    """(u, v, w, linenos, error), parsed one line at a time.
+
+    Parsing stops at the first malformed line; error is then its
+    path:lineno ValueError, else None.
     """
     us, vs, ws, linenos = [], [], [], []
     error = None
@@ -321,26 +404,50 @@ def read_edge_list(path, n: int | None = None) -> Graph:
                 u, v = int(parts[0]), int(parts[1])
                 w = float(parts[2]) if len(parts) == 3 else 1.0
             except ValueError as exc:
-                # reported after any conflict on an earlier line
                 error = ValueError(f"{path}:{lineno}: {exc}")
                 break
             us.append(u)
             vs.append(v)
             ws.append(w)
             linenos.append(lineno)
-    u, v = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
-    lo, hi, w = np.minimum(u, v), np.maximum(u, v), np.array(ws, dtype=np.float64)
+    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+            np.array(ws, dtype=np.float64), linenos, error)
+
+
+def _graph_from_lines(path, n, u, v, w, linenos=None, error=None):
+    """The graph of parsed edge lines, checked in a fixed order.
+
+    A weight clash comes first (it may sit on a line before the malformed
+    one), then the malformed line, then the first bad kept edge, then the
+    first line with an id >= n. Returns None when an error must name its
+    line and linenos is None.
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
     first = _first_occurrences(lo, hi)
     keep = first == np.arange(w.size)
     # a repeat whose weight compares unequal to the first one's (NaN included)
     clash = ~keep & (w != w[first])
     if clash.any():
+        if linenos is None:
+            return None
         i = int(np.argmax(clash))
         raise NonSymmetricInput(f"{path}:{linenos[i]}: edge {(int(lo[i]), int(hi[i]))} "
                                 "has conflicting weights")
     if error is not None:
         raise error
-    return _graph_from_arrays(lo[keep], hi[keep], w[keep], n)
+    kept = np.flatnonzero(keep)
+    lo, hi, w = lo[kept], hi[kept], w[kept]
+    _check_edges(lo, hi, w, np.arange(kept.size))   # kept keys are distinct
+    if n is None:
+        n = int(hi.max()) + 1 if hi.size else 0
+    out = hi >= n
+    if out.any():
+        if linenos is None:
+            return None
+        i = int(np.argmax(out))
+        raise ValueError(f"{path}:{linenos[kept[i]]}: node id {int(hi[i])} "
+                         f"out of range for n={n}")
+    return _csr_graph(lo, hi, w, n)
 
 
 def write_edge_list(g: Graph, path):

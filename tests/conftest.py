@@ -213,9 +213,13 @@ def count_eigendecompositions(monkeypatch):
     return calls
 
 
-def per_edge_build_graph(edges, n=None):
+def per_edge_build_graph(edges, n=None, where=None):
     """graph.build_graph as one Python step per edge, with the same checks
-    in the same order, and the CSR filled two entries per edge."""
+    in the same order, and the CSR filled two entries per edge.
+
+    where, when given, labels each edge; an id >= n then names the label of
+    the first edge holding one, and that edge's larger id, as
+    graph.read_edge_list does."""
     seen = {}
     max_id = -1
     for e in edges:
@@ -245,7 +249,12 @@ def per_edge_build_graph(edges, n=None):
     if n is None:
         n = max_id + 1
     elif max_id >= n:
-        raise ValueError(f"node id {max_id} out of range for n={n}")
+        if where is None:
+            raise ValueError(f"node id {max_id} out of range for n={n}")
+        for e, label in zip(edges, where):
+            if max(int(e[0]), int(e[1])) >= n:
+                raise ValueError(f"{label}: node id {max(int(e[0]), int(e[1]))} "
+                                 f"out of range for n={n}")
 
     rows = np.empty(2 * len(seen), dtype=np.int64)
     cols = np.empty(2 * len(seen), dtype=np.int64)
@@ -270,7 +279,7 @@ def per_edge_build_graph(edges, n=None):
 
 def per_edge_read_edge_list(path, n=None):
     """graph.read_edge_list deduplicating through a dict, one line at a time."""
-    seen = {}
+    seen, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -291,7 +300,9 @@ def per_edge_read_edge_list(path, n=None):
                         f"{path}:{lineno}: edge {key} has conflicting weights")
                 continue
             seen[key] = w
-    return per_edge_build_graph([(u, v, w) for (u, v), w in seen.items()], n=n)
+            lines[key] = f"{path}:{lineno}"
+    return per_edge_build_graph([(u, v, w) for (u, v), w in seen.items()], n=n,
+                                where=list(lines.values()))
 
 
 def per_edge_write_edge_list(g, path):

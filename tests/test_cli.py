@@ -285,6 +285,26 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "train.seed" in err and "line 3" in err
 
+    @pytest.mark.parametrize("case", ["bad seed", "node id out of range"])
+    def test_rejected_run_leaves_no_out_dir(self, small_dataset_dir, tmp_path, capsys, case):
+        data_dir = small_dataset_dir
+        setting, message = "train.seed = abc", "train.seed"
+        if case == "node id out of range":
+            data_dir = tmp_path / "data"
+            data_dir.mkdir()
+            (data_dir / "edges.tsv").write_text("0\t1\n1\t7\n")
+            (data_dir / "features.csv").write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+            (data_dir / "labels.csv").write_text("0\n1\n0\n")
+            (data_dir / "splits.json").write_text('{"train": [0], "val": [1], "test": [2]}')
+            setting = "train.seed = 1"
+            message = f"{data_dir / 'edges.tsv'}:2: node id 7 out of range for n=3"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset.dir = {data_dir}\ntrain.epochs = 2\n{setting}\n")
+        out_dir = tmp_path / "res"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_misspelt_key_rejected_with_file_flags(self, small_dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "model.cfg"
         cfg.write_text("model.preset = sc-gcn\ntrain.epoch = 3\n")

@@ -127,6 +127,13 @@ class TestLoadErrors:
         with pytest.raises(RowCountMismatch):
             load_dataset(tmp_path)
 
+    def test_out_of_range_node_id_names_its_line(self, tmp_path):
+        self._write_minimal(tmp_path)
+        (tmp_path / "edges.tsv").write_text("0\t1\n# more\n3\t1\n2\t5\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == f"{tmp_path / 'edges.tsv'}:3: node id 3 out of range for n=3"
+
     def test_bad_class_ids(self, tmp_path):
         self._write_minimal(tmp_path)
         (tmp_path / "labels.csv").write_text("0\n2\n0\n")   # class 1 missing

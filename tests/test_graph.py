@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
+import graphscat.graph as graph_module
 from graphscat.errors import (
     DimensionMismatch,
     DuplicateEdge,
@@ -439,6 +440,39 @@ def edge_lists(draw):
     return edges
 
 
+# (id, file text, n): inputs on which numpy's reader and str.split, int and float
+# could disagree
+READER_EDGE_CASES = [
+    ("crlf", "0\t1\t2.5\r\n1\t2\t0.5\r\n", None),
+    ("bare-cr", "0\t1\r1\t2\r", None),
+    ("plus-id", "+1\t2\n0\t1\n", None),
+    ("underscore-id", "1_0\t2\n0\t1\n", None),
+    ("float-id", "1.0\t2\n0\t1\n", None),
+    ("exponent-id", "1e0\t2\n0\t1\n", None),
+    ("arabic-indic-id", "\u0663\t1\n0\t1\n", None),
+    ("latin-letter-id", "1\u01fe\t2\n0\t1\n", None),
+    ("id-above-int64", "9223372036854775808\t1\n0\t1\n", None),
+    ("bom", "\ufeff0\t1\n1\t2\n", None),
+    ("form-feed", "0\f1\n1\t2\n", None),
+    ("no-break-space", "0\xa01\t2.0\n1\t2\t1.0\n", None),
+    ("one-field", "0\n1\n", None),
+    ("four-fields", "0 1 2 3\n1 2 3 4\n", None),
+    ("nan-weight", "0\t1\tnan\n1\t2\t1.0\n", None),
+    ("infinity-weight", "0\t1\tInfinity\n1\t2\t1.0\n", None),
+    ("underscore-weight", "0\t1\t1_0.5\n1\t2\t1.0\n", None),
+    ("hex-weight", "0\t1\t0x1p3\n1\t2\t1.0\n", None),
+    ("comments-only", "# only\n# comments\n", None),
+    ("non-ascii-comment", "# caf\u00e9\n0\t1\n1\t2\n", None),
+    ("empty", "", None),
+    ("empty-with-n", "", 2),
+    ("clash-in-triples", "0\t1\t1.0\n1\t2\t1.0\n1\t0\t2.0\n", None),
+    ("clash-after-long-runs", "".join(f"{i % 7}\t{i % 7 + 1}\t{i % 3}.5\n" for i in range(60)),
+     None),
+    ("out-of-range-pairs", "0\t1\n# gap\n1\t7\n2\t9\n", 3),
+    ("out-of-range-triples", "0\t1\t1.0\n9\t2\t1.0\n", 3),
+]
+
+
 def outcome(build, *args, **kwargs):
     """(arrays, warnings) of a built graph, or (exception type, message)."""
     with warnings.catch_warnings(record=True) as caught:
@@ -466,10 +500,12 @@ class TestArrayBuiltGraph:
 
     @settings(max_examples=300, deadline=None)
     @given(edges=edge_lists(), n=st.one_of(st.none(), st.integers(0, 10)),
-           data=st.data())
-    def test_reader_matches_per_edge_loop(self, edges, n, data):
-        lines = [f"{u}\t{v}" if w == 1.0 and data.draw(st.booleans()) else f"{u} {v}\t{w!r}"
-                 for u, v, w in edges]
+           form=st.sampled_from(["pairs", "triples", "mixed"]), data=st.data())
+    def test_reader_matches_per_edge_loop(self, edges, n, form, data):
+        # uniform files take numpy's reader, mixed ones the per-line parser
+        lines = [f"{u}\t{v}" if form == "pairs" or (form == "mixed" and w == 1.0
+                                                    and data.draw(st.booleans()))
+                 else f"{u} {v}\t{w!r}" for u, v, w in edges]
         for extra in data.draw(st.lists(st.sampled_from(
                 ["# comment", "", "0\tx", "1", "0 1 abc", "0 1 2 3", "2 3  # tail"]), max_size=2)):
             lines.insert(data.draw(st.integers(0, len(lines))), extra)
@@ -478,6 +514,27 @@ class TestArrayBuiltGraph:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("".join(line + "\n" for line in lines))
             assert outcome(read_edge_list, path, n=n) == outcome(per_edge_read_edge_list, path, n=n)
+
+    @pytest.mark.parametrize("text,n", [c[1:] for c in READER_EDGE_CASES],
+                             ids=[c[0] for c in READER_EDGE_CASES])
+    def test_reader_inputs_where_parsers_may_disagree(self, tmp_path, text, n):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read_edge_list, path, n=n) == outcome(per_edge_read_edge_list, path, n=n)
+
+    def test_uniform_files_take_numpy_reader(self, tmp_path, rng, monkeypatch):
+        _, g = random_connected_graph(rng, 30, weighted=True)
+        triples, pairs = tmp_path / "triples.tsv", tmp_path / "pairs.tsv"
+        write_edge_list(g, triples)
+        rows = g.entry_rows()
+        pairs.write_text("".join(f"{u}\t{v}\n" for u, v in zip(rows, g.csr_targets) if u < v))
+        want = [outcome(read_edge_list, path) for path in (triples, pairs)]
+
+        def refuse(path):
+            raise AssertionError(f"per-line parser used for {path}")
+
+        monkeypatch.setattr(graph_module, "_parse_lines", refuse)
+        assert [outcome(read_edge_list, path) for path in (triples, pairs)] == want
 
     def test_weighted_degrees_are_sequential_sums(self, rng):
         # rows of up to ~30 entries, where a pairwise sum would round differently
