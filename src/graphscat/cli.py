@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -27,10 +28,11 @@ from .datasets import (
 from .errors import GraphScatError
 from .experiment import (
     KNOWN_KEYS,
+    model_for,
     model_spec_from_config,
     run_experiment,
-    run_trained_model,
     train_config_from_config,
+    train_model,
     write_attention_ratios,
     write_metrics_csv,
 )
@@ -82,7 +84,8 @@ def _cmd_train(args) -> int:
     else:
         spec = ModelSpec(preset=args.preset or "sc-gcn")
         tcfg = TrainConfig(seed=0 if args.seed is None else args.seed)
-    model, result, acc = run_trained_model(ds, spec, tcfg)
+    model = model_for(ds, spec, tcfg)
+    result, acc = train_model(model, ds, tcfg)
     write_metrics_csv(args.out, result.history)
     print(f"test_accuracy: {acc:.4f}")
     if getattr(model, "last_attention", None) is not None:
@@ -171,7 +174,14 @@ def _cmd_gen_sbm(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The graphscat argument parser, built on first use and shared by every main call.
+
+    parse_args fills a fresh namespace from the parser's defaults each time,
+    so one parser serves any number of in-process commands; callers must not
+    add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="graphscat",
         description="Hybrid scattering graph networks: training, scattering "

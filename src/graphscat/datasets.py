@@ -204,9 +204,14 @@ def read_dataset(edges_path, features_path, labels_path, splits_path,
 
 
 def read_features(path) -> np.ndarray:
-    """Node-feature matrix from comma-separated rows of equal length, all finite."""
+    """Node-feature matrix from comma-separated rows of equal length, all finite.
+
+    The file is opened here, so path names a local file and nothing else
+    (np.loadtxt would also read a compressed sibling or fetch a URL).
+    """
     try:
-        features = np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(path, encoding="utf-8") as fh:
+            features = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise RowCountMismatch(f"{path}: {exc}") from None
     if features.size == 0 or not np.all(np.isfinite(features)):

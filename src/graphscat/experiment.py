@@ -90,12 +90,15 @@ def write_attention_ratios(path, zeta: np.ndarray):
         write_rows(fh, "%d,%.10g", np.column_stack([np.arange(len(zeta)), zeta]))
 
 
-def run_trained_model(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig):
-    """Train a preset on a dataset; returns (model, FitResult, test accuracy)."""
-    model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
+def model_for(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig):
+    """The spec's model for the dataset's shapes, initialized from the training seed."""
+    return build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
+
+
+def train_model(model, ds: Dataset, tcfg: TrainConfig):
+    """Fit a built model on a dataset; returns (FitResult, test accuracy)."""
     result: FitResult = fit(model, ds.graph, ds.features, ds.labels, ds.splits, tcfg)
-    acc = evaluate(model, ds.graph, ds.features, ds.labels, ds.splits.test)
-    return model, result, acc
+    return result, evaluate(model, ds.graph, ds.features, ds.labels, ds.splits.test)
 
 
 def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None) -> dict:
@@ -112,11 +115,11 @@ def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None
     echo(describe(ds))
     spec = model_spec_from_config(cfg, preset=preset)
     tcfg = train_config_from_config(cfg, seed=seed)
-    # only a run whose inputs all parsed gets a results directory
-    os.makedirs(out_dir, exist_ok=True)
-
     start = time.perf_counter()
-    model, result, acc = run_trained_model(ds, spec, tcfg)
+    model = model_for(ds, spec, tcfg)
+    # only a run whose inputs all parsed and whose model builds gets a results directory
+    os.makedirs(out_dir, exist_ok=True)
+    result, acc = train_model(model, ds, tcfg)
     runtime = time.perf_counter() - start
 
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), result.history)

@@ -81,19 +81,23 @@ class Graph:
         (source, node) pairs through their CSR rows: O(n (n + nnz)) array work.
         """
         n = self.n
+        row_len = np.diff(self.csr_offsets)
         table = np.full(n * n, -1, dtype=np.int64)
         frontier, level = np.arange(n) * (n + 1), 0     # flat (v, v) pairs
         while frontier.size:
             table[frontier] = level
             level += 1
-            sources, nodes = np.divmod(frontier, n)
-            deg = np.diff(self.csr_offsets)[nodes]
+            nodes = frontier % n
+            deg = row_len[nodes]
             ends = np.cumsum(deg)
             entries = np.arange(ends[-1]) + np.repeat(self.csr_offsets[nodes] + deg - ends, deg)
-            reached = np.repeat(sources * n, deg) + self.csr_targets[entries]
+            reached = np.repeat(frontier - nodes, deg) + self.csr_targets[entries]
+            reached = reached[table[reached] < 0]
             # repeats dropped after a sort: np.unique would import numpy.ma (1.2 MB)
-            reached = np.sort(reached[table[reached] < 0])
-            frontier = reached[np.diff(reached, prepend=-1) != 0]
+            reached.sort()
+            first = np.ones(reached.size, dtype=bool)
+            np.not_equal(reached[1:], reached[:-1], out=first[1:])
+            frontier = reached[first]
         table = table.reshape(n, n)
         table.flags.writeable = False
         return table

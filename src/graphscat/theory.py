@@ -79,11 +79,10 @@ def intrinsic_features(g: Graph, kind: IntrinsicFeatureKind) -> np.ndarray:
     """One feature column determined by each node's local isomorphism class."""
     if kind.kind == "degree":
         return g.degrees.reshape(-1, 1).copy()
-    out = np.zeros((g.n, 1))
     if kind.kind == "avg_degree":
-        for v in range(g.n):
-            out[v, 0] = float(np.mean(g.degrees[_ball(g, v, kind.K - 1)]))
-        return out
+        ball = (g.hops >= 0) & (g.hops < kind.K)      # row v: the closed (K-1)-ball of v
+        return (np.where(ball, g.degrees, 0.0).sum(axis=1) / ball.sum(axis=1)).reshape(-1, 1)
+    out = np.zeros((g.n, 1))
     adj = (g.hops == 1).astype(np.int64)
     for v in range(g.n):
         ball = _ball(g, v, kind.K)

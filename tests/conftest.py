@@ -93,6 +93,21 @@ def weighted_graphs(draw, max_n=12):
         return build_graph([(u, v, w) for (u, v), w in zip(pairs, weights)], n=n)
 
 
+@st.composite
+def hop_graphs(draw, max_n=30):
+    """(n, edges) on 1..max_n nodes, often split into components or with isolated
+    nodes; above 20 nodes, sometimes a hub joined to at least 20 others."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e))), max_size=2 * n))
+    if n > 20 and draw(st.booleans()):
+        hub = draw(st.integers(0, n - 1))
+        others = draw(st.permutations([v for v in range(n) if v != hub]))
+        pairs |= {(min(hub, v), max(hub, v)) for v in others[:draw(st.integers(20, n - 1))]}
+    return n, sorted(pairs)
+
+
 def count_kernel_calls(monkeypatch):
     """List that gets each graph.adjacency_matvec call's column count from now on.
 
@@ -326,6 +341,15 @@ def per_node_homophily(g, labels):
     if total == 0:
         raise ValueError("graph has no edges")
     return same / total
+
+
+def per_node_avg_degree(g, K):
+    """avg_degree(K) node by node: the mean degree over each closed (K-1)-hop ball."""
+    out = np.zeros((g.n, 1))
+    for v in range(g.n):
+        ball = [u for u in range(g.n) if 0 <= g.hops[v, u] <= K - 1]
+        out[v, 0] = float(np.mean(g.degrees[ball]))
+    return out
 
 
 def per_node_dense_adjacency(g):

@@ -1,4 +1,10 @@
+import argparse
+import gzip
 import json
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +13,7 @@ from graphscat import cli, experiment
 from graphscat.cli import main
 from graphscat.config import ConfigError, ConfigView, parse_config_text
 from graphscat.datasets import SBMSpec, generate_sbm, load_dataset, save_dataset
-from graphscat.experiment import run_experiment, run_trained_model
+from graphscat.experiment import run_experiment
 from graphscat.graph import read_edge_list
 from graphscat.layers import attention_ratio
 from graphscat.models import GSAN, build_model
@@ -49,6 +55,18 @@ fork-equidistant           PASS  guard fired: nearest difference node not unique
 square-double-path         PASS  guard fired: 2 shortest paths between 0 and 3
 17/17 fixtures passed
 """
+
+
+def spy_model_builds(monkeypatch):
+    """List that gets (preset, seed) of each model the train command builds from now on."""
+    seen = []
+
+    def spy(spec, d_in, n_classes, seed=0):
+        seen.append((spec.preset, seed))
+        return build_model(spec, d_in, n_classes, seed=seed)
+
+    monkeypatch.setattr(experiment, "build_model", spy)
+    return seen
 
 
 class TestConfigParsing:
@@ -179,14 +197,7 @@ class TestCliCommands:
                                              capsys, flags, want, with_files):
         # a flag that is given wins over model.preset / train.seed; one that
         # is not given leaves the config's value, in both train modes
-        seen = []
-
-        def spy(ds, spec, tcfg):
-            seen.append((spec.preset, tcfg.seed))
-            return run_trained_model(ds, spec, tcfg)
-
-        monkeypatch.setattr(cli, "run_trained_model", spy)
-        monkeypatch.setattr(experiment, "run_trained_model", spy)
+        seen = spy_model_builds(monkeypatch)
         settings = "model.preset = sc-gcn\ntrain.seed = 3\ntrain.epochs = 2\n"
         argv = ["train", "--config", str(tmp_path / "exp.cfg")] + flags
         if with_files:
@@ -285,10 +296,13 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "train.seed" in err and "line 3" in err
 
-    @pytest.mark.parametrize("case", ["bad seed", "node id out of range"])
+    @pytest.mark.parametrize("case", ["bad seed", "node id out of range", "model fails to build"])
     def test_rejected_run_leaves_no_out_dir(self, small_dataset_dir, tmp_path, capsys, case):
         data_dir = small_dataset_dir
         setting, message = "train.seed = abc", "train.seed"
+        if case == "model fails to build":
+            setting = "model.preset = gsan\nmodel.heads = 0"
+            message = "error: attention needs at least one head"
         if case == "node id out of range":
             data_dir = tmp_path / "data"
             data_dir.mkdir()
@@ -504,6 +518,90 @@ class TestCliCommands:
         rc = main(["scatter", "--graph", str(tmp_path / "absent.tsv"),
                    "--features", str(tmp_path / "absent.csv"), "--paths", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["scatter", "train"])
+    def test_features_flag_reads_the_named_file_only(self, small_dataset_dir, tmp_path, capsys,
+                                                     command):
+        # a compressed sibling is not the named file
+        named = tmp_path / "feats.csv"
+        with gzip.open(tmp_path / "feats.csv.gz", "wt") as fh:
+            fh.write((small_dataset_dir / "features.csv").read_text())
+        if command == "scatter":
+            rc = main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
+                       "--features", str(named), "--paths", "1", "--out", str(tmp_path / "m.csv")])
+        else:
+            rc = self._train_with_files(small_dataset_dir, tmp_path, features=named)
+        assert rc == 2
+        assert str(named) in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the cached parser before and after, so the test sees it built."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+class TestParserPerProcess:
+    def test_import_builds_no_parser(self):
+        code = "import graphscat.cli as c; print(c.build_parser.cache_info().misses)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "0\n"
+
+    def test_commands_share_one_parser(self, small_dataset_dir, tmp_path, monkeypatch, capsys,
+                                       fresh_parser):
+        built = []
+
+        class Counted(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if self.prog == "graphscat":
+                    built.append(self)
+
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counted))
+        assert main(["verify-theory"]) == 0
+        assert main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
+                     "--features", str(small_dataset_dir / "features.csv"),
+                     "--paths", "1", "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["spectra", "--graph", str(small_dataset_dir / "edges.tsv"),
+                     "--out", str(tmp_path / "f.csv")]) == 0
+        assert len(built) == 1
+
+    def test_out_of_one_call_is_not_the_next_default(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("".join(f"{i}\t{(i + 1) % 6}\n" for i in range(6)))
+        out = tmp_path / "f.csv"
+        assert main(["spectra", "--graph", str(edges), "--out", str(out)]) == 0
+        written = out.read_text()
+        out.unlink()
+        capsys.readouterr()
+        assert main(["spectra", "--graph", str(edges)]) == 0
+        assert capsys.readouterr().out == written
+        assert not out.exists()
+
+    def test_seed_of_one_call_is_not_the_next_default(self, small_dataset_dir, tmp_path,
+                                                      monkeypatch, capsys):
+        seen = spy_model_builds(monkeypatch)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset.dir = {small_dataset_dir}\nmodel.preset = gcn-baseline\n"
+                       "train.epochs = 2\ntrain.seed = 5\n")
+        argv = ["train", "--config", str(cfg), "--out-dir", str(tmp_path / "res")]
+        assert main(argv + ["--seed", "3"]) == 0
+        assert main(argv) == 0
+        assert seen == [("gcn-baseline", 3), ("gcn-baseline", 5)]
+
+    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectra", "--filters", "gcn"])          # --graph is required
+        assert exc.value.code == 2
+        assert "--graph" in capsys.readouterr().err
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\n1\t2\n")
+        assert main(["spectra", "--graph", str(edges), "--out", str(tmp_path / "f.csv")]) == 0
 
 
 class TestRunExperimentSBMMode:

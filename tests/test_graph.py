@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
@@ -34,6 +34,7 @@ from graphscat.graph import (
 from conftest import (
     dense_ops,
     dense_w,
+    hop_graphs,
     per_edge_build_graph,
     per_edge_read_edge_list,
     per_edge_write_edge_list,
@@ -291,27 +292,25 @@ class TestNeighborhood:
         assert np.flatnonzero(g.hops[2] == 0).tolist() == [2]
         assert np.array_equal(np.diag(g.hops), np.zeros(5))
 
-    def test_bfs_semantics_against_matrix_oracle(self, rng):
+    @settings(max_examples=100, deadline=None)
+    @given(case=hop_graphs())
+    @example(case=(1, []))                                          # one node
+    @example(case=(5, []))                                          # no edges
+    @example(case=(27, [(0, v) for v in range(1, 23)] + [(23, 24), (24, 25)]))  # hub, node 26 alone
+    def test_bfs_semantics_against_matrix_oracle(self, case):
         # d(v, u) is the first K whose K-step reach from v contains u
-        n = 15
-        e1, _ = random_connected_graph(rng, 6)
-        e2, _ = random_connected_graph(rng, 7)
-        split = e1 + [(u + 6, v + 6) for u, v in e2]        # nodes 13, 14 isolated
+        n, edges = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IsolatedNodeWarning)
-            graphs = [random_connected_graph(rng, n),
-                      random_connected_graph(rng, n, weighted=True),
-                      (split, build_graph(split, n=n))]
-        for edges, g in graphs:
-            adj = dense_w(n, edges) > 0
-            expected = np.full((n, n), -1)
-            reach = np.eye(n, dtype=bool)
-            for K in range(n):
-                expected[reach & (expected < 0)] = K
-                reach = reach | (reach @ adj)
-            assert g.hops.dtype == np.int64
-            assert np.array_equal(g.hops, expected)
-        assert g.hops[0, 6] == g.hops[13, 14] == -1 and g.hops[14, 14] == 0
+            g = build_graph(edges, n=n)
+        adj = dense_w(n, edges) > 0
+        expected = np.full((n, n), -1)
+        reach = np.eye(n, dtype=bool)
+        for K in range(n):
+            expected[reach & (expected < 0)] = K
+            reach = reach | (reach @ adj)
+        assert g.hops.dtype == np.int64
+        assert np.array_equal(g.hops, expected)
 
     def test_table_is_built_on_first_use_cached_and_read_only(self):
         g = build_graph(cycle(6))

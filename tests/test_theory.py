@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from graphscat import theory
 from graphscat.cli import main
 
-from graphscat.errors import HypothesisViolated, PartialMap
+from graphscat.errors import HypothesisViolated, IsolatedNodeWarning, PartialMap
 from graphscat.fixtures import (
     LEAKY,
     barbell_pair,
@@ -43,6 +45,8 @@ from conftest import (
     count_kernel_calls,
     dense_ops,
     dense_wavelet,
+    hop_graphs,
+    per_node_avg_degree,
     per_node_dense_adjacency,
     per_node_homophily,
     per_trial_gcn_deviation,
@@ -69,6 +73,25 @@ class TestIntrinsicFeatures:
             dist = g.hops[v]
             hood = [u for u in range(g.n) if 0 <= dist[u] <= 1]
             assert feats[v] == pytest.approx(np.mean(g.degrees[hood]), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hop_graphs(), K=st.integers(1, 3))
+    def test_avg_degree_matches_per_node_loop_bitwise_on_unit_weights(self, case, K):
+        # unit-weight degree sums are exact integers, so the order of the sum cannot show
+        n, edges = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IsolatedNodeWarning)
+            g = build_graph(edges, n=n)
+        got = intrinsic_features(g, avg_degree(K))
+        assert got.shape == (n, 1)
+        assert np.array_equal(got, per_node_avg_degree(g, K))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=weighted_graphs(max_n=20), K=st.integers(1, 3))
+    def test_avg_degree_matches_per_node_loop_on_weighted_graphs(self, g, K):
+        with np.errstate(over="ignore"):    # weights near the float maximum sum to inf in both
+            got, want = intrinsic_features(g, avg_degree(K)), per_node_avg_degree(g, K)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_triangle_count_matches_enumeration_oracle(self, rng):
         edges, g = random_connected_graph(rng, 12, extra=14)
