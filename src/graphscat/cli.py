@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import math
 import os
 import sys
@@ -28,7 +27,6 @@ from .datasets import (
 from .errors import GraphScatError
 from .experiment import (
     KNOWN_KEYS,
-    model_for,
     model_spec_from_config,
     run_experiment,
     train_config_from_config,
@@ -39,7 +37,7 @@ from .experiment import (
 from .fixtures import run_verify_suite
 from .graph import read_edge_list, write_rows
 from .layers import attention_ratio
-from .models import PRESETS, ModelSpec
+from .models import PRESETS, ModelSpec, build_model
 from .scattering import ABS, cascade, first_wavelets
 from .spectral import (
     FilterSpec,
@@ -84,7 +82,7 @@ def _cmd_train(args) -> int:
     else:
         spec = ModelSpec(preset=args.preset or "sc-gcn")
         tcfg = TrainConfig(seed=0 if args.seed is None else args.seed)
-    model = model_for(ds, spec, tcfg)
+    model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
     result, acc = train_model(model, ds, tcfg)
     write_metrics_csv(args.out, result.history)
     print(f"test_accuracy: {acc:.4f}")
@@ -174,13 +172,13 @@ def _cmd_gen_sbm(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The graphscat argument parser, built on first use and shared by every main call.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The graphscat argument parser; given a command name, with that subcommand only.
 
-    parse_args fills a fresh namespace from the parser's defaults each time,
-    so one parser serves any number of in-process commands; callers must not
-    add to it.
+    argparse pays about 0.08 ms for each subparser and 0.03 ms for each
+    argument it adds, 1 ms in all, half of a small spectra call, so main builds
+    only the subcommand it runs. A name that is no command (help, a typo)
+    gets every subcommand.
     """
     parser = argparse.ArgumentParser(
         prog="graphscat",
@@ -188,53 +186,61 @@ def build_parser() -> argparse.ArgumentParser:
                     "features, spectral diagnostics, and theory verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a preset on a dataset")
-    p.add_argument("--config", help="experiment config file; --preset and --seed override it")
-    p.add_argument("--graph", help="edges.tsv path")
-    p.add_argument("--features", help="features.csv path")
-    p.add_argument("--labels", help="labels.csv path")
-    p.add_argument("--splits", help="splits.json path")
-    p.add_argument("--preset", choices=PRESETS, default=None,
-                   help="model preset (default sc-gcn, or the config's model.preset)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="training seed (default 0, or the config's train.seed)")
-    p.add_argument("--out", default="metrics.csv", help="metrics CSV path")
-    p.add_argument("--out-dir", default=None, help="output directory for --config mode")
-    p.set_defaults(func=_cmd_train)
+    def add(name, func, help_):
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("scatter", help="emit scattering features as CSV")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--paths", required=True,
-                   help="wavelet-scale paths, e.g. '1|2|0,1' (scales comma-separated)")
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=_cmd_scatter)
+    if p := add("train", _cmd_train, "train a preset on a dataset"):
+        p.add_argument("--config", help="experiment config file; --preset and --seed override it")
+        p.add_argument("--graph", help="edges.tsv path")
+        p.add_argument("--features", help="features.csv path")
+        p.add_argument("--labels", help="labels.csv path")
+        p.add_argument("--splits", help="splits.json path")
+        p.add_argument("--preset", choices=PRESETS, default=None,
+                       help="model preset (default sc-gcn, or the config's model.preset)")
+        p.add_argument("--seed", type=int, default=None,
+                       help="training seed (default 0, or the config's train.seed)")
+        p.add_argument("--out", default="metrics.csv", help="metrics CSV path")
+        p.add_argument("--out-dir", default=None, help="output directory for --config mode")
 
-    p = sub.add_parser("spectra", help="measured per-eigenvalue filter multipliers")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--filters", default="gcn;wavelet:1;wavelet:2;lowpass:3",
-                   help="semicolon list: gcn, wavelet:k, lowpass:K, cheb:t0,t1,...")
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=_cmd_spectra)
+    if p := add("scatter", _cmd_scatter, "emit scattering features as CSV"):
+        p.add_argument("--graph", required=True)
+        p.add_argument("--features", required=True)
+        p.add_argument("--paths", required=True,
+                       help="wavelet-scale paths, e.g. '1|2|0,1' (scales comma-separated)")
+        p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
-    p = sub.add_parser("verify-theory", help="run the discriminability fixture suite")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=_cmd_verify_theory)
+    if p := add("spectra", _cmd_spectra, "measured per-eigenvalue filter multipliers"):
+        p.add_argument("--graph", required=True)
+        p.add_argument("--filters", default="gcn;wavelet:1;wavelet:2;lowpass:3",
+                       help="semicolon list: gcn, wavelet:k, lowpass:K, cheb:t0,t1,...")
+        p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
-    p = sub.add_parser("gen-sbm", help="generate a synthetic block-model dataset")
-    p.add_argument("--blocks", default="200,200", help="comma-separated block sizes")
-    p.add_argument("--p-in", type=float, default=0.1)
-    p.add_argument("--p-out", type=float, default=0.01)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output dataset directory")
-    p.set_defaults(func=_cmd_gen_sbm)
+    if p := add("verify-theory", _cmd_verify_theory, "run the discriminability fixture suite"):
+        p.add_argument("--tol", type=float, default=1e-9)
+
+    if p := add("gen-sbm", _cmd_gen_sbm, "generate a synthetic block-model dataset"):
+        p.add_argument("--blocks", default="200,200", help="comma-separated block sizes")
+        p.add_argument("--p-in", type=float, default=0.1)
+        p.add_argument("--p-out", type=float, default=0.01)
+        p.add_argument("--feature-dim", type=int, default=8)
+        p.add_argument("--noise", type=float, default=1.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True, help="output dataset directory")
+
+    if not sub.choices:
+        return build_parser()
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, unknown = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if unknown:
+        build_parser().parse_args(argv)     # exits 2; its usage line names every command
     try:
         return args.func(args)
     except GraphScatError as exc:

@@ -90,11 +90,6 @@ def write_attention_ratios(path, zeta: np.ndarray):
         write_rows(fh, "%d,%.10g", np.column_stack([np.arange(len(zeta)), zeta]))
 
 
-def model_for(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig):
-    """The spec's model for the dataset's shapes, initialized from the training seed."""
-    return build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
-
-
 def train_model(model, ds: Dataset, tcfg: TrainConfig):
     """Fit a built model on a dataset; returns (FitResult, test accuracy)."""
     result: FitResult = fit(model, ds.graph, ds.features, ds.labels, ds.splits, tcfg)
@@ -116,7 +111,7 @@ def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None
     spec = model_spec_from_config(cfg, preset=preset)
     tcfg = train_config_from_config(cfg, seed=seed)
     start = time.perf_counter()
-    model = model_for(ds, spec, tcfg)
+    model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
     # only a run whose inputs all parsed and whose model builds gets a results directory
     os.makedirs(out_dir, exist_ok=True)
     result, acc = train_model(model, ds, tcfg)

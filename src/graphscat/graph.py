@@ -87,17 +87,14 @@ class Graph:
         while frontier.size:
             table[frontier] = level
             level += 1
-            nodes = frontier % n
+            sources, nodes = np.divmod(frontier, n)
             deg = row_len[nodes]
             ends = np.cumsum(deg)
             entries = np.arange(ends[-1]) + np.repeat(self.csr_offsets[nodes] + deg - ends, deg)
-            reached = np.repeat(frontier - nodes, deg) + self.csr_targets[entries]
-            reached = reached[table[reached] < 0]
+            reached = np.repeat(sources * n, deg) + self.csr_targets[entries]
             # repeats dropped after a sort: np.unique would import numpy.ma (1.2 MB)
-            reached.sort()
-            first = np.ones(reached.size, dtype=bool)
-            np.not_equal(reached[1:], reached[:-1], out=first[1:])
-            frontier = reached[first]
+            reached = np.sort(reached[table[reached] < 0])
+            frontier = reached[np.diff(reached, prepend=-1) != 0]
         table = table.reshape(n, n)
         table.flags.writeable = False
         return table

@@ -94,9 +94,10 @@ def weighted_graphs(draw, max_n=12):
 
 
 @st.composite
-def hop_graphs(draw, max_n=30):
+def hop_graphs(draw, max_n=30, weighted=False):
     """(n, edges) on 1..max_n nodes, often split into components or with isolated
-    nodes; above 20 nodes, sometimes a hub joined to at least 20 others."""
+    nodes; above 20 nodes, sometimes a hub joined to at least 20 others. Unit
+    weights (pairs), or with weighted, sometimes positive weights ((u, v, w))."""
     n = draw(st.integers(1, max_n))
     pairs = draw(st.sets(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -105,7 +106,11 @@ def hop_graphs(draw, max_n=30):
         hub = draw(st.integers(0, n - 1))
         others = draw(st.permutations([v for v in range(n) if v != hub]))
         pairs |= {(min(hub, v), max(hub, v)) for v in others[:draw(st.integers(20, n - 1))]}
-    return n, sorted(pairs)
+    edges = sorted(pairs)
+    if weighted and draw(st.booleans()):
+        weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(edges), max_size=len(edges)))
+        edges = [(u, v, w) for (u, v), w in zip(edges, weights)]
+    return n, edges
 
 
 def count_kernel_calls(monkeypatch):

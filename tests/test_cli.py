@@ -1,10 +1,6 @@
 import argparse
 import gzip
 import json
-import os
-import subprocess
-import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,18 +51,6 @@ fork-equidistant           PASS  guard fired: nearest difference node not unique
 square-double-path         PASS  guard fired: 2 shortest paths between 0 and 3
 17/17 fixtures passed
 """
-
-
-def spy_model_builds(monkeypatch):
-    """List that gets (preset, seed) of each model the train command builds from now on."""
-    seen = []
-
-    def spy(spec, d_in, n_classes, seed=0):
-        seen.append((spec.preset, seed))
-        return build_model(spec, d_in, n_classes, seed=seed)
-
-    monkeypatch.setattr(experiment, "build_model", spy)
-    return seen
 
 
 class TestConfigParsing:
@@ -197,7 +181,14 @@ class TestCliCommands:
                                              capsys, flags, want, with_files):
         # a flag that is given wins over model.preset / train.seed; one that
         # is not given leaves the config's value, in both train modes
-        seen = spy_model_builds(monkeypatch)
+        seen = []
+
+        def spy(spec, d_in, n_classes, seed=0):
+            seen.append((spec.preset, seed))
+            return build_model(spec, d_in, n_classes, seed=seed)
+
+        monkeypatch.setattr(cli, "build_model", spy)
+        monkeypatch.setattr(experiment, "build_model", spy)
         settings = "model.preset = sc-gcn\ntrain.seed = 3\ntrain.epochs = 2\n"
         argv = ["train", "--config", str(tmp_path / "exp.cfg")] + flags
         if with_files:
@@ -536,72 +527,46 @@ class TestCliCommands:
         assert not (tmp_path / "m.csv").exists()
 
 
-@pytest.fixture
-def fresh_parser():
-    """Drop the cached parser before and after, so the test sees it built."""
-    cli.build_parser.cache_clear()
-    yield
-    cli.build_parser.cache_clear()
+COMMANDS = ["train", "scatter", "spectra", "verify-theory", "gen-sbm"]
 
 
-class TestParserPerProcess:
-    def test_import_builds_no_parser(self):
-        code = "import graphscat.cli as c; print(c.build_parser.cache_info().misses)"
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout == "0\n"
+def subcommands(parser):
+    """Names of the subcommands a parser was built with, in order."""
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
 
-    def test_commands_share_one_parser(self, small_dataset_dir, tmp_path, monkeypatch, capsys,
-                                       fresh_parser):
-        built = []
 
-        class Counted(argparse.ArgumentParser):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if self.prog == "graphscat":
-                    built.append(self)
+class TestParserPerCommand:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_builds_only_its_subparser(self, command):
+        assert subcommands(cli.build_parser(command)) == [command]
 
-        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counted))
-        assert main(["verify-theory"]) == 0
-        assert main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
-                     "--features", str(small_dataset_dir / "features.csv"),
-                     "--paths", "1", "--out", str(tmp_path / "s.csv")]) == 0
-        assert main(["spectra", "--graph", str(small_dataset_dir / "edges.tsv"),
-                     "--out", str(tmp_path / "f.csv")]) == 0
-        assert len(built) == 1
+    @pytest.mark.parametrize("name", [None, "--help", "spect"])
+    def test_any_other_name_builds_every_subparser(self, name):
+        assert subcommands(cli.build_parser(name)) == COMMANDS
 
-    def test_out_of_one_call_is_not_the_next_default(self, tmp_path, capsys):
-        edges = tmp_path / "edges.tsv"
-        edges.write_text("".join(f"{i}\t{(i + 1) % 6}\n" for i in range(6)))
-        out = tmp_path / "f.csv"
-        assert main(["spectra", "--graph", str(edges), "--out", str(out)]) == 0
-        written = out.read_text()
-        out.unlink()
-        capsys.readouterr()
-        assert main(["spectra", "--graph", str(edges)]) == 0
-        assert capsys.readouterr().out == written
-        assert not out.exists()
+    @pytest.mark.parametrize("argv", [
+        ["-h"], [], ["spect"], ["--bogus"], ["-h", "spectra"],
+        *([c, "-h"] for c in COMMANDS), ["scatter"], ["gen-sbm"], ["spectra", "--graph"],
+        *([c, "--bogus"] for c in COMMANDS), ["verify-theory", "extra"],
+        ["verify-theory", "--tol", "x"], ["gen-sbm", "--seed", "q", "--out", "d"]])
+    def test_help_and_usage_errors_read_as_with_the_full_parser(self, capsys, argv):
+        # an unrecognized argument is worded by the top-level parser, whose
+        # usage line lists the commands it was built with
+        with pytest.raises(SystemExit) as want:
+            cli.build_parser().parse_args(argv)
+        want_out = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert got.value.code == want.value.code
+        assert capsys.readouterr() == want_out
 
-    def test_seed_of_one_call_is_not_the_next_default(self, small_dataset_dir, tmp_path,
-                                                      monkeypatch, capsys):
-        seen = spy_model_builds(monkeypatch)
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"dataset.dir = {small_dataset_dir}\nmodel.preset = gcn-baseline\n"
-                       "train.epochs = 2\ntrain.seed = 5\n")
-        argv = ["train", "--config", str(cfg), "--out-dir", str(tmp_path / "res")]
-        assert main(argv + ["--seed", "3"]) == 0
-        assert main(argv) == 0
-        assert seen == [("gcn-baseline", 3), ("gcn-baseline", 5)]
-
-    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["spectra", "--filters", "gcn"])          # --graph is required
-        assert exc.value.code == 2
-        assert "--graph" in capsys.readouterr().err
-        edges = tmp_path / "edges.tsv"
-        edges.write_text("0\t1\n1\t2\n")
-        assert main(["spectra", "--graph", str(edges), "--out", str(tmp_path / "f.csv")]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "c.cfg", "--seed", "3"], ["scatter", "--graph", "g", "--features", "f",
+                                                        "--paths", "1|0,1"],
+        ["spectra", "--graph", "g"], ["verify-theory", "--tol", "1e-6"], ["gen-sbm", "--out", "d"]])
+    def test_namespace_is_the_full_parsers(self, argv):
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
 class TestRunExperimentSBMMode:

@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from graphscat.datasets import (
     describe,
     generate_sbm,
     load_dataset,
+    read_features,
     save_dataset,
     stratified_splits,
 )
@@ -120,6 +123,14 @@ class TestLoadErrors:
         (tmp_path / "labels.csv").unlink()
         with pytest.raises(MissingFile):
             load_dataset(tmp_path)
+
+    def test_features_read_from_the_named_file_only(self, tmp_path):
+        # np.loadtxt given the path would read the compressed sibling instead
+        with gzip.open(tmp_path / "feats.csv.gz", "wt") as fh:
+            fh.write("1.0,2.0\n")
+        with pytest.raises(FileNotFoundError) as err:
+            read_features(tmp_path / "feats.csv")
+        assert str(tmp_path / "feats.csv") in str(err.value)
 
     def test_row_count_mismatch(self, tmp_path):
         self._write_minimal(tmp_path)

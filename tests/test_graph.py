@@ -293,10 +293,11 @@ class TestNeighborhood:
         assert np.array_equal(np.diag(g.hops), np.zeros(5))
 
     @settings(max_examples=100, deadline=None)
-    @given(case=hop_graphs())
+    @given(case=hop_graphs(weighted=True))
     @example(case=(1, []))                                          # one node
     @example(case=(5, []))                                          # no edges
     @example(case=(27, [(0, v) for v in range(1, 23)] + [(23, 24), (24, 25)]))  # hub, node 26 alone
+    @example(case=(6, [(0, 1, 0.5), (1, 2, 3.0), (3, 4, 1e-3)]))   # weighted, two components
     def test_bfs_semantics_against_matrix_oracle(self, case):
         # d(v, u) is the first K whose K-step reach from v contains u
         n, edges = case
