@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from .config import ConfigView, parse_config, parse_paths
+from .config import parse_paths
 from .datasets import (
     SBMSpec,
     describe,
@@ -26,10 +26,8 @@ from .datasets import (
 )
 from .errors import GraphScatError
 from .experiment import (
-    KNOWN_KEYS,
-    model_spec_from_config,
+    read_run_config,
     run_experiment,
-    train_config_from_config,
     train_model,
     write_attention_ratios,
     write_metrics_csv,
@@ -37,7 +35,7 @@ from .experiment import (
 from .fixtures import run_verify_suite
 from .graph import read_edge_list, write_rows
 from .layers import attention_ratio
-from .models import PRESETS, ModelSpec, build_model
+from .models import PRESETS, build_model
 from .scattering import ABS, cascade, first_wavelets
 from .spectral import (
     FilterSpec,
@@ -47,7 +45,6 @@ from .spectral import (
     spectral_response,
     wavelet_filter,
 )
-from .train import TrainConfig
 
 
 @contextlib.contextmanager
@@ -64,31 +61,27 @@ def _cmd_train(args) -> int:
     file_flags = ("graph", "features", "labels", "splits")
     given = [getattr(args, r) is not None for r in file_flags]
     if args.config and not any(given):
+        if args.out is not None:
+            raise ValueError("--out needs the data-file flags; --config alone takes --out-dir")
         run_experiment(args.config, out_dir=args.out_dir, preset=args.preset, seed=args.seed)
         return 0
     missing = [f"--{r}" for r, g_ in zip(file_flags, given) if not g_]
     if missing:
-        print(f"train: missing {', '.join(missing)} (or use --config alone)",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"missing {', '.join(missing)} (or use --config alone)")
+    if args.out_dir is not None:
+        raise ValueError("--out-dir needs --config alone; the data-file flags take --out")
+    # model.* / train.* settings come from the config, if any; data from the flags
+    _, spec, tcfg = read_run_config(args.config, args.preset, args.seed, data_flags=True)
     ds = read_dataset(args.graph, args.features, args.labels, args.splits, name="cli")
     print(describe(ds))
-    if args.config:
-        # model.* / train.* settings come from the config; data from the flags
-        view = ConfigView(parse_config(args.config))
-        view.reject_unknown_keys(KNOWN_KEYS)
-        spec = model_spec_from_config(view, preset=args.preset)
-        tcfg = train_config_from_config(view, seed=args.seed)
-    else:
-        spec = ModelSpec(preset=args.preset or "sc-gcn")
-        tcfg = TrainConfig(seed=0 if args.seed is None else args.seed)
     model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
     result, acc = train_model(model, ds, tcfg)
-    write_metrics_csv(args.out, result.history)
+    out = args.out or "metrics.csv"
+    write_metrics_csv(out, result.history)
     print(f"test_accuracy: {acc:.4f}")
     if getattr(model, "last_attention", None) is not None:
         zeta = attention_ratio(model.last_attention)
-        ratio_path = os.path.splitext(args.out)[0] + "_attention_ratios.csv"
+        ratio_path = os.path.splitext(out)[0] + "_attention_ratios.csv"
         write_attention_ratios(ratio_path, zeta)
         print(f"attention ratios written to {ratio_path}")
     return 0
@@ -203,8 +196,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="model preset (default sc-gcn, or the config's model.preset)")
         p.add_argument("--seed", type=int, default=None,
                        help="training seed (default 0, or the config's train.seed)")
-        p.add_argument("--out", default="metrics.csv", help="metrics CSV path")
-        p.add_argument("--out-dir", default=None, help="output directory for --config mode")
+        p.add_argument("--out", default=None,
+                       help="metrics CSV path with the data-file flags (default metrics.csv)")
+        p.add_argument("--out-dir", default=None,
+                       help="output directory with --config alone "
+                            "(default the config's out.dir, else results)")
 
     if p := add("scatter", _cmd_scatter, "emit scattering features as CSV"):
         p.add_argument("--graph", required=True)

@@ -2,7 +2,7 @@
 
 Dotted keys group settings: dataset.dir or sbm.* pick the data, model.* the
 preset and its knobs, train.* the optimizer, out.dir the output directory.
-The full schema is documented in the README.
+The schema tables are in experiment, which rejects every key a run does not read.
 """
 
 from __future__ import annotations
@@ -56,45 +56,29 @@ class ConfigView:
     def has(self, key: str) -> bool:
         return key in self.values
 
-    def _fetch(self, key: str, default):
-        if key not in self.values:
-            return None, default
-        return self.values[key], None
-
-    def get_str(self, key: str, default=None) -> str | None:
-        cv, dflt = self._fetch(key, default)
-        return cv.raw if cv else dflt
-
-    def _convert(self, key: str, cv: ConfigValue, fn, what: str):
+    def _get(self, key: str, default, parse, what: str):
+        cv = self.values.get(key)
+        if cv is None:
+            return default
         try:
-            return fn(cv.raw)
+            return parse(cv.raw)
         except ValueError:
             raise ConfigError(f"key {key!r} needs {what}, got {cv.raw!r}",
                               line=cv.line) from None
 
+    def get_str(self, key: str, default=None) -> str | None:
+        return self._get(key, default, str, "a string")
+
     def get_int(self, key: str, default=None):
-        cv, dflt = self._fetch(key, default)
-        return self._convert(key, cv, int, "an integer") if cv else dflt
+        return self._get(key, default, int, "an integer")
 
     def get_float(self, key: str, default=None):
-        cv, dflt = self._fetch(key, default)
-        return self._convert(key, cv, float, "a number") if cv else dflt
+        return self._get(key, default, float, "a number")
 
     def get_int_tuple(self, key: str, default=None):
-        cv, dflt = self._fetch(key, default)
-        if not cv:
-            return dflt
-        return self._convert(key, cv,
-                             lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
-                             "comma-separated integers")
+        return self._get(key, default, lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
+                         "comma-separated integers")
 
     def get_paths(self, key: str, default=None):
         """Wavelet-scale paths, in the parse_paths format."""
-        cv, dflt = self._fetch(key, default)
-        return self._convert(key, cv, parse_paths, "paths like '1|2,3'") if cv else dflt
-
-    def reject_unknown_keys(self, known_keys):
-        """Raise ConfigError at the first line whose key is not in known_keys."""
-        for key, cv in self.values.items():   # parse order is line order
-            if key not in known_keys:
-                raise ConfigError(f"unknown key {key!r}", line=cv.line)
+        return self._get(key, default, parse_paths, "paths like '1|2,3'")

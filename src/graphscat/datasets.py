@@ -66,8 +66,8 @@ class SBMSpec:
     """Stochastic block model with per-block Gaussian feature clouds."""
 
     block_sizes: tuple[int, ...]
-    p_in: float
-    p_out: float
+    p_in: float = 0.1
+    p_out: float = 0.01
     feature_dim: int = 8
     noise_scale: float = 1.0
     seed: int = 0

@@ -16,65 +16,75 @@ from .config import ConfigError, ConfigView, parse_config
 from .datasets import Dataset, SBMSpec, describe, generate_sbm, load_dataset
 from .graph import write_rows
 from .layers import attention_ratio
-from .models import ModelSpec, build_model
+from .models import PRESET_FIELDS, PRESETS, ModelSpec, build_model
 from .train import FitResult, TrainConfig, evaluate, fit
 
-# the config schema documented in the README; any other key is an error
-KNOWN_KEYS = frozenset(
-    ["dataset.dir", "out.dir"]
-    + [f"sbm.{k}" for k in ("blocks", "p_in", "p_out", "feature_dim", "noise", "seed")]
-    + [f"model.{k}" for k in ("preset", "hidden", "alpha", "q", "heads", "low_powers",
-                              "low_widths", "band_widths", "band_paths")]
-    + [f"train.{k}" for k in ("lr", "weight_decay", "epochs", "patience", "seed",
-                              "optimizer")])
+# The config schema documented in the README, one table per section: each
+# key maps to the field it sets and the ConfigView getter that parses it.
+# model.preset decides which MODEL_KEYS a run reads (models.PRESET_FIELDS).
+PRESET_KEY, DATASET_KEY, OUT_KEY = "model.preset", "dataset.dir", "out.dir"
+MODEL_KEYS = {"model.hidden": ("hidden", "get_int"), "model.alpha": ("alpha", "get_float"),
+              "model.q": ("q", "get_float"), "model.heads": ("heads", "get_int"),
+              "model.low_powers": ("low_powers", "get_int_tuple"),
+              "model.low_widths": ("low_widths", "get_int_tuple"),
+              "model.band_widths": ("band_widths", "get_int_tuple"),
+              "model.band_paths": ("band_paths", "get_paths")}
+TRAIN_KEYS = {"train.lr": ("lr", "get_float"), "train.weight_decay": ("weight_decay", "get_float"),
+              "train.epochs": ("max_epochs", "get_int"), "train.patience": ("patience", "get_int"),
+              "train.seed": ("seed", "get_int"), "train.optimizer": ("optimizer", "get_str")}
+SBM_KEYS = {"sbm.blocks": ("block_sizes", "get_int_tuple"), "sbm.p_in": ("p_in", "get_float"),
+            "sbm.p_out": ("p_out", "get_float"), "sbm.feature_dim": ("feature_dim", "get_int"),
+            "sbm.noise": ("noise_scale", "get_float"), "sbm.seed": ("seed", "get_int")}
 
 
-def _present(cfg: ConfigView, fields) -> dict:
-    """{name: value} for each (key, name, getter) whose key the config sets."""
-    return {name: getattr(cfg, getter)(key) for key, name, getter in fields if cfg.has(key)}
+def _present(cfg: ConfigView, table: dict) -> dict:
+    """{field: value} for each key of a schema table that the config sets."""
+    return {field: getattr(cfg, getter)(key)
+            for key, (field, getter) in table.items() if cfg.has(key)}
+
+
+def _preset(cfg: ConfigView, preset: str | None) -> str:
+    """The given preset, else model.preset, else ModelSpec's; model.preset is checked anyway."""
+    named = cfg.get_str(PRESET_KEY)
+    if named is not None and named not in PRESETS:
+        raise ConfigError(f"unknown preset {named!r}; choose from {PRESETS}",
+                          line=cfg.values[PRESET_KEY].line)
+    return preset or named or ModelSpec.preset
 
 
 def model_spec_from_config(cfg: ConfigView, preset: str | None = None) -> ModelSpec:
-    kwargs = _present(cfg, [("model.hidden", "hidden", "get_int"),
-                            ("model.alpha", "alpha", "get_float"),
-                            ("model.q", "q", "get_float"),
-                            ("model.heads", "heads", "get_int"),
-                            ("model.low_powers", "low_powers", "get_int_tuple"),
-                            ("model.low_widths", "low_widths", "get_int_tuple"),
-                            ("model.band_widths", "band_widths", "get_int_tuple"),
-                            ("model.band_paths", "band_paths", "get_paths")])
-    return ModelSpec(preset=preset or cfg.get_str("model.preset", "sc-gcn"), **kwargs)
+    return ModelSpec(preset=_preset(cfg, preset), **_present(cfg, MODEL_KEYS))
 
 
-def train_config_from_config(cfg: ConfigView, seed: int | None = None) -> TrainConfig:
-    """TrainConfig from the train.* keys the config sets; seed overrides train.seed.
+def _check_keys(cfg: ConfigView, preset: str, data_flags: bool):
+    """Raise ConfigError at the first line whose key the run does not read."""
+    unread = {key: f"is not read by preset {preset}" for key, (field, _) in MODEL_KEYS.items()
+              if field not in PRESET_FIELDS[preset]}
+    if data_flags:
+        unread.update(dict.fromkeys([DATASET_KEY, OUT_KEY, *SBM_KEYS],
+                                    "is not read beside the data-file flags"))
+    elif cfg.has(DATASET_KEY):
+        unread.update(dict.fromkeys(SBM_KEYS, f"is not read beside {DATASET_KEY}"))
+    schema = {PRESET_KEY, DATASET_KEY, OUT_KEY, *MODEL_KEYS, *TRAIN_KEYS, *SBM_KEYS}
+    for key, cv in cfg.values.items():   # parse order is line order
+        why = unread.get(key, None if key in schema else "is unknown")
+        if why:
+            raise ConfigError(f"key {key!r} {why}", line=cv.line)
 
-    train.seed is parsed even when seed is given, so a config file is valid
-    or invalid whatever the flags.
+
+def read_run_config(path=None, preset=None, seed=None, data_flags=False):
+    """(config, ModelSpec, TrainConfig) of a train run, after checking every key.
+
+    data_flags says the data-file flags give the data. preset and seed, when
+    given, override model.preset and train.seed, which are parsed anyway. No
+    path reads as an empty config.
     """
-    kwargs = _present(cfg, [("train.lr", "lr", "get_float"),
-                            ("train.weight_decay", "weight_decay", "get_float"),
-                            ("train.epochs", "max_epochs", "get_int"),
-                            ("train.patience", "patience", "get_int"),
-                            ("train.optimizer", "optimizer", "get_str"),
-                            ("train.seed", "seed", "get_int")])
+    cfg = ConfigView(parse_config(path) if path else {})
+    _check_keys(cfg, _preset(cfg, preset), data_flags)
+    tcfg = _present(cfg, TRAIN_KEYS)
     if seed is not None:
-        kwargs["seed"] = seed
-    return TrainConfig(**kwargs)
-
-
-def dataset_from_config(cfg: ConfigView) -> Dataset:
-    if cfg.has("dataset.dir"):
-        return load_dataset(cfg.get_str("dataset.dir"))
-    if not cfg.has("sbm.blocks"):
-        raise ConfigError("config must set dataset.dir or sbm.blocks")
-    return generate_sbm(SBMSpec(
-        block_sizes=cfg.get_int_tuple("sbm.blocks"),
-        p_in=cfg.get_float("sbm.p_in", 0.1),
-        p_out=cfg.get_float("sbm.p_out", 0.01),
-        **_present(cfg, [("sbm.feature_dim", "feature_dim", "get_int"),
-                         ("sbm.noise", "noise_scale", "get_float"),
-                         ("sbm.seed", "seed", "get_int")])))
+        tcfg["seed"] = seed
+    return cfg, model_spec_from_config(cfg, preset), TrainConfig(**tcfg)
 
 
 def write_metrics_csv(path, history: dict):
@@ -97,19 +107,17 @@ def train_model(model, ds: Dataset, tcfg: TrainConfig):
 
 
 def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None) -> dict:
-    """Execute one configured run and write the metrics files.
-
-    preset and seed, when given, override the config's model.preset and
-    train.seed.
-    """
-    cfg = ConfigView(parse_config(config_path))
-    cfg.reject_unknown_keys(KNOWN_KEYS)
-    out_dir = out_dir or cfg.get_str("out.dir", "results")
-
-    ds = dataset_from_config(cfg)
+    """Execute one configured run and write the metrics files; see read_run_config."""
+    cfg, spec, tcfg = read_run_config(config_path, preset, seed)
+    out_dir = out_dir or cfg.get_str(OUT_KEY, "results")
+    sbm = _present(cfg, SBM_KEYS)
+    if cfg.has(DATASET_KEY):
+        ds = load_dataset(cfg.get_str(DATASET_KEY))
+    elif "block_sizes" in sbm:
+        ds = generate_sbm(SBMSpec(**sbm))
+    else:
+        raise ConfigError("config must set dataset.dir or sbm.blocks")
     echo(describe(ds))
-    spec = model_spec_from_config(cfg, preset=preset)
-    tcfg = train_config_from_config(cfg, seed=seed)
     start = time.perf_counter()
     model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
     # only a run whose inputs all parsed and whose model builds gets a results directory

@@ -135,7 +135,8 @@ def build_graph(edges, n: int | None = None) -> Graph:
 
     Rejects self-loops, negative ids, non-finite or non-positive weights,
     duplicate undirected edges and conflicting weights for the same pair,
-    naming the first offending edge in input order. Emits
+    naming the first offending edge in input order, and finite weights
+    whose sum at a node overflows, naming the node. Emits
     IsolatedNodeWarning when some degree is zero.
     """
     E = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
@@ -220,6 +221,10 @@ def _csr_graph(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> Graph:
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
     # bincount adds each row's weights in CSR order, one after another
     degrees = np.bincount(rows, weights=wts, minlength=n).astype(np.float64, copy=False)
+    overflow = ~np.isfinite(degrees)
+    if overflow.any():
+        raise ValueError(f"node {int(np.argmax(overflow))} has non-finite degree: "
+                         "its edge weights sum past the float range")
 
     for a in (offsets, cols, wts, degrees):
         a.flags.writeable = False

@@ -6,14 +6,14 @@ sc-gcn        one hybrid concat layer (three low-pass powers, two scattering
 gsan          multi-head attention over shared-weight channels, then the
               residual convolution.
 
-sc-gcn defaults follow the reference Cora configuration (alpha=0.35, q=4,
-paths (1) and (3), widths 10/10/10/11/6); gsan desk-scale defaults were
-tuned lightly on synthetic blocks.
+PRESET_FIELDS names the ModelSpec fields each preset reads, with their defaults
+(sc-gcn's follow the reference Cora configuration, gsan's were tuned lightly
+on synthetic blocks); setting any other field is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,40 +32,50 @@ from .layers import (
     residual_conv,
 )
 
-PRESETS = ("gcn-baseline", "sc-gcn", "gsan")
+PRESET_FIELDS = {
+    "gcn-baseline": {"hidden": 16},
+    "sc-gcn": {"alpha": 0.35, "q": 4.0, "low_powers": (1, 2, 3), "low_widths": (10, 10, 10),
+               "band_widths": (11, 6), "band_paths": ((1,), (3,))},
+    "gsan": {"hidden": 16, "alpha": 0.2, "heads": 2, "low_powers": (1, 2, 3)},
+}
+PRESETS = tuple(PRESET_FIELDS)
 
 
 @dataclass
 class ModelSpec:
-    """Knobs shared by the presets; unset fields fall back to preset defaults."""
+    """A preset and the fields it reads; a field left None takes the preset's default."""
 
     preset: str = "sc-gcn"
-    hidden: int = 16
+    hidden: int | None = None
     alpha: float | None = None
-    q: float = 4.0
-    heads: int = 2
-    low_powers: tuple[int, ...] = (1, 2, 3)
-    low_widths: tuple[int, ...] = (10, 10, 10)
-    band_widths: tuple[int, ...] = (11, 6)
-    band_paths: tuple[tuple[int, ...], ...] = ((1,), (3,))
+    q: float | None = None
+    heads: int | None = None
+    low_powers: tuple[int, ...] | None = None
+    low_widths: tuple[int, ...] | None = None
+    band_widths: tuple[int, ...] | None = None
+    band_paths: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
-        if len(self.low_powers) != len(self.low_widths):
-            raise ValueError("low_powers and low_widths must have equal length")
-        if len(self.band_paths) != len(self.band_widths):
-            raise ValueError("band_paths and band_widths must have equal length")
-        if self.alpha is None:
-            self.alpha = 0.2 if self.preset == "gsan" else 0.35
+        defaults = PRESET_FIELDS[self.preset]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if value is None:
+                setattr(self, f.name, defaults.get(f.name))
+            elif f.name not in defaults:
+                raise ValueError(f"preset {self.preset} does not read {f.name}")
+        for a, b in (("low_powers", "low_widths"), ("band_paths", "band_widths")):
+            if self.preset == "sc-gcn" and len(getattr(self, a)) != len(getattr(self, b)):
+                raise ValueError(f"{a} and {b} must have equal length")
 
 
 class GCNBaseline:
     """logits = A ReLU(A X T1) T2 on the renormalized adjacency."""
 
-    def __init__(self, d_in: int, n_classes: int, hidden: int, rng: np.random.Generator):
-        self.t1 = ad.Parameter(glorot_uniform(rng, d_in, hidden))
-        self.t2 = ad.Parameter(glorot_uniform(rng, hidden, n_classes))
+    def __init__(self, d_in: int, n_classes: int, spec: ModelSpec, rng: np.random.Generator):
+        self.t1 = ad.Parameter(glorot_uniform(rng, d_in, spec.hidden))
+        self.t2 = ad.Parameter(glorot_uniform(rng, spec.hidden, n_classes))
 
     def parameters(self):
         return [self.t1, self.t2]
@@ -132,9 +142,5 @@ class GSAN:
 
 def build_model(spec: ModelSpec, d_in: int, n_classes: int, seed: int = 0):
     """Instantiate a preset with Glorot-initialized parameters."""
-    rng = np.random.default_rng(seed)
-    if spec.preset == "gcn-baseline":
-        return GCNBaseline(d_in, n_classes, spec.hidden, rng)
-    if spec.preset == "sc-gcn":
-        return ScGCN(d_in, n_classes, spec, rng)
-    return GSAN(d_in, n_classes, spec, rng)
+    model = {"gcn-baseline": GCNBaseline, "sc-gcn": ScGCN, "gsan": GSAN}[spec.preset]
+    return model(d_in, n_classes, spec, np.random.default_rng(seed))

@@ -81,12 +81,14 @@ def random_connected_graph(rng, n, extra=None, weighted=False):
 
 @st.composite
 def weighted_graphs(draw, max_n=12):
-    """Graphs on 1..max_n nodes, isolated nodes allowed, with any positive finite weights."""
+    """Graphs on 1..max_n nodes, isolated nodes allowed, with any positive finite weights
+    whose sum at a node stays finite (each at most float max / max_n)."""
     n = draw(st.integers(1, max_n))
     pairs = sorted(draw(st.sets(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         .filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e))), max_size=3 * n)))
-    weights = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    weights = draw(st.lists(st.floats(min_value=0.0, max_value=np.finfo(float).max / max_n,
+                                      exclude_min=True),
                             min_size=len(pairs), max_size=len(pairs)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IsolatedNodeWarning)

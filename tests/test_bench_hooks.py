@@ -12,6 +12,7 @@ from types import SimpleNamespace
 from graphscat import (
     autodiff,
     cli,
+    config,
     datasets,
     experiment,
     fixtures,
@@ -88,3 +89,22 @@ def test_traced_forwards_record_every_layer_span(rng):
                  "layers.residual_conv"):
         assert name in names
     assert names.count("layers.residual_conv") == 2
+
+
+def test_worker_set_up_calls_still_work(tmp_path, capsys):
+    # perfbench/worker.py makes these calls outside the tracer: sbm-gsan builds
+    # ModelSpec(preset="gsan"), and wide-scgcn reads its train config with
+    # model_spec_from_config before running `train --config` through cli.main
+    ds = datasets.generate_sbm(datasets.SBMSpec(block_sizes=(10, 12), p_in=0.4, p_out=0.05,
+                                                feature_dim=3, seed=1))
+    datasets.save_dataset(ds, tmp_path / "wide")
+    models.build_model(models.ModelSpec(preset="gsan"), 3, ds.n_classes, seed=0)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"dataset.dir = {tmp_path / 'wide'}\nmodel.preset = sc-gcn\n"
+                   "train.epochs = 3\ntrain.patience = 3\n", encoding="utf-8")
+    view = config.ConfigView(config.parse_config(cfg))
+    spec = experiment.model_spec_from_config(view)
+    assert spec == models.ModelSpec(preset="sc-gcn")
+    models.build_model(spec, 3, ds.n_classes, seed=0)
+    assert cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "summary.txt").exists()

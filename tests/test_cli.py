@@ -1,6 +1,7 @@
 import argparse
 import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,18 @@ from graphscat import cli, experiment
 from graphscat.cli import main
 from graphscat.config import ConfigError, ConfigView, parse_config_text
 from graphscat.datasets import SBMSpec, generate_sbm, load_dataset, save_dataset
-from graphscat.experiment import run_experiment
+from graphscat.experiment import (
+    DATASET_KEY,
+    MODEL_KEYS,
+    OUT_KEY,
+    PRESET_KEY,
+    SBM_KEYS,
+    TRAIN_KEYS,
+    run_experiment,
+)
 from graphscat.graph import read_edge_list
 from graphscat.layers import attention_ratio
-from graphscat.models import GSAN, build_model
+from graphscat.models import GSAN, PRESET_FIELDS, PRESETS, ModelSpec, build_model
 from graphscat.scattering import ABS, cascade
 from graphscat.spectral import (
     chebyshev_filter,
@@ -613,3 +622,118 @@ class TestRunExperimentSBMMode:
         summary = run_experiment(cfg, out_dir=tmp_path / "res", echo=lambda *_: None)
         assert 0.0 <= summary["test_accuracy"] <= 1.0
         assert (tmp_path / "res" / "summary.txt").exists()
+
+
+# a valid value for every model.* field, so only the preset can reject it
+MODEL_VALUES = {"hidden": "8", "alpha": "0.3", "q": "2", "heads": "1", "low_powers": "1,2",
+                "low_widths": "5,5", "band_widths": "5,5", "band_paths": "0|4"}
+UNREAD = [(preset, key) for preset in PRESETS for key, (field, _) in MODEL_KEYS.items()
+          if field not in PRESET_FIELDS[preset]]
+
+
+class TestConfigSchema:
+    """A train run rejects every config key it does not read, before fit and any output."""
+
+    @staticmethod
+    def _run(data_dir, tmp_path, monkeypatch, settings, with_files, flags=()):
+        def no_fit(*args, **kwargs):
+            pytest.fail("fit started")
+
+        monkeypatch.setattr(experiment, "fit", no_fit)
+        cfg = tmp_path / "exp.cfg"
+        argv = ["train", "--config", str(cfg), *flags]
+        if with_files:
+            argv += ["--out", str(tmp_path / "out" / "m.csv")]
+            for flag, name in (("graph", "edges.tsv"), ("features", "features.csv"),
+                               ("labels", "labels.csv"), ("splits", "splits.json")):
+                argv += [f"--{flag}", str(data_dir / name)]
+        else:
+            settings = f"dataset.dir = {data_dir}\n{settings}"
+            argv += ["--out-dir", str(tmp_path / "out")]
+        cfg.write_text(settings)
+        rc = main(argv)
+        assert not (tmp_path / "out").exists()
+        return rc
+
+    @pytest.mark.parametrize("preset,key", UNREAD)
+    @pytest.mark.parametrize("with_files", [False, True])
+    def test_model_key_the_preset_does_not_read(self, small_dataset_dir, tmp_path, monkeypatch,
+                                               capsys, preset, key, with_files):
+        value = MODEL_VALUES[MODEL_KEYS[key][0]]
+        settings = f"model.preset = {preset}\n{key} = {value}\ntrain.epochs = 2\n"
+        assert self._run(small_dataset_dir, tmp_path, monkeypatch, settings, with_files) == 2
+        line = 3 if not with_files else 2        # dataset.dir comes first in config mode
+        assert f"line {line}: key {key!r} is not read by preset {preset}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_files", [False, True])
+    def test_the_preset_flag_decides_which_keys_are_read(self, small_dataset_dir, tmp_path,
+                                                          monkeypatch, capsys, with_files):
+        # model.q is an sc-gcn key: valid for the config's preset, not for --preset gsan
+        settings = "model.preset = sc-gcn\nmodel.q = 2\n"
+        assert self._run(small_dataset_dir, tmp_path, monkeypatch, settings, with_files,
+                         flags=["--preset", "gsan"]) == 2
+        assert "key 'model.q' is not read by preset gsan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--preset", "gsan"]])
+    def test_unknown_preset_names_its_line(self, small_dataset_dir, tmp_path, monkeypatch,
+                                           capsys, flags):
+        settings = "train.epochs = 2\nmodel.preset = gat\n"
+        assert self._run(small_dataset_dir, tmp_path, monkeypatch, settings, False, flags) == 2
+        assert "line 3: unknown preset 'gat'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["sbm.blocks = 5,5", "sbm.seed = 1"])
+    def test_sbm_keys_beside_dataset_dir(self, small_dataset_dir, tmp_path, monkeypatch,
+                                         capsys, key):
+        assert self._run(small_dataset_dir, tmp_path, monkeypatch, f"{key}\n", False) == 2
+        name = key.split(" =")[0]
+        assert f"line 2: key {name!r} is not read beside dataset.dir" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["dataset.dir = /nonexistent", "sbm.blocks = 5,5",
+                                     "sbm.p_in = 0.2", "out.dir = results"])
+    def test_data_keys_beside_the_file_flags(self, small_dataset_dir, tmp_path, monkeypatch,
+                                             capsys, key):
+        settings = f"model.preset = gsan\ntrain.epochs = 2\n{key}\n"
+        assert self._run(small_dataset_dir, tmp_path, monkeypatch, settings, True) == 2
+        name = key.split(" =")[0]
+        assert f"line 3: key {name!r} is not read beside the data-file flags" in \
+            capsys.readouterr().err
+
+    def test_first_unread_key_in_file_order(self, small_dataset_dir, tmp_path, monkeypatch,
+                                            capsys):
+        settings = "model.preset = gsan\nmodel.band_widths = 5\nbogus = 1\nmodel.q = abc\n"
+        assert self._run(small_dataset_dir, tmp_path, monkeypatch, settings, True) == 2
+        assert "line 2: key 'model.band_widths'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,with_files", [("--out-dir", True), ("--out", False)])
+    def test_output_flag_the_mode_does_not_read(self, small_dataset_dir, tmp_path, monkeypatch,
+                                                capsys, flag, with_files):
+        # --out-dir belongs to --config alone, --out to the data-file flags
+        argv = [flag, str(tmp_path / "other")]
+        settings = "model.preset = gsan\ntrain.epochs = 2\n"
+        assert self._run(small_dataset_dir, tmp_path, monkeypatch, settings, with_files,
+                         flags=argv) == 2
+        assert f"error: {flag} needs" in capsys.readouterr().err
+        assert not (tmp_path / "other").exists()
+
+    def test_model_spec_rejects_a_field_its_preset_does_not_read(self):
+        with pytest.raises(ValueError, match="preset gsan does not read q"):
+            ModelSpec(preset="gsan", q=2)
+        settable = {p: sum(getattr(ModelSpec(preset=p), f) is not None
+                           for f in MODEL_VALUES) for p in PRESETS}
+        assert settable == {"gcn-baseline": 1, "sc-gcn": 6, "gsan": 4}
+
+    def test_readme_schema_lists_the_schema_tables(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if "=" in line.split("#", 1)[0]]
+        keys = [line.split("=", 1)[0].strip() for line in lines]
+        assert sorted(keys) == sorted([PRESET_KEY, DATASET_KEY, OUT_KEY, *MODEL_KEYS,
+                                       *TRAIN_KEYS, *SBM_KEYS])
+        # each model.* line names, in brackets, the presets that read it
+        for key, line in zip(keys, lines):
+            if key in MODEL_KEYS:
+                readers = line.split("[", 1)[1].split("]", 1)[0].split(", ")
+                field = MODEL_KEYS[key][0]
+                assert readers == [p for p in PRESETS if field in PRESET_FIELDS[p]], key

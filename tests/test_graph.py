@@ -547,6 +547,18 @@ class TestArrayBuiltGraph:
         with pytest.raises(ValueError, match=rf"edge \(2, 1\) has non-finite weight {w}"):
             build_graph([(0, 1, 1.0), (2, 1, w)])
 
+    @pytest.mark.parametrize("tail", ["", "2\t3\n"])   # C reader; per-line parser
+    def test_overflowing_degree_rejected(self, tmp_path, tail):
+        # finite weights that sum to inf at node 1 would leave the lazy walk
+        # with column sums [1, 0.5, 1]
+        message = "node 1 has non-finite degree"
+        with pytest.raises(ValueError, match=message):
+            build_graph([(0, 1, 1e308), (1, 2, 1e308)])
+        path = tmp_path / "edges.tsv"
+        path.write_text("0\t1\t1e308\n1\t2\t1e308\n" + tail)
+        with pytest.raises(ValueError, match=message):
+            read_edge_list(path)
+
     @pytest.mark.parametrize("line,message", [
         ("0\tx", "invalid literal for int"),
         ("0\t1\tabc", "could not convert string to float"),

@@ -24,7 +24,7 @@ from graphscat.layers import (
     precompute_pays,
     residual_conv,
 )
-from graphscat.models import ModelSpec, build_model
+from graphscat.models import PRESET_FIELDS, ModelSpec, build_model
 from graphscat.scattering import ABS, IDENTITY, cascade, leaky
 from graphscat.train import Tape
 
@@ -551,7 +551,8 @@ class TestFilterResponses:
     def test_residual_diffusion_at_class_width(self, rng, monkeypatch, preset, d_in):
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, d_in))
-        model = build_model(ModelSpec(preset=preset, hidden=4), d_in, 3, seed=1)
+        hidden = {"hidden": 4} if "hidden" in PRESET_FIELDS[preset] else {}
+        model = build_model(ModelSpec(preset=preset, **hidden), d_in, 3, seed=1)
         model.forward(g, X)            # fills the response cache where it pays
         calls = count_kernel_calls(monkeypatch)
         logits = model.forward(g, X)

@@ -4,7 +4,7 @@ import pytest
 import graphscat.autodiff as ad
 from graphscat.datasets import SBMSpec, describe, generate_sbm
 from graphscat.errors import EmptyMask, NonFiniteLoss
-from graphscat.models import ModelSpec, build_model
+from graphscat.models import PRESET_FIELDS, ModelSpec, build_model
 from graphscat.train import SplitMasks, TrainConfig, evaluate, fit
 
 from conftest import count_hop_builds, random_connected_graph
@@ -139,9 +139,10 @@ class TestFit:
         # at d_in 12 the per-epoch chains
         g, _, labels, masks = tiny_dataset(rng)
         X = rng.standard_normal((g.n, d_in))
+        hidden = {"hidden": 6} if "hidden" in PRESET_FIELDS[preset] else {}
         runs = []
         for _ in range(2):
-            model = build_model(ModelSpec(preset=preset, hidden=6), d_in, 2, seed=5)
+            model = build_model(ModelSpec(preset=preset, **hidden), d_in, 2, seed=5)
             res = fit(model, g, X, labels, masks,
                       TrainConfig(seed=5, max_epochs=15, patience=30))
             runs.append((res.history, [p.value.tobytes() for p in model.parameters()]))
