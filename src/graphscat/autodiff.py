@@ -6,7 +6,8 @@ nodes that require a gradient (those with a Parameter among their
 ancestors). Only the operations needed by the layer zoo are provided:
 matmul, fixed-operator matvec, broadcast add/mul, column concat and slice,
 the activation family, the fused filter attention of the attention layer,
-and masked cross-entropy.
+and masked cross-entropy, whose per-node rows (cross_entropy_rows) a caller
+can compute once and share between masks.
 Gradients land on Parameter.grad and are zeroed by the optimizer between
 steps.
 """
@@ -14,6 +15,7 @@ steps.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +51,6 @@ class Parameter(Tensor):
         super().__init__(value, requires_grad=True)
         self.grad = np.zeros_like(self.value)
         self.pid = next(_param_ids)
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
 
 def constant(value) -> Tensor:
@@ -213,13 +212,25 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
     filtered = [_as_tensor(t) for t in filtered]
     n, hw = xbar.value.shape
     width, heads = a.value.shape[0] // 2, a.value.shape[1]
-    R = np.concatenate([t.value for t in filtered])
-    c = R.shape[0] // n
-    if a.value.shape[0] != 2 * width or hw != heads * width or R.shape != (c * n, hw):
-        raise DimensionMismatch(f"filter attention on xbar {xbar.shape}, "
-                                f"responses {R.shape}, attention vectors {a.shape}")
-    sign = np.sign(R[n_low * n:])
-    np.abs(R[n_low * n:], out=R[n_low * n:])
+    rows = sum(t.value.shape[0] for t in filtered)
+    c = rows // n
+    if (a.value.shape[0] != 2 * width or hw != heads * width or rows != c * n
+            or any(t.value.shape[1:] != (hw,) for t in filtered)):
+        raise DimensionMismatch(f"filter attention on xbar {xbar.shape}, responses "
+                                f"{[t.shape for t in filtered]}, attention vectors {a.shape}")
+    # R in one pass over the inputs: the low rows copied, |.| of the band rows
+    # written in place; their signs come from the raw input for the backward
+    cut = n_low * n
+    R, sign = np.empty((rows, hw)), np.empty((rows - cut, hw))
+    start = 0
+    for t in filtered:
+        v, end = t.value, start + t.value.shape[0]
+        low = max(min(cut, end) - start, 0)
+        R[start:start + low] = v[:low]
+        if low < v.shape[0]:
+            np.abs(v[low:], out=R[start + low:end])
+            np.sign(v[low:], out=sign[start + low - cut:end - cut])
+        start = end
     heads_idx = np.arange(heads)
 
     def block_diag(v):
@@ -254,7 +265,7 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
         dpre = dpre.reshape(c * n, heads)
         dR = np.einsum("cnh,nhw->cnhw", alpha, dagg).reshape(c * n, hw)
         dR += dpre @ a_filter.T
-        dR[n_low * n:] *= sign
+        dR[cut:] *= sign
         dxbar = dself @ a_self.T if xbar.requires_grad else None
         da = (np.vstack([diag_blocks(xbar.value.T @ dself), diag_blocks(R.T @ dpre)])
               if a.requires_grad else None)
@@ -264,29 +275,52 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
     return Tensor(out, (xbar, a, *filtered), vjp), alpha
 
 
-def masked_cross_entropy(logits, labels: np.ndarray, mask: np.ndarray) -> Tensor:
+class CrossEntropyRows(NamedTuple):
+    """Per-node softmax pieces of logits z: exp(z - rowmax), its row sums, and
+    each node's cross-entropy log-sum-exp(z_v) - z_v[label_v]."""
+
+    exp: np.ndarray
+    sums: np.ndarray
+    nll: np.ndarray
+
+
+def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> CrossEntropyRows:
+    """One pass over (n, C) logits with a class id per node; every row on its own.
+
+    The rows are summed in C order, as a masked row subset would be, so the
+    values at any node equal those of the same formula on that subset.
+    """
+    z = np.ascontiguousarray(logits)
+    zmax = np.max(z, axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    s = np.sum(e, axis=1)
+    nll = zmax[:, 0] + np.log(s) - z[np.arange(z.shape[0]), labels]
+    return CrossEntropyRows(e, s, nll)
+
+
+def masked_cross_entropy(logits, labels: np.ndarray, mask: np.ndarray,
+                         rows: CrossEntropyRows | None = None) -> Tensor:
     """Softmax cross-entropy averaged over the masked nodes.
 
-    labels are class ids for all nodes; only rows in mask contribute.
+    labels are class ids for all nodes; only rows in mask contribute. rows,
+    when given, is cross_entropy_rows of the same logits and labels, so a
+    caller that also wants other masks' losses computes them once.
     """
     logits = _as_tensor(logits)
     mask = np.asarray(mask, dtype=np.int64)
-    z = logits.value[mask]
-    y = np.asarray(labels, dtype=np.int64)[mask]
-    zmax = np.max(z, axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.sum(np.exp(z - zmax), axis=1))
-    loss = np.mean(lse - z[np.arange(z.shape[0]), y])
-    p = np.exp(z - zmax)
-    p /= np.sum(p, axis=1, keepdims=True)
+    y = np.asarray(labels, dtype=np.int64)
+    if rows is None:
+        rows = cross_entropy_rows(logits.value, y)
+    k = mask.size
 
     def vjp(g):
-        dz = p.copy()
-        dz[np.arange(z.shape[0]), y] -= 1.0
+        dz = rows.exp[mask] / rows.sums[mask, None]
+        dz[np.arange(k), y[mask]] -= 1.0
         full = np.zeros_like(logits.value)
-        full[mask] = dz * (g / z.shape[0])
+        full[mask] = dz * (g / k)
         return (full,)
 
-    return Tensor(loss, (logits,), vjp)
+    return Tensor(np.mean(rows.nll[mask]), (logits,), vjp)
 
 
 def backward(root: Tensor):

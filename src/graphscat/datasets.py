@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BadClassIds,
     BadSplitIndex,
+    FieldRangeError,
     InfeasibleSpec,
     IsolatedNodeWarning,
     MissingFile,
@@ -75,11 +76,16 @@ class SBMSpec:
     def __post_init__(self):
         self.block_sizes = tuple(int(b) for b in self.block_sizes)
         if len(self.block_sizes) < 2:
-            raise ValueError("need at least 2 blocks")
+            raise FieldRangeError(f"block_sizes needs at least 2 blocks, got {self.block_sizes}",
+                                  "block_sizes")
         if min(self.block_sizes) < 1:
-            raise ValueError(f"every block needs at least 1 node, got {self.block_sizes}")
-        if not (0.0 <= self.p_in <= 1.0 and 0.0 <= self.p_out <= 1.0):
-            raise ValueError("edge probabilities must lie in [0, 1]")
+            raise FieldRangeError(
+                f"every block needs at least 1 node, got block_sizes {self.block_sizes}",
+                "block_sizes")
+        for name in ("p_in", "p_out"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise FieldRangeError(f"{name} must lie in [0, 1], got {getattr(self, name)}",
+                                      name)
 
 
 def _sample_sbm_edges(spec: SBMSpec, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -85,6 +85,14 @@ class InfeasibleSpec(GraphScatError):
     """Rejection sampling could not satisfy the generator spec."""
 
 
+class FieldRangeError(GraphScatError, ValueError):
+    """A spec field holds a value outside its range; .fields names the field(s)."""
+
+    def __init__(self, message, *fields):
+        self.fields = fields
+        super().__init__(message)
+
+
 class ConfigError(GraphScatError):
     """A config file failed to parse; carries the offending line number."""
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import ConfigError, ConfigView, parse_config
 from .datasets import Dataset, SBMSpec, describe, generate_sbm, load_dataset
+from .errors import FieldRangeError
 from .graph import write_rows
 from .layers import attention_ratio
 from .models import PRESET_FIELDS, PRESETS, ModelSpec, build_model
@@ -43,6 +44,20 @@ def _present(cfg: ConfigView, table: dict) -> dict:
             for key, (field, getter) in table.items() if cfg.has(key)}
 
 
+def _checked(cfg: ConfigView, table: dict, make, **kwargs):
+    """make(**kwargs), where a range error on a field that a key of table sets
+    becomes a ConfigError naming the key and its line."""
+    try:
+        return make(**kwargs)
+    except FieldRangeError as exc:
+        lines = {key: cfg.values[key].line for key, (field, _) in table.items()
+                 if field in exc.fields and cfg.has(key)}
+        if not lines:
+            raise
+        key = min(lines, key=lines.get)
+        raise ConfigError(f"key {key!r}: {exc}", line=lines[key]) from None
+
+
 def _preset(cfg: ConfigView, preset: str | None) -> str:
     """The given preset, else model.preset, else ModelSpec's; model.preset is checked anyway."""
     named = cfg.get_str(PRESET_KEY)
@@ -53,7 +68,8 @@ def _preset(cfg: ConfigView, preset: str | None) -> str:
 
 
 def model_spec_from_config(cfg: ConfigView, preset: str | None = None) -> ModelSpec:
-    return ModelSpec(preset=_preset(cfg, preset), **_present(cfg, MODEL_KEYS))
+    return _checked(cfg, MODEL_KEYS, ModelSpec, preset=_preset(cfg, preset),
+                    **_present(cfg, MODEL_KEYS))
 
 
 def _check_keys(cfg: ConfigView, preset: str, data_flags: bool):
@@ -84,7 +100,8 @@ def read_run_config(path=None, preset=None, seed=None, data_flags=False):
     tcfg = _present(cfg, TRAIN_KEYS)
     if seed is not None:
         tcfg["seed"] = seed
-    return cfg, model_spec_from_config(cfg, preset), TrainConfig(**tcfg)
+    return (cfg, model_spec_from_config(cfg, preset),
+            _checked(cfg, TRAIN_KEYS, TrainConfig, **tcfg))
 
 
 def write_metrics_csv(path, history: dict):
@@ -114,7 +131,7 @@ def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None
     if cfg.has(DATASET_KEY):
         ds = load_dataset(cfg.get_str(DATASET_KEY))
     elif "block_sizes" in sbm:
-        ds = generate_sbm(SBMSpec(**sbm))
+        ds = generate_sbm(_checked(cfg, SBM_KEYS, SBMSpec, **sbm))
     else:
         raise ConfigError("config must set dataset.dir or sbm.blocks")
     echo(describe(ds))

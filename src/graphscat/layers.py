@@ -218,35 +218,35 @@ def attention_head(g: Graph, specs: tuple[ChannelSpec, ...], params, X,
     """Every attention head over the channel responses, stacked.
 
     specs lists the low channels first, then the band ones, all of one
-    width. params holds (theta_shared, a) per head. One product
-    X_bar = X [Theta_1 | ... | Theta_H] serves all heads, and the filters
-    come stacked as well: [F_1 X; ...; F_C X] [Theta_1 | ... | Theta_H]
-    given responses from filter_responses(g, specs, X), otherwise one
-    layer_filters call on X_bar, so one set of chains serves every head.
-    Aggregation inputs are bias-free and band responses pass through an
-    absolute value. Head h scores each filter by
-    LeakyReLU([X_bar_h || F X_bar_h] a_h), softmax-normalizes the scores
-    per node across all C_low + C_band filters and rescales the weighted
-    sum by 1/C after the ReLU; ad.filter_attention does this for every
-    head in one tape node. Returns (output tensor with the heads side by
-    side, AttentionState).
+    width W. params is the layer's (theta, a) pair from
+    init_attention_params: theta = [Theta_1 | ... | Theta_H], (d_in, H W),
+    and a = [a_1 | ... | a_H], (2 W, H), one column per head. One product
+    X_bar = X theta serves all heads, and the filters come stacked as well:
+    [F_1 X; ...; F_C X] theta given responses from
+    filter_responses(g, specs, X), otherwise one layer_filters call on
+    X_bar, so one set of chains serves every head. Aggregation inputs are
+    bias-free and band responses pass through an absolute value. Head h
+    scores each filter by LeakyReLU([X_bar_h || F X_bar_h] a_h),
+    softmax-normalizes the scores per node across all C_low + C_band
+    filters and rescales the weighted sum by 1/C after the ReLU;
+    ad.filter_attention does this for every head in one tape node. Returns
+    (output tensor with the heads side by side, AttentionState whose
+    arrays are views of the layer's one alpha array).
     """
     n_low = sum(spec.kind == "low" for spec in specs)
     if any(spec.kind == "low" for spec in specs[n_low:]):
         raise ValueError("attention channel specs must list the low channels first")
-    thetas = ad.concat_cols([theta for theta, _ in params])
-    xbar = ad.matmul(X, thetas)
+    theta, a = params
+    xbar = ad.matmul(X, theta)
     if responses is None:
         filtered = layer_filters(g, specs, xbar)
     else:
         c, n, d = responses.shape
-        filtered = [ad.matmul(ad.constant(responses.reshape(c * n, d)), thetas)]
-    out, alpha = ad.filter_attention(
-        xbar, filtered, ad.concat_cols([a for _, a in params]), n_low, ATTENTION_LEAKY_SLOPE)
-    state = AttentionState([
-        HeadAttention(alpha_low=alpha[:n_low, :, h].copy(),
-                      alpha_band=alpha[n_low:, :, h].copy())
-        for h in range(len(params))])
+        filtered = [ad.matmul(ad.constant(responses.reshape(c * n, d)), theta)]
+    out, alpha = ad.filter_attention(xbar, filtered, a, n_low, ATTENTION_LEAKY_SLOPE)
+    state = AttentionState([HeadAttention(alpha_low=alpha[:n_low, :, h],
+                                          alpha_band=alpha[n_low:, :, h])
+                            for h in range(alpha.shape[2])])
     return out, state
 
 
@@ -289,7 +289,11 @@ def init_hybrid_params(specs: tuple[ChannelSpec, ...], d_in: int, rng: np.random
 
 def init_attention_params(specs: tuple[ChannelSpec, ...], heads: int, d_in: int,
                           rng: np.random.Generator):
-    """Per-head (theta_shared, attention vector) pairs; the channels share one width."""
+    """The attention layer's (theta, a) pair; the channels share one width W.
+
+    theta is (d_in, heads W) and a is (2 W, heads): head h's Theta_h and a_h
+    are column block h of theta and column h of a, drawn head by head.
+    """
     if heads < 1:
         raise ValueError("attention needs at least one head")
     if not specs:
@@ -297,9 +301,7 @@ def init_attention_params(specs: tuple[ChannelSpec, ...], heads: int, d_in: int,
     if len({spec.width for spec in specs}) > 1:
         raise ValueError("shared weights require equal channel widths")
     width = specs[0].width
-    params = []
-    for _ in range(heads):
-        theta = ad.Parameter(glorot_uniform(rng, d_in, width))
-        a = ad.Parameter(glorot_uniform(rng, 2 * width, 1, shape=(2 * width, 1)))
-        params.append((theta, a))
-    return params
+    draws = [(glorot_uniform(rng, d_in, width),
+              glorot_uniform(rng, 2 * width, 1, shape=(2 * width, 1))) for _ in range(heads)]
+    return (ad.Parameter(np.hstack([theta for theta, _ in draws])),
+            ad.Parameter(np.hstack([a for _, a in draws])))

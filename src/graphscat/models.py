@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers
+from .errors import FieldRangeError
 from .graph import RENORM_ADJACENCY, Graph
 from .layers import (
     AttentionState,
@@ -67,7 +68,12 @@ class ModelSpec:
                 raise ValueError(f"preset {self.preset} does not read {f.name}")
         for a, b in (("low_powers", "low_widths"), ("band_paths", "band_widths")):
             if self.preset == "sc-gcn" and len(getattr(self, a)) != len(getattr(self, b)):
-                raise ValueError(f"{a} and {b} must have equal length")
+                raise FieldRangeError(f"{a} and {b} must have equal length", a, b)
+        for name in ("hidden", "heads"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise FieldRangeError(f"{name} must be >= 1, got {getattr(self, name)}", name)
+        if self.alpha is not None and not 0.0 <= self.alpha < np.inf:
+            raise FieldRangeError(f"alpha must be finite and >= 0, got {self.alpha}", "alpha")
 
 
 class GCNBaseline:
@@ -121,7 +127,7 @@ class GSAN:
         self.specs = (tuple(low_channel(r, spec.hidden) for r in spec.low_powers)
                       + tuple(band_channel((k,), spec.hidden) for k in (1, 2, 3)))
         self.alpha = spec.alpha
-        self.head_params = init_attention_params(self.specs, spec.heads, d_in, rng)
+        self.attention_params = init_attention_params(self.specs, spec.heads, d_in, rng)
         self.responses = ResponseCache(self.specs)
         width = spec.heads * spec.hidden
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
@@ -129,12 +135,10 @@ class GSAN:
         self.last_attention: AttentionState | None = None
 
     def parameters(self):
-        ps = [p for pair in self.head_params for p in pair]
-        ps.extend([self.theta_res, self.bias_res])
-        return ps
+        return [*self.attention_params, self.theta_res, self.bias_res]
 
     def forward(self, g: Graph, X) -> ad.Tensor:
-        h, state = layers.attention_head(g, self.specs, self.head_params, X,
+        h, state = layers.attention_head(g, self.specs, self.attention_params, X,
                                          self.responses.get(g, X))
         self.last_attention = state
         return residual_conv(g, self.alpha, self.theta_res, self.bias_res, h)

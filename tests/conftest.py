@@ -1,8 +1,11 @@
 """Shared oracle helpers: dense operator constructions independent of the
 package's CSR/matvec path, built straight from edge lists; the per-filter
-composition of the attention layer; and the per-edge, per-node, per-trial
+composition of the attention layer; the per-edge, per-node, per-trial
 and per-value loops that the array-built graph, the CSR array expressions,
-the batched random-GCN trials and the row writer replace."""
+the batched random-GCN trials and the row writer replace; and the
+always-weighted kernel, the per-parameter optimizers and the per-mask loss
+and accuracy that the unit-weight skip, the flat optimizers and the
+one-pass epoch metrics replace."""
 
 import functools
 import math
@@ -192,19 +195,24 @@ def softmax_filters(a):
 def per_filter_attention(g, specs, params, X, responses=None):
     """The attention layer composed head by head and filter by filter.
 
-    Each head multiplies X by its own Theta, runs its own filters (or
-    multiplies each precomputed F_c X by its Theta), scores every filter
-    with its own matmul and LeakyReLU, and sums alpha_c R_c filter by
-    filter; the heads are concatenated. Shares only layer_filters and the
-    elementary tape ops with the stacked layer. Returns (output tensor,
-    AttentionState).
+    params is the layer's (theta, a) pair; head h takes its Theta_h and a_h
+    as column slices of them. Each head multiplies X by its own Theta, runs
+    its own filters (or multiplies each precomputed F_c X by its Theta),
+    scores every filter with its own matmul and LeakyReLU, and sums
+    alpha_c R_c filter by filter; the heads are concatenated. Shares only
+    layer_filters and the elementary tape ops with the stacked layer.
+    Returns (output tensor, AttentionState).
     """
     ad = autodiff_module
     x = ad._as_tensor(X)
     n_low = sum(spec.kind == "low" for spec in specs)
+    thetas, attention = (ad._as_tensor(p) for p in params)
+    heads = attention.value.shape[1]
+    width = thetas.value.shape[1] // heads
     outs, state = [], AttentionState()
-    for theta, a in params:
-        theta, a = ad._as_tensor(theta), ad._as_tensor(a)
+    for h in range(heads):
+        theta = ad.take_cols(thetas, h * width, (h + 1) * width)
+        a = ad.take_cols(attention, h, h + 1)
         xbar = ad.matmul(x, theta)
         filters = (layer_filters(g, specs, xbar) if responses is None
                    else [ad.matmul(ad.constant(F), theta) for F in responses])
@@ -389,6 +397,63 @@ def per_value_csv(header, columns, specs):
     for i in range(len(columns[0]) if columns else 0):
         lines.append(",".join(format(col[i], spec) for col, spec in zip(columns, specs)) + "\n")
     return "".join(lines)
+
+
+def weighted_matvec(g, X):
+    """graph.adjacency_matvec scaling every gathered entry by its weight, 1.0 or not."""
+    Xt = np.ascontiguousarray(np.transpose(X), dtype=np.float64)
+    if not g.row_starts.size:
+        return np.zeros_like(Xt).T
+    contrib = Xt.take(g.csr_targets, axis=-1)
+    contrib *= g.csr_weights
+    sums = np.add.reduceat(contrib, g.row_starts, axis=-1)
+    if g.row_starts.size == g.n:
+        return sums.T
+    out = np.zeros_like(Xt)
+    out[..., g.nonempty_rows] = sums
+    return out.T
+
+
+class PerParameterOptimizer:
+    """train._Adam / train._SGD as a loop over parameters, each with its own
+    moment arrays and a fresh value array per update."""
+
+    def __init__(self, values, cfg, betas=(0.9, 0.999), eps=1e-8):
+        self.values = [np.array(v, dtype=np.float64) for v in values]
+        self.cfg, self.betas, self.eps = cfg, betas, eps
+        self.m = [np.zeros_like(v) for v in self.values]
+        self.v = [np.zeros_like(v) for v in self.values]
+        self.t = 0
+
+    def step(self, grads):
+        b1, b2 = self.betas
+        self.t += 1
+        for i, grad in enumerate(grads):
+            g = grad + self.cfg.weight_decay * self.values[i]
+            if self.cfg.optimizer == "sgd":
+                self.values[i] = self.values[i] - self.cfg.lr * g
+                continue
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            mhat = self.m[i] / (1 - b1 ** self.t)
+            vhat = self.v[i] / (1 - b2 ** self.t)
+            self.values[i] = self.values[i] - self.cfg.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def per_mask_cross_entropy(logits, labels, mask):
+    """(loss, logits gradient, accuracy) of one mask from its own rows, the
+    per-mask formulas the loss and fit's metrics used."""
+    z = logits[mask]
+    y = labels[mask]
+    zmax = np.max(z, axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.sum(np.exp(z - zmax), axis=1))
+    loss = float(np.mean(lse - z[np.arange(z.shape[0]), y]))
+    p = np.exp(z - zmax)
+    p /= np.sum(p, axis=1, keepdims=True)
+    p[np.arange(z.shape[0]), y] -= 1.0
+    grad = np.zeros_like(logits)
+    grad[mask] = p * (1.0 / z.shape[0])
+    return loss, grad, float(np.mean(np.argmax(z, axis=1) == y))
 
 
 @pytest.fixture

@@ -207,7 +207,7 @@ def _fd_gradient_ok(build_loss, params, h=1e-5, rtol=1e-5):
             dn = float(build_loss().value)
             p.value[idx] = orig
             numeric[idx] = (up - dn) / (2 * h)
-        p.zero_grad()
+        p.grad[...] = 0.0
         scale = np.maximum(np.abs(numeric), 1.0)
         if np.max(np.abs(analytic - numeric) / scale) >= rtol:
             return False
@@ -254,7 +254,7 @@ def test_criterion_6_gradient_suite():
             "hadamard": lambda: scalarize(ad.mul(a, b)),
             "cross-entropy": lambda: ad.masked_cross_entropy(a, labels, mask),
             "precomputed-attention": lambda: scalarize(attention_head(
-                g, attention, [(w, v)], a.value, filter_responses(g, attention, a.value))[0]),
+                g, attention, (w, v), a.value, filter_responses(g, attention, a.value))[0]),
             "precomputed-concat": lambda: scalarize(hybrid_forward_concat(
                 g, concat, [(w, None), (w, None)], a.value,
                 filter_responses(g, concat, a.value))),
@@ -379,8 +379,8 @@ def test_criterion_9_attention_ratio_output(tmp_path):
         finite_positive = bool(np.all(np.isfinite(emitted)) and np.all(emitted > 0))
 
         # uniform-attention unit fixture: zero attention vectors -> zeta = 1
-        for theta, a in model.head_params:
-            a.value[...] = 0.0
+        _, a = model.attention_params
+        a.value[...] = 0.0
         model.forward(g, X)
         uniform = attention_ratio(model.last_attention)
         exact_one = bool(np.all(uniform == 1.0))

@@ -43,7 +43,7 @@ def fd_check(build_loss, params, h=FD_H, rtol=FD_RTOL):
         scale = np.maximum(np.abs(numeric), 1.0)
         err = np.max(np.abs(analytic - numeric) / scale)
         assert err < rtol, f"gradient mismatch {err:.2e}"
-        p.zero_grad()
+        p.grad[...] = 0.0
 
 
 def quadratic(t):

@@ -9,6 +9,8 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 from graphscat import (
     autodiff,
     cli,
@@ -108,3 +110,27 @@ def test_worker_set_up_calls_still_work(tmp_path, capsys):
     models.build_model(spec, 3, ds.n_classes, seed=0)
     assert cli.main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_fit_steps_through_the_hooked_adam_step(rng, monkeypatch):
+    # perfbench/worker.py's EpochClock stamps each epoch by replacing
+    # train._Adam.__dict__["step"], and the tracer wraps Tape.backward in its
+    # class: both must be defined there, and fit must call step once per epoch
+    assert "step" in train._Adam.__dict__
+    assert "backward" in train.Tape.__dict__
+    calls = []
+    step = train._Adam.__dict__["step"]
+
+    def counted(opt):
+        calls.append(opt)
+        step(opt)
+
+    monkeypatch.setattr(train._Adam, "step", counted)
+    _, g = random_connected_graph(rng, 12)
+    X = rng.standard_normal((12, 3))
+    labels = np.arange(12) % 2
+    masks = train.SplitMasks(train=np.arange(6), val=np.arange(6, 9), test=np.arange(9, 12))
+    model = models.build_model(models.ModelSpec(preset="gsan", hidden=4), 3, 2, seed=0)
+    res = train.fit(model, g, X, labels, masks, train.TrainConfig(max_epochs=7, patience=7))
+    assert len(res.history["epoch"]) == 7
+    assert len(calls) == 7 and all(type(opt) is train._Adam for opt in calls)

@@ -227,9 +227,15 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("setting,message", [
         ("model.band_paths = -1|3", "wavelet scale -1 must be >= 0"),
-        ("train.lr = nan", "lr must be finite, got nan"),
-        ("train.weight_decay = inf", "weight_decay must be finite, got inf"),
-        ("model.preset = gsan\nmodel.heads = 0", "attention needs at least one head"),
+        # a spec's range error names the key and its line
+        pytest.param("train.lr = nan", "line 2: key 'train.lr': lr must be finite, got nan",
+                     id="train.lr = nan-lr must be finite, got nan"),
+        pytest.param("train.weight_decay = inf",
+                     "line 2: key 'train.weight_decay': weight_decay must be finite, got inf",
+                     id="train.weight_decay = inf-weight_decay must be finite, got inf"),
+        pytest.param("model.preset = gsan\nmodel.heads = 0",
+                     "line 3: key 'model.heads': heads must be >= 1, got 0",
+                     id="model.preset = gsan\nmodel.heads = 0-attention needs at least one head"),
     ])
     def test_train_config_rejected_before_fitting(self, small_dataset_dir, tmp_path, capsys,
                                                    monkeypatch, setting, message):
@@ -301,8 +307,8 @@ class TestCliCommands:
         data_dir = small_dataset_dir
         setting, message = "train.seed = abc", "train.seed"
         if case == "model fails to build":
-            setting = "model.preset = gsan\nmodel.heads = 0"
-            message = "error: attention needs at least one head"
+            setting = "model.band_paths = -1|3"
+            message = "error: wavelet scale -1 must be >= 0"
         if case == "node id out of range":
             data_dir = tmp_path / "data"
             data_dir.mkdir()
@@ -317,6 +323,24 @@ class TestCliCommands:
         out_dir = tmp_path / "res"
         assert main(["train", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("setting,line,key,message", [
+        ("train.optimizer = adamw", 3, "train.optimizer",
+         "unknown optimizer 'adamw'; choose adam or sgd"),
+        ("sbm.p_in = 2", 3, "sbm.p_in", "p_in must lie in [0, 1], got 2.0"),
+        ("model.preset = gsan\nmodel.heads = 0", 4, "model.heads", "heads must be >= 1, got 0"),
+        ("train.epochs = 0", 3, "train.epochs", "max_epochs must be positive, got 0"),
+        ("model.low_widths = 10,10", 3, "model.low_widths",
+         "low_powers and low_widths must have equal length"),
+    ])
+    def test_value_error_names_key_and_line(self, tmp_path, capsys, setting, line, key,
+                                            message):
+        out_dir = tmp_path / "res"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"sbm.blocks = 10,10\nsbm.seed = 1\n{setting}\nout.dir = {out_dir}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: key {key!r}: {message}\n"
         assert not out_dir.exists()
 
     def test_misspelt_key_rejected_with_file_flags(self, small_dataset_dir, tmp_path, capsys):

@@ -40,6 +40,7 @@ from conftest import (
     per_edge_write_edge_list,
     random_connected_graph,
     weighted_graphs,
+    weighted_matvec,
 )
 
 
@@ -175,6 +176,21 @@ class TestAdjacencyKernel:
         assert np.array_equal(g.sqrt_degrees_plus_one, np.sqrt(g.degrees + 1.0))
         with pytest.raises(ValueError):
             g.row_starts[0] = 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=hop_graphs(weighted=True), seed=st.integers(0, 2 ** 32 - 1),
+           width=st.one_of(st.none(), st.integers(1, 20)), layout=st.integers(0, 2))
+    def test_unit_weight_skip_bitwise(self, graph, seed, width, layout):
+        # unit-weight graphs skip the weight product; every graph must give the
+        # bits of the always-weighted kernel, in every input layout
+        n, edges = graph
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IsolatedNodeWarning)
+            g = build_graph(edges, n=n)
+        assert g.unit_weights == bool(np.all(g.csr_weights == 1.0))
+        rng = np.random.default_rng(seed)
+        X = kernel_layouts(rng.standard_normal(n if width is None else (n, width)))[layout]
+        assert adjacency_matvec(g, X).tobytes() == weighted_matvec(g, X).tobytes()
 
 
 class TestApplyOperator:

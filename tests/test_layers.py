@@ -220,7 +220,7 @@ class TestAttention:
     def test_equal_scores_give_uniform_weights(self, rng):
         edges, g = random_connected_graph(rng, 8)
         theta = rng.standard_normal((3, 3))
-        out, state = attention_head(g, self.SPECS, [(theta, np.zeros((6, 1)))],
+        out, state = attention_head(g, self.SPECS, (theta, np.zeros((6, 1))),
                                     rng.standard_normal((8, 3)))
         stacked = np.vstack([state.heads[0].alpha_low, state.heads[0].alpha_band])
         assert np.allclose(stacked, 0.25, atol=1e-12)
@@ -229,7 +229,7 @@ class TestAttention:
         edges, g = random_connected_graph(rng, 10)
         theta = rng.standard_normal((4, 3))
         a = rng.standard_normal((6, 1))
-        _, state = attention_head(g, self.SPECS, [(theta, a)], rng.standard_normal((10, 4)))
+        _, state = attention_head(g, self.SPECS, (theta, a), rng.standard_normal((10, 4)))
         head = state.heads[0]
         total = head.alpha_low.sum(axis=0) + head.alpha_band.sum(axis=0)
         assert np.max(np.abs(total - 1.0)) < 1e-9
@@ -242,7 +242,7 @@ class TestAttention:
         theta = rng.standard_normal((2, 3))
         a = rng.standard_normal((6, 1))
         X = rng.standard_normal((n, 2))
-        out, state = attention_head(g, self.SPECS, [(theta, a)], X)
+        out, state = attention_head(g, self.SPECS, (theta, a), X)
         expected, alpha = literal_attention_oracle(n, edges, self.SPECS, theta, a, X)
         assert np.max(np.abs(out.value - expected)) < 1e-9
         assert np.max(np.abs(np.vstack([state.heads[0].alpha_low, state.heads[0].alpha_band])
@@ -277,7 +277,7 @@ class TestAttention:
         model = build_model(ModelSpec(preset="gsan", hidden=3, heads=1), 3, 2, seed=3)
         X = rng.standard_normal((9, 3))
         out = model.forward(g, X)
-        h, state = attention_head(g, model.specs, model.head_params, X,
+        h, state = attention_head(g, model.specs, model.attention_params, X,
                                   model.responses.get(g, X))
         ref = residual_conv(g, model.alpha, model.theta_res, model.bias_res, h)
         assert np.array_equal(out.value, ref.value)
@@ -285,9 +285,10 @@ class TestAttention:
 
     def test_gsan_identical_heads_duplicate_blocks(self, rng):
         edges, g = random_connected_graph(rng, 7)
-        head = init_attention_params(self.SPECS, 1, 3, np.random.default_rng(5))[0]
+        theta, a = init_attention_params(self.SPECS, 1, 3, np.random.default_rng(5))
         X = rng.standard_normal((7, 3))
-        out, _ = attention_head(g, self.SPECS, [head, head], X)
+        twice = (np.hstack([theta.value, theta.value]), np.hstack([a.value, a.value]))
+        out, _ = attention_head(g, self.SPECS, twice, X)
         assert out.value.shape == (7, 6)
         assert np.array_equal(out.value[:, :3], out.value[:, 3:])
 
@@ -416,7 +417,7 @@ def _loss_and_grads(build, params, weights):
     ad.backward(ad.Tensor(loss.value.reshape(()), (loss,), lambda gr: (gr.reshape(1, 1),)))
     grads = [p.grad.copy() for p in params]
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
     return out.value, grads
 
 
@@ -438,13 +439,13 @@ class TestFilterResponses:
         rng = np.random.default_rng(seed)
         _, g = random_connected_graph(rng, n, weighted=True)
         X = rng.standard_normal((n, 3))
-        theta, a = init_attention_params(self.ATTENTION, 1, 3, rng)[0]
+        theta, a = init_attention_params(self.ATTENTION, 1, 3, rng)
         weights = rng.standard_normal((n, 4))
         responses = filter_responses(g, self.ATTENTION, X)
-        chains = _loss_and_grads(lambda: attention_head(g, self.ATTENTION, [(theta, a)], X)[0],
+        chains = _loss_and_grads(lambda: attention_head(g, self.ATTENTION, (theta, a), X)[0],
                                  [theta, a], weights)
         fused = _loss_and_grads(
-            lambda: attention_head(g, self.ATTENTION, [(theta, a)], X, responses)[0],
+            lambda: attention_head(g, self.ATTENTION, (theta, a), X, responses)[0],
             [theta, a], weights)
         assert _close(fused[0], chains[0])
         for got, want in zip(fused[1], chains[1]):
@@ -702,7 +703,7 @@ class TestStackedAttention:
         params = init_attention_params(self.SPECS, heads, X.shape[1], rng)
         x = ad.Parameter(X.copy()) if plan == "per-epoch-x-on-tape" else X
         responses = filter_responses(g, self.SPECS, X) if plan == "precomputed" else None
-        flat = [p for pair in params for p in pair] + ([x] if isinstance(x, ad.Tensor) else [])
+        flat = [*params] + ([x] if isinstance(x, ad.Tensor) else [])
         weights = rng.standard_normal((n, heads * 3))
         stacked = _loss_and_grads(
             lambda: attention_head(g, self.SPECS, params, x, responses)[0], flat, weights)
@@ -718,7 +719,7 @@ class TestStackedAttention:
         X = rng.standard_normal((14, d_in))
         model = build_model(ModelSpec(preset="gsan", hidden=4, heads=3), d_in, 2, seed=2)
         model.forward(g, X)
-        _, want = per_filter_attention(g, model.specs, model.head_params, X)
+        _, want = per_filter_attention(g, model.specs, model.attention_params, X)
         assert len(model.last_attention.heads) == len(want.heads) == 3
         for got, ref in zip(model.last_attention.heads, want.heads):
             for name in ("alpha_low", "alpha_band"):
@@ -727,11 +728,13 @@ class TestStackedAttention:
 
     def test_gsan_forward_and_loss_tape_nodes(self, rng):
         # two heads on precomputed responses (d_in <= hidden), as on the
-        # criterion-7 block model: 11 nodes for the attention layer, 5 for the
-        # residual convolution and the loss; the per-filter composition took 122
+        # criterion-7 block model: 7 nodes for the attention layer (X, theta,
+        # a, X theta, the constant responses, their product and the fused
+        # attention), 5 for the residual convolution and the loss; the
+        # per-filter composition took 122
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 3))
         model = build_model(ModelSpec(preset="gsan", hidden=4), 3, 2, seed=1)
         loss = ad.masked_cross_entropy(model.forward(g, X), np.zeros(12, dtype=np.int64),
                                        np.arange(12))
-        assert _tape_nodes(loss) == 11 + 5 + 1 < 30
+        assert _tape_nodes(loss) == 7 + 5 + 1 < 30

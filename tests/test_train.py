@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
+from graphscat import train
 from graphscat.datasets import SBMSpec, describe, generate_sbm
 from graphscat.errors import EmptyMask, NonFiniteLoss
 from graphscat.models import PRESET_FIELDS, ModelSpec, build_model
 from graphscat.train import SplitMasks, TrainConfig, evaluate, fit
 
-from conftest import count_hop_builds, random_connected_graph
+from conftest import (
+    PerParameterOptimizer,
+    count_hop_builds,
+    per_mask_cross_entropy,
+    random_connected_graph,
+)
 
 
 class FixedLogitsModel:
@@ -220,3 +228,103 @@ class TestConfigsAndMasks:
     def test_train_config_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             TrainConfig(**{field: value})
+
+
+class TestFlatOptimizer:
+    """The flat-vector optimizers against the per-parameter loop, bit for bit."""
+
+    SHAPES = [(3, 4), (1, 5), (6,), (2, 3, 2), (1, 1), (4, 1)]
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_parameter_loop(self, optimizer, seed):
+        rng = np.random.default_rng(seed)
+        values = [rng.standard_normal(shape) for shape in self.SHAPES]
+        params = [ad.Parameter(v.copy()) for v in values]
+        cfg = TrainConfig(lr=0.05, weight_decay=5e-3, optimizer=optimizer)
+        opt = (train._Adam if optimizer == "adam" else train._SGD)(params, cfg)
+        ref = PerParameterOptimizer(values, cfg)
+        for step in range(60):
+            grads = [rng.standard_normal(shape) for shape in self.SHAPES]
+            for p, grad in zip(params, grads):
+                p.grad += grad               # as autodiff.backward accumulates
+            if step == 20:                   # a value reassigned between steps
+                params[1].value = rng.standard_normal(self.SHAPES[1])
+                ref.values[1] = params[1].value.copy()
+            if step == 30:                   # and a gradient
+                params[3].grad = grads[3].copy()
+            opt.step()
+            ref.step(grads)
+            for p, want in zip(params, ref.values):
+                assert p.value.tobytes() == want.tobytes()
+                assert not p.grad.any()
+
+    def test_values_are_views_of_the_flat_vector(self, rng):
+        params = [ad.Parameter(rng.standard_normal(shape)) for shape in self.SHAPES]
+        before = [p.value.copy() for p in params]
+        opt = train._Adam(params, TrainConfig())
+        assert opt.value.size == sum(int(np.prod(shape)) for shape in self.SHAPES)
+        for p, want in zip(params, before):
+            assert np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad)
+            assert np.array_equal(p.value, want)
+
+    def test_fit_restores_the_best_epoch_parameters(self, rng, monkeypatch):
+        # snapshots after every step; early stopping must hand back the best one
+        g, X, labels, masks = tiny_dataset(rng)
+        model = build_model(ModelSpec(preset="gsan", hidden=4), 4, 2, seed=2)
+        snapshots = []
+        step = train._Adam.__dict__["step"]
+
+        def recorded(opt):
+            step(opt)
+            snapshots.append([p.value.copy() for p in opt.params])
+
+        monkeypatch.setattr(train._Adam, "step", recorded)
+        res = fit(model, g, X, labels, masks,
+                  TrainConfig(lr=0.1, max_epochs=60, patience=3, seed=2))
+        assert len(snapshots) == len(res.history["epoch"]) > res.best_epoch + 1
+        for p, want in zip(model.parameters(), snapshots[res.best_epoch]):
+            assert p.value.tobytes() == want.tobytes()
+        # a later reassignment is what the next forward reads
+        model.theta_res.value = np.zeros_like(model.theta_res.value)
+        model.bias_res.value = np.zeros_like(model.bias_res.value)
+        assert not model.forward(g, X).value.any()
+
+
+class TestEpochMetrics:
+    """fit's one pass over the logits against the per-mask formulas, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 40), classes=st.integers(2, 12),
+           ties=st.booleans(), fortran=st.booleans(), empty_val=st.booleans())
+    def test_history_matches_per_mask_formulas(self, seed, n, classes, ties, fortran,
+                                               empty_val):
+        rng = np.random.default_rng(seed)
+        # small integers tie often (argmax takes the lowest class id); an F-ordered
+        # array is what the sparse kernel returns
+        logits = (rng.integers(-2, 3, size=(n, classes)).astype(np.float64) if ties
+                  else 5.0 * rng.standard_normal((n, classes)))
+        if fortran:
+            logits = np.asfortranarray(logits)
+        labels = rng.integers(0, classes, size=n)
+        idx = rng.permutation(n)
+        k = n // 3
+        masks = SplitMasks(train=idx[:k], val=idx[k:k] if empty_val else idx[k:2 * k],
+                           test=idx[2 * k:])
+        res = fit(FixedLogitsModel(logits), None, None, labels, masks, TrainConfig(max_epochs=2))
+        val = masks.train if empty_val else masks.val
+        train_loss, _, train_acc = per_mask_cross_entropy(logits, labels, masks.train)
+        val_loss, _, val_acc = per_mask_cross_entropy(logits, labels, val)
+        assert res.history["train_loss"] == [train_loss] * 2
+        assert res.history["val_loss"] == [val_loss] * 2
+        assert res.history["train_acc"] == [train_acc] * 2
+        assert res.history["val_acc"] == [val_acc] * 2
+
+        z = ad.Parameter(logits)
+        rows = ad.cross_entropy_rows(z.value, labels)
+        loss = ad.masked_cross_entropy(z, labels, masks.train, rows)
+        ad.backward(loss)
+        _, grad, _ = per_mask_cross_entropy(logits, labels, masks.train)
+        assert float(loss.value) == train_loss
+        assert z.grad.tobytes() == grad.tobytes()
