@@ -4,7 +4,7 @@ Tensors form an implicit computation tape through parent links; backward()
 walks the tape once in reverse topological order, descending only into
 nodes that require a gradient (those with a Parameter among their
 ancestors). Only the operations needed by the layer zoo are provided:
-matmul, fixed-operator matvec, broadcast add/mul, column concat and slice,
+matmul, fixed-operator matvec, broadcast add/sub, column concat and slice,
 the activation family, the fused filter attention of the attention layer,
 and masked cross-entropy, whose per-node rows (cross_entropy_rows) a caller
 can compute once and share between masks.
@@ -14,15 +14,12 @@ steps.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, TapeConsumed
 from .graph import Graph, OperatorKind, apply_operator, apply_operator_transpose
-
-_param_ids = itertools.count()
 
 
 class Tensor:
@@ -43,14 +40,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor with an accumulated gradient and a unique id."""
+    """Trainable tensor with an accumulated gradient."""
 
-    __slots__ = ("pid",)
+    __slots__ = ()
 
     def __init__(self, value):
         super().__init__(value, requires_grad=True)
         self.grad = np.zeros_like(self.value)
-        self.pid = next(_param_ids)
 
 
 def constant(value) -> Tensor:
@@ -83,20 +79,6 @@ def sub(a, b) -> Tensor:
     out = a.value - b.value
     return Tensor(out, (a, b),
                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
-def mul(a, b) -> Tensor:
-    """Elementwise (Hadamard) product with numpy broadcasting."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.value * b.value
-    av, bv = a.value, b.value
-    return Tensor(out, (a, b),
-                  lambda g: (_unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)))
-
-
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    return Tensor(a.value * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:

@@ -41,10 +41,18 @@ def parse_config(path) -> dict[str, ConfigValue]:
         return parse_config_text(fh.read(), source=str(path))
 
 
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; a blank text is (), a blank field an error."""
+    fields = text.split(",") if text.strip() else []
+    if not all(x.strip() for x in fields):
+        raise ValueError(f"empty field in comma-separated integers {text!r}")
+    return tuple(int(x) for x in fields)
+
+
 def parse_paths(text: str) -> tuple[tuple[int, ...], ...]:
-    """Wavelet-scale paths: scales comma-separated, paths split on '|'."""
-    return tuple(tuple(int(x) for x in part.split(",") if x.strip())
-                 for part in text.split("|"))
+    """Wavelet-scale paths: scales comma-separated, paths split on '|'; a
+    blank path is the identity cascade."""
+    return tuple(_parse_ints(part) for part in text.split("|"))
 
 
 class ConfigView:
@@ -76,8 +84,7 @@ class ConfigView:
         return self._get(key, default, float, "a number")
 
     def get_int_tuple(self, key: str, default=None):
-        return self._get(key, default, lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
-                         "comma-separated integers")
+        return self._get(key, default, _parse_ints, "comma-separated integers")
 
     def get_paths(self, key: str, default=None):
         """Wavelet-scale paths, in the parse_paths format."""

@@ -60,13 +60,13 @@ def two_coloring_cases() -> list[tuple[str, Graph, np.ndarray]]:
     return cases
 
 
-def two_coloring_dichotomy(g: Graph, x: np.ndarray, iterations: int = 3):
+def two_coloring_dichotomy(g: Graph, x: np.ndarray):
     """Deviation of the low-pass filter response from zero and of repeated
-    Psi_0 responses from the two-coloring, per composition depth 1..iterations."""
+    Psi_0 responses from the two-coloring, per composition depth 1..3."""
     gcn_dev, psi_dev = [], []
     y = x.copy()
     z = x.copy()
-    for _ in range(iterations):
+    for _ in range(3):
         y = apply_operator(g, SYM_NORM_ADJACENCY, y)
         gcn_dev.append(float(np.max(np.abs(y))))
         z = z - apply_operator(g, LAZY_WALK, z)
@@ -89,8 +89,8 @@ class TheoremCase:
     expect_violation: str | None = None   # substring of the expected failure
 
 
-def pendant_path_pair(d: int, leaf_count: int = 1) -> TheoremCase:
-    """Two path components; side A carries leaf_count pendant leaves at hop d+1.
+def pendant_path_pair(d: int) -> TheoremCase:
+    """Two path components; side A carries one pendant leaf at hop d+1.
 
     With average-degree features of locality 2, the nearest structural
     difference from the path head sits at distance exactly d, reached along a
@@ -101,8 +101,7 @@ def pendant_path_pair(d: int, leaf_count: int = 1) -> TheoremCase:
     m = d + 4
     edges = [(i, i + 1) for i in range(m - 1)]           # side A path
     edges += [(m + i, m + i + 1) for i in range(m - 1)]  # side B path
-    for j in range(leaf_count):
-        edges.append((d + 1, 2 * m + j))
+    edges.append((d + 1, 2 * m))                         # side A leaf
     g = build_graph(edges)
     radius = d + 1
     phi = NodeMap({i: m + i for i in range(radius + 1)})

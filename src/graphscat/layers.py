@@ -175,12 +175,12 @@ class ResponseCache:
 
 
 def gcn_channel(g: Graph, r: int, theta, bias, sigma: Nonlinearity, X) -> ad.Tensor:
-    """sigma(A^r X Theta + B) with A the renormalized adjacency."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if g.has_isolated_nodes:
-        raise IsolatedNodeError("GCN channel requires a graph without isolated nodes")
-    t = ad.op_chain(g, RENORM_ADJACENCY, ad.matmul(X, theta), r)[r]
+    """sigma(A^r X Theta + B) with A the renormalized adjacency.
+
+    No model calls it; it stays as the benchmark tracer's span until that
+    span moves to layer_filters.
+    """
+    t = layer_filters(g, (low_channel(r, theta.shape[1]),), ad.matmul(X, theta))[0]
     if bias is not None:
         t = ad.add(t, bias)
     return sigma.apply_tensor(t)

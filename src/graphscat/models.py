@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers
-from .errors import FieldRangeError
+from .errors import FieldRangeError, ScaleOutOfRange
 from .graph import RENORM_ADJACENCY, Graph
 from .layers import (
     AttentionState,
@@ -74,6 +74,19 @@ class ModelSpec:
                 raise FieldRangeError(f"{name} must be >= 1, got {getattr(self, name)}", name)
         if self.alpha is not None and not 0.0 <= self.alpha < np.inf:
             raise FieldRangeError(f"alpha must be finite and >= 0, got {self.alpha}", "alpha")
+        # ChannelSpec holds the channel ranges; each value is tried in a channel
+        # of its own, so that an error names the field that supplied it
+        for name, values, channel in (
+                ("low_powers", self.low_powers, lambda r: low_channel(r, 1)),
+                ("low_widths", self.low_widths, lambda w: low_channel(1, w)),
+                ("band_widths", self.band_widths, lambda w: band_channel((), w)),
+                ("band_paths", self.band_paths, lambda p: band_channel(p, 1)),
+                ("q", () if self.q is None else (self.q,), lambda q: band_channel((), 1, q))):
+            for v in values or ():
+                try:
+                    channel(v)
+                except (ValueError, ScaleOutOfRange) as exc:
+                    raise FieldRangeError(str(exc), name) from None
 
 
 class GCNBaseline:

@@ -73,14 +73,13 @@ def eigendecompose(M: np.ndarray) -> EigenDecomposition:
 class FilterSpec:
     """Selector for spectral_response.
 
-    kinds: "gcn_unnormalized" (theta optional), "wavelet" (scale k),
+    kinds: "gcn_unnormalized" (2I - L), "wavelet" (scale k),
     "lowpass" (max scale K), "chebyshev" (coefficient list thetas).
     """
 
     kind: str
     k: int | None = None
     thetas: tuple[float, ...] | None = None
-    theta: float = 1.0
 
     def __post_init__(self):
         if self.kind in ("wavelet", "lowpass"):
@@ -89,8 +88,8 @@ class FilterSpec:
             check_scales((self.k,))
 
 
-def gcn_unnormalized(theta: float = 1.0) -> FilterSpec:
-    return FilterSpec("gcn_unnormalized", theta=theta)
+def gcn_unnormalized() -> FilterSpec:
+    return FilterSpec("gcn_unnormalized")
 
 
 def wavelet_filter(k: int) -> FilterSpec:
@@ -115,7 +114,7 @@ def _filter_matrix(flt: FilterSpec, L: np.ndarray, lam_max: float) -> np.ndarray
     n = L.shape[0]
     eye = np.eye(n)
     if flt.kind == "gcn_unnormalized":
-        return flt.theta * (2.0 * eye - L)
+        return 2.0 * eye - L
     if flt.kind in ("wavelet", "lowpass"):
         P = eye - 0.5 * L
         if flt.kind == "lowpass":

@@ -256,8 +256,6 @@ def generalized_path(g: Graph, v: int, diff_nodes) -> tuple[int, set[int], list[
 class Theorem1Report:
     passed: bool
     max_deviation: float
-    trials: int
-    layers: int
 
 
 def _random_gcn_deviation(g: Graph, v: int, pv: int, X: np.ndarray, L: int,
@@ -291,7 +289,7 @@ def _random_gcn_deviation(g: Graph, v: int, pv: int, X: np.ndarray, L: int,
 
 def verify_theorem1(g: Graph, phi: NodeMap, v: int, K: int, L: int,
                     kind: IntrinsicFeatureKind, trials: int = 100,
-                    tol: float = EQUALITY_ATOL, seed: int = 0) -> Theorem1Report:
+                    tol: float = EQUALITY_ATOL) -> Theorem1Report:
     """Random-weight GCNs cannot tell v from phi(v) through L layers.
 
     Requires phi-isomorphic closed (K+L)-hop balls and features of
@@ -303,19 +301,14 @@ def verify_theorem1(g: Graph, phi: NodeMap, v: int, K: int, L: int,
         raise HypothesisViolated(
             f"(K+L)-neighborhoods of {v} and {phi(v)} are not phi-isomorphic")
     X = intrinsic_features(g, kind)
-    dev = _random_gcn_deviation(g, v, phi(v), X, L, trials, seed)
-    return Theorem1Report(passed=dev < tol, max_deviation=dev, trials=trials, layers=L)
+    dev = _random_gcn_deviation(g, v, phi(v), X, L, trials, seed=0)
+    return Theorem1Report(passed=dev < tol, max_deviation=dev)
 
 
 @dataclass
 class DiscriminabilityReport:
-    v: int
-    phi_v: int
     d: int
-    v_diff: tuple[int, ...]
-    v_diff_nearest: tuple[int, ...]
     path: tuple[int, ...]
-    generalized_path: tuple[frozenset, ...]
     separation: float
     gcn_deviation: float
     onion_matched: bool
@@ -392,17 +385,8 @@ def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
     sep = scatter_separation(g, v, phi(v), Z, p, sigma)
     gcn_dev = _random_gcn_deviation(g, v, phi(v), X, L, trials=5, seed=7) if L else 0.0
     onion = _onion_layers_match(g, phi, v, X, d, layers, tol)
-    return DiscriminabilityReport(
-        v=v, phi_v=phi(v), d=d,
-        v_diff=tuple(sorted(diffs.nodes)),
-        v_diff_nearest=tuple(sorted(vd)),
-        path=p,
-        generalized_path=tuple(frozenset(u) for u in layers),
-        separation=sep,
-        gcn_deviation=gcn_dev,
-        onion_matched=onion,
-        discriminates=sep > tol,
-    )
+    return DiscriminabilityReport(d=d, path=p, separation=sep, gcn_deviation=gcn_dev,
+                                  onion_matched=onion, discriminates=sep > tol)
 
 
 def verify_theorem2(g: Graph, phi: NodeMap, v: int, K: int, L: int,

@@ -154,7 +154,6 @@ class _Adam(_FlatOptimizer):
 
 @dataclass
 class FitResult:
-    model: object
     history: dict[str, list] = field(default_factory=dict)
     best_epoch: int = 0
 
@@ -224,4 +223,4 @@ def fit(model, g: Graph, X: np.ndarray, labels: np.ndarray,
                 break
 
     opt.restore(best_state)
-    return FitResult(model=model, history=history, best_epoch=best_epoch)
+    return FitResult(history=history, best_epoch=best_epoch)

@@ -1,11 +1,12 @@
 """Shared oracle helpers: dense operator constructions independent of the
 package's CSR/matvec path, built straight from edge lists; the per-filter
-composition of the attention layer; the per-edge, per-node, per-trial
-and per-value loops that the array-built graph, the CSR array expressions,
-the batched random-GCN trials and the row writer replace; and the
-always-weighted kernel, the per-parameter optimizers and the per-mask loss
-and accuracy that the unit-weight skip, the flat optimizers and the
-one-pass epoch metrics replace."""
+composition of the attention layer and the tape ops only tests compose
+(Hadamard product, constant scaling, filter-axis stack, slice and softmax);
+the per-edge, per-node, per-trial and per-value loops that the array-built
+graph, the CSR array expressions, the batched random-GCN trials and the row
+writer replace; and the always-weighted kernel, the per-parameter optimizers
+and the per-mask loss and accuracy that the unit-weight skip, the flat
+optimizers and the one-pass epoch metrics replace."""
 
 import functools
 import math
@@ -163,6 +164,21 @@ def record_matmul_operands(monkeypatch):
     return lefts
 
 
+def mul(a, b):
+    """Elementwise (Hadamard) product with numpy broadcasting, on the tape."""
+    ad = autodiff_module
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    av, bv = a.value, b.value
+    return ad.Tensor(av * bv, (a, b), lambda g: (ad._unbroadcast(g * bv, a.shape),
+                                                 ad._unbroadcast(g * av, b.shape)))
+
+
+def scale(a, c):
+    """a times the constant c, on the tape."""
+    a = autodiff_module._as_tensor(a)
+    return autodiff_module.Tensor(a.value * c, (a,), lambda g: (g * c,))
+
+
 def stack_filters(tensors):
     """Stack equal-shape tensors along a new leading (filter) axis."""
     tensors = [autodiff_module._as_tensor(t) for t in tensors]
@@ -222,9 +238,9 @@ def per_filter_attention(g, specs, params, X, responses=None):
         alpha = softmax_filters(stack_filters(scores))
         acc = None
         for i, r in enumerate(resps):
-            term = ad.mul(take_filter(alpha, i), r)
+            term = mul(take_filter(alpha, i), r)
             acc = term if acc is None else ad.add(acc, term)
-        outs.append(ad.scale(ad.relu(acc), 1.0 / len(resps)))
+        outs.append(scale(ad.relu(acc), 1.0 / len(resps)))
         state.heads.append(HeadAttention(
             alpha_low=alpha.value[:n_low, :, 0].copy(), alpha_band=alpha.value[n_low:, :, 0].copy()))
     return (outs[0] if len(outs) == 1 else ad.concat_cols(outs)), state

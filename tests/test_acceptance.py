@@ -49,7 +49,7 @@ from graphscat.theory import (
 from graphscat.train import TrainConfig, evaluate, fit
 from graphscat.wavelets import bank_sweep
 
-from conftest import random_connected_graph
+from conftest import mul, random_connected_graph
 
 
 class Timer:
@@ -231,35 +231,35 @@ def test_criterion_6_gradient_suite():
     concat = (low_channel(2, 2), band_channel((1,), 2, q=3.0))
 
     def square(t):
-        return ad.mul(t, t)
+        return mul(t, t)
 
     def make_ops(a, b, w, labels, mask, kind, v=None, u=None):
         # u: a second channel's Theta (3 x 2) and two (1 x 2) biases
         return {
-            "matmul": lambda: scalarize(ad.mul(ad.matmul(a, w), ad.matmul(a, w))),
+            "matmul": lambda: scalarize(mul(ad.matmul(a, w), ad.matmul(a, w))),
             "sparse-matvec": lambda: scalarize(
-                ad.mul(ad.op_apply(g, kind, a), a)),
-            "add": lambda: scalarize(ad.mul(ad.add(a, b), ad.add(a, b))),
-            "concat": lambda: scalarize(ad.mul(ad.concat_cols([a, b]),
-                                               ad.concat_cols([a, b]))),
+                mul(ad.op_apply(g, kind, a), a)),
+            "add": lambda: scalarize(mul(ad.add(a, b), ad.add(a, b))),
+            "concat": lambda: scalarize(mul(ad.concat_cols([a, b]),
+                                            ad.concat_cols([a, b]))),
             "relu": lambda: scalarize(ad.relu(a)),
             "leaky-relu": lambda: scalarize(ad.leaky_relu(a, 0.2)),
-            "abs": lambda: scalarize(ad.mul(ad.abs_val(a), ad.abs_val(b))),
+            "abs": lambda: scalarize(mul(ad.abs_val(a), ad.abs_val(b))),
             "abs-pow": lambda: scalarize(ad.abs_pow(a, 3.0)),
             # the fused attention's softmax over filters a and b (one head of
             # width 3, fixed attention vector)
             "softmax-filters": lambda: scalarize(ad.filter_attention(
                 ad.constant(np.ones((6, 3))), [a, b],
                 ad.constant(np.linspace(-1.0, 1.0, 6).reshape(6, 1)), 2, 0.2)[0]),
-            "hadamard": lambda: scalarize(ad.mul(a, b)),
+            "hadamard": lambda: scalarize(mul(a, b)),
             "cross-entropy": lambda: ad.masked_cross_entropy(a, labels, mask),
             "precomputed-attention": lambda: scalarize(attention_head(
                 g, attention, (w, v), a.value, filter_responses(g, attention, a.value))[0]),
             "precomputed-concat": lambda: scalarize(hybrid_forward_concat(
                 g, concat, [(w, None), (w, None)], a.value,
                 filter_responses(g, concat, a.value))),
-            "column-slice": lambda: scalarize(ad.mul(ad.take_cols(a, 1, 3),
-                                                     ad.take_cols(a, 0, 2))),
+            "column-slice": lambda: scalarize(mul(ad.take_cols(a, 1, 3),
+                                                  ad.take_cols(a, 0, 2))),
             # X on the tape, one Theta and bias per channel, band q = 3
             "per-epoch-concat": lambda: scalarize(square(hybrid_forward_concat(
                 g, concat, [(w, u[1]), (u[0], u[2])], a))),

@@ -14,7 +14,9 @@ from graphscat.wavelets import wavelet_sweep
 from conftest import (
     dense_ops,
     dense_wavelet,
+    mul,
     random_connected_graph,
+    scale,
     stack_filters,
     take_filter,
 )
@@ -40,14 +42,14 @@ def fd_check(build_loss, params, h=FD_H, rtol=FD_RTOL):
             dn = float(build_loss().value)
             p.value[idx] = orig
             numeric[idx] = (up - dn) / (2 * h)
-        scale = np.maximum(np.abs(numeric), 1.0)
-        err = np.max(np.abs(analytic - numeric) / scale)
+        denom = np.maximum(np.abs(numeric), 1.0)
+        err = np.max(np.abs(analytic - numeric) / denom)
         assert err < rtol, f"gradient mismatch {err:.2e}"
         p.grad[...] = 0.0
 
 
 def quadratic(t):
-    return ad.mul(t, t)
+    return mul(t, t)
 
 
 def to_scalar(t):
@@ -86,7 +88,7 @@ class TestBasicOps:
             if op == "sub":
                 return to_scalar(quadratic(ad.sub(a, b)))
             if op == "mul":
-                return to_scalar(quadratic(ad.mul(a, b)))
+                return to_scalar(quadratic(mul(a, b)))
             if op == "matmul":
                 return to_scalar(quadratic(ad.matmul(a, w)))
             if op == "concat":
@@ -100,11 +102,11 @@ class TestBasicOps:
             if op == "abs_pow":
                 return to_scalar(ad.abs_pow(a, 3.0))
             if op == "scale":
-                return to_scalar(quadratic(ad.scale(a, -1.7)))
+                return to_scalar(quadratic(scale(a, -1.7)))
             if op == "stack_take":
                 # the filter-axis ops of the per-filter attention oracle
                 stacked = stack_filters([a, b])
-                return to_scalar(quadratic(ad.mul(take_filter(stacked, 0),
+                return to_scalar(quadratic(mul(take_filter(stacked, 0),
                                                   take_filter(stacked, 1))))
             # the fused attention: three heads of width 1, two filters (b
             # band-pass), gradients through scores, softmax and weighted sum
@@ -136,7 +138,7 @@ class TestBasicOps:
 
     def test_parameter_reuse_accumulates(self, rng):
         a = ad.Parameter(rng.standard_normal((3, 3)))
-        loss = to_scalar(ad.add(ad.mul(a, a), a))
+        loss = to_scalar(ad.add(mul(a, a), a))
         ad.backward(loss)
         assert np.allclose(a.grad, 2.0 * a.value + 1.0, atol=1e-12)
 

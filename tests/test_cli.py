@@ -86,6 +86,25 @@ class TestConfigParsing:
         assert view.get_paths("d") == ((1,), (0, 2))
         assert view.get_int("missing", 7) == 7
 
+    @pytest.mark.parametrize("key,raw,what", [
+        ("model.low_powers", "1,,2", "comma-separated integers"),
+        ("model.low_powers", "1,2,", "comma-separated integers"),
+        ("model.band_paths", "1,|3", "paths like '1|2,3'"),
+    ])
+    def test_empty_list_field_names_line(self, key, raw, what):
+        view = ConfigView(parse_config_text(f"model.preset = sc-gcn\n{key} = {raw}\n"))
+        getter = view.get_paths if key == "model.band_paths" else view.get_int_tuple
+        with pytest.raises(ConfigError) as err:
+            getter(key)
+        assert str(err.value) == f"line 2: key {key!r} needs {what}, got {raw!r}"
+
+    def test_empty_path_and_empty_value_kept(self):
+        # '1||3' holds the identity cascade; a blank value is an empty list
+        view = ConfigView(parse_config_text("a = 1||3\nb =\nc =\n"))
+        assert view.get_paths("a") == ((1,), (), (3,))
+        assert view.get_paths("b") == ((),)
+        assert view.get_int_tuple("c") == ()
+
     def test_type_error_names_line(self):
         view = ConfigView(parse_config_text("x = notanint\n"))
         with pytest.raises(ConfigError) as err:
@@ -226,8 +245,10 @@ class TestCliCommands:
         assert calls == []
 
     @pytest.mark.parametrize("setting,message", [
-        ("model.band_paths = -1|3", "wavelet scale -1 must be >= 0"),
         # a spec's range error names the key and its line
+        pytest.param("model.band_paths = -1|3",
+                     "line 2: key 'model.band_paths': wavelet scale -1 must be >= 0",
+                     id="model.band_paths = -1|3-wavelet scale -1 must be >= 0"),
         pytest.param("train.lr = nan", "line 2: key 'train.lr': lr must be finite, got nan",
                      id="train.lr = nan-lr must be finite, got nan"),
         pytest.param("train.weight_decay = inf",
@@ -308,7 +329,7 @@ class TestCliCommands:
         setting, message = "train.seed = abc", "train.seed"
         if case == "model fails to build":
             setting = "model.band_paths = -1|3"
-            message = "error: wavelet scale -1 must be >= 0"
+            message = "error: line 3: key 'model.band_paths': wavelet scale -1 must be >= 0"
         if case == "node id out of range":
             data_dir = tmp_path / "data"
             data_dir.mkdir()
@@ -333,6 +354,14 @@ class TestCliCommands:
         ("train.epochs = 0", 3, "train.epochs", "max_epochs must be positive, got 0"),
         ("model.low_widths = 10,10", 3, "model.low_widths",
          "low_powers and low_widths must have equal length"),
+        # ChannelSpec's ranges, raised by ModelSpec on the field that supplied the value
+        ("model.q = 0.5", 3, "model.q", "band-pass q must be >= 1"),
+        ("model.low_powers = 0,1,2", 3, "model.low_powers", "low-pass power r must be >= 1"),
+        ("model.preset = gsan\nmodel.low_powers = 0", 4, "model.low_powers",
+         "low-pass power r must be >= 1"),
+        ("model.low_widths = 0,10,10", 3, "model.low_widths", "channel width must be >= 1"),
+        ("model.band_widths = 0,6", 3, "model.band_widths", "channel width must be >= 1"),
+        ("model.band_paths = -1|3", 3, "model.band_paths", "wavelet scale -1 must be >= 0"),
     ])
     def test_value_error_names_key_and_line(self, tmp_path, capsys, setting, line, key,
                                             message):
@@ -418,6 +447,15 @@ class TestCliCommands:
         assert len(lines) == 41
         # 1 id column + 2 paths x 8 feature columns
         assert len(lines[1].split(",")) == 17
+
+    def test_scatter_rejects_empty_scale(self, small_dataset_dir, tmp_path, capsys):
+        out = tmp_path / "scatter.csv"
+        assert main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
+                     "--features", str(small_dataset_dir / "features.csv"),
+                     "--paths", "1,|3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: empty field in comma-separated integers '1,'\n")
+        assert not out.exists()
 
     def test_scatter_shares_first_layer_sweep(self, small_dataset_dir, tmp_path, monkeypatch):
         # one 2^3-step sweep gives Psi_0..Psi_3 X for every path's first

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
-from graphscat.errors import IsolatedNodeError, IsolatedNodeWarning, ScaleOutOfRange
+from graphscat.errors import (
+    FieldRangeError,
+    IsolatedNodeError,
+    IsolatedNodeWarning,
+    ScaleOutOfRange,
+)
 from graphscat.graph import build_graph
 from graphscat.layers import (
     ATTENTION_LEAKY_SLOPE,
@@ -25,13 +30,14 @@ from graphscat.layers import (
     residual_conv,
 )
 from graphscat.models import PRESET_FIELDS, ModelSpec, build_model
-from graphscat.scattering import ABS, IDENTITY, cascade, leaky
+from graphscat.scattering import ABS, cascade, leaky
 from graphscat.train import Tape
 
 from conftest import (
     count_kernel_calls,
     dense_ops,
     dense_wavelet,
+    mul,
     per_filter_attention,
     random_connected_graph,
     record_matmul_operands,
@@ -43,40 +49,8 @@ def cycle(n):
 
 
 class TestGcnChannel:
-    def test_k2_hand_value(self, rng):
-        g = build_graph([(0, 1)])
-        X = rng.standard_normal((2, 1))
-        out = gcn_channel(g, 1, np.eye(1), None, IDENTITY, X)
-        mean = (X[0, 0] + X[1, 0]) / 2.0
-        assert np.allclose(out.value, [[mean], [mean]], atol=1e-12)
-
-    def test_constant_column_stays_bounded(self, rng):
-        # pointwise bound holds on regular graphs where A's rows sum to one;
-        # in general the guarantee is the spectral one (|lambda| <= 1)
-        g = build_graph(cycle(10))
-        X = np.full((10, 1), 4.0)
-        out = gcn_channel(g, 2, np.eye(1), None, IDENTITY, X)
-        assert np.max(np.abs(out.value)) <= 4.0 + 1e-12
-
-        edges, g = random_connected_graph(rng, 15)
-        X = rng.standard_normal((15, 1))
-        out = gcn_channel(g, 2, np.eye(1), None, IDENTITY, X)
-        assert np.linalg.norm(out.value) <= np.linalg.norm(X) * (1.0 + 1e-12)
-
-    def test_r3_equals_triple_r1(self, rng):
-        edges, g = random_connected_graph(rng, 10)
-        X = rng.standard_normal((10, 2))
-        once = gcn_channel(g, 1, np.eye(2), None, IDENTITY, X).value
-        twice = gcn_channel(g, 1, np.eye(2), None, IDENTITY, once).value
-        thrice = gcn_channel(g, 1, np.eye(2), None, IDENTITY, twice).value
-        direct = gcn_channel(g, 3, np.eye(2), None, IDENTITY, X).value
-        assert np.max(np.abs(direct - thrice)) < 1e-12
-
-    def test_isolated_node_rejected(self):
-        with pytest.warns(IsolatedNodeWarning):
-            g = build_graph([(0, 1)], n=3)
-        with pytest.raises(IsolatedNodeError):
-            gcn_channel(g, 1, np.eye(1), None, ABS, np.zeros((3, 1)))
+    """The standalone channel the benchmark tracer wraps; its oracles run on
+    layer_filters (TestLayerFilters)."""
 
     def test_reduces_to_plain_gcn_rule(self, rng):
         # oracle: literal sigma(A X Theta) with dense renormalized A
@@ -183,8 +157,10 @@ class TestHybridConcat:
     def test_negative_band_scale_rejected_at_build(self):
         with pytest.raises(ScaleOutOfRange, match="wavelet scale -1 must be >= 0"):
             band_channel((2, -1), 3)
-        with pytest.raises(ScaleOutOfRange, match="wavelet scale -1 must be >= 0"):
+        # ModelSpec names the field that supplied the scale
+        with pytest.raises(FieldRangeError, match="wavelet scale -1 must be >= 0") as err:
             build_model(ModelSpec(preset="sc-gcn", band_paths=((-1,), (3,))), 4, 2)
+        assert err.value.fields == ("band_paths",)
 
 
 def literal_attention_oracle(n, edges, specs, theta, a, X):
@@ -407,12 +383,47 @@ class TestLayerFilters:
         # that cascade's 4-step Psi_2
         assert len(calls) == 3 + 8 + 4
 
+    def test_k2_hand_value(self, rng):
+        g = build_graph([(0, 1)])
+        X = rng.standard_normal((2, 1))
+        (out,) = layer_filters(g, (low_channel(1, 1),), ad.constant(X))
+        mean = (X[0, 0] + X[1, 0]) / 2.0
+        assert np.allclose(out.value, [[mean], [mean]], atol=1e-12)
+
+    def test_constant_column_stays_bounded(self, rng):
+        # pointwise bound holds on regular graphs where A's rows sum to one;
+        # in general the guarantee is the spectral one (|lambda| <= 1)
+        g = build_graph(cycle(10))
+        (out,) = layer_filters(g, (low_channel(2, 1),), ad.constant(np.full((10, 1), 4.0)))
+        assert np.max(np.abs(out.value)) <= 4.0 + 1e-12
+
+        edges, g = random_connected_graph(rng, 15)
+        X = rng.standard_normal((15, 1))
+        (out,) = layer_filters(g, (low_channel(2, 1),), ad.constant(X))
+        assert np.linalg.norm(out.value) <= np.linalg.norm(X) * (1.0 + 1e-12)
+
+    def test_r3_equals_triple_r1(self, rng):
+        # A^3 from one chain against three single powers
+        edges, g = random_connected_graph(rng, 10)
+        X = ad.constant(rng.standard_normal((10, 2)))
+        t = X
+        for _ in range(3):
+            (t,) = layer_filters(g, (low_channel(1, 2),), t)
+        (direct,) = layer_filters(g, (low_channel(3, 2),), X)
+        assert np.max(np.abs(direct.value - t.value)) < 1e-12
+
+    def test_isolated_node_rejected(self):
+        with pytest.warns(IsolatedNodeWarning):
+            g = build_graph([(0, 1)], n=3)
+        with pytest.raises(IsolatedNodeError):
+            layer_filters(g, (low_channel(1, 1),), ad.constant(np.zeros((3, 1))))
+
 
 def _loss_and_grads(build, params, weights):
     """Forward value and every parameter's gradient of sum(out * weights)."""
     out = build()
     loss = ad.matmul(ad.matmul(ad.constant(np.ones((1, out.value.shape[0]))),
-                               ad.mul(out, ad.constant(weights))),
+                               mul(out, ad.constant(weights))),
                      ad.constant(np.ones((out.value.shape[1], 1))))
     ad.backward(ad.Tensor(loss.value.reshape(()), (loss,), lambda gr: (gr.reshape(1, 1),)))
     grads = [p.grad.copy() for p in params]
