@@ -2,14 +2,20 @@
 
 A dataset directory holds edges.tsv (edge-list format), features.csv (one
 comma-separated float row per node), labels.csv (one class id per line) and
-splits.json (train/val/test index arrays). Everything is plain line-oriented
-text and round-trips exactly.
+splits.json (train/val/test index arrays). These four files are plain
+line-oriented text and round-trip exactly. The one binary file is a cache:
+read_features keeps the parsed feature matrix in a hidden .npy beside the
+features file, keyed by the SHA-256 of the file's bytes (see read_features).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -209,20 +215,124 @@ def read_dataset(edges_path, features_path, labels_path, splits_path,
                    splits=read_splits(splits_path))
 
 
+# Names the parser and numpy's version, so a copy written by another parser
+# or numpy is never taken for this one's result.
+FEATURES_FORMAT = f"graphscat features np.loadtxt(delimiter=',', ndmin=2) numpy {np.__version__}"
+HASH_BLOCK = 1 << 20
+
+
 def read_features(path) -> np.ndarray:
     """Node-feature matrix from comma-separated rows of equal length, all finite.
 
     The file is opened here, so path names a local file and nothing else
     (np.loadtxt would also read a compressed sibling or fetch a URL).
+
+    The result is also kept in a hidden sibling, `.<name>.npy` beside the
+    file: two arrays written one after the other with np.save, the key (the
+    SHA-256 of FEATURES_FORMAT and the file's bytes) and the matrix. A later
+    call returns that copy when the file's digest matches it and the array
+    passes the same checks as a parse, so the result is bit for bit the
+    parse's. The copy is written, through a temporary file and os.replace,
+    only after a parse has passed its checks, and its key is the digest of
+    the very bytes that parse read. A copy that cannot be read or written
+    (read-only directory, truncated or foreign file, stale key) only costs a
+    parse; results and errors are those of the parse.
     """
+    import hashlib   # here, so that `import graphscat` does not load libcrypto
+
+    copy = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.npy")
+    if os.path.exists(copy):
+        digest = hashlib.sha256(FEATURES_FORMAT.encode())
+        with open(path, "rb") as fh:    # a missing file is an error naming path
+            while block := fh.read(HASH_BLOCK):
+                digest.update(block)
+        features = _read_copy(copy, digest.digest())
+        if features is not None:
+            return features
+    digest = hashlib.sha256(FEATURES_FORMAT.encode())
+    features = _parse_features(path, digest)
+    _write_copy(copy, path, digest.digest(), features)
+    return features
+
+
+def _parse_features(path, digest) -> np.ndarray:
+    """The checked parse of path, feeding every byte it reads to digest."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as raw, \
+                io.TextIOWrapper(_HashedReads(raw, digest), encoding="utf-8") as fh:
+            fh.mode = "r"       # as open() sets it; numpy's empty-file warning shows it
             features = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise RowCountMismatch(f"{path}: {exc}") from None
-    if features.size == 0 or not np.all(np.isfinite(features)):
+    if not _valid_features(features):
         raise RowCountMismatch(f"{path} must hold rectangular finite rows")
     return features
+
+
+def _valid_features(features) -> bool:
+    return (isinstance(features, np.ndarray) and features.dtype == np.float64
+            and features.ndim == 2 and features.size > 0
+            and bool(np.all(np.isfinite(features))))
+
+
+class _HashedReads(io.BufferedIOBase):
+    """Binary reader that feeds every byte it hands out to a hash.
+
+    It passes on the chunks and the name of the buffered file it wraps
+    unchanged, so a text layer over it decodes, and reports decode errors and
+    warnings, exactly as one that open() builds over the file itself.
+    """
+
+    def __init__(self, fh, digest):
+        self._fh, self._digest = fh, digest
+
+    @property
+    def name(self):
+        return self._fh.name
+
+    def readable(self):
+        return True
+
+    def read(self, size=-1):
+        data = self._fh.read(size)
+        self._digest.update(data)
+        return data
+
+    def read1(self, size=-1):
+        data = self._fh.read1(size)
+        self._digest.update(data)
+        return data
+
+
+def _read_copy(path, key: bytes):
+    """The feature matrix stored in path under key, or None if it holds anything else."""
+    try:
+        with open(path, "rb") as fh:
+            if np.load(fh, allow_pickle=False).tobytes() != key:
+                return None
+            features = np.load(fh, allow_pickle=False)
+    except Exception:   # numpy's reader fails a truncated or foreign file in
+        return None     # many ways; each only costs a parse
+    return features if _valid_features(features) else None
+
+
+def _write_copy(path, source, key: bytes, features: np.ndarray) -> None:
+    """Store features under key in path, readable by whoever may read source;
+    write nothing if the directory refuses it."""
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                   dir=os.path.dirname(path) or ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, np.frombuffer(key, dtype=np.uint8))
+            np.save(fh, features)
+        shutil.copymode(source, tmp)    # mkstemp's file is private to its owner
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def read_splits(path) -> SplitMasks:

@@ -324,12 +324,18 @@ class TestCliCommands:
         assert "train.seed" in err and "line 3" in err
 
     @pytest.mark.parametrize("case", ["bad seed", "node id out of range", "model fails to build"])
-    def test_rejected_run_leaves_no_out_dir(self, small_dataset_dir, tmp_path, capsys, case):
+    def test_rejected_run_leaves_no_out_dir(self, small_dataset_dir, tmp_path, capsys,
+                                            monkeypatch, case):
         data_dir = small_dataset_dir
         setting, message = "train.seed = abc", "train.seed"
         if case == "model fails to build":
-            setting = "model.band_paths = -1|3"
-            message = "error: line 3: key 'model.band_paths': wavelet scale -1 must be >= 0"
+            # the config and the data are valid; only building the model fails
+            def refuse(spec, d_in, n_classes, seed):
+                raise ValueError(f"cannot build {spec.preset} for d_in={d_in}")
+
+            monkeypatch.setattr(experiment, "build_model", refuse)
+            setting = "train.seed = 1"
+            message = "error: cannot build sc-gcn for d_in=8"
         if case == "node id out of range":
             data_dir = tmp_path / "data"
             data_dir.mkdir()

@@ -1,8 +1,13 @@
 import gzip
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from graphscat import cli, datasets
 from graphscat.datasets import (
     Dataset,
     SBMSpec,
@@ -186,3 +191,279 @@ class TestLoadErrors:
         (tmp_path / "features.csv").write_text(features)
         with pytest.raises(RowCountMismatch):
             load_dataset(tmp_path)
+
+
+def plain_parse(path):
+    """The reader without its binary copy: the parse and checks alone."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            features = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise RowCountMismatch(f"{path}: {exc}") from None
+    if features.size == 0 or not np.all(np.isfinite(features)):
+        raise RowCountMismatch(f"{path} must hold rectangular finite rows")
+    return features
+
+
+def copy_of(path):
+    return path.parent / f".{path.name}.npy"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Paths the feature parser ran on, in call order."""
+    seen = []
+    parse = datasets._parse_features
+
+    def spy(path, digest):
+        seen.append(str(path))
+        return parse(path, digest)
+
+    monkeypatch.setattr(datasets, "_parse_features", spy)
+    return seen
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
+WIDE = np.random.default_rng(3).standard_normal((40, 1433)) * 10.0 ** np.arange(-8, 8)[
+    np.arange(1433) % 16]
+
+
+class TestFeatureCopy:
+    @pytest.mark.parametrize("text", [
+        "1.0,2.0\n3.0,4.0\n5.0,6.0\n",
+        "7.5\n",
+        "1,2,3\n",
+        "0.5\n-0.25\n1e300\n",
+        "-0.0,0.0\n5e-324,-2.2250738585072014e-308\n",
+        "  1.0 , 2.0\r\n3.0,4.0\r\n",
+        "0.1,0.2\n0.30000000000000004,1e-5\n",
+    ])
+    def test_second_read_is_the_parse_bit_for_bit(self, tmp_path, parses, text):
+        path = tmp_path / "features.csv"
+        path.write_text(text)
+        want = plain_parse(path)
+        first = read_features(path)
+        assert copy_of(path).is_file()
+        second = read_features(path)
+        assert parses == [str(path)]
+        for got in (first, second):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_wide_file_is_bit_for_bit(self, tmp_path, parses):
+        path = tmp_path / "features.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            np.savetxt(fh, WIDE, fmt="%.17g", delimiter=",")
+        want = plain_parse(path)
+        assert np.array_equal(bits(want), bits(WIDE))
+        read_features(path)
+        got = read_features(path)
+        assert len(parses) == 1
+        assert got.shape == (40, 1433) and np.array_equal(bits(got), bits(want))
+
+    def test_copy_sits_beside_any_file_name(self, tmp_path, monkeypatch, parses):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "feats.txt").write_text("1.0,2.0\n")
+        for _ in range(2):
+            assert np.array_equal(read_features("feats.txt"), [[1.0, 2.0]])
+        assert parses == ["feats.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".feats.txt.npy", "feats.txt"]
+
+    def test_edited_digit_with_same_size_and_mtime_is_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "features.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        read_features(path)
+        stat = path.stat()
+        path.write_text("1.0,2.0\n3.0,9.0\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        assert np.array_equal(read_features(path), [[1.0, 2.0], [3.0, 9.0]])
+        assert np.array_equal(read_features(path), [[1.0, 2.0], [3.0, 9.0]])
+        assert len(parses) == 2      # the edit was parsed once, then its copy served
+
+    def test_file_changed_after_its_parse_is_parsed_again(self, tmp_path, monkeypatch):
+        # the copy's key is the digest of the bytes its parse read, so bytes
+        # written between the parse and the copy never match it
+        path = tmp_path / "features.csv"
+        path.write_text("1.0,2.0\n")
+        parse = datasets._parse_features
+
+        def parse_then_edit(p, digest):
+            features = parse(p, digest)
+            path.write_text("5.0,6.0\n")
+            return features
+
+        monkeypatch.setattr(datasets, "_parse_features", parse_then_edit)
+        assert np.array_equal(read_features(path), [[1.0, 2.0]])
+        monkeypatch.setattr(datasets, "_parse_features", parse)
+        assert np.array_equal(read_features(path), [[5.0, 6.0]])
+
+    @staticmethod
+    def _npy(path, *arrays):
+        with open(path, "wb") as fh:
+            for a in arrays:
+                np.save(fh, a)
+
+    @pytest.mark.parametrize("spoil", [
+        "truncated", "empty", "text", "key only", "matrix only", "npz", "pickled",
+        "stale digest", "right digest, nan", "right digest, float32", "right digest, 1-d",
+        "right digest, big-endian", "right digest, then an npz", "directory",
+    ])
+    def test_unusable_copy_is_parsed_and_rewritten(self, tmp_path, parses, spoil):
+        path = tmp_path / "features.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        want = plain_parse(path)
+        read_features(path)
+        copy = copy_of(path)
+        with open(copy, "rb") as fh:
+            key = np.load(fh)
+        if spoil == "truncated":
+            copy.write_bytes(copy.read_bytes()[:-1])
+        elif spoil == "empty":
+            copy.write_bytes(b"")
+        elif spoil == "text":
+            copy.write_text("not an array\n")
+        elif spoil == "key only":
+            self._npy(copy, key)
+        elif spoil == "matrix only":
+            self._npy(copy, want)
+        elif spoil == "npz":
+            with open(copy, "wb") as fh:
+                np.savez(fh, key=key, features=want)
+        elif spoil == "pickled":
+            self._npy(copy, np.array([key.tobytes()], dtype=object), want)
+        elif spoil == "stale digest":
+            self._npy(copy, np.zeros(32, np.uint8), want + 1)
+        elif spoil == "right digest, nan":
+            self._npy(copy, key, np.full((2, 2), np.nan))
+        elif spoil == "right digest, float32":
+            self._npy(copy, key, want.astype(np.float32))
+        elif spoil == "right digest, 1-d":
+            self._npy(copy, key, want.ravel())
+        elif spoil == "right digest, big-endian":
+            self._npy(copy, key, want.astype(">f8"))
+        elif spoil == "right digest, then an npz":
+            self._npy(copy, key)
+            with open(copy, "ab") as fh:
+                np.savez(fh, features=want)
+        else:
+            copy.unlink()
+            copy.mkdir()
+        got = read_features(path)
+        assert np.array_equal(bits(got), bits(want))
+        assert len(parses) == 2
+        if spoil == "directory":
+            # the copy cannot replace a directory: nothing else is left behind
+            assert sorted(p.name for p in tmp_path.iterdir()) == [copy.name, path.name]
+            return
+        assert np.array_equal(bits(read_features(path)), bits(want))
+        assert len(parses) == 2      # the rewritten copy served the third read
+
+    def test_read_only_directory_only_costs_the_parse(self, tmp_path, monkeypatch, parses):
+        data = tmp_path / "data"
+        data.mkdir()
+        path = data / "features.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        if os.geteuid() == 0:
+            # the mode bits do not bind root: refuse the write as they would
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(data))
+
+            monkeypatch.setattr(datasets.tempfile, "mkstemp", refuse)
+        data.chmod(0o555)
+        try:
+            for _ in range(2):
+                assert np.array_equal(read_features(path), plain_parse(path))
+            assert sorted(p.name for p in data.iterdir()) == ["features.csv"]
+        finally:
+            data.chmod(0o755)
+        assert len(parses) == 2
+
+    def test_copy_is_as_readable_as_its_source(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("1.0,2.0\n")
+        path.chmod(0o640)
+        read_features(path)
+        assert copy_of(path).stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("text", [
+        "1.0,2.0\n3.0\n5.0,6.0\n",
+        "1.0,2.0\n3.0,nan\n",
+        "1.0,2.0\n3.0,4.0\n5.0,-inf\n",
+        "",
+        "1.0,x\n",
+    ])
+    def test_failed_parse_writes_no_copy(self, tmp_path, text):
+        path = tmp_path / "features.csv"
+        path.write_text(text)
+        with pytest.raises(RowCountMismatch) as want, warnings.catch_warnings(record=True) as w1:
+            warnings.simplefilter("always")
+            plain_parse(path)
+        with pytest.raises(RowCountMismatch) as got, warnings.catch_warnings(record=True) as w2:
+            warnings.simplefilter("always")
+            read_features(path)
+        assert str(got.value) == str(want.value)
+        assert [str(w.message) for w in w2] == [str(w.message) for w in w1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv"]
+
+    def test_decode_error_reads_as_without_the_copy(self, tmp_path):
+        # a bad byte past the first few read chunks: its reported position
+        # depends on how the text layer chunks the file
+        path = tmp_path / "features.csv"
+        path.write_bytes(b"1.0,2.0\n" * 5000 + b"3.0,\xff\n")
+        with pytest.raises(RowCountMismatch) as want:
+            plain_parse(path)
+        with pytest.raises(RowCountMismatch) as got:
+            read_features(path)
+        assert "codec can't decode" in str(want.value)
+        assert str(got.value) == str(want.value)
+        assert not copy_of(path).exists()
+
+    def test_missing_file_with_a_copy_is_not_found(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("1.0,2.0\n")
+        read_features(path)
+        path.unlink()
+        assert copy_of(path).is_file()
+        with pytest.raises(FileNotFoundError) as err:
+            read_features(path)
+        assert str(path) in str(err.value)
+
+    def test_load_dataset_parses_features_once(self, tmp_path, parses):
+        ds = generate_sbm(SBMSpec(block_sizes=(10, 10), p_in=0.4, p_out=0.05, seed=4))
+        save_dataset(ds, tmp_path / "d")
+        first = load_dataset(tmp_path / "d")
+        second = load_dataset(tmp_path / "d")
+        assert parses == [str(tmp_path / "d" / "features.csv")]
+        assert np.array_equal(bits(first.features), bits(second.features))
+        assert np.array_equal(bits(second.features), bits(ds.features))
+
+    @pytest.mark.parametrize("command", ["train", "scatter"])
+    def test_cli_parses_features_once(self, tmp_path, capsys, parses, command):
+        ds = generate_sbm(SBMSpec(block_sizes=(10, 10), p_in=0.4, p_out=0.05, seed=4))
+        save_dataset(ds, tmp_path / "d")
+        d = tmp_path / "d"
+        argv = {"train": ["train", "--graph", str(d / "edges.tsv"),
+                          "--features", str(d / "features.csv"),
+                          "--labels", str(d / "labels.csv"),
+                          "--splits", str(d / "splits.json"), "--preset", "sc-gcn"],
+                "scatter": ["scatter", "--graph", str(d / "edges.tsv"),
+                            "--features", str(d / "features.csv"), "--paths", "1|0,1"]}[command]
+        outputs = []
+        for i in range(2):
+            assert cli.main(argv + ["--out", str(tmp_path / f"out{i}.csv")]) == 0
+            outputs.append((tmp_path / f"out{i}.csv").read_bytes())
+        assert parses == [str(d / "features.csv")]
+        if command == "scatter":
+            assert outputs[0] == outputs[1]
+
+    def test_import_does_not_load_hashlib(self):
+        code = "import sys, graphscat; print('hashlib' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
