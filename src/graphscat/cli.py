@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from .config import parse_paths
+from .config import parse_ints, parse_paths
 from .datasets import (
     SBMSpec,
     describe,
@@ -25,17 +25,10 @@ from .datasets import (
     save_dataset,
 )
 from .errors import GraphScatError
-from .experiment import (
-    read_run_config,
-    run_experiment,
-    train_model,
-    write_attention_ratios,
-    write_metrics_csv,
-)
+from .experiment import read_run_config, run_experiment, run_training
 from .fixtures import run_verify_suite
 from .graph import read_edge_list, write_rows
-from .layers import attention_ratio
-from .models import PRESETS, build_model
+from .models import PRESETS
 from .scattering import ABS, cascade, first_wavelets
 from .spectral import (
     FilterSpec,
@@ -45,6 +38,7 @@ from .spectral import (
     spectral_response,
     wavelet_filter,
 )
+from .theory import EQUALITY_ATOL
 
 
 @contextlib.contextmanager
@@ -73,17 +67,8 @@ def _cmd_train(args) -> int:
     # model.* / train.* settings come from the config, if any; data from the flags
     _, spec, tcfg = read_run_config(args.config, args.preset, args.seed, data_flags=True)
     ds = read_dataset(args.graph, args.features, args.labels, args.splits, name="cli")
-    print(describe(ds))
-    model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
-    result, acc = train_model(model, ds, tcfg)
     out = args.out or "metrics.csv"
-    write_metrics_csv(out, result.history)
-    print(f"test_accuracy: {acc:.4f}")
-    if getattr(model, "last_attention", None) is not None:
-        zeta = attention_ratio(model.last_attention)
-        ratio_path = os.path.splitext(out)[0] + "_attention_ratios.csv"
-        write_attention_ratios(ratio_path, zeta)
-        print(f"attention ratios written to {ratio_path}")
+    run_training(ds, spec, tcfg, out, os.path.splitext(out)[0] + "_attention_ratios.csv")
     return 0
 
 
@@ -154,7 +139,7 @@ def _cmd_verify_theory(args) -> int:
 
 
 def _cmd_gen_sbm(args) -> int:
-    spec = SBMSpec(block_sizes=tuple(int(b) for b in args.blocks.split(",")),
+    spec = SBMSpec(block_sizes=parse_ints(args.blocks),
                    p_in=args.p_in, p_out=args.p_out,
                    feature_dim=args.feature_dim, noise_scale=args.noise,
                    seed=args.seed)
@@ -216,15 +201,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     if p := add("verify-theory", _cmd_verify_theory, "run the discriminability fixture suite"):
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=EQUALITY_ATOL)
 
     if p := add("gen-sbm", _cmd_gen_sbm, "generate a synthetic block-model dataset"):
         p.add_argument("--blocks", default="200,200", help="comma-separated block sizes")
-        p.add_argument("--p-in", type=float, default=0.1)
-        p.add_argument("--p-out", type=float, default=0.01)
-        p.add_argument("--feature-dim", type=int, default=8)
-        p.add_argument("--noise", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--p-in", type=float, default=SBMSpec.p_in)
+        p.add_argument("--p-out", type=float, default=SBMSpec.p_out)
+        p.add_argument("--feature-dim", type=int, default=SBMSpec.feature_dim)
+        p.add_argument("--noise", type=float, default=SBMSpec.noise_scale)
+        p.add_argument("--seed", type=int, default=SBMSpec.seed)
         p.add_argument("--out", required=True, help="output dataset directory")
 
     if not sub.choices:

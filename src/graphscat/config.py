@@ -41,7 +41,7 @@ def parse_config(path) -> dict[str, ConfigValue]:
         return parse_config_text(fh.read(), source=str(path))
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def parse_ints(text: str) -> tuple[int, ...]:
     """Comma-separated integers; a blank text is (), a blank field an error."""
     fields = text.split(",") if text.strip() else []
     if not all(x.strip() for x in fields):
@@ -52,7 +52,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def parse_paths(text: str) -> tuple[tuple[int, ...], ...]:
     """Wavelet-scale paths: scales comma-separated, paths split on '|'; a
     blank path is the identity cascade."""
-    return tuple(_parse_ints(part) for part in text.split("|"))
+    return tuple(parse_ints(part) for part in text.split("|"))
 
 
 class ConfigView:
@@ -84,7 +84,7 @@ class ConfigView:
         return self._get(key, default, float, "a number")
 
     def get_int_tuple(self, key: str, default=None):
-        return self._get(key, default, _parse_ints, "comma-separated integers")
+        return self._get(key, default, parse_ints, "comma-separated integers")
 
     def get_paths(self, key: str, default=None):
         """Wavelet-scale paths, in the parse_paths format."""

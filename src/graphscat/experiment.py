@@ -1,8 +1,11 @@
-"""Config-driven experiment runs: dataset in, metrics files out.
+"""Train runs: dataset in, metrics files out.
 
-run_experiment writes metrics.csv (one row per epoch), summary.txt (final
-test accuracy and runtime) and, for attention models, attention_ratios.csv
-with one band-to-low ratio per node.
+run_training is the one runner of both `train` modes: it builds, fits and
+tests the model, writes the metrics CSV (one row per epoch), the summary
+(final test accuracy and runtime) when asked and, for attention models, the
+ratios CSV with one band-to-low ratio per node, and prints the summary.
+run_experiment resolves a config's dataset and its out.dir layout
+(metrics.csv, summary.txt, attention_ratios.csv) before calling it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import FieldRangeError
 from .graph import write_rows
 from .layers import attention_ratio
 from .models import PRESET_FIELDS, PRESETS, ModelSpec, build_model
-from .train import FitResult, TrainConfig, evaluate, fit
+from .train import TrainConfig, evaluate, fit
 
 # The config schema documented in the README, one table per section: each
 # key maps to the field it sets and the ConfigView getter that parses it.
@@ -117,14 +120,42 @@ def write_attention_ratios(path, zeta: np.ndarray):
         write_rows(fh, "%d,%.10g", np.column_stack([np.arange(len(zeta)), zeta]))
 
 
-def train_model(model, ds: Dataset, tcfg: TrainConfig):
-    """Fit a built model on a dataset; returns (FitResult, test accuracy)."""
-    result: FitResult = fit(model, ds.graph, ds.features, ds.labels, ds.splits, tcfg)
-    return result, evaluate(model, ds.graph, ds.features, ds.labels, ds.splits.test)
+def run_training(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig, metrics_path, ratios_path,
+                 summary_path=None, echo=print) -> dict:
+    """Build, fit and test a model on ds, and write and print the run's results.
+
+    Writes metrics_path, summary_path when given, and for an attention model
+    ratios_path. The directory of metrics_path is created only once the model
+    has built, so a run rejected before that leaves no directory.
+    """
+    echo(describe(ds))
+    start = time.perf_counter()
+    model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
+    os.makedirs(os.path.dirname(metrics_path) or os.curdir, exist_ok=True)
+    result = fit(model, ds.graph, ds.features, ds.labels, ds.splits, tcfg)
+    acc = evaluate(model, ds.graph, ds.features, ds.labels, ds.splits.test)
+    runtime = time.perf_counter() - start
+
+    write_metrics_csv(metrics_path, result.history)
+    lines = [f"dataset: {ds.name}", f"preset: {spec.preset}",
+             f"test_accuracy: {acc:.4f}", f"runtime_seconds: {runtime:.2f}",
+             f"epochs_run: {len(result.history['epoch'])}",
+             f"best_epoch: {result.best_epoch}"]
+    if summary_path is not None:
+        with open(summary_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    echo("\n".join(lines))
+
+    # evaluate's forward left last_attention at the restored best parameters
+    if getattr(model, "last_attention", None) is not None:
+        write_attention_ratios(ratios_path, attention_ratio(model.last_attention))
+        echo(f"attention ratios written to {ratios_path}")
+
+    return {"test_accuracy": acc, "runtime": runtime, "preset": spec.preset}
 
 
 def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None) -> dict:
-    """Execute one configured run and write the metrics files; see read_run_config."""
+    """Execute one configured run into out_dir; see read_run_config and run_training."""
     cfg, spec, tcfg = read_run_config(config_path, preset, seed)
     out_dir = out_dir or cfg.get_str(OUT_KEY, "results")
     sbm = _present(cfg, SBM_KEYS)
@@ -134,27 +165,7 @@ def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None
         ds = generate_sbm(_checked(cfg, SBM_KEYS, SBMSpec, **sbm))
     else:
         raise ConfigError("config must set dataset.dir or sbm.blocks")
-    echo(describe(ds))
-    start = time.perf_counter()
-    model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
-    # only a run whose inputs all parsed and whose model builds gets a results directory
-    os.makedirs(out_dir, exist_ok=True)
-    result, acc = train_model(model, ds, tcfg)
-    runtime = time.perf_counter() - start
-
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), result.history)
-    lines = [f"dataset: {ds.name}", f"preset: {spec.preset}",
-             f"test_accuracy: {acc:.4f}", f"runtime_seconds: {runtime:.2f}",
-             f"epochs_run: {len(result.history['epoch'])}",
-             f"best_epoch: {result.best_epoch}"]
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    echo("\n".join(lines))
-
-    # evaluate's forward left last_attention at the restored best parameters
-    if getattr(model, "last_attention", None) is not None:
-        zeta = attention_ratio(model.last_attention)
-        write_attention_ratios(os.path.join(out_dir, "attention_ratios.csv"), zeta)
-
-    return {"test_accuracy": acc, "runtime": runtime, "out_dir": out_dir,
-            "preset": spec.preset}
+    summary = run_training(ds, spec, tcfg, os.path.join(out_dir, "metrics.csv"),
+                           os.path.join(out_dir, "attention_ratios.csv"),
+                           os.path.join(out_dir, "summary.txt"), echo)
+    return {**summary, "out_dir": out_dir}

@@ -18,6 +18,7 @@ from .graph import LAZY_WALK, SYM_NORM_ADJACENCY, Graph, apply_operator, build_g
 from .scattering import IDENTITY, Nonlinearity, leaky
 from .theory import (
     DEGREE,
+    EQUALITY_ATOL,
     IntrinsicFeatureKind,
     NodeMap,
     avg_degree,
@@ -246,7 +247,7 @@ class CaseResult:
     detail: str
 
 
-def run_case(case: TheoremCase, tol: float = 1e-9) -> CaseResult:
+def run_case(case: TheoremCase, tol: float = EQUALITY_ATOL) -> CaseResult:
     """Execute one fixture and compare the outcome with its expectation."""
     runner = {1: verify_theorem1, 2: verify_theorem2, 3: verify_theorem3}[case.theorem]
     kwargs = {} if case.theorem == 1 else {"sigma": case.sigma}
@@ -273,7 +274,7 @@ def run_case(case: TheoremCase, tol: float = 1e-9) -> CaseResult:
                       f"gcn={report.gcn_deviation:.3e} onion={report.onion_matched}")
 
 
-def run_verify_suite(tol: float = 1e-9) -> list[CaseResult]:
+def run_verify_suite(tol: float = EQUALITY_ATOL) -> list[CaseResult]:
     """Every shipped fixture: two-coloring dichotomy plus the theorem cases."""
     results = []
     for name, g, x in two_coloring_cases():

@@ -45,11 +45,10 @@ from .wavelets import check_scales
 ATTENTION_LEAKY_SLOPE = 0.2  # GAT convention; the source text leaves it open
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape=None) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform init on +-sqrt(6 / (fan_in + fan_out)); biases start at zero."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 @dataclass(frozen=True)
@@ -301,7 +300,7 @@ def init_attention_params(specs: tuple[ChannelSpec, ...], heads: int, d_in: int,
     if len({spec.width for spec in specs}) > 1:
         raise ValueError("shared weights require equal channel widths")
     width = specs[0].width
-    draws = [(glorot_uniform(rng, d_in, width),
-              glorot_uniform(rng, 2 * width, 1, shape=(2 * width, 1))) for _ in range(heads)]
+    draws = [(glorot_uniform(rng, d_in, width), glorot_uniform(rng, 2 * width, 1))
+             for _ in range(heads)]
     return (ad.Parameter(np.hstack([theta for theta, _ in draws])),
             ad.Parameter(np.hstack([a for _, a in draws])))

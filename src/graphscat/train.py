@@ -7,8 +7,9 @@ stopping watches validation loss and restores the best parameters.
 
 Per epoch the fixed cost is kept to whole-array work: Adam and SGD update
 one flat vector that every parameter's value and gradient are views into,
-and the train loss, its gradient, the validation loss and both accuracies
-come from one per-node cross-entropy pass and one argmax over the logits.
+bound once when fit builds the optimizer, and the train loss, its gradient,
+the validation loss and both accuracies come from one per-node
+cross-entropy pass and one argmax over the logits.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class _FlatOptimizer:
     two flat float64 buffers, .value and .grad, in parameter order, so a step
     is a fixed number of whole-vector array operations however many
     parameters there are. Each update is the per-parameter formula applied
-    elementwise, so the bits are those of a per-parameter loop. A value or
-    gradient reassigned since (p.value = new array) is copied into its buffer
-    before the next step, which then goes on with the views.
+    elementwise, so the bits are those of a per-parameter loop. fit owns the
+    optimizer, and autodiff.backward adds into .grad in place, so the views
+    stay bound for the whole fit.
     """
 
     def __init__(self, params, cfg: TrainConfig):
@@ -86,30 +87,20 @@ class _FlatOptimizer:
         self.cfg = cfg
         total = sum(p.value.size for p in params)
         self.value, self.grad, self._tmp = np.empty(total), np.empty(total), np.empty(total)
-        self._views = []
         end = 0
         for p in params:
             start, end = end, end + p.value.size
-            self._views.append((self.value[start:end].reshape(p.value.shape),
-                                self.grad[start:end].reshape(p.value.shape)))
-        self._sync()
-
-    def _sync(self):
-        """Copy each value or gradient that is not its view into the buffers; views back."""
-        for p, (value, grad) in zip(self.params, self._views):
-            if p.value is not value:
-                value[...], p.value = p.value, value
-            if p.grad is not grad:
-                grad[...], p.grad = p.grad, grad
+            value = self.value[start:end].reshape(p.value.shape)
+            grad = self.grad[start:end].reshape(p.value.shape)
+            value[...], grad[...] = p.value, p.grad
+            p.value, p.grad = value, grad
 
     def restore(self, state: np.ndarray):
         """Set every parameter from a copy of .value taken earlier."""
-        self._sync()
         self.value[...] = state
 
     def _decayed_grad(self) -> np.ndarray:
         """grad + weight_decay * value, written over .grad (step zeroes it after)."""
-        self._sync()
         self.grad += np.multiply(self.value, self.cfg.weight_decay, out=self._tmp)
         return self.grad
 

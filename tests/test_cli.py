@@ -150,6 +150,14 @@ class TestCliCommands:
         assert "error: every block needs at least 1 node" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gen_sbm_rejects_empty_blocks_field(self, tmp_path, capsys):
+        # --blocks goes through the config's integer-list parser
+        out = tmp_path / "out"
+        assert main(["gen-sbm", "--blocks", "200,,200", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: empty field in comma-separated integers '200,,200'\n"
+        assert not out.exists()
+
     def test_train_with_explicit_files(self, small_dataset_dir, tmp_path, capsys):
         metrics = tmp_path / "metrics.csv"
         rc = main(["train",
@@ -215,7 +223,6 @@ class TestCliCommands:
             seen.append((spec.preset, seed))
             return build_model(spec, d_in, n_classes, seed=seed)
 
-        monkeypatch.setattr(cli, "build_model", spy)
         monkeypatch.setattr(experiment, "build_model", spy)
         settings = "model.preset = sc-gcn\ntrain.seed = 3\ntrain.epochs = 2\n"
         argv = ["train", "--config", str(tmp_path / "exp.cfg")] + flags
@@ -690,6 +697,72 @@ class TestRunExperimentSBMMode:
         summary = run_experiment(cfg, out_dir=tmp_path / "res", echo=lambda *_: None)
         assert 0.0 <= summary["test_accuracy"] <= 1.0
         assert (tmp_path / "res" / "summary.txt").exists()
+
+
+def data_file_flags(data_dir):
+    """The four data-file flags of train, naming the files of a dataset directory."""
+    return [arg for flag, name in (("graph", "edges.tsv"), ("features", "features.csv"),
+                                   ("labels", "labels.csv"), ("splits", "splits.json"))
+            for arg in (f"--{flag}", str(data_dir / name))]
+
+
+SUMMARY_KEYS = ["dataset", "preset", "test_accuracy", "runtime_seconds", "epochs_run",
+                "best_epoch"]
+
+
+class TestTrainModes:
+    """Both train modes run through experiment.run_training: same files, same lines."""
+
+    @pytest.mark.parametrize("preset", ["gsan", "sc-gcn"])
+    def test_modes_write_the_same_files_and_lines(self, small_dataset_dir, tmp_path, capsys,
+                                                  preset):
+        settings = f"model.preset = {preset}\ntrain.epochs = 4\ntrain.seed = 2\n"
+        (tmp_path / "flags.cfg").write_text(settings)
+        (tmp_path / "config.cfg").write_text(
+            f"{settings}dataset.dir = {small_dataset_dir}\nout.dir = {tmp_path / 'res'}\n")
+        assert main(["train", "--config", str(tmp_path / "config.cfg")]) == 0
+        config_lines = capsys.readouterr().out.splitlines()
+        assert main(["train", "--config", str(tmp_path / "flags.cfg"),
+                     "--out", str(tmp_path / "m.csv"), *data_file_flags(small_dataset_dir)]) == 0
+        flags_lines = capsys.readouterr().out.splitlines()
+
+        metrics = tmp_path / "res" / "metrics.csv"
+        assert (tmp_path / "m.csv").read_bytes() == metrics.read_bytes()
+        ratios = [tmp_path / "m_attention_ratios.csv", tmp_path / "res" / "attention_ratios.csv"]
+        if preset == "gsan":
+            assert ratios[0].read_bytes() == ratios[1].read_bytes()
+        else:
+            assert not any(path.exists() for path in ratios)
+        # the dataset's description, the six summary lines, the ratios path
+        for lines, ratio_path in zip((flags_lines, config_lines), ratios):
+            assert [line.split(": ", 1)[0] for line in lines[1:7]] == SUMMARY_KEYS
+            assert lines[7:] == ([f"attention ratios written to {ratio_path}"]
+                                 if preset == "gsan" else [])
+        assert (tmp_path / "res" / "summary.txt").read_text().splitlines() == config_lines[1:7]
+        # the two runs differ only in the dataset's name and the runtime
+        for lines in (flags_lines, config_lines):
+            lines[0] = lines[0].split(": ", 1)[1]
+            lines[1] = lines[4] = ""
+        assert flags_lines[:7] == config_lines[:7]
+
+    def test_out_into_a_missing_directory(self, small_dataset_dir, tmp_path, capsys):
+        # --out's directory is created as out.dir is, once the model has built
+        (tmp_path / "exp.cfg").write_text("train.epochs = 2\n")
+        out = tmp_path / "runs" / "v1" / "m.csv"
+        assert main(["train", "--config", str(tmp_path / "exp.cfg"), "--out", str(out),
+                     *data_file_flags(small_dataset_dir)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_model_that_fails_to_build_leaves_no_out_directory(self, small_dataset_dir,
+                                                                tmp_path, capsys, monkeypatch):
+        def refuse(spec, d_in, n_classes, seed):
+            raise ValueError(f"cannot build {spec.preset} for d_in={d_in}")
+
+        monkeypatch.setattr(experiment, "build_model", refuse)
+        assert main(["train", "--out", str(tmp_path / "runs" / "m.csv"),
+                     *data_file_flags(small_dataset_dir)]) == 2
+        assert capsys.readouterr().err == "error: cannot build sc-gcn for d_in=8\n"
+        assert not (tmp_path / "runs").exists()
 
 
 # a valid value for every model.* field, so only the preset can reject it
