@@ -125,9 +125,13 @@ def run_training(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig, metrics_path, 
     """Build, fit and test a model on ds, and write and print the run's results.
 
     Writes metrics_path, summary_path when given, and for an attention model
-    ratios_path. The directory of metrics_path is created only once the model
-    has built, so a run rejected before that leaves no directory.
+    ratios_path. A metrics or summary path that names a directory is rejected
+    before anything runs. The directory of metrics_path is created only once
+    the model has built, so a run rejected before that leaves no directory.
     """
+    for path in (metrics_path, summary_path):
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(f"output file {path!r} is a directory")
     echo(describe(ds))
     start = time.perf_counter()
     model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)

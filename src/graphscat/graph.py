@@ -2,9 +2,12 @@
 
 The central object is the lazy random walk P = (I + W D^-1) / 2, applied
 column-wise to feature matrices without ever materializing an n x n power.
-All arithmetic is float64; neighbor lists are sorted so runs are
-bit-reproducible. Hop distances, which only the theory checks ask for, come
-from one n x n table that a Graph builds on first use (Graph.hops).
+Every operator runs on one sparse kernel, adjacency_matvec, which follows
+the jagged-diagonal SlotPlan a Graph builds on first use. All
+arithmetic is float64; neighbor lists are sorted and each row is summed in
+CSR order, so runs are bit-reproducible. Hop distances, which only the
+theory checks ask for, come from one n x n table that a Graph builds on
+first use (Graph.hops).
 """
 
 from __future__ import annotations
@@ -25,6 +28,80 @@ from .errors import (
 )
 
 
+# Rows longer than this are summed as chunks of this many entries, then the
+# chunk sums in order, so one kernel call makes at most
+# ROW_CHUNK + ceil(max degree / ROW_CHUNK) slot adds.
+ROW_CHUNK = 64
+
+
+@dataclass(frozen=True)
+class SlotPlan:
+    """Jagged-diagonal layout of a CSR matrix, which adjacency_matvec runs.
+
+    Segments (each row, or for a row longer than ROW_CHUNK each of its
+    ROW_CHUNK-entry chunks) are sorted by descending length, stably. Slot j
+    lists the j-th entry of every segment longer than j, so slot 0 starts
+    one sum per segment and slot j adds into the first count_j of them. A
+    second, smaller layout of the same kind adds each long row's chunk sums.
+    """
+
+    targets: np.ndarray               # CSR targets, slot after slot
+    weights: np.ndarray | None        # their weights; None when all are 1.0
+    slots: tuple                      # (sums, entries) slices of slots 1, 2, ... in targets
+    chunk_take: np.ndarray | None     # segment sums of the long rows' chunks, slot after slot
+    chunk_slots: tuple                # (sums, entries) slices of its slots 1, 2, ...
+    chunk_rows: np.ndarray | None     # the segment that takes each long row's total
+    rows: np.ndarray                  # (n,) segment holding each row's sum; -1 if it has none
+
+
+def _slots(starts: np.ndarray, sizes: np.ndarray):
+    """Jagged-diagonal order of the segments [start, start + size), sizes >= 1.
+
+    Returns the stable descending-size order of the segments, the entries
+    slot after slot and, for slots 1, 2, ..., the slices of the first count
+    sums and of the slot's count entries among them.
+    """
+    order = np.argsort(-sizes, kind="stable")
+    # counts[j]: the segments longer than j, which slot j holds
+    counts = sizes.size - np.cumsum(np.bincount(sizes, minlength=1))[:-1]
+    bounds = np.cumsum(counts) - counts
+    slot = np.repeat(np.arange(counts.size), counts)
+    entries = starts[order][np.arange(slot.size) - bounds[slot]] + slot
+    return order, entries, tuple((slice(count), slice(start, start + count))
+                                 for count, start in zip(counts[1:].tolist(), bounds[1:].tolist()))
+
+
+def _slot_plan(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> SlotPlan:
+    """The SlotPlan of a CSR matrix, O(nnz + n) array work."""
+    lengths = np.diff(offsets)
+    chunks = -(-lengths // ROW_CHUNK)
+    first = np.cumsum(chunks) - chunks                  # each row's first chunk
+    row = np.repeat(np.arange(lengths.size), chunks)
+    skip = (np.arange(row.size) - first[row]) * ROW_CHUNK   # entries of the row before the chunk
+    order, entries, slots = _slots(offsets[row] + skip,
+                                   np.minimum(lengths[row] - skip, ROW_CHUNK))
+    segment = np.empty(order.size, dtype=np.intp)       # chunk -> segment holding its sum
+    segment[order] = np.arange(order.size)
+    rows = np.full(lengths.size, -1, dtype=np.intp)
+    rows[lengths > 0] = segment[first[lengths > 0]]
+    chunk_take = chunk_rows = None
+    chunk_slots = ()
+    long_rows = np.flatnonzero(chunks > 1)
+    if long_rows.size:
+        by_chunks, chunk_entries, chunk_slots = _slots(first[long_rows], chunks[long_rows])
+        chunk_take = segment[chunk_entries]
+        chunk_rows = segment[first[long_rows[by_chunks]]]
+    plan = SlotPlan(targets=targets[entries],
+                    # x * 1.0 == x bit for bit, so the kernel skips unit weights
+                    weights=None if np.all(weights == 1.0) else weights[entries],
+                    slots=slots, chunk_take=chunk_take, chunk_slots=chunk_slots,
+                    chunk_rows=chunk_rows, rows=rows)
+    for a in (plan.targets, plan.weights, plan.chunk_take, plan.chunk_rows, plan.rows):
+        if a is not None:
+            a.flags.writeable = False
+    return plan
+
+
 @dataclass(frozen=True)
 class Graph:
     """Weighted undirected graph in CSR form with cached weighted degrees.
@@ -32,9 +109,9 @@ class Graph:
     Invariants: every edge is stored in both directions with the same
     positive weight, no self-loops, and degrees[v] equals the row sum of W.
     Arrays are frozen (non-writeable), so instances are safely shareable.
-    The kernel's row segmentation and unit-weight flag, the isolated-node
-    flag and the operator divisors are derived once at construction; the
-    hop table is derived on first use, since training never reads it.
+    The isolated-node flag and the operator divisors are derived once at
+    construction; the kernel's slot plan and the hop table on first use,
+    since some graphs never reach the kernel and training never reads hops.
     """
 
     n: int
@@ -43,20 +120,11 @@ class Graph:
     csr_weights: np.ndarray   # float64, shape (nnz,)
     degrees: np.ndarray       # float64, shape (n,)
     has_isolated_nodes: bool = field(init=False, compare=False)
-    unit_weights: bool = field(init=False, repr=False, compare=False)
-    nonempty_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    row_starts: np.ndarray = field(init=False, repr=False, compare=False)
     sqrt_degrees: np.ndarray = field(init=False, repr=False, compare=False)
     sqrt_degrees_plus_one: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nonempty = np.flatnonzero(np.diff(self.csr_offsets) > 0)
         derived = {"has_isolated_nodes": bool(np.any(self.degrees == 0.0)),
-                   # x * 1.0 == x bit for bit, so the kernel skips unit weights
-                   "unit_weights": bool(np.all(self.csr_weights == 1.0)),
-                   "nonempty_rows": nonempty,
-                   # reduceat segments are contiguous because empty rows hold no entries
-                   "row_starts": self.csr_offsets[nonempty],
                    "sqrt_degrees": np.sqrt(self.degrees),
                    "sqrt_degrees_plus_one": np.sqrt(self.degrees + 1.0)}
         for name, value in derived.items():
@@ -75,6 +143,16 @@ class Graph:
     def entry_rows(self) -> np.ndarray:
         """Source node of every CSR entry, aligned with csr_targets."""
         return np.repeat(np.arange(self.n), np.diff(self.csr_offsets))
+
+    @cached_property
+    def kernel_plan(self) -> SlotPlan:
+        """The jagged-diagonal SlotPlan that adjacency_matvec runs, built on first use.
+
+        A plan costs about 75 us on a 30-node graph and 170 us on a 400-node
+        one; the spectra command's graph and 3 of verify-theory's 16 never
+        reach the kernel.
+        """
+        return _slot_plan(self.csr_offsets, self.csr_targets, self.csr_weights)
 
     @cached_property
     def hops(self) -> np.ndarray:
@@ -248,32 +326,50 @@ def _check_features(g: Graph, X: np.ndarray) -> np.ndarray:
 def adjacency_matvec(g: Graph, X: np.ndarray) -> np.ndarray:
     """W @ X for (n,) or (n, d) inputs, O(nnz * d) time and memory.
 
-    The kernel works on a contiguous (d, n) copy of X. It gathers each CSR
-    entry's target along the last axis, scales by the edge weights (unless
-    all are 1.0, when the product would change no bit) and sums each row's
-    segment with one reduceat along that axis. Every column is summed on
-    its own, in CSR order, so the bits are those of the row-major
-    (n, d) form, which was 2-3x slower at widths 16, 32 and 64 than at their
-    neighbours. On the 2100-node wide-scgcn graph this layout takes
-    0.82-0.88x the row-major time at widths 6-10 and 0.37x at 32 and 64. A
-    2-D result is the transpose of the (d, n) sums, so it is F-ordered.
+    Runs the graph's jagged-diagonal SlotPlan: one gather of X's rows in
+    slot order, one product with the edge weights (skipped when all are
+    1.0, which changes no bit), one in-place vector add per slot into the
+    first count_j sums, the same for the chunk sums of rows longer than
+    ROW_CHUNK, and one take that puts the sums back in node order. So each
+    row is summed strictly in CSR order (a long row as its chunk sums, in
+    order) and each column on its own, and the result is C-ordered. At
+    width 10 a call takes 0.22 ms on the 2100-node wide-scgcn graph and
+    0.27 ms on a 5000-node star, against 0.70 and 0.52 ms for the former
+    per-row reduceat over a (d, n) copy; at widths 1-2 the adds are mostly
+    call overhead, so a graph with long rows is slower there (42 against
+    18 us at width 1 on the 400-node block model).
 
-    scipy.sparse is 5-25x faster per call, but its 0.25-0.36 s import is as
-    long as the whole ~0.3 s setup_s of the sbm-gsan and theory-cli
-    benchmark workloads, so the kernel stays numpy-only.
+    scipy.sparse is 5-25x faster per call, but importing it takes 0.15-0.2 s
+    and adds about 20 MB of peak RSS (29.4 -> 49.5 MB after importing the
+    package), against the ~0.2-0.3 s setup_s of the sbm-gsan and theory-cli
+    benchmark workloads and the 10 % bound on wide-scgcn's ~93 MB, so the
+    kernel stays numpy-only.
     """
-    Xt = np.ascontiguousarray(np.transpose(X), dtype=np.float64)
-    if not g.row_starts.size:
-        return np.zeros_like(Xt).T
-    contrib = Xt.take(g.csr_targets, axis=-1)
-    if not g.unit_weights:
-        contrib *= g.csr_weights
-    sums = np.add.reduceat(contrib, g.row_starts, axis=-1)
-    if g.row_starts.size == g.n:
-        return sums.T
-    out = np.zeros_like(Xt)
-    out[..., g.nonempty_rows] = sums
-    return out.T
+    plan = g.kernel_plan
+    sums = np.asarray(X, dtype=np.float64).take(plan.targets, axis=0)
+    if plan.weights is not None:
+        sums *= plan.weights if sums.ndim == 1 else plan.weights[:, None]
+    _add_slots(sums, plan.slots)
+    if plan.chunk_take is not None:
+        totals = sums.take(plan.chunk_take, axis=0)
+        _add_slots(totals, plan.chunk_slots)
+        sums[plan.chunk_rows] = totals[:plan.chunk_rows.size]
+    if g.has_isolated_nodes:            # their rows take the zero row put last
+        sums = np.concatenate((sums, np.zeros((1,) + sums.shape[1:])))
+    return sums.take(plan.rows, axis=0)
+
+
+def _add_slots(sums: np.ndarray, slots: tuple):
+    """Add each slot's entries into the first count of sums, slot after slot.
+
+    The slices are built with the plan and out is passed by position, since
+    at small widths an add is mostly call overhead: the 37 adds of the
+    400-node block model took 28-53 us at widths 1-10 this way, against
+    31-60 us slicing by count with out= by keyword.
+    """
+    for first, entries in slots:
+        head = sums[first]
+        np.add(head, sums[entries], head)
 
 
 def _require_no_isolated(g: Graph, kind: OperatorKind):
@@ -294,24 +390,41 @@ def apply_operator(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
     renorm_adjacency   A          = (D+I)^-1/2 (W+I) (D+I)^-1/2
     residual_diffusion A_res(a)   = (I + a W D^-1) / (a + 1)
     sym_norm_adjacency             I + D^-1/2 W D^-1/2
+
+    The scalings and the identity term update the kernel's fresh output in
+    place; each sum is the one the closed forms write, with its terms
+    swapped, which changes no bit.
     """
     X = _check_features(g, X)
     _require_no_isolated(g, kind)
     d = _column(g.degrees, X)
     if kind.tag == "lazy_walk":
-        return 0.5 * X + 0.5 * adjacency_matvec(g, X / d)
+        out = adjacency_matvec(g, X / d)
+        out *= 0.5
+        out += 0.5 * X
+        return out
     if kind.tag == "residual_diffusion":
         a = kind.alpha
         if a == 0.0:
             return X.copy()
-        return (X + a * adjacency_matvec(g, X / d)) / (a + 1.0)
+        out = adjacency_matvec(g, X / d)
+        out *= a
+        out += X
+        out /= a + 1.0
+        return out
     if kind.tag == "renorm_adjacency":
         s = _column(g.sqrt_degrees_plus_one, X)
         Y = X / s
-        return (Y + adjacency_matvec(g, Y)) / s
+        out = adjacency_matvec(g, Y)
+        out += Y
+        out /= s
+        return out
     if kind.tag == "sym_norm_adjacency":
         s = _column(g.sqrt_degrees, X)
-        return X + adjacency_matvec(g, X / s) / s
+        out = adjacency_matvec(g, X / s)
+        out /= s
+        out += X
+        return out
     raise ValueError(f"unknown operator kind {kind.tag!r}")
 
 
@@ -319,18 +432,28 @@ def apply_operator_transpose(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.
     """Apply the transpose of an operator (used by reverse-mode gradients).
 
     W is symmetric, so transposition swaps the side on which D^-1 acts;
-    the two symmetric operators are their own transposes.
+    the two symmetric operators are their own transposes. Updates the
+    kernel's output in place, as apply_operator does.
     """
     X = _check_features(g, X)
     _require_no_isolated(g, kind)
     d = _column(g.degrees, X)
     if kind.tag == "lazy_walk":
-        return 0.5 * X + 0.5 * adjacency_matvec(g, X) / d
+        out = adjacency_matvec(g, X)
+        out *= 0.5
+        out /= d
+        out += 0.5 * X
+        return out
     if kind.tag == "residual_diffusion":
         a = kind.alpha
         if a == 0.0:
             return X.copy()
-        return (X + a * adjacency_matvec(g, X) / d) / (a + 1.0)
+        out = adjacency_matvec(g, X)
+        out *= a
+        out /= d
+        out += X
+        out /= a + 1.0
+        return out
     # renorm_adjacency and sym_norm_adjacency are symmetric
     return apply_operator(g, kind, X)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import IsolatedNodeError
+from .errors import FieldRangeError, IsolatedNodeError
 from .graph import RENORM_ADJACENCY, Graph, residual_diffusion
 from .scattering import ABS, Nonlinearity, cascade_tensor, first_wavelets
 from .wavelets import check_scales
@@ -57,7 +57,8 @@ class ChannelSpec:
 
     In the concat layer the channel ends in |.|^q; q is 1 for low-pass
     channels and any q >= 1 for band-pass ones (the power never enters the
-    cascade).
+    cascade). A value out of range raises FieldRangeError naming its field,
+    a bad scale in path ScaleOutOfRange.
     """
 
     kind: str                 # "low" | "band"
@@ -70,15 +71,15 @@ class ChannelSpec:
         if self.kind not in ("low", "band"):
             raise ValueError(f"channel kind must be 'low' or 'band', got {self.kind!r}")
         if self.width < 1:
-            raise ValueError("channel width must be >= 1")
+            raise FieldRangeError("channel width must be >= 1", "width")
         if self.kind == "low":
             if self.r < 1:
-                raise ValueError("low-pass power r must be >= 1")
+                raise FieldRangeError("low-pass power r must be >= 1", "r")
             if self.q != 1.0:
-                raise ValueError("q applies only to band-pass channels")
+                raise FieldRangeError("q applies only to band-pass channels", "q")
         else:
             if self.q < 1:
-                raise ValueError("band-pass q must be >= 1")
+                raise FieldRangeError("band-pass q must be >= 1", "q")
             check_scales(self.path)
 
 

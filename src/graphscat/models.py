@@ -23,6 +23,7 @@ from .errors import FieldRangeError, ScaleOutOfRange
 from .graph import RENORM_ADJACENCY, Graph
 from .layers import (
     AttentionState,
+    ChannelSpec,
     ResponseCache,
     band_channel,
     glorot_uniform,
@@ -74,19 +75,40 @@ class ModelSpec:
                 raise FieldRangeError(f"{name} must be >= 1, got {getattr(self, name)}", name)
         if self.alpha is not None and not 0.0 <= self.alpha < np.inf:
             raise FieldRangeError(f"alpha must be finite and >= 0, got {self.alpha}", "alpha")
-        # ChannelSpec holds the channel ranges; each value is tried in a channel
-        # of its own, so that an error names the field that supplied it
-        for name, values, channel in (
-                ("low_powers", self.low_powers, lambda r: low_channel(r, 1)),
-                ("low_widths", self.low_widths, lambda w: low_channel(1, w)),
-                ("band_widths", self.band_widths, lambda w: band_channel((), w)),
-                ("band_paths", self.band_paths, lambda p: band_channel(p, 1)),
-                ("q", () if self.q is None else (self.q,), lambda q: band_channel((), 1, q))):
-            for v in values or ():
-                try:
-                    channel(v)
-                except (ValueError, ScaleOutOfRange) as exc:
-                    raise FieldRangeError(str(exc), name) from None
+        self.channels()     # ChannelSpec holds the channel ranges
+
+    def channels(self) -> tuple[ChannelSpec, ...]:
+        """The preset's hybrid-layer channels, low-pass first; none for gcn-baseline.
+
+        sc-gcn pairs low_powers with low_widths and band_paths with
+        band_widths at power q; gsan gives low_powers and the band paths
+        (1), (2), (3) the width hidden. A value a channel rejects raises
+        FieldRangeError naming the field of this spec that supplied it.
+        """
+        if self.preset == "sc-gcn":
+            low = [{"r": ("low_powers", r), "width": ("low_widths", w)}
+                   for r, w in zip(self.low_powers, self.low_widths)]
+            band = [{"path": ("band_paths", p), "width": ("band_widths", w),
+                     "q": ("q", self.q)} for p, w in zip(self.band_paths, self.band_widths)]
+        elif self.preset == "gsan":
+            low = [{"r": ("low_powers", r), "width": ("hidden", self.hidden)}
+                   for r in self.low_powers]
+            band = [{"path": (None, (k,)), "width": ("hidden", self.hidden)} for k in (1, 2, 3)]
+        else:
+            return ()
+        makers = ((low_channel, low), (band_channel, band))
+        return tuple(_channel(make, args) for make, group in makers for args in group)
+
+
+def _channel(make, args: dict) -> ChannelSpec:
+    """make(...) from {channel field: (spec field, value)}; a rejected value
+    raises FieldRangeError naming the spec field."""
+    try:
+        return make(**{name: value for name, (_, value) in args.items()})
+    except FieldRangeError as exc:
+        raise FieldRangeError(str(exc), *(args[name][0] for name in exc.fields)) from None
+    except ScaleOutOfRange as exc:
+        raise FieldRangeError(str(exc), args["path"][0]) from None
 
 
 class GCNBaseline:
@@ -108,9 +130,7 @@ class ScGCN:
     """Hybrid concat layer plus graph residual convolution to the class logits."""
 
     def __init__(self, d_in: int, n_classes: int, spec: ModelSpec, rng: np.random.Generator):
-        self.specs = (tuple(low_channel(r, w) for r, w in zip(spec.low_powers, spec.low_widths))
-                      + tuple(band_channel(p, w, q=spec.q)
-                              for p, w in zip(spec.band_paths, spec.band_widths)))
+        self.specs = spec.channels()
         self.alpha = spec.alpha
         self.params = init_hybrid_params(self.specs, d_in, rng)
         self.responses = ResponseCache(self.specs)
@@ -137,8 +157,7 @@ class GSAN:
     """
 
     def __init__(self, d_in: int, n_classes: int, spec: ModelSpec, rng: np.random.Generator):
-        self.specs = (tuple(low_channel(r, spec.hidden) for r in spec.low_powers)
-                      + tuple(band_channel((k,), spec.hidden) for k in (1, 2, 3)))
+        self.specs = spec.channels()
         self.alpha = spec.alpha
         self.attention_params = init_attention_params(self.specs, spec.heads, d_in, rng)
         self.responses = ResponseCache(self.specs)

@@ -4,9 +4,10 @@ composition of the attention layer and the tape ops only tests compose
 (Hadamard product, constant scaling, filter-axis stack, slice and softmax);
 the per-edge, per-node, per-trial and per-value loops that the array-built
 graph, the CSR array expressions, the batched random-GCN trials and the row
-writer replace; and the always-weighted kernel, the per-parameter optimizers
-and the per-mask loss and accuracy that the unit-weight skip, the flat
-optimizers and the one-pass epoch metrics replace."""
+writer replace; the per-row kernel, the former reduceat kernel and the
+closed-form operators that the slot kernel and the in-place operators
+replace; and the per-parameter optimizers and the per-mask loss and
+accuracy that the flat optimizers and the one-pass epoch metrics replace."""
 
 import functools
 import math
@@ -415,19 +416,63 @@ def per_value_csv(header, columns, specs):
     return "".join(lines)
 
 
-def weighted_matvec(g, X):
-    """graph.adjacency_matvec scaling every gathered entry by its weight, 1.0 or not."""
-    Xt = np.ascontiguousarray(np.transpose(X), dtype=np.float64)
-    if not g.row_starts.size:
-        return np.zeros_like(Xt).T
-    contrib = Xt.take(g.csr_targets, axis=-1)
-    contrib *= g.csr_weights
-    sums = np.add.reduceat(contrib, g.row_starts, axis=-1)
-    if g.row_starts.size == g.n:
-        return sums.T
-    out = np.zeros_like(Xt)
-    out[..., g.nonempty_rows] = sums
-    return out.T
+def per_row_matvec(g, X):
+    """W @ X one row at a time: each row sums w * x over its CSR entries in
+    order, always multiplying by the weight; a row longer than
+    graph.ROW_CHUNK sums each ROW_CHUNK-entry chunk so, then adds the chunk
+    sums in order. A row without entries is zero."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros(X.shape)
+    for u in range(g.n):
+        lo, hi = int(g.csr_offsets[u]), int(g.csr_offsets[u + 1])
+        total = None
+        for start in range(lo, hi, graph_module.ROW_CHUNK):
+            chunk = g.csr_weights[start] * X[g.csr_targets[start]]
+            for e in range(start + 1, min(hi, start + graph_module.ROW_CHUNK)):
+                chunk = chunk + g.csr_weights[e] * X[g.csr_targets[e]]
+            total = chunk if total is None else total + chunk
+        if total is not None:
+            out[u] = total
+    return out
+
+
+def reduceat_matvec(g, X):
+    """W @ X as the former kernel formed it: one reduceat per CSR row segment,
+    which numpy sums in its own (pairwise) order rather than entry by entry."""
+    X = np.asarray(X, dtype=np.float64)
+    contrib = g.csr_weights.reshape((-1,) + (1,) * (X.ndim - 1)) * X[g.csr_targets]
+    out = np.zeros(X.shape)
+    nonempty = np.flatnonzero(np.diff(g.csr_offsets) > 0)
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(contrib, g.csr_offsets[nonempty], axis=0)
+    return out
+
+
+def closed_form_operator(g, kind, X, transpose=False):
+    """graph.apply_operator (or its transpose) as the closed-form expressions
+    over fresh arrays, on the package's kernel."""
+    X = np.asarray(X, dtype=np.float64)
+    col = (lambda v: v) if X.ndim == 1 else (lambda v: v[:, None])
+    d = col(g.degrees)
+    A = graph_module.adjacency_matvec
+    if kind.tag == "residual_diffusion" and kind.alpha == 0.0:
+        return X.copy()
+    if transpose and kind.tag == "lazy_walk":
+        return 0.5 * X + 0.5 * A(g, X) / d
+    if transpose and kind.tag == "residual_diffusion":
+        a = kind.alpha
+        return (X + a * A(g, X) / d) / (a + 1.0)
+    if kind.tag == "lazy_walk":
+        return 0.5 * X + 0.5 * A(g, X / d)
+    if kind.tag == "residual_diffusion":
+        a = kind.alpha
+        return (X + a * A(g, X / d)) / (a + 1.0)
+    if kind.tag == "renorm_adjacency":
+        s = col(g.sqrt_degrees_plus_one)
+        Y = X / s
+        return (Y + A(g, Y)) / s
+    s = col(g.sqrt_degrees)
+    return X + A(g, X / s) / s
 
 
 class PerParameterOptimizer:

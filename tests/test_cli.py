@@ -764,6 +764,23 @@ class TestTrainModes:
         assert capsys.readouterr().err == "error: cannot build sc-gcn for d_in=8\n"
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("mode", ["flags", "config"])
+    def test_output_file_that_is_a_directory_rejected_before_the_fit(
+            self, small_dataset_dir, tmp_path, capsys, monkeypatch, mode):
+        def no_fit(*args):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(experiment, "fit", no_fit)
+        (tmp_path / "exp.cfg").write_text(
+            "train.epochs = 2\n" if mode == "flags"
+            else f"dataset.dir = {small_dataset_dir}\nout.dir = {tmp_path / 'res'}\n")
+        taken = tmp_path / "taken.csv" if mode == "flags" else tmp_path / "res" / "summary.txt"
+        taken.mkdir(parents=True)
+        flags = (["--out", str(taken), *data_file_flags(small_dataset_dir)] if mode == "flags"
+                 else [])
+        assert main(["train", "--config", str(tmp_path / "exp.cfg"), *flags]) == 2
+        assert capsys.readouterr().err == f"error: output file {str(taken)!r} is a directory\n"
+
 
 # a valid value for every model.* field, so only the preset can reject it
 MODEL_VALUES = {"hidden": "8", "alpha": "0.3", "q": "2", "heads": "1", "low_powers": "1,2",

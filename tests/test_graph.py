@@ -32,15 +32,17 @@ from graphscat.graph import (
 )
 
 from conftest import (
+    closed_form_operator,
     dense_ops,
     dense_w,
     hop_graphs,
     per_edge_build_graph,
     per_edge_read_edge_list,
     per_edge_write_edge_list,
+    per_row_matvec,
     random_connected_graph,
+    reduceat_matvec,
     weighted_graphs,
-    weighted_matvec,
 )
 
 
@@ -99,18 +101,6 @@ class TestBuildGraph:
             g.degrees[0] = 5.0
 
 
-def reference_matvec(g, X):
-    """The first CSR kernel: fancy-index gather, broadcast product, reduceat."""
-    contrib = g.csr_weights * X[g.csr_targets] if X.ndim == 1 \
-        else g.csr_weights[:, None] * X[g.csr_targets]
-    out = np.zeros_like(X)
-    counts = np.diff(g.csr_offsets)
-    nonempty = np.flatnonzero(counts > 0)
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(contrib, g.csr_offsets[nonempty], axis=0)
-    return out
-
-
 def graph_with_isolated_nodes(rng, n, isolated, hub=False, extra=None):
     """Random weighted graph on the first n - len(isolated) ids, shuffled so the
     degree-zero nodes fall at the given positions. A hub joins the first of
@@ -137,18 +127,44 @@ class TestAdjacencyKernel:
     @pytest.mark.parametrize("isolated", [(), (0,), (4, 5), (11,)])
     @pytest.mark.parametrize("width", [None, 1, 8, 16, 32, 47, 64])
     def test_bitwise_equal_to_reference_kernel(self, rng, isolated, width):
-        # every layout, on a 12-node graph and on a 24-node one whose hub row
-        # holds 20 or more entries
+        # every layout, on a 12-node graph, on a 24-node one whose hub row
+        # holds 20 or more entries, and on one whose hub row is longer than
+        # two chunks and ends in a partial one
+        K = graph_module.ROW_CHUNK
         if isolated:
             _, g = graph_with_isolated_nodes(rng, 12, isolated)
         else:
             _, g = random_connected_graph(rng, 12, weighted=True)
         _, hub = graph_with_isolated_nodes(rng, 24, isolated + (23,), hub=True)
         assert np.diff(hub.csr_offsets).max() >= 20
-        for graph in (g, hub):
+        _, big = graph_with_isolated_nodes(rng, 2 * K + 12, isolated + (2 * K + 11,), hub=True)
+        assert np.diff(big.csr_offsets).max() > 2 * K
+        assert np.diff(big.csr_offsets).max() % K
+        for graph in (g, hub, big):
             X = rng.standard_normal(graph.n if width is None else (graph.n, width))
             for Y in kernel_layouts(X):
-                assert adjacency_matvec(graph, Y).tobytes() == reference_matvec(graph, Y).tobytes()
+                assert adjacency_matvec(graph, Y).tobytes() == per_row_matvec(graph, Y).tobytes()
+
+    @pytest.mark.parametrize("width", [None, 1, 3, 16])
+    def test_within_rounding_of_the_reduceat_kernel(self, rng, width):
+        # the former kernel summed each row segment in numpy's pairwise order;
+        # only the order of the additions differs
+        K = graph_module.ROW_CHUNK
+        for n, hub in ((40, False), (3 * K, True)):
+            _, g = graph_with_isolated_nodes(rng, n, (n - 1,), hub=hub, extra=3 * n)
+            X = rng.standard_normal(n if width is None else (n, width))
+            scale = reduceat_matvec(g, np.abs(X))
+            assert np.all(np.abs(adjacency_matvec(g, X) - reduceat_matvec(g, X)) <= 1e-13 * scale)
+
+    def test_slot_adds_bounded(self):
+        # a call makes at most ROW_CHUNK + ceil(maxdeg / ROW_CHUNK) adds
+        K = graph_module.ROW_CHUNK
+        for leaves in (1, K - 1, K, K + 1, 2 * K + 1, 5000):
+            g = build_graph([(0, v) for v in range(1, leaves + 1)] + [(1, 2)] * (leaves > 1))
+            maxdeg = int(np.diff(g.csr_offsets).max())
+            adds = len(g.kernel_plan.slots) + len(g.kernel_plan.chunk_slots)
+            assert adds <= K + -(-maxdeg // K)
+            assert adds == min(maxdeg, K) - 1 + -(-maxdeg // K) - 1
 
     @pytest.mark.parametrize("isolated", [(0,), (3, 9), (0, 1, 13)])
     @settings(max_examples=40, deadline=None)
@@ -170,27 +186,28 @@ class TestAdjacencyKernel:
     def test_cached_structure(self, rng):
         edges, g = graph_with_isolated_nodes(rng, 9, (2,))
         assert g.has_isolated_nodes
-        assert np.array_equal(g.nonempty_rows, [0, 1, 3, 4, 5, 6, 7, 8])
-        assert np.array_equal(g.row_starts, g.csr_offsets[g.nonempty_rows])
+        assert g.kernel_plan.rows[2] == -1
+        assert np.array_equal(np.sort(g.kernel_plan.rows[g.kernel_plan.rows >= 0]), np.arange(8))
+        assert np.array_equal(np.sort(g.kernel_plan.targets), np.sort(g.csr_targets))
         assert np.array_equal(g.sqrt_degrees, np.sqrt(g.degrees))
         assert np.array_equal(g.sqrt_degrees_plus_one, np.sqrt(g.degrees + 1.0))
         with pytest.raises(ValueError):
-            g.row_starts[0] = 1
+            g.kernel_plan.targets[0] = 1
 
     @settings(max_examples=60, deadline=None)
     @given(graph=hop_graphs(weighted=True), seed=st.integers(0, 2 ** 32 - 1),
            width=st.one_of(st.none(), st.integers(1, 20)), layout=st.integers(0, 2))
     def test_unit_weight_skip_bitwise(self, graph, seed, width, layout):
         # unit-weight graphs skip the weight product; every graph must give the
-        # bits of the always-weighted kernel, in every input layout
+        # bits of the always-weighted per-row sums, in every input layout
         n, edges = graph
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IsolatedNodeWarning)
             g = build_graph(edges, n=n)
-        assert g.unit_weights == bool(np.all(g.csr_weights == 1.0))
+        assert (g.kernel_plan.weights is None) == bool(np.all(g.csr_weights == 1.0))
         rng = np.random.default_rng(seed)
         X = kernel_layouts(rng.standard_normal(n if width is None else (n, width)))[layout]
-        assert adjacency_matvec(g, X).tobytes() == weighted_matvec(g, X).tobytes()
+        assert adjacency_matvec(g, X).tobytes() == per_row_matvec(g, X).tobytes()
 
 
 class TestApplyOperator:
@@ -251,6 +268,19 @@ class TestApplyOperator:
         X = rng.standard_normal((8, 2))
         X0 = X.copy()
         apply_operator(g, LAZY_WALK, X)
+        assert np.array_equal(X, X0)
+
+    @pytest.mark.parametrize("kind", [LAZY_WALK, RENORM_ADJACENCY, SYM_NORM_ADJACENCY,
+                                      residual_diffusion(0.3), residual_diffusion(0.0)],
+                             ids=["kind0", "kind1", "kind3", "kind4", "kind4-alpha0"])
+    @pytest.mark.parametrize("width", [None, 5])
+    def test_in_place_updates_bitwise_equal_to_closed_forms(self, rng, kind, width):
+        _, g = random_connected_graph(rng, 19, weighted=True)
+        X = rng.standard_normal(19 if width is None else (19, width))
+        X0 = X.copy()
+        for apply, transpose in ((apply_operator, False), (apply_operator_transpose, True)):
+            want = closed_form_operator(g, kind, X, transpose=transpose)
+            assert apply(g, kind, X).tobytes() == want.tobytes()
         assert np.array_equal(X, X0)
 
 

@@ -162,6 +162,22 @@ class TestHybridConcat:
             build_model(ModelSpec(preset="sc-gcn", band_paths=((-1,), (3,))), 4, 2)
         assert err.value.fields == ("band_paths",)
 
+    def test_models_take_their_channels_from_the_spec(self):
+        sc = ModelSpec(preset="sc-gcn", low_powers=(1, 4), low_widths=(3, 5), q=2.0)
+        assert sc.channels() == (low_channel(1, 3), low_channel(4, 5),
+                                 band_channel((1,), 11, q=2.0), band_channel((3,), 6, q=2.0))
+        gsan = ModelSpec(preset="gsan", hidden=7, low_powers=(2,))
+        assert gsan.channels() == (low_channel(2, 7),
+                                   *(band_channel((k,), 7) for k in (1, 2, 3)))
+        assert ModelSpec(preset="gcn-baseline").channels() == ()
+        for spec in (sc, gsan):
+            assert build_model(spec, 4, 2).specs == spec.channels()
+        # a value names the spec field that supplied it, also where a channel
+        # holds two bad values (the width is checked first)
+        with pytest.raises(FieldRangeError, match="channel width must be >= 1") as err:
+            ModelSpec(preset="sc-gcn", low_powers=(0, 1), low_widths=(0, 2))
+        assert err.value.fields == ("low_widths",)
+
 
 def literal_attention_oracle(n, edges, specs, theta, a, X):
     """Direct dense implementation of the per-node filter attention."""
