@@ -81,20 +81,48 @@ def sub(a, b) -> Tensor:
                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
+# The forward product a @ b of an (n, K) a runs as (b^T a^T)^T from these
+# sizes on; see matmul.
+SWAP_MIN_ROWS = 2048
+SWAP_MIN_CONTRACTION = 256
+
+
 def matmul(a, b) -> Tensor:
+    """a @ b on the tape, in the orientation OpenBLAS runs faster.
+
+    An (n, K) a with n >= SWAP_MIN_ROWS and K >= SWAP_MIN_CONTRACTION, a
+    wide feature matrix times narrow weights, is multiplied as
+    (b^T a^T)^T; every other product is a @ b. Both forms contract the
+    same numbers and differ by rounding, so products below the rule keep
+    their bits. Time of the swapped form over the plain one on OpenBLAS
+    0.3.31 with 2 threads (2-core x86-64, min of 21 alternating rounds,
+    range over output widths k = 2-64):
+
+        K \\ n      400        1000-1700  2100-2708  19717
+        8-32       1.09-1.82  0.89-2.34  0.83-1.89  0.77-1.73
+        47-128     1.00-1.89  0.80-3.44  0.76-2.08  0.68-1.17
+        192        1.00-1.94  0.77-2.67  0.75-1.35  0.74-0.91
+        256-1433   0.73-2.21  0.67-2.48  0.66-1.13  0.49-0.76
+
+    On the 2100 x 1433 @ 1433 x 47 first layer of the wide benchmark the
+    swapped form takes 3.8 against 5.7 ms.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.value.shape[-1] != b.value.shape[0]:
         raise DimensionMismatch(f"matmul {a.shape} @ {b.shape}")
     av, bv = a.value, b.value
+    if av.ndim == 2 and av.shape[0] >= SWAP_MIN_ROWS and av.shape[1] >= SWAP_MIN_CONTRACTION:
+        out = (bv.T @ av.T).T
+    else:
+        out = av @ bv
 
     def vjp(g):
         # A constant operand gets no gradient product. b's gradient is formed
-        # as (g^T a)^T: OpenBLAS runs the tall contraction of a wide first
-        # layer (a 2100 x 1433, g 2100 x 47) in half the time of a^T g.
+        # as (g^T a)^T, the swapped form of a^T g.
         return (g @ bv.T if a.requires_grad else None,
                 (g.T @ av).T if b.requires_grad else None)
 
-    return Tensor(av @ bv, (a, b), vjp)
+    return Tensor(out, (a, b), vjp)
 
 
 def op_apply(g: Graph, kind: OperatorKind, x) -> Tensor:

@@ -134,20 +134,25 @@ def filter_responses(g: Graph, specs: tuple[ChannelSpec, ...], X: np.ndarray) ->
     return np.stack([t.value for t in layer_filters(g, specs, ad.constant(X))])
 
 
-def precompute_pays(specs: tuple[ChannelSpec, ...], X) -> bool:
+def precompute_pays(specs: tuple[ChannelSpec, ...], X, heads: int | None = None) -> bool:
     """Whether filter_responses should replace the per-call diffusion chains.
 
     It must be exact (a constant input, single-scale band paths) and cheaper:
-    the chains then run on d_in columns instead of each channel's width, and
-    the responses hold one n x d_in array per channel.
+    the chains then run on d_in columns instead of the columns they run on
+    per call, and the responses hold one n x d_in array per channel. Per
+    call, the concat layer runs each channel's chains on that channel's
+    width, so d_in must not exceed the narrowest; the attention layer, given
+    its heads, runs one set of chains on all heads' H x W columns.
     """
     if isinstance(X, ad.Tensor):
         if X.requires_grad:
             return False
         X = X.value
+    columns = (heads * specs[0].width if heads is not None
+               else min(spec.width for spec in specs))
     return (np.ndim(X) == 2
             and all(len(spec.path) == 1 for spec in specs if spec.kind == "band")
-            and X.shape[1] <= min(spec.width for spec in specs))
+            and X.shape[1] <= columns)
 
 
 class ResponseCache:
@@ -155,16 +160,19 @@ class ResponseCache:
 
     The graph is compared by identity and the input by value against a copy
     taken when the responses were computed, so an in-place edit of X is seen.
+    heads is the attention layer's head count, None for the concat layer
+    (see precompute_pays).
     """
 
-    def __init__(self, specs: tuple[ChannelSpec, ...]):
+    def __init__(self, specs: tuple[ChannelSpec, ...], heads: int | None = None):
         self.specs = specs
+        self.heads = heads
         self._key: tuple[Graph, np.ndarray] | None = None
         self._responses: FilterResponses | None = None
 
     def get(self, g: Graph, X) -> FilterResponses | None:
         """Responses for (g, X), or None when the per-call chains are the better plan."""
-        if not precompute_pays(self.specs, X):
+        if not precompute_pays(self.specs, X, self.heads):
             return None
         x = X.value if isinstance(X, ad.Tensor) else np.asarray(X, dtype=np.float64)
         if self._key is None or self._key[0] is not g or not np.array_equal(self._key[1], x):

@@ -160,7 +160,7 @@ class GSAN:
         self.specs = spec.channels()
         self.alpha = spec.alpha
         self.attention_params = init_attention_params(self.specs, spec.heads, d_in, rng)
-        self.responses = ResponseCache(self.specs)
+        self.responses = ResponseCache(self.specs, spec.heads)
         width = spec.heads * spec.hidden
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
         self.bias_res = ad.Parameter(np.zeros((1, n_classes)))

@@ -1,9 +1,11 @@
 """Masked-loss semi-supervised training over the layer compositions.
 
 The loss is softmax cross-entropy averaged over the training mask; gradients
-come from the reverse-mode tape in autodiff. Runs are deterministic given a
-seed: fixed parameter order, no dropout, single-threaded updates. Early
-stopping watches validation loss and restores the best parameters.
+come from the reverse-mode tape in autodiff. A run repeats bit for bit given
+the same seed and inputs, the same numpy and OpenBLAS build and the same
+OPENBLAS_NUM_THREADS: the parameter order is fixed and there is no dropout,
+but a BLAS product may round differently on another thread count or build.
+Early stopping watches validation loss and restores the best parameters.
 
 Per epoch the fixed cost is kept to whole-array work: Adam and SGD update
 one flat vector that every parameter's value and gradient are views into,

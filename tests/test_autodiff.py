@@ -143,6 +143,46 @@ class TestBasicOps:
         assert np.allclose(a.grad, 2.0 * a.value + 1.0, atol=1e-12)
 
 
+class TestMatmulOrientation:
+    """Products from SWAP_MIN_ROWS rows and SWAP_MIN_CONTRACTION columns on run
+    as (b^T a^T)^T; the rest, and both gradients, keep the plain forms."""
+
+    ROWS, LONG = ad.SWAP_MIN_ROWS, ad.SWAP_MIN_CONTRACTION
+
+    @staticmethod
+    def _rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,K,k", [
+        (ROWS, LONG, 2), (2100, 358, 47),                 # swapped
+        (ROWS - 1, LONG, 5), (ROWS, LONG - 1, 5), (400, 358, 16)])
+    def test_product_and_gradients_match_plain_formulas(self, rng, n, K, k):
+        a = ad.Parameter(rng.standard_normal((n, K)))
+        b = ad.Parameter(rng.standard_normal((K, k)))
+        out = ad.matmul(a, b)
+        swapped = n >= self.ROWS and K >= self.LONG
+        assert np.array_equal(out.value, (b.value.T @ a.value.T).T if swapped
+                              else a.value @ b.value)
+        assert self._rel(out.value, a.value @ b.value) < 1e-12
+        g = rng.standard_normal((n, k))
+        da, db = out._vjp(g)
+        assert self._rel(da, g @ b.value.T) < 1e-12
+        assert self._rel(db, a.value.T @ g) < 1e-12
+
+    @pytest.mark.parametrize("n,K,k", [(400, 8, 16), (400, 32, 2), (2100, 8, 16),
+                                       (2100, 32, 47), (19717, 8, 2)])
+    def test_short_contractions_keep_plain_bits(self, rng, n, K, k):
+        # the block-model benchmark multiplies 8 feature columns and the
+        # 32 columns of two 16-wide heads
+        a, b = rng.standard_normal((n, K)), rng.standard_normal((K, k))
+        assert np.array_equal(ad.matmul(ad.constant(a), ad.Parameter(b)).value, a @ b)
+
+    def test_finite_differences_long_contraction(self, rng):
+        a = ad.constant(0.1 * rng.standard_normal((self.ROWS, self.LONG)))
+        w = ad.Parameter(rng.standard_normal((self.LONG, 2)))
+        fd_check(lambda: to_scalar(quadratic(ad.matmul(a, w))), [w])
+
+
 class TestOperatorGradients:
     # ids skip kind2, the retired random-walk operator, so the others keep theirs
     @pytest.mark.parametrize("kind", [LAZY_WALK, RENORM_ADJACENCY,

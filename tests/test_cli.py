@@ -1,12 +1,16 @@
 import argparse
 import gzip
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphscat import cli, experiment
+from graphscat.autodiff import SWAP_MIN_CONTRACTION, SWAP_MIN_ROWS
 from graphscat.cli import main
 from graphscat.config import ConfigError, ConfigView, parse_config_text
 from graphscat.datasets import SBMSpec, generate_sbm, load_dataset, save_dataset
@@ -780,6 +784,55 @@ class TestTrainModes:
                  else [])
         assert main(["train", "--config", str(tmp_path / "exp.cfg"), *flags]) == 2
         assert capsys.readouterr().err == f"error: output file {str(taken)!r} is a directory\n"
+
+    def test_repeat_in_a_fresh_process_is_bitwise(self, tmp_path):
+        # d_in and n reach the swapped first-layer product; the features are
+        # 0/1 words, as in a citation dataset. The second process must load
+        # the binary features copy the first one wrote, not parse the text.
+        ds = generate_sbm(SBMSpec(block_sizes=(SWAP_MIN_ROWS // 2,) * 2, p_in=0.01,
+                                  p_out=0.001, feature_dim=SWAP_MIN_CONTRACTION, seed=5))
+        ds.features = (ds.features > 1.0).astype(np.float64)
+        save_dataset(ds, tmp_path / "d")
+        (tmp_path / "exp.cfg").write_text(
+            f"model.preset = sc-gcn\ntrain.epochs = 6\ntrain.seed = 1\n"
+            f"dataset.dir = {tmp_path / 'd'}\nout.dir = {tmp_path / 'res'}\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        runs = []
+        for i, parse in enumerate(["parse", "copy"]):
+            proc = subprocess.run([sys.executable, "-c", REPEAT_RUN, str(tmp_path / "exp.cfg"),
+                                   str(tmp_path / f"run{i}.npz"), parse],
+                                  env=env, capture_output=True, text=True, check=False)
+            assert proc.returncode == 0, proc.stderr
+            with np.load(tmp_path / f"run{i}.npz") as saved:
+                runs.append({key: (saved[key].dtype, saved[key].tobytes()) for key in saved})
+            runs[-1]["metrics.csv"] = (tmp_path / "res" / "metrics.csv").read_bytes()
+        assert (tmp_path / "d" / ".features.csv.npy").exists()
+        assert len(runs[0]) == 5 + 12 + 1    # history lists, parameters, metrics.csv
+        assert runs[0] == runs[1]
+
+
+# `graphscat train --config <cfg>` in this process, saving the fit's
+# parameters and history to <dump>; with "copy", parsing features.csv fails
+REPEAT_RUN = """\
+import sys
+import numpy as np
+from graphscat import cli, datasets, experiment
+
+cfg, dump, mode = sys.argv[1:]
+if mode == "copy":
+    def no_parse(*args):
+        raise AssertionError("features.csv parsed instead of loaded from its copy")
+    datasets._parse_features = no_parse
+fit = experiment.fit
+
+def recorded(model, *args):
+    result = fit(model, *args)
+    np.savez(dump, *[p.value for p in model.parameters()], **result.history)
+    return result
+
+experiment.fit = recorded
+sys.exit(cli.main(["train", "--config", cfg]))
+"""
 
 
 # a valid value for every model.* field, so only the preset can reject it

@@ -506,8 +506,27 @@ class TestFilterResponses:
         assert not precompute_pays(self.ATTENTION, rng.standard_normal((6, 5)))
         multi = (low_channel(1, 4), band_channel((1, 2), 4))
         assert not precompute_pays(multi, X)
+        assert not precompute_pays(multi, X, heads=2)
         with pytest.raises(ValueError):
             filter_responses(build_graph(cycle(6)), multi, X)
+
+    @pytest.mark.parametrize("d_in,precomputes", [(4, True), (5, True), (8, True), (9, False)])
+    def test_attention_rule_counts_every_head(self, rng, d_in, precomputes):
+        # 2 heads of width 4: the per-call chains run on 8 columns, so an
+        # input of up to 8 columns precomputes, also above one head's width
+        X = rng.standard_normal((6, d_in))
+        assert precompute_pays(self.ATTENTION, X, heads=2) is precomputes
+        assert precompute_pays(self.ATTENTION, X) is (d_in <= 4)
+
+    def test_two_head_model_precomputes_between_w_and_2w(self, rng, monkeypatch):
+        # d_in 6: above W = 4, at most 2 W = 8
+        _, g = random_connected_graph(rng, 12)
+        X = rng.standard_normal((12, 6))
+        model = self._gsan(6, heads=2)
+        model.forward(g, X)
+        calls = count_kernel_calls(monkeypatch)
+        model.forward(g, X)
+        assert calls == [2]     # only the residual convolution, on 2 class columns
 
     def test_isolated_node_rejected(self):
         with pytest.warns(IsolatedNodeWarning):
@@ -533,12 +552,13 @@ class TestFilterResponses:
 
     @pytest.mark.parametrize("heads", [1, 2, 3])
     def test_per_epoch_heads_share_chains(self, rng, monkeypatch, heads):
-        # d_in > width: one renormalized chain to A^3 and one 2^3-step wavelet
-        # sweep on X [Theta_1 | ... | Theta_H] serve every channel of every
-        # head, then the residual convolution
+        # d_in 13 > heads x width, so the chains run per call: one
+        # renormalized chain to A^3 and one 2^3-step wavelet sweep on
+        # X [Theta_1 | ... | Theta_H] serve every channel of every head, then
+        # the residual convolution
         _, g = random_connected_graph(rng, 12)
-        X = rng.standard_normal((12, 6))
-        model = self._gsan(6, heads=heads)
+        X = rng.standard_normal((12, 13))
+        model = self._gsan(13, heads=heads)
         calls = count_kernel_calls(monkeypatch)
         lefts = record_matmul_operands(monkeypatch)
         model.forward(g, X)

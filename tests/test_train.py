@@ -141,11 +141,14 @@ class TestFit:
         assert hist[0] == hist[1]
 
     @pytest.mark.parametrize("preset,d_in", [
-        ("gcn-baseline", 4), ("sc-gcn", 4), ("sc-gcn", 12), ("gsan", 4)])
+        ("gcn-baseline", 4), ("sc-gcn", 4), ("sc-gcn", 12), ("gsan", 4),
+        ("sc-gcn", ad.SWAP_MIN_CONTRACTION), ("gsan", ad.SWAP_MIN_CONTRACTION)])
     def test_fit_is_bit_deterministic(self, rng, preset, d_in):
-        # sc-gcn at d_in 4 and gsan take the precomputed-response path, sc-gcn
-        # at d_in 12 the per-epoch chains
-        g, _, labels, masks = tiny_dataset(rng)
+        # sc-gcn and gsan at d_in 4 take the precomputed-response path, the
+        # others the per-epoch chains; at d_in SWAP_MIN_CONTRACTION, on
+        # SWAP_MIN_ROWS nodes, the first-layer X Theta runs swapped
+        n = ad.SWAP_MIN_ROWS if d_in >= ad.SWAP_MIN_CONTRACTION else 30
+        g, _, labels, masks = tiny_dataset(rng, n)
         X = rng.standard_normal((g.n, d_in))
         hidden = {"hidden": 6} if "hidden" in PRESET_FIELDS[preset] else {}
         runs = []
