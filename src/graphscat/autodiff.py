@@ -3,7 +3,10 @@
 Tensors form an implicit computation tape through parent links; backward()
 walks the tape once in reverse topological order, descending only into
 nodes that require a gradient (those with a Parameter among their
-ancestors). Only the operations needed by the layer zoo are provided:
+ancestors), and consumes it as it goes: each node it passes drops its
+parents and its VJP, so the forward values are freed by the time backward
+returns and a second backward through the same graph raises TapeConsumed. Only the operations
+needed by the layer zoo are provided:
 matmul, fixed-operator matvec, broadcast add/sub, column concat and slice,
 the activation family, the fused filter attention of the attention layer,
 and masked cross-entropy, whose per-node rows (cross_entropy_rows) a caller
@@ -30,7 +33,9 @@ class Tensor:
     def __init__(self, value, parents=(), vjp=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = tuple(parents)
-        self._vjp = vjp  # maps upstream grad -> tuple of parent grads (None: not needed)
+        # maps upstream grad -> tuple of parent grads: each a full array, a
+        # (start, stop, g) column block, or None (not needed)
+        self._vjp = vjp
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
         self.grad = None
 
@@ -161,16 +166,14 @@ def concat_cols(tensors) -> Tensor:
 
 
 def take_cols(a, start: int, stop: int) -> Tensor:
-    """Columns start:stop of a 2-D tensor; the gradient lands in that block."""
+    """Columns start:stop of a 2-D tensor.
+
+    The VJP hands back the (start, stop, g) column block, not a zero-filled
+    full-width array; backward gathers every block of one parent into one
+    buffer.
+    """
     a = _as_tensor(a)
-    shape = a.value.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[:, start:stop] = g
-        return (full,)
-
-    return Tensor(a.value[:, start:stop], (a,), vjp)
+    return Tensor(a.value[:, start:stop], (a,), lambda g: ((start, stop, g),))
 
 
 def relu(a) -> Tensor:
@@ -333,8 +336,51 @@ def masked_cross_entropy(logits, labels: np.ndarray, mask: np.ndarray,
     return Tensor(np.mean(rows.nll[mask]), (logits,), vjp)
 
 
+def _consumed(g):
+    raise TapeConsumed("backward already ran through this node")
+
+
+def _gather(grads: dict, owned: set, parent: Tensor, pgrad) -> None:
+    """Add one gradient of parent, a full array or a (start, stop, g) column
+    block, to its sum in grads.
+
+    Sums run in arrival order. Only a buffer that backward allocated (its id
+    in owned) is added into in place: an array a VJP returned may be handed
+    to another parent too (add gives the same g to both).
+    """
+    key = id(parent)
+    acc = grads.get(key)
+    if isinstance(pgrad, tuple):
+        start, stop, block = pgrad
+        if key not in owned:
+            acc = grads[key] = np.zeros(parent.value.shape) if acc is None else acc.copy()
+            owned.add(key)
+        acc[:, start:stop] += block
+    elif acc is None:
+        grads[key] = pgrad
+    elif key in owned:
+        acc += pgrad
+    else:
+        grads[key] = acc + pgrad
+        owned.add(key)
+
+
 def backward(root: Tensor):
-    """Accumulate d root / d leaf into every reachable Parameter's .grad."""
+    """Accumulate d root / d leaf into every reachable Parameter's .grad.
+
+    The walk consumes the graph: each non-Parameter node it visits drops its
+    parents and its VJP once its turn has passed, so what only the VJP kept
+    alive is freed during the walk, and the nodes themselves, with their
+    values, when the walk order goes at return, not when the caller drops
+    the root. Values stay until then on purpose: freeing each one at its
+    turn, between the walk's gradient allocations, made glibc trim and
+    regrow its heap in every gsan fit on the 400-node block model (64 000-
+    72 000 minor page faults per 100 epochs, against under 130 when the
+    tape lived on to the next forward pass); freeing them at return still
+    does so in some fits (CHANGES.md). The VJP left behind raises
+    TapeConsumed, so running backward again through a consumed node fails
+    instead of returning zero gradients.
+    """
     if root.value.ndim != 0:
         raise DimensionMismatch("backward expects a scalar root")
     if not root.requires_grad:
@@ -356,23 +402,26 @@ def backward(root: Tensor):
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.value)}
+    owned: set[int] = set()
     for node in reversed(topo):
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if isinstance(node, Parameter):
-            node.grad += g
-        if node._vjp is None:
-            continue
-        for parent, pgrad in zip(node.parents, node._vjp(g)):
-            if not parent.requires_grad:
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pgrad if acc is None else acc + pgrad
+        if g is not None:
+            if isinstance(node, Parameter):
+                node.grad += g
+            if node._vjp is not None:
+                for parent, pgrad in zip(node.parents, node._vjp(g)):
+                    if parent.requires_grad:
+                        _gather(grads, owned, parent, pgrad)
+        if not isinstance(node, Parameter):
+            node.parents, node._vjp = (), _consumed
 
 
 class Tape:
-    """Handle returned by forward passes; backward() may run exactly once."""
+    """Handle on a forward pass's loss; backward() may run exactly once.
+
+    backward consumes the graph under the loss (see the module function),
+    so afterwards only the loss value and the Parameters' gradients remain.
+    """
 
     def __init__(self, loss: Tensor):
         self.loss = loss

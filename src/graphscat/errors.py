@@ -50,7 +50,7 @@ class NonFiniteLoss(GraphScatError):
 
 
 class TapeConsumed(GraphScatError):
-    """backward() was called twice on the same tape."""
+    """backward ran again through a tape it had already consumed."""
 
 
 class PartialMap(GraphScatError):

@@ -11,7 +11,10 @@ Per epoch the fixed cost is kept to whole-array work: Adam and SGD update
 one flat vector that every parameter's value and gradient are views into,
 bound once when fit builds the optimizer, and the train loss, its gradient,
 the validation loss and both accuracies come from one per-node
-cross-entropy pass and one argmax over the logits.
+cross-entropy pass and one argmax over the logits. An epoch holds one
+tape: backward consumes the graph as it walks it, so the forward values
+of one epoch are freed before the next epoch's forward pass allocates its
+own.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ the per-edge, per-node, per-trial and per-value loops that the array-built
 graph, the CSR array expressions, the batched random-GCN trials and the row
 writer replace; the per-row kernel, the former reduceat kernel and the
 closed-form operators that the slot kernel and the in-place operators
-replace; and the per-parameter optimizers and the per-mask loss and
-accuracy that the flat optimizers and the one-pass epoch metrics replace."""
+replace; the per-parameter optimizers and the per-mask loss and
+accuracy that the flat optimizers and the one-pass epoch metrics replace;
+and the backward that kept its graph and summed zero-filled arrays, which
+the consuming, block-gathering backward replaces."""
 
 import functools
 import math
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from graphscat import autodiff as autodiff_module
 from graphscat import graph as graph_module
 from graphscat import spectral as spectral_module
+from graphscat.datasets import SBMSpec, generate_sbm
 from graphscat.errors import DuplicateEdge, IsolatedNodeWarning, NonSymmetricInput, SelfLoopError
 from graphscat.graph import RENORM_ADJACENCY, Graph, apply_operator, build_graph
 from graphscat.layers import ATTENTION_LEAKY_SLOPE, AttentionState, HeadAttention, layer_filters
@@ -245,6 +248,61 @@ def per_filter_attention(g, specs, params, X, responses=None):
         state.heads.append(HeadAttention(
             alpha_low=alpha.value[:n_low, :, 0].copy(), alpha_band=alpha.value[n_low:, :, 0].copy()))
     return (outs[0] if len(outs) == 1 else ad.concat_cols(outs)), state
+
+
+# Block models for training-level checks: the criterion-7 shape (d_in 8: the
+# sc-gcn concat layer runs per-epoch chains on take_cols blocks, gsan
+# precomputes its responses) and a small wide-feature one (d_in 40, above
+# every default channel width and gsan's 2 x 16 head columns, so both
+# hybrid presets run per-epoch chains).
+TRAINING_SBMS = {
+    "criterion-7": SBMSpec(block_sizes=(200, 200), p_in=0.1, p_out=0.01, seed=0),
+    "wide": SBMSpec(block_sizes=(60, 60), p_in=0.1, p_out=0.01, feature_dim=40, seed=0),
+}
+
+
+@functools.cache
+def training_sbm(shape):
+    return generate_sbm(TRAINING_SBMS[shape])
+
+
+def reference_backward(root):
+    """autodiff.backward as it was before it consumed the graph: every parent
+    gradient is summed as acc + pgrad in arrival order, a (start, stop, g)
+    column block first widened to a zero-filled full array, and no node is
+    released, so the same graph can be walked again."""
+    ad = autodiff_module
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    grads = {id(root): np.ones_like(root.value)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if isinstance(node, ad.Parameter):
+            node.grad += g
+        if node._vjp is None:
+            continue
+        for parent, pgrad in zip(node.parents, node._vjp(g)):
+            if not parent.requires_grad:
+                continue
+            if isinstance(pgrad, tuple):
+                start, stop, block = pgrad
+                pgrad = np.zeros(parent.value.shape)
+                pgrad[:, start:stop] = block
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pgrad if acc is None else acc + pgrad
 
 
 def count_eigendecompositions(monkeypatch):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,17 +12,24 @@ from graphscat.graph import (
     SYM_NORM_ADJACENCY,
     residual_diffusion,
 )
+from graphscat.models import ModelSpec, build_model
+from graphscat.train import TrainConfig, fit
 from graphscat.wavelets import wavelet_sweep
 
 from conftest import (
+    TRAINING_SBMS,
     dense_ops,
     dense_wavelet,
     mul,
     random_connected_graph,
+    reference_backward,
     scale,
     stack_filters,
     take_filter,
+    training_sbm,
 )
+
+PRESETS = ("gcn-baseline", "sc-gcn", "gsan")
 
 FD_H = 1e-5
 FD_RTOL = 1e-5
@@ -104,10 +114,14 @@ class TestBasicOps:
             if op == "scale":
                 return to_scalar(quadratic(scale(a, -1.7)))
             if op == "stack_take":
-                # the filter-axis ops of the per-filter attention oracle
+                # the filter-axis ops of the per-filter attention oracle, and
+                # column blocks: first gets two overlapping blocks beside its
+                # full gradient, second one block beside its full gradient
                 stacked = stack_filters([a, b])
-                return to_scalar(quadratic(mul(take_filter(stacked, 0),
-                                                  take_filter(stacked, 1))))
+                first, second = take_filter(stacked, 0), take_filter(stacked, 1)
+                left = mul(ad.take_cols(first, 0, 2), ad.take_cols(first, 1, 3))
+                blocks = ad.concat_cols([left, ad.take_cols(second, 2, 3)])
+                return to_scalar(quadratic(ad.add(mul(first, second), blocks)))
             # the fused attention: three heads of width 1, two filters (b
             # band-pass), gradients through scores, softmax and weighted sum
             return to_scalar(quadratic(ad.filter_attention(a, [a, b], att, 1, 0.2)[0]))
@@ -254,6 +268,137 @@ class TestTape:
         a = ad.Parameter(rng.standard_normal((2, 2)))
         with pytest.raises(Exception):
             ad.backward(quadratic(a))
+
+
+def _array(pgrad):
+    """The array of a parent gradient: a full array or a (start, stop, g) block."""
+    return pgrad[2] if isinstance(pgrad, tuple) else pgrad
+
+
+class TestConsumingBackward:
+    """backward against conftest.reference_backward, which sums zero-filled
+    arrays as acc + pgrad and keeps the graph, and the release of the graph."""
+
+    @pytest.mark.parametrize("shape", list(TRAINING_SBMS))
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_preset_gradients_bitwise_equal_reference(self, monkeypatch, preset, shape):
+        ds = training_sbm(shape)
+        model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes, seed=0)
+        grads = []
+        for walk in (reference_backward, ad.backward):
+            walk(ad.masked_cross_entropy(model.forward(ds.graph, ds.features), ds.labels,
+                                         ds.splits.train))
+            grads.append([p.grad.tobytes() for p in model.parameters()])
+            for p in model.parameters():
+                p.grad[...] = 0.0
+        assert grads[0] == grads[1]
+        # and over a short fit, where every step's gradient feeds the next forward
+        fitted = []
+        for walk in (reference_backward, ad.backward):
+            monkeypatch.setattr(ad, "backward", walk)
+            model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes,
+                                seed=0)
+            res = fit(model, ds.graph, ds.features, ds.labels, ds.splits,
+                      TrainConfig(max_epochs=5, patience=5))
+            fitted.append((res.history, [p.value.tobytes() for p in model.parameters()]))
+        assert fitted[0] == fitted[1]
+
+    @staticmethod
+    def _shared_node_graph(case, a, b, c):
+        """(loss, h): h = ReLU(a + b) gets the gradients that case names."""
+        h = ad.relu(ad.add(a, b))
+        block = to_scalar(quadratic(ad.take_cols(h, 1, 3)))
+        full = to_scalar(mul(h, c))
+        if case == "overlapping-blocks":
+            return ad.add(block, to_scalar(mul(ad.take_cols(h, 0, 2), c[:, :2]))), h
+        if case == "block-then-full":
+            return ad.add(block, full), h
+        if case == "full-then-block":
+            return ad.add(full, block), h
+        # add hands the same g to h and to ReLU(b); h then gets a second
+        # gradient, which must not be added into that shared array
+        shared = to_scalar(mul(ad.add(h, ad.relu(b)), c))
+        return ad.add(shared, full if case == "aliased-then-full" else block), h
+
+    @pytest.mark.parametrize("case,arrivals", [
+        ("overlapping-blocks", ["block", "block"]), ("block-then-full", ["block", "full"]),
+        ("full-then-block", ["full", "block"]), ("aliased-then-full", ["full", "full"]),
+        ("aliased-then-block", ["full", "block"])])
+    def test_gathered_gradients_equal_reference(self, rng, monkeypatch, case, arrivals):
+        a = ad.Parameter(rng.standard_normal((5, 4)))
+        b = ad.Parameter(rng.standard_normal((5, 4)))
+        c = rng.standard_normal((5, 4))
+        loss, _ = self._shared_node_graph(case, a, b, c)
+        reference_backward(loss)
+        want = [a.grad.tobytes(), b.grad.tobytes()]
+        a.grad[...], b.grad[...] = 0.0, 0.0
+
+        # every gradient a VJP hands out, with its bytes when handed out
+        seen, gather = [], ad._gather
+        monkeypatch.setattr(ad, "_gather", lambda grads, owned, parent, pgrad: (
+            seen.append((parent, pgrad, _array(pgrad).tobytes())),
+            gather(grads, owned, parent, pgrad)))
+        loss, h = self._shared_node_graph(case, a, b, c)
+        ad.backward(loss)
+        assert [a.grad.tobytes(), b.grad.tobytes()] == want
+        # sums went into buffers backward allocated, never into those arrays
+        assert all(_array(pgrad).tobytes() == handed for _, pgrad, handed in seen)
+        seen = [(parent, pgrad) for parent, pgrad, _ in seen]
+        got = [pgrad for parent, pgrad in seen if parent is h]
+        assert ["block" if isinstance(g, tuple) else "full" for g in got] == arrivals
+        if case.startswith("aliased"):
+            # the first gradient of h is the very array its other parent got
+            assert any(parent is not h for parent, pgrad in seen if pgrad is got[0])
+
+    @pytest.mark.parametrize("preset", ["sc-gcn", "gsan"])
+    def test_backward_frees_the_forward_graph(self, monkeypatch, preset):
+        # on the wide block model both presets run per-epoch chains; numpy
+        # arrays take weak references where Tensor's slots do not, and a
+        # value dies only with its tensor
+        ds = training_sbm("wide")
+        model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes, seed=0)
+        refs = []
+
+        def recorded(name, pick):
+            orig = getattr(ad, name)
+
+            def record(*args):
+                out = orig(*args)
+                refs.append((name, weakref.ref(pick(out).value)))
+                return out
+            monkeypatch.setattr(ad, name, record)
+
+        recorded("op_apply", lambda out: out)
+        recorded("concat_cols", lambda out: out)
+        recorded("filter_attention", lambda out: out[0])
+        gc.disable()
+        try:
+            loss = ad.masked_cross_entropy(model.forward(ds.graph, ds.features), ds.labels,
+                                           ds.splits.train)
+            names = {name for name, _ in refs}
+            assert {"op_apply", "concat_cols" if preset == "sc-gcn" else "filter_attention"} <= names
+            assert all(ref() is not None for _, ref in refs)
+            ad.Tape(loss).backward()
+            assert [name for name, ref in refs if ref() is not None] == []
+        finally:
+            gc.enable()
+        for p in model.parameters():
+            assert p.value.shape == p.grad.shape and np.any(p.grad != 0)
+        if preset == "gsan":
+            for head in model.last_attention.heads:
+                total = head.alpha_low.sum(axis=0) + head.alpha_band.sum(axis=0)
+                assert np.max(np.abs(total - 1.0)) < 1e-12
+        assert np.isfinite(float(loss.value))
+        with pytest.raises(TapeConsumed):
+            ad.backward(loss)
+
+    def test_consumed_intermediate_raises(self, rng):
+        a = ad.Parameter(rng.standard_normal((3, 2)))
+        h = ad.relu(a)
+        ad.backward(to_scalar(quadratic(h)))
+        with pytest.raises(TapeConsumed):
+            ad.backward(to_scalar(h))
+        assert h.parents == ()
 
 
 class TestGradientPruning:

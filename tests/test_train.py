@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from conftest import (
     count_hop_builds,
     per_mask_cross_entropy,
     random_connected_graph,
+    training_sbm,
 )
 
 
@@ -159,6 +162,41 @@ class TestFit:
             runs.append((res.history, [p.value.tobytes() for p in model.parameters()]))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
+
+    @pytest.mark.parametrize("preset", ["gcn-baseline", "sc-gcn", "gsan"])
+    def test_epochs_after_the_first_peak_no_higher(self, preset):
+        # traced allocations, numpy's buffers included, from one forward to the
+        # next: an epoch whose backward left its tape alive would overlap it
+        # with the next forward's, 200-320 KB above the first epoch on sc-gcn
+        # and gsan here; the history lists and the interpreter's free lists
+        # grow by under 1 KB an epoch
+        ds = training_sbm("wide")
+        for epochs in (3, 10):   # the first fit fills numpy's small-object caches
+            model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes,
+                                seed=0)
+            peaks = self._epoch_peaks(model, ds, TrainConfig(max_epochs=epochs, patience=epochs))
+        first, *later = peaks
+        assert len(later) == 9
+        assert max(later) - first < 16 * 1024, [p - first for p in later]
+
+    @staticmethod
+    def _epoch_peaks(model, ds, cfg):
+        """Peak traced bytes of each epoch of fit, from one forward to the next."""
+        peaks, forward = [], model.forward
+
+        def traced(g, X):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return forward(g, X)
+
+        model.forward = traced
+        tracemalloc.start()
+        try:
+            fit(model, ds.graph, ds.features, ds.labels, ds.splits, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return peaks[1:]   # peaks[0] is fit's set-up before the first forward
 
     def test_convex_model_sgd_loss_nonincreasing(self, rng):
         g, X, labels, masks = tiny_dataset(rng, n=40)
