@@ -8,8 +8,9 @@ parents and its VJP, so the forward values are freed by the time backward
 returns and a second backward through the same graph raises TapeConsumed. Only the operations
 needed by the layer zoo are provided:
 matmul, fixed-operator matvec, broadcast add/sub, column concat and slice,
-the activation family, the fused filter attention of the attention layer,
-and masked cross-entropy, whose per-node rows (cross_entropy_rows) a caller
+the activation family, the fused filter attention of the attention layer
+(filter_attention on per-call filters, precomputed_attention on
+precomputed responses), and masked cross-entropy, whose per-node rows (cross_entropy_rows) a caller
 can compute once and share between masks.
 Gradients land on Parameter.grad and are zeroed by the optimizer between
 steps.
@@ -208,6 +209,70 @@ def abs_pow(a, q: float) -> Tensor:
     return Tensor(absx ** q, (a,), lambda g: (g * deriv,))
 
 
+class _FilterAttention:
+    """Scores, softmax and weighted sum of per-node filter attention, with
+    the steps of their backward; filter_attention and precomputed_attention
+    wrap it, each with its own way of reaching the responses.
+
+    xbar is the (n, H W) self term, R the (C n, H W) response stack with |.|
+    of the band rows already taken, and a the (2 W, H) attention vectors.
+    xbar and R are kept, not copied.
+    """
+
+    def __init__(self, xbar: np.ndarray, R: np.ndarray, a: np.ndarray, slope: float):
+        n, hw = xbar.shape
+        width, heads = a.shape[0] // 2, a.shape[1]
+        self.n, self.c, self.heads, self.width = n, R.shape[0] // n, heads, width
+        self.xbar, self.R, self.slope = xbar, R, slope
+        self._heads_idx = np.arange(heads)
+        self.a_self, self.a_filter = self._block_diag(a[:width]), self._block_diag(a[width:])
+        pre = (R @ self.a_filter).reshape(self.c, n, heads) + xbar @ self.a_self
+        self.pos = pre > 0
+        scores = np.where(self.pos, pre, slope * pre)
+        z = np.exp(scores - np.max(scores, axis=0, keepdims=True))
+        self.alpha = z / np.sum(z, axis=0, keepdims=True)
+        # unoptimized einsum beats broadcast-and-sum on these contractions
+        agg = np.einsum("cnh,cnhw->nhw", self.alpha, R.reshape(self.c, n, heads, width))
+        self.mask = agg > 0
+        self.out = (np.maximum(agg, 0.0) * (1.0 / self.c)).reshape(n, hw)
+
+    def _block_diag(self, v):
+        # (W, H) -> (H W, H): column h holds v[:, h] in head h's rows, so a
+        # 2-D matmul scores every head at once
+        m = np.zeros((self.heads, self.width, self.heads))
+        m[self._heads_idx, :, self._heads_idx] = v.T
+        return m.reshape(self.heads * self.width, self.heads)
+
+    def _diag_blocks(self, m):
+        # inverse of _block_diag's layout: head h's rows of column h, (W, H)
+        return m.reshape(self.heads, self.width, self.heads)[self._heads_idx, :,
+                                                             self._heads_idx].T
+
+    def backward(self, g):
+        """From the output gradient g: (dagg, dpre, dself), the gradients of
+        the aggregate before the ReLU (n, H, W), of the scores before the
+        LeakyReLU (C n, H) and of the self term's scores (n, H)."""
+        c, n, heads = self.c, self.n, self.heads
+        dagg = g.reshape(n, heads, self.width) * self.mask * (1.0 / c)
+        dalpha = np.einsum("cnhw,nhw->cnh", self.R.reshape(c, n, heads, self.width), dagg)
+        dz = self.alpha * (dalpha - np.sum(self.alpha * dalpha, axis=0))
+        dpre = np.where(self.pos, dz, self.slope * dz)
+        return dagg, dpre.reshape(c * n, heads), np.sum(dpre, axis=0)
+
+    def d_responses(self, first: int, dagg, dpre):
+        """Gradient of the responses of filters first..C-1, their rows of R,
+        before the sign of the band rows: alpha_c dagg + dpre_c a^2 per filter c."""
+        d = np.einsum("cnh,nhw->cnhw", self.alpha[first:], dagg)
+        d = d.reshape(-1, self.heads * self.width)
+        d += dpre[first * self.n:] @ self.a_filter.T
+        return d
+
+    def d_attention(self, dpre, dself):
+        """Gradient of a = [a_1 | ... | a_H], (2 W, H)."""
+        return np.vstack([self._diag_blocks(self.xbar.T @ dself),
+                          self._diag_blocks(self.R.T @ dpre)])
+
+
 def filter_attention(xbar, filtered, a, n_low: int, slope: float):
     """Per-node attention over C filter responses, for H heads in one node.
 
@@ -219,7 +284,9 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
     filter c by LeakyReLU(xbar_h a_h^1 + R_c a_h^2), with a_h^1 and a_h^2
     the halves of a_h, takes the softmax alpha over c and returns
     ReLU(sum_c alpha_c R_c) / C. Returns (output (n, H W), alpha), alpha
-    a (C, n, H) array.
+    a (C, n, H) array. The attention layer takes this node when its
+    filters run per call; on precomputed responses it takes
+    precomputed_attention.
     """
     xbar, a = _as_tensor(xbar), _as_tensor(a)
     filtered = [_as_tensor(t) for t in filtered]
@@ -244,48 +311,71 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
             np.abs(v[low:], out=R[start + low:end])
             np.sign(v[low:], out=sign[start + low - cut:end - cut])
         start = end
-    heads_idx = np.arange(heads)
-
-    def block_diag(v):
-        # (W, H) -> (H W, H): column h holds v[:, h] in head h's rows, so a
-        # 2-D matmul scores every head at once
-        m = np.zeros((heads, width, heads))
-        m[heads_idx, :, heads_idx] = v.T
-        return m.reshape(hw, heads)
-
-    def diag_blocks(m):
-        # inverse of block_diag's layout: head h's rows of column h, (W, H)
-        return m.reshape(heads, width, heads)[heads_idx, :, heads_idx].T
-
-    a_self, a_filter = block_diag(a.value[:width]), block_diag(a.value[width:])
-    pre = (R @ a_filter).reshape(c, n, heads) + xbar.value @ a_self
-    pos = pre > 0
-    scores = np.where(pos, pre, slope * pre)
-    z = np.exp(scores - np.max(scores, axis=0, keepdims=True))
-    alpha = z / np.sum(z, axis=0, keepdims=True)
-    R4 = R.reshape(c, n, heads, width)
-    # unoptimized einsum beats broadcast-and-sum on these contractions
-    agg = np.einsum("cnh,cnhw->nhw", alpha, R4)
-    mask = agg > 0
+    att = _FilterAttention(xbar.value, R, a.value, slope)
     ends = np.cumsum([t.value.shape[0] for t in filtered])
 
     def vjp(g):
-        dagg = g.reshape(n, heads, width) * mask * (1.0 / c)
-        dalpha = np.einsum("cnhw,nhw->cnh", R4, dagg)
-        dz = alpha * (dalpha - np.sum(alpha * dalpha, axis=0))
-        dpre = np.where(pos, dz, slope * dz)
-        dself = np.sum(dpre, axis=0)
-        dpre = dpre.reshape(c * n, heads)
-        dR = np.einsum("cnh,nhw->cnhw", alpha, dagg).reshape(c * n, hw)
-        dR += dpre @ a_filter.T
+        dagg, dpre, dself = att.backward(g)
+        dR = att.d_responses(0, dagg, dpre)
         dR[cut:] *= sign
-        dxbar = dself @ a_self.T if xbar.requires_grad else None
-        da = (np.vstack([diag_blocks(xbar.value.T @ dself), diag_blocks(R.T @ dpre)])
-              if a.requires_grad else None)
+        dxbar = dself @ att.a_self.T if xbar.requires_grad else None
+        da = att.d_attention(dpre, dself) if a.requires_grad else None
         return (dxbar, da, *(dR[end - t.value.shape[0]:end] for t, end in zip(filtered, ends)))
 
-    out = (np.maximum(agg, 0.0) * (1.0 / c)).reshape(n, hw)
-    return Tensor(out, (xbar, a, *filtered), vjp), alpha
+    return Tensor(att.out, (xbar, a, *filtered), vjp), att.alpha
+
+
+def precomputed_attention(responses: np.ndarray, theta, a, n_low: int, slope: float):
+    """filter_attention on precomputed responses, as one node whose parents
+    are theta and a.
+
+    responses is the constant [X; F_1 X; ...; F_C X], shape (1 + C, n, d_in),
+    low-pass filters first, and theta is [Theta_1 | ... | Theta_H], shape
+    (d_in, H W). Since F_c (X Theta) = (F_c X) Theta, one product of the
+    stacked responses with theta gives xbar and every filter's response in
+    a buffer the node owns; |.| of the band rows is taken in place. The VJP
+    forms the (C_band n, H W) response gradient of the band rows only. The
+    low rows are linear in theta, so their part of dtheta is taken in the
+    d_in space: sum_h (sum_c alpha_c F_c X)^T dagg_h + (F_low^T dpre) a^2 +
+    X^T dself a^1. Returns (output (n, H W), alpha) as filter_attention does.
+    """
+    responses = np.asarray(responses, dtype=np.float64)
+    theta, a = _as_tensor(theta), _as_tensor(a)
+    width, heads = a.value.shape[0] // 2, a.value.shape[1]
+    hw = theta.value.shape[1]
+    if (responses.ndim != 3 or responses.shape[0] < 2 or not 0 <= n_low < responses.shape[0]
+            or theta.value.shape[0] != responses.shape[2]
+            or a.value.shape[0] != 2 * width or hw != heads * width):
+        raise DimensionMismatch(f"precomputed attention on responses {responses.shape}, "
+                                f"theta {theta.shape}, attention vectors {a.shape}")
+    _, n, d = responses.shape
+    S = responses.reshape(-1, d)
+    P = S @ theta.value
+    cut = (1 + n_low) * n
+    band = P[cut:]
+    sign = np.sign(band)
+    np.abs(band, out=band)
+    att = _FilterAttention(P[:n], P[n:], a.value, slope)
+
+    def vjp(g):
+        dagg, dpre, dself = att.backward(g)
+        dtheta = None
+        if theta.requires_grad:
+            dband = att.d_responses(n_low, dagg, dpre)
+            dband *= sign
+            dtheta = S[cut:].T @ dband
+            # sum_c alpha_c F_c X per node and head, (n, H, d_in), then its
+            # transpose times dagg_h per head
+            mixed = np.matmul(att.alpha[:n_low].transpose(1, 2, 0),
+                              responses[1:1 + n_low].transpose(1, 0, 2))
+            dtheta += np.matmul(mixed.transpose(1, 2, 0),
+                                dagg.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(d, hw)
+            dtheta += (S[n:cut].T @ dpre[:n_low * n]) @ att.a_filter.T
+            dtheta += (S[:n].T @ dself) @ att.a_self.T
+        da = att.d_attention(dpre, dself) if a.requires_grad else None
+        return dtheta, da
+
+    return Tensor(att.out, (theta, a), vjp), att.alpha
 
 
 class CrossEntropyRows(NamedTuple):
@@ -376,10 +466,12 @@ def backward(root: Tensor):
     turn, between the walk's gradient allocations, made glibc trim and
     regrow its heap in every gsan fit on the 400-node block model (64 000-
     72 000 minor page faults per 100 epochs, against under 130 when the
-    tape lived on to the next forward pass); freeing them at return still
-    does so in some fits (CHANGES.md). The VJP left behind raises
-    TapeConsumed, so running backward again through a consumed node fails
-    instead of returning zero gradients.
+    tape lived on to the next forward pass). Freeing them at return did so
+    too, about 47 000 faults per fit, until the precomputed attention layer
+    became one node that copies no response block and builds no low-pass
+    response gradient; a fit now takes under 30 (CHANGES.md). The VJP left
+    behind raises TapeConsumed, so running backward again through a
+    consumed node fails instead of returning zero gradients.
     """
     if root.value.ndim != 0:
         raise DimensionMismatch("backward expects a scalar root")

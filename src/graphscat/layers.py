@@ -7,21 +7,22 @@ channel U_p. The layer joins them either by horizontal concatenation, each
 channel |F_c X Theta_c + B_c|^q (q = 1 for low-pass channels), or by a
 per-node attention module whose softmax runs across all filters; a graph
 residual convolution cleans up afterwards. The attention layer computes all
-its heads at once: stacked products over [Theta_1 | ... | Theta_H], and one
-tape node (autodiff.filter_attention) for the scores, the softmax and the
-weighted sum of every head and filter.
+its heads at once over [Theta_1 | ... | Theta_H]: one tape node for the
+scores, the softmax and the weighted sum of every head and filter
+(autodiff.filter_attention on per-call chains, autodiff.precomputed_attention
+on precomputed responses).
 
 Every channel filter comes from layer_filters, where one chain per
 operator serves all the specs passed together. Before its activation every
 low-pass and single-scale band-pass response is linear in Theta,
 F (X Theta) = (F X) Theta. When the layer input is a constant,
-filter_responses computes the F X products once; the concat layer then
-takes a matmul per channel and the attention layer one matmul for every
-filter and head, instead of diffusion chains per epoch (the SGC
-precomputation applied to the hybrid filter set);
-otherwise the concat layer runs layer_filters on each channel's X Theta and
-the attention layer runs it once on X [Theta_1 | ... | Theta_H] for every
-head.
+filter_responses computes the F X products once and stacks them under X;
+the concat layer then takes a matmul per channel, and the attention layer
+is a single node whose parents are Theta and a, which multiplies the whole
+stack by Theta in one product, instead of diffusion chains per epoch (the
+SGC precomputation applied to the hybrid filter set); otherwise the concat
+layer runs layer_filters on each channel's X Theta and the attention layer
+runs it once on X [Theta_1 | ... | Theta_H] for every head.
 
 The dense product and the sparse diffusion commute, so each layer takes the
 cheaper order: the concat layer takes every channel's X Theta_c from one
@@ -104,7 +105,7 @@ class AttentionState:
     heads: list[HeadAttention] = field(default_factory=list)
 
 
-FilterResponses = np.ndarray   # (C, n, d_in): F_c X per channel, in spec order
+FilterResponses = np.ndarray   # (1 + C, n, d_in): X, then F_c X per channel in spec order
 
 
 def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> list[ad.Tensor]:
@@ -124,14 +125,16 @@ def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> lis
 
 
 def filter_responses(g: Graph, specs: tuple[ChannelSpec, ...], X: np.ndarray) -> FilterResponses:
-    """F_c X for every channel spec, in order, band paths single-scale.
+    """X and F_c X for every channel spec, in order, band paths single-scale.
 
-    Returns one (C, n, d_in) array: the concat layer takes its channel
-    slices and the attention layer all of them in one product.
+    Returns one (1 + C, n, d_in) array [X; F_1 X; ...; F_C X]: the concat
+    layer takes the channel blocks 1..C and the attention layer all of them
+    in one product, X giving its self term.
     """
     if any(len(spec.path) != 1 for spec in specs if spec.kind == "band"):
         raise ValueError("filter responses need single-scale band paths")
-    return np.stack([t.value for t in layer_filters(g, specs, ad.constant(X))])
+    x = ad.constant(X)
+    return np.stack([x.value, *(t.value for t in layer_filters(g, specs, x))])
 
 
 def precompute_pays(specs: tuple[ChannelSpec, ...], X, heads: int | None = None) -> bool:
@@ -139,7 +142,7 @@ def precompute_pays(specs: tuple[ChannelSpec, ...], X, heads: int | None = None)
 
     It must be exact (a constant input, single-scale band paths) and cheaper:
     the chains then run on d_in columns instead of the columns they run on
-    per call, and the responses hold one n x d_in array per channel. Per
+    per call, and the responses hold X and one n x d_in array per channel. Per
     call, the concat layer runs each channel's chains on that channel's
     width, so d_in must not exceed the narrowest; the attention layer, given
     its heads, runs one set of chains on all heads' H x W columns.
@@ -158,16 +161,16 @@ def precompute_pays(specs: tuple[ChannelSpec, ...], X, heads: int | None = None)
 class ResponseCache:
     """filter_responses kept across calls while the graph and input stay the same.
 
-    The graph is compared by identity and the input by value against a copy
-    taken when the responses were computed, so an in-place edit of X is seen.
-    heads is the attention layer's head count, None for the concat layer
-    (see precompute_pays).
+    The graph is compared by identity and the input by value against the X
+    block of the responses, so an in-place edit of X is seen. heads is the
+    attention layer's head count, None for the concat layer (see
+    precompute_pays).
     """
 
     def __init__(self, specs: tuple[ChannelSpec, ...], heads: int | None = None):
         self.specs = specs
         self.heads = heads
-        self._key: tuple[Graph, np.ndarray] | None = None
+        self._graph: Graph | None = None
         self._responses: FilterResponses | None = None
 
     def get(self, g: Graph, X) -> FilterResponses | None:
@@ -175,10 +178,10 @@ class ResponseCache:
         if not precompute_pays(self.specs, X, self.heads):
             return None
         x = X.value if isinstance(X, ad.Tensor) else np.asarray(X, dtype=np.float64)
-        if self._key is None or self._key[0] is not g or not np.array_equal(self._key[1], x):
+        if self._graph is not g or not np.array_equal(self._responses[0], x):
             self._responses = filter_responses(g, self.specs, x)
             self._responses.flags.writeable = False   # handed out on every later call
-            self._key = (g, x.copy())
+            self._graph = g
         return self._responses
 
 
@@ -207,7 +210,7 @@ def hybrid_forward_concat(g: Graph, specs: tuple[ChannelSpec, ...], params, X,
     """
     thetas = [theta for theta, _ in params]
     if responses is not None:
-        filters = [ad.matmul(ad.constant(F), theta) for F, theta in zip(responses, thetas)]
+        filters = [ad.matmul(ad.constant(F), theta) for F, theta in zip(responses[1:], thetas)]
     else:
         xt = ad.matmul(X, ad.concat_cols(thetas))
         ends = np.cumsum([theta.shape[1] for theta in thetas])
@@ -228,30 +231,31 @@ def attention_head(g: Graph, specs: tuple[ChannelSpec, ...], params, X,
     specs lists the low channels first, then the band ones, all of one
     width W. params is the layer's (theta, a) pair from
     init_attention_params: theta = [Theta_1 | ... | Theta_H], (d_in, H W),
-    and a = [a_1 | ... | a_H], (2 W, H), one column per head. One product
-    X_bar = X theta serves all heads, and the filters come stacked as well:
-    [F_1 X; ...; F_C X] theta given responses from
-    filter_responses(g, specs, X), otherwise one layer_filters call on
-    X_bar, so one set of chains serves every head. Aggregation inputs are
-    bias-free and band responses pass through an absolute value. Head h
-    scores each filter by LeakyReLU([X_bar_h || F X_bar_h] a_h),
-    softmax-normalizes the scores per node across all C_low + C_band
-    filters and rescales the weighted sum by 1/C after the ReLU;
-    ad.filter_attention does this for every head in one tape node. Returns
-    (output tensor with the heads side by side, AttentionState whose
-    arrays are views of the layer's one alpha array).
+    and a = [a_1 | ... | a_H], (2 W, H), one column per head. Head h
+    scores each filter by LeakyReLU([X_bar_h || F X_bar_h] a_h), with
+    X_bar = X theta, softmax-normalizes the scores per node across all
+    C_low + C_band filters and rescales the weighted sum by 1/C after the
+    ReLU. Aggregation inputs are bias-free and band responses pass through
+    an absolute value. Given responses from filter_responses(g, specs, X),
+    ad.precomputed_attention does all of this in one tape node, X_bar and
+    every filter coming from one product [X; F_1 X; ...; F_C X] theta, and
+    X itself is not read. Otherwise one product X_bar serves all heads, one
+    layer_filters call on it runs one set of chains for every head, and
+    ad.filter_attention does the rest in one tape node. Returns (output
+    tensor with the heads side by side, AttentionState whose arrays are
+    views of the layer's one alpha array).
     """
     n_low = sum(spec.kind == "low" for spec in specs)
     if any(spec.kind == "low" for spec in specs[n_low:]):
         raise ValueError("attention channel specs must list the low channels first")
     theta, a = params
-    xbar = ad.matmul(X, theta)
     if responses is None:
-        filtered = layer_filters(g, specs, xbar)
+        xbar = ad.matmul(X, theta)
+        out, alpha = ad.filter_attention(xbar, layer_filters(g, specs, xbar), a, n_low,
+                                         ATTENTION_LEAKY_SLOPE)
     else:
-        c, n, d = responses.shape
-        filtered = [ad.matmul(ad.constant(responses.reshape(c * n, d)), theta)]
-    out, alpha = ad.filter_attention(xbar, filtered, a, n_low, ATTENTION_LEAKY_SLOPE)
+        out, alpha = ad.precomputed_attention(responses, theta, a, n_low,
+                                              ATTENTION_LEAKY_SLOPE)
     state = AttentionState([HeadAttention(alpha_low=alpha[:n_low, :, h],
                                           alpha_band=alpha[n_low:, :, h])
                             for h in range(alpha.shape[2])])

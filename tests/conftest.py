@@ -235,7 +235,7 @@ def per_filter_attention(g, specs, params, X, responses=None):
         a = ad.take_cols(attention, h, h + 1)
         xbar = ad.matmul(x, theta)
         filters = (layer_filters(g, specs, xbar) if responses is None
-                   else [ad.matmul(ad.constant(F), theta) for F in responses])
+                   else [ad.matmul(ad.constant(F), theta) for F in responses[1:]])
         resps = filters[:n_low] + [ad.abs_val(t) for t in filters[n_low:]]
         scores = [ad.leaky_relu(ad.matmul(ad.concat_cols([xbar, r]), a), ATTENTION_LEAKY_SLOPE)
                   for r in resps]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
 from graphscat.errors import (
+    DimensionMismatch,
     FieldRangeError,
     IsolatedNodeError,
     IsolatedNodeWarning,
@@ -760,6 +761,37 @@ class TestStackedAttention:
         for got, want in zip(stacked[1], oracle[1], strict=True):
             assert _close(got, want)
 
+    def test_zero_band_response_gets_subgradient_zero(self, rng):
+        # precomputed plan with a zero column of Theta: every band response in
+        # that column is exactly 0, where |.| passes subgradient 0 as abs_val
+        # does, though the scores still send a gradient to those responses
+        _, g = random_connected_graph(rng, 10, weighted=True)
+        X = rng.standard_normal((10, 2))
+        params = init_attention_params(self.SPECS, 2, 2, rng)
+        params[0].value[:, 4] = 0.0
+        responses = filter_responses(g, self.SPECS, X)
+        weights = rng.standard_normal((10, 6))
+        stacked = _loss_and_grads(
+            lambda: attention_head(g, self.SPECS, params, X, responses)[0], params, weights)
+        oracle = _loss_and_grads(
+            lambda: per_filter_attention(g, self.SPECS, params, X, responses)[0], params, weights)
+        assert np.all(stacked[0][:, 4] == 0.0)
+        assert _close(stacked[0], oracle[0])
+        for got, want in zip(stacked[1], oracle[1], strict=True):
+            assert _close(got, want)
+
+    @pytest.mark.parametrize("responses,n_low,theta", [
+        ((1, 5, 2), 0, (2, 6)),     # no filter, only the X block
+        ((4, 5, 2), 4, (2, 6)),     # more low filters than filters
+        ((4, 5, 2), 1, (3, 6)),     # theta rows differ from d_in
+        ((4, 5, 2), 1, (2, 5)),     # theta columns are not H x W
+        ((20, 2), 1, (2, 6)),       # responses not stacked per filter
+    ])
+    def test_precomputed_attention_rejects_mismatched_shapes(self, responses, n_low, theta):
+        with pytest.raises(DimensionMismatch):
+            ad.precomputed_attention(np.ones(responses), ad.Parameter(np.ones(theta)),
+                                     ad.Parameter(np.ones((6, 2))), n_low, 0.2)
+
     @pytest.mark.parametrize("d_in", [3, 6])     # precomputed, per epoch
     def test_last_attention_matches_per_filter_composition(self, rng, d_in):
         _, g = random_connected_graph(rng, 14, weighted=True)
@@ -775,13 +807,13 @@ class TestStackedAttention:
 
     def test_gsan_forward_and_loss_tape_nodes(self, rng):
         # two heads on precomputed responses (d_in <= hidden), as on the
-        # criterion-7 block model: 7 nodes for the attention layer (X, theta,
-        # a, X theta, the constant responses, their product and the fused
-        # attention), 5 for the residual convolution and the loss; the
-        # per-filter composition took 122
+        # criterion-7 block model: 3 nodes for the attention layer (theta, a
+        # and the one precomputed-attention node, which multiplies the
+        # constant [X; F_1 X; ...; F_C X] by theta itself), 5 for the residual
+        # convolution and 1 for the loss; the per-filter composition took 122
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 3))
         model = build_model(ModelSpec(preset="gsan", hidden=4), 3, 2, seed=1)
         loss = ad.masked_cross_entropy(model.forward(g, X), np.zeros(12, dtype=np.int64),
                                        np.arange(12))
-        assert _tape_nodes(loss) == 7 + 5 + 1 < 30
+        assert _tape_nodes(loss) == 3 + 5 + 1 < 30

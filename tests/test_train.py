@@ -163,14 +163,17 @@ class TestFit:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
-    @pytest.mark.parametrize("preset", ["gcn-baseline", "sc-gcn", "gsan"])
-    def test_epochs_after_the_first_peak_no_higher(self, preset):
+    @pytest.mark.parametrize("preset,shape", [
+        ("gcn-baseline", "wide"), ("sc-gcn", "wide"), ("gsan", "wide"), ("gsan", "criterion-7")],
+        ids=["gcn-baseline", "sc-gcn", "gsan", "gsan-criterion-7"])
+    def test_epochs_after_the_first_peak_no_higher(self, preset, shape):
         # traced allocations, numpy's buffers included, from one forward to the
         # next: an epoch whose backward left its tape alive would overlap it
         # with the next forward's, 200-320 KB above the first epoch on sc-gcn
-        # and gsan here; the history lists and the interpreter's free lists
-        # grow by under 1 KB an epoch
-        ds = training_sbm("wide")
+        # and gsan on the wide shape; the history lists and the interpreter's
+        # free lists grow by under 1 KB an epoch. On the criterion-7 shape gsan
+        # takes the precomputed-attention node, on the wide one its chains
+        ds = training_sbm(shape)
         for epochs in (3, 10):   # the first fit fills numpy's small-object caches
             model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes,
                                 seed=0)
