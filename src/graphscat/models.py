@@ -133,8 +133,8 @@ class ScGCN:
         self.specs = spec.channels()
         self.alpha = spec.alpha
         self.params = init_hybrid_params(self.specs, d_in, rng)
-        self.responses = ResponseCache(self.specs)
         width = sum(c.width for c in self.specs)
+        self.responses = ResponseCache(self.specs, width)
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
         self.bias_res = ad.Parameter(np.zeros((1, n_classes)))
 
@@ -160,8 +160,8 @@ class GSAN:
         self.specs = spec.channels()
         self.alpha = spec.alpha
         self.attention_params = init_attention_params(self.specs, spec.heads, d_in, rng)
-        self.responses = ResponseCache(self.specs, spec.heads)
         width = spec.heads * spec.hidden
+        self.responses = ResponseCache(self.specs, width)
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
         self.bias_res = ad.Parameter(np.zeros((1, n_classes)))
         self.last_attention: AttentionState | None = None

@@ -250,14 +250,13 @@ def per_filter_attention(g, specs, params, X, responses=None):
     return (outs[0] if len(outs) == 1 else ad.concat_cols(outs)), state
 
 
-# Block models for training-level checks: the criterion-7 shape (d_in 8: the
-# sc-gcn concat layer runs per-epoch chains on take_cols blocks, gsan
-# precomputes its responses) and a small wide-feature one (d_in 40, above
-# every default channel width and gsan's 2 x 16 head columns, so both
-# hybrid presets run per-epoch chains).
+# Block models for training-level checks: the criterion-7 shape (d_in 8, at
+# most sc-gcn's 47 stacked Theta columns and gsan's 2 x 16, so both hybrid
+# presets precompute their responses) and a small wide-feature one (d_in 64,
+# above both, so both run per-epoch chains, sc-gcn's on take_cols blocks).
 TRAINING_SBMS = {
     "criterion-7": SBMSpec(block_sizes=(200, 200), p_in=0.1, p_out=0.01, seed=0),
-    "wide": SBMSpec(block_sizes=(60, 60), p_in=0.1, p_out=0.01, feature_dim=40, seed=0),
+    "wide": SBMSpec(block_sizes=(60, 60), p_in=0.1, p_out=0.01, feature_dim=64, seed=0),
 }
 
 

@@ -312,11 +312,13 @@ def test_criterion_6_gradient_suite():
 def test_criterion_7_end_to_end_synthetic():
     with Timer() as t:
         accs = {"gcn-baseline": [], "sc-gcn": [], "gsan": []}
+        secs = dict.fromkeys(accs, 0.0)    # wall time per preset, over all seeds
         attention_ok = True
         for seed in range(10):
             ds = generate_sbm(SBMSpec(block_sizes=(200, 200), p_in=0.1,
                                       p_out=0.01, seed=seed))
             for preset in accs:
+                start = time.perf_counter()
                 model = build_model(ModelSpec(preset=preset),
                                     ds.features.shape[1], ds.n_classes, seed=seed)
                 fit(model, ds.graph, ds.features, ds.labels, ds.splits,
@@ -329,13 +331,15 @@ def test_criterion_7_end_to_end_synthetic():
                         total = head.alpha_low.sum(axis=0) + head.alpha_band.sum(axis=0)
                         if np.max(np.abs(total - 1.0)) > 1e-9:
                             attention_ok = False
+                secs[preset] += time.perf_counter() - start
         means = {k: float(np.mean(v)) for k, v in accs.items()}
     ok = (means["gcn-baseline"] >= 0.85
           and means["sc-gcn"] >= means["gcn-baseline"] - 0.01
           and means["gsan"] >= means["gcn-baseline"] - 0.01
           and attention_ok)
     report(7, "end-to-end synthetic",
-           ok, f"means {means}, attention sums ok: {attention_ok}",
+           ok, f"means {means}, attention sums ok: {attention_ok}, "
+           f"seconds {({k: round(v, 2) for k, v in secs.items()})}",
            t.elapsed, 300.0)
 
 

@@ -70,14 +70,14 @@ def test_tracer_installs_and_unpatches_every_name():
 
 
 def test_traced_forwards_record_every_layer_span(rng):
-    # sc-gcn with d_in 8 above its narrowest width 6 takes the per-epoch plan;
-    # the spans are named where the models call their layers
+    # sc-gcn with d_in 48 above its 47 stacked Theta columns takes the
+    # per-epoch plan; the spans are named where the models call their layers
     tracing = _load_tracer()
     tracer = tracing.Tracer()
     _, g = random_connected_graph(rng, 12)
-    X = rng.standard_normal((12, 8))
-    scgcn = models.build_model(models.ModelSpec(preset="sc-gcn"), 8, 2, seed=1)
-    gsan = models.build_model(models.ModelSpec(preset="gsan", hidden=4), 8, 2, seed=1)
+    X = rng.standard_normal((12, 48))
+    scgcn = models.build_model(models.ModelSpec(preset="sc-gcn"), 48, 2, seed=1)
+    gsan = models.build_model(models.ModelSpec(preset="gsan", hidden=4), 48, 2, seed=1)
     assert scgcn.responses.get(g, X) is None
     try:
         tracing.install(tracer, GS)

@@ -42,6 +42,7 @@ from conftest import (
     per_filter_attention,
     random_connected_graph,
     record_matmul_operands,
+    training_sbm,
 )
 
 
@@ -501,23 +502,41 @@ class TestFilterResponses:
 
     def test_precompute_rules(self, rng):
         X = rng.standard_normal((6, 3))
-        assert precompute_pays(self.ATTENTION, X)
-        assert precompute_pays(self.ATTENTION, ad.constant(X))
-        assert not precompute_pays(self.ATTENTION, ad.Parameter(X))
-        assert not precompute_pays(self.ATTENTION, rng.standard_normal((6, 5)))
+        assert precompute_pays(self.ATTENTION, X, 4)
+        assert precompute_pays(self.ATTENTION, ad.constant(X), 4)
+        assert not precompute_pays(self.ATTENTION, ad.Parameter(X), 4)
+        assert not precompute_pays(self.ATTENTION, rng.standard_normal((6, 5)), 4)
         multi = (low_channel(1, 4), band_channel((1, 2), 4))
-        assert not precompute_pays(multi, X)
-        assert not precompute_pays(multi, X, heads=2)
+        assert not precompute_pays(multi, X, 4)
+        assert not precompute_pays(multi, X, 8)
         with pytest.raises(ValueError):
             filter_responses(build_graph(cycle(6)), multi, X)
 
     @pytest.mark.parametrize("d_in,precomputes", [(4, True), (5, True), (8, True), (9, False)])
     def test_attention_rule_counts_every_head(self, rng, d_in, precomputes):
-        # 2 heads of width 4: the per-call chains run on 8 columns, so an
-        # input of up to 8 columns precomputes, also above one head's width
+        # 2 heads of width 4: the per-call chains run on the 8 columns of
+        # [Theta_1 | Theta_2], so an input of up to 8 columns precomputes,
+        # also above one head's width
+        _, g = random_connected_graph(rng, 6)
         X = rng.standard_normal((6, d_in))
-        assert precompute_pays(self.ATTENTION, X, heads=2) is precomputes
-        assert precompute_pays(self.ATTENTION, X) is (d_in <= 4)
+        assert precompute_pays(self.ATTENTION, X, 8) is precomputes
+        assert (self._gsan(d_in, heads=2).responses.get(g, X) is not None) is precomputes
+
+    @pytest.mark.parametrize("d_in,precomputes", [(3, True), (4, True), (14, True), (15, False)])
+    def test_concat_rule_counts_every_channel(self, rng, d_in, precomputes):
+        # channels of width 3, 4, 4 and 3: the per-call chains run on the 14
+        # columns of [Theta_1 | ... | Theta_4], so an input of up to 14
+        # columns precomputes, also above the narrowest and the widest channel
+        X = rng.standard_normal((6, d_in))
+        assert precompute_pays(self.CONCAT, X, 14) is precomputes
+
+    @pytest.mark.parametrize("d_in,precomputes", [(8, True), (47, True), (48, False)])
+    def test_sc_gcn_rule_counts_every_channel(self, rng, d_in, precomputes):
+        # the default channels are 10, 10, 10, 11 and 6 wide: 47 columns
+        _, g = random_connected_graph(rng, 6)
+        X = rng.standard_normal((6, d_in))
+        model = build_model(ModelSpec(preset="sc-gcn"), d_in, 2, seed=1)
+        assert (model.responses.get(g, X) is not None) is precomputes
 
     def test_two_head_model_precomputes_between_w_and_2w(self, rng, monkeypatch):
         # d_in 6: above W = 4, at most 2 W = 8
@@ -568,12 +587,13 @@ class TestFilterResponses:
         assert sum(a is X for a in lefts) == 1
 
     def test_sc_gcn_per_epoch_plan(self, rng, monkeypatch):
-        # d_in > every width: each concat channel runs its own chain on its
-        # X Theta, A^1, A^2, A^3 and the 2- and 8-step sweeps for Psi_1 and
-        # Psi_3, then the residual convolution; backward runs each transposed
+        # d_in 48 > the 47 columns of [Theta_1 | ... | Theta_5]: each concat
+        # channel runs its own chain on its X Theta, A^1, A^2, A^3 and the 2-
+        # and 8-step sweeps for Psi_1 and Psi_3, then the residual
+        # convolution; backward runs each transposed
         _, g = random_connected_graph(rng, 12)
-        X = rng.standard_normal((12, 8))
-        model = build_model(ModelSpec(preset="sc-gcn"), 8, 2, seed=1)
+        X = rng.standard_normal((12, 48))
+        model = build_model(ModelSpec(preset="sc-gcn"), 48, 2, seed=1)
         calls = count_kernel_calls(monkeypatch)
         logits = model.forward(g, X)
         assert len(calls) == (1 + 2 + 3) + (2 + 8) + 1
@@ -584,10 +604,11 @@ class TestFilterResponses:
     def test_sc_gcn_per_epoch_reads_x_once(self, rng, monkeypatch):
         # one stacked X [Theta_1 | ... | Theta_5]; each channel diffuses its
         # own column block, and the residual diffusion runs after Theta_res
-        # on the 2 class columns instead of the 47 hidden ones
+        # on the 2 class columns instead of the 47 hidden ones (d_in 48, so
+        # the chains run per call)
         _, g = random_connected_graph(rng, 12)
-        X = rng.standard_normal((12, 8))
-        model = build_model(ModelSpec(preset="sc-gcn"), 8, 2, seed=1)
+        X = rng.standard_normal((12, 48))
+        model = build_model(ModelSpec(preset="sc-gcn"), 48, 2, seed=1)
         calls = count_kernel_calls(monkeypatch)
         lefts = record_matmul_operands(monkeypatch)
         model.forward(g, X)
@@ -595,7 +616,8 @@ class TestFilterResponses:
         assert calls == [10] * (1 + 2 + 3) + [11] * 2 + [6] * 8 + [2]
 
     @pytest.mark.parametrize("preset,d_in", [
-        ("sc-gcn", 8), ("sc-gcn", 2), ("gsan", 6), ("gsan", 3),   # per epoch, precomputed
+        ("sc-gcn", 48), ("gsan", 9),                             # per epoch
+        ("sc-gcn", 8), ("sc-gcn", 2), ("gsan", 6), ("gsan", 3),  # precomputed
     ])
     def test_residual_diffusion_at_class_width(self, rng, monkeypatch, preset, d_in):
         _, g = random_connected_graph(rng, 12)
@@ -613,7 +635,7 @@ class TestFilterResponses:
         assert calls.count(3) == 2
 
     @pytest.mark.parametrize("kw,d_in", [
-        ({"preset": "sc-gcn"}, 8),                                # d_in > widths 10,10,10,11,6
+        ({"preset": "sc-gcn"}, 48),                               # d_in > 10+10+10+11+6
         ({"preset": "sc-gcn", "band_paths": ((1, 2), (3,))}, 2),  # multi-scale path
     ])
     def test_model_keeps_per_call_chains(self, rng, monkeypatch, kw, d_in):
@@ -646,6 +668,85 @@ class TestFilterResponses:
         after = model.forward(g2, X).value
         assert not np.array_equal(before, after)
         assert np.array_equal(after, self._gsan(3).forward(g2, X).value)
+
+
+def _forward_plans(monkeypatch, preset, shape, passes=3):
+    """Kernel call widths and operator kinds of each of passes forward passes
+    of a fresh preset on a training_sbm shape."""
+    ds = training_sbm(shape)
+    model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes, seed=0)
+    calls, kinds, apply = count_kernel_calls(monkeypatch), [], ad.apply_operator
+    monkeypatch.setattr(ad, "apply_operator",
+                        lambda g, kind, X: (kinds.append(kind.tag), apply(g, kind, X))[1])
+    plans = []
+    for _ in range(passes):
+        calls.clear()
+        kinds.clear()
+        model.forward(ds.graph, ds.features)
+        plans.append((list(calls), list(kinds)))
+    return ds, plans
+
+
+class TestPresetPlans:
+    """The plan precompute_pays picks for each hybrid preset, pinned by its
+    kernel calls on the two training shapes, and the two plans against each
+    other where they meet."""
+
+    @pytest.mark.parametrize("preset", ["sc-gcn", "gsan"])
+    def test_criterion_7_shape_precomputes(self, monkeypatch, preset):
+        # d_in 8: the first pass fills the cache from one renormalized chain
+        # to A^3 and one 2^3-step wavelet sweep; every later one runs only the
+        # residual convolution, on the class columns
+        ds, plans = _forward_plans(monkeypatch, preset, "criterion-7")
+        (calls, kinds), *later = plans
+        assert kinds == ["renorm_adjacency"] * 3 + ["lazy_walk"] * 8 + ["residual_diffusion"]
+        assert calls[-1] == ds.n_classes
+        for calls, kinds in later:
+            assert calls == [ds.n_classes]
+            assert kinds == ["residual_diffusion"]
+
+    @pytest.mark.parametrize("preset,renorm,lazy", [("sc-gcn", 1 + 2 + 3, 2 + 8),
+                                                    ("gsan", 3, 8)])
+    def test_wide_shape_runs_chains_every_forward(self, monkeypatch, preset, renorm, lazy):
+        # d_in 64 > sc-gcn's 47 and gsan's 32 stacked Theta columns: sc-gcn's
+        # three low channels each run their own chain and its two band
+        # channels their own sweeps; gsan runs one chain and one sweep for
+        # every head. 17 and 12 calls on every pass
+        ds, plans = _forward_plans(monkeypatch, preset, "wide")
+        assert ds.features.shape[1] == 64
+        for calls, kinds in plans:
+            assert kinds == (["renorm_adjacency"] * renorm + ["lazy_walk"] * lazy
+                             + ["residual_diffusion"])
+            assert len(calls) == {"sc-gcn": 17, "gsan": 12}[preset]
+
+    def test_sc_gcn_plans_agree_on_criterion_7_shape(self):
+        # the model's precomputed plan against the per-call chains, on its own
+        # parameters: logits and every parameter gradient of the train loss
+        ds = training_sbm("criterion-7")
+        model = build_model(ModelSpec(preset="sc-gcn"), ds.features.shape[1], ds.n_classes,
+                            seed=0)
+        responses = model.responses.get(ds.graph, ds.features)
+        assert responses is not None
+        assert np.array_equal(model.forward(ds.graph, ds.features).value, residual_conv(
+            ds.graph, model.alpha, model.theta_res, model.bias_res,
+            hybrid_forward_concat(ds.graph, model.specs, model.params, ds.features,
+                                  responses)).value)
+        plans = []
+        for plan in (responses, None):
+            logits = residual_conv(ds.graph, model.alpha, model.theta_res, model.bias_res,
+                                   hybrid_forward_concat(ds.graph, model.specs, model.params,
+                                                         ds.features, plan))
+            value = logits.value.copy()
+            ad.backward(ad.masked_cross_entropy(logits, ds.labels, ds.splits.train))
+            plans.append((value, [p.grad.copy() for p in model.parameters()]))
+            for p in model.parameters():
+                p.grad[...] = 0.0
+        (fused, fused_grads), (chains, chain_grads) = plans
+        assert _close(fused, chains)
+        assert len(fused_grads) == len(chain_grads) == 12
+        for got, want in zip(fused_grads, chain_grads):
+            assert np.any(want != 0.0)
+            assert _close(got, want)
 
 
 class TestAgainstDenseComposition:

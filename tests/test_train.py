@@ -144,11 +144,12 @@ class TestFit:
         assert hist[0] == hist[1]
 
     @pytest.mark.parametrize("preset,d_in", [
-        ("gcn-baseline", 4), ("sc-gcn", 4), ("sc-gcn", 12), ("gsan", 4),
+        ("gcn-baseline", 4), ("sc-gcn", 4), ("sc-gcn", 12), ("sc-gcn", 48), ("gsan", 4),
         ("sc-gcn", ad.SWAP_MIN_CONTRACTION), ("gsan", ad.SWAP_MIN_CONTRACTION)])
     def test_fit_is_bit_deterministic(self, rng, preset, d_in):
-        # sc-gcn and gsan at d_in 4 take the precomputed-response path, the
-        # others the per-epoch chains; at d_in SWAP_MIN_CONTRACTION, on
+        # sc-gcn at d_in 4 and 12 (at most its 47 stacked Theta columns) and
+        # gsan at d_in 4 (at most 2 x 6) take the precomputed-response path,
+        # the others the per-epoch chains; at d_in SWAP_MIN_CONTRACTION, on
         # SWAP_MIN_ROWS nodes, the first-layer X Theta runs swapped
         n = ad.SWAP_MIN_ROWS if d_in >= ad.SWAP_MIN_CONTRACTION else 30
         g, _, labels, masks = tiny_dataset(rng, n)
@@ -163,16 +164,32 @@ class TestFit:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
+    def test_precomputed_sc_gcn_fit_is_bit_deterministic(self):
+        # sc-gcn on the criterion-7 block model (d_in 8, at most its 47
+        # stacked Theta columns) fits on its precomputed responses
+        ds = training_sbm("criterion-7")
+        runs = []
+        for _ in range(2):
+            model = build_model(ModelSpec(preset="sc-gcn"), ds.features.shape[1], ds.n_classes,
+                                seed=0)
+            res = fit(model, ds.graph, ds.features, ds.labels, ds.splits, TrainConfig(seed=0))
+            assert model.responses.get(ds.graph, ds.features) is not None
+            runs.append((res.history, [p.value.tobytes() for p in model.parameters()]))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+
     @pytest.mark.parametrize("preset,shape", [
-        ("gcn-baseline", "wide"), ("sc-gcn", "wide"), ("gsan", "wide"), ("gsan", "criterion-7")],
-        ids=["gcn-baseline", "sc-gcn", "gsan", "gsan-criterion-7"])
+        ("gcn-baseline", "wide"), ("sc-gcn", "wide"), ("gsan", "wide"), ("gsan", "criterion-7"),
+        ("sc-gcn", "criterion-7")],
+        ids=["gcn-baseline", "sc-gcn", "gsan", "gsan-criterion-7", "sc-gcn-criterion-7"])
     def test_epochs_after_the_first_peak_no_higher(self, preset, shape):
         # traced allocations, numpy's buffers included, from one forward to the
         # next: an epoch whose backward left its tape alive would overlap it
         # with the next forward's, 200-320 KB above the first epoch on sc-gcn
         # and gsan on the wide shape; the history lists and the interpreter's
-        # free lists grow by under 1 KB an epoch. On the criterion-7 shape gsan
-        # takes the precomputed-attention node, on the wide one its chains
+        # free lists grow by under 1 KB an epoch. On the criterion-7 shape both
+        # hybrid presets take their precomputed responses, on the wide one
+        # their chains
         ds = training_sbm(shape)
         for epochs in (3, 10):   # the first fit fills numpy's small-object caches
             model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes,
