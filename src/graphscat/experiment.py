@@ -121,7 +121,7 @@ def write_attention_ratios(path, zeta: np.ndarray):
 
 
 def run_training(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig, metrics_path, ratios_path,
-                 summary_path=None, echo=print) -> dict:
+                 summary_path=None) -> dict:
     """Build, fit and test a model on ds, and write and print the run's results.
 
     Writes metrics_path, summary_path when given, and for an attention model
@@ -132,7 +132,7 @@ def run_training(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig, metrics_path, 
     for path in (metrics_path, summary_path):
         if path is not None and os.path.isdir(path):
             raise IsADirectoryError(f"output file {path!r} is a directory")
-    echo(describe(ds))
+    print(describe(ds))
     start = time.perf_counter()
     model = build_model(spec, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
     os.makedirs(os.path.dirname(metrics_path) or os.curdir, exist_ok=True)
@@ -148,17 +148,17 @@ def run_training(ds: Dataset, spec: ModelSpec, tcfg: TrainConfig, metrics_path, 
     if summary_path is not None:
         with open(summary_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    echo("\n".join(lines))
+    print("\n".join(lines))
 
     # evaluate's forward left last_attention at the restored best parameters
     if getattr(model, "last_attention", None) is not None:
         write_attention_ratios(ratios_path, attention_ratio(model.last_attention))
-        echo(f"attention ratios written to {ratios_path}")
+        print(f"attention ratios written to {ratios_path}")
 
     return {"test_accuracy": acc, "runtime": runtime, "preset": spec.preset}
 
 
-def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None) -> dict:
+def run_experiment(config_path, out_dir=None, preset=None, seed=None) -> dict:
     """Execute one configured run into out_dir; see read_run_config and run_training."""
     cfg, spec, tcfg = read_run_config(config_path, preset, seed)
     out_dir = out_dir or cfg.get_str(OUT_KEY, "results")
@@ -171,5 +171,5 @@ def run_experiment(config_path, out_dir=None, echo=print, preset=None, seed=None
         raise ConfigError("config must set dataset.dir or sbm.blocks")
     summary = run_training(ds, spec, tcfg, os.path.join(out_dir, "metrics.csv"),
                            os.path.join(out_dir, "attention_ratios.csv"),
-                           os.path.join(out_dir, "summary.txt"), echo)
+                           os.path.join(out_dir, "summary.txt"))
     return {**summary, "out_dir": out_dir}

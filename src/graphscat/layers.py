@@ -15,15 +15,16 @@ on precomputed responses).
 Every channel filter comes from layer_filters, where one chain per
 operator serves all the specs passed together. Before its activation every
 low-pass and single-scale band-pass response is linear in Theta,
-F (X Theta) = (F X) Theta. When the layer input is a constant no wider
-than the layer's stacked Theta (precompute_pays), filter_responses computes
-the F X products once and stacks them under X; the concat layer then takes
-a matmul per channel, and the attention layer is a single node whose
-parents are Theta and a, which multiplies the whole stack by Theta in one
-product, instead of diffusion chains per epoch (the SGC precomputation
-applied to the hybrid filter set); otherwise the concat layer runs
-layer_filters on each channel's X Theta and the attention layer runs it
-once on X [Theta_1 | ... | Theta_H] for every head.
+F (X Theta) = (F X) Theta. Each model fixes its layer's FilterPlan when
+it is built: when the constant input is no wider than the layer's stacked
+Theta, filter_responses computes the F X products once and stacks them
+under X; the concat layer then takes a matmul per channel, and the
+attention layer is a single node whose parents are Theta and a, which
+multiplies the whole stack by Theta in one product, instead of diffusion
+chains per epoch (the SGC precomputation applied to the hybrid filter
+set); otherwise the concat layer runs layer_filters on each channel's
+X Theta and the attention layer runs it once on X [Theta_1 | ... | Theta_H]
+for every head.
 
 The dense product and the sparse diffusion commute, so each layer takes the
 cheaper order: the concat layer takes every channel's X Theta_c from one
@@ -138,48 +139,35 @@ def filter_responses(g: Graph, specs: tuple[ChannelSpec, ...], X: np.ndarray) ->
     return np.stack([x.value, *(t.value for t in layer_filters(g, specs, x))])
 
 
-def precompute_pays(specs: tuple[ChannelSpec, ...], X, columns: int) -> bool:
-    """Whether filter_responses should replace the per-call diffusion chains.
+class FilterPlan:
+    """A hybrid layer's filter plan, fixed when its model is built.
 
-    It must be exact (a constant input, single-scale band paths) and cheaper:
-    the chains then run once on d_in columns instead of on the columns of the
-    layer's stacked weight block [Theta_1 | ... | Theta_C] on every call,
-    columns wide (the sum of the channel widths for the concat layer, H W for
-    the attention layer). So d_in must not exceed columns. Checked on the
-    criterion-7 block model (d_in 8: sc-gcn's 47 and gsan's 32 columns both
-    precompute) and on the wide-scgcn inputs (d_in 1433: both keep chains).
-    """
-    if isinstance(X, ad.Tensor):
-        if X.requires_grad:
-            return False
-        X = X.value
-    return (np.ndim(X) == 2
-            and all(len(spec.path) == 1 for spec in specs if spec.kind == "band")
-            and X.shape[1] <= columns)
-
-
-class ResponseCache:
-    """filter_responses kept across calls while the graph and input stay the same.
-
-    The graph is compared by identity and the input by value against the X
-    block of the responses, so an in-place edit of X is seen. columns is the
-    width of the layer's stacked weight block, the columns its per-call
-    chains run on (see precompute_pays).
+    precomputed: filter_responses replaces the per-call diffusion chains.
+    That is exact when every band path is single-scale, and cheaper when
+    d_in is at most columns, the width of the stacked weight block
+    [Theta_1 | ... | Theta_C] (the sum of the channel widths for the concat
+    layer, H W for the attention layer) that the chains would run on every
+    call. On the criterion-7 block model (d_in 8) sc-gcn's 47 and gsan's 32
+    columns both precompute; on the wide-scgcn inputs (d_in 1433) both keep
+    chains. The layer input is taken to be a constant array.
     """
 
-    def __init__(self, specs: tuple[ChannelSpec, ...], columns: int):
+    def __init__(self, specs: tuple[ChannelSpec, ...], d_in: int, columns: int):
         self.specs = specs
-        self.columns = columns
+        self.precomputed = (all(len(spec.path) == 1 for spec in specs if spec.kind == "band")
+                            and d_in <= columns)
         self._graph: Graph | None = None
         self._responses: FilterResponses | None = None
 
-    def get(self, g: Graph, X) -> FilterResponses | None:
-        """Responses for (g, X), or None when the per-call chains are the better plan."""
-        if not precompute_pays(self.specs, X, self.columns):
+    def responses(self, g: Graph, X) -> FilterResponses | None:
+        """None on the per-call plan, else filter_responses(g, specs, X), kept
+        while g is the same object and X equals the responses' X block, so an
+        in-place edit of X is seen."""
+        if not self.precomputed:
             return None
-        x = X.value if isinstance(X, ad.Tensor) else np.asarray(X, dtype=np.float64)
-        if self._graph is not g or not np.array_equal(self._responses[0], x):
-            self._responses = filter_responses(g, self.specs, x)
+        X = np.asarray(X, dtype=np.float64)
+        if self._graph is not g or not np.array_equal(self._responses[0], X):
+            self._responses = filter_responses(g, self.specs, X)
             self._responses.flags.writeable = False   # handed out on every later call
             self._graph = g
         return self._responses

@@ -24,7 +24,7 @@ from .graph import RENORM_ADJACENCY, Graph
 from .layers import (
     AttentionState,
     ChannelSpec,
-    ResponseCache,
+    FilterPlan,
     band_channel,
     glorot_uniform,
     hybrid_forward_concat,
@@ -127,14 +127,18 @@ class GCNBaseline:
 
 
 class ScGCN:
-    """Hybrid concat layer plus graph residual convolution to the class logits."""
+    """Hybrid concat layer plus graph residual convolution to the class logits.
+
+    .plan is the concat layer's FilterPlan, fixed here from d_in and the
+    Σ channel-width columns of [Theta_1 | ... | Theta_C].
+    """
 
     def __init__(self, d_in: int, n_classes: int, spec: ModelSpec, rng: np.random.Generator):
         self.specs = spec.channels()
         self.alpha = spec.alpha
         self.params = init_hybrid_params(self.specs, d_in, rng)
         width = sum(c.width for c in self.specs)
-        self.responses = ResponseCache(self.specs, width)
+        self.plan = FilterPlan(self.specs, d_in, width)
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
         self.bias_res = ad.Parameter(np.zeros((1, n_classes)))
 
@@ -144,7 +148,7 @@ class ScGCN:
         return ps
 
     def forward(self, g: Graph, X) -> ad.Tensor:
-        h = hybrid_forward_concat(g, self.specs, self.params, X, self.responses.get(g, X))
+        h = hybrid_forward_concat(g, self.specs, self.params, X, self.plan.responses(g, X))
         return residual_conv(g, self.alpha, self.theta_res, self.bias_res, h)
 
 
@@ -152,8 +156,8 @@ class GSAN:
     """Multi-head scattering attention plus residual convolution.
 
     The attention weights of the latest forward pass are kept on
-    .last_attention for ratio reporting. Like ScGCN, it keeps the layer's
-    filter responses across forward passes when precomputing them pays.
+    .last_attention for ratio reporting. .plan is the layer's FilterPlan,
+    fixed here from d_in and the H W columns of [Theta_1 | ... | Theta_H].
     """
 
     def __init__(self, d_in: int, n_classes: int, spec: ModelSpec, rng: np.random.Generator):
@@ -161,7 +165,7 @@ class GSAN:
         self.alpha = spec.alpha
         self.attention_params = init_attention_params(self.specs, spec.heads, d_in, rng)
         width = spec.heads * spec.hidden
-        self.responses = ResponseCache(self.specs, width)
+        self.plan = FilterPlan(self.specs, d_in, width)
         self.theta_res = ad.Parameter(glorot_uniform(rng, width, n_classes))
         self.bias_res = ad.Parameter(np.zeros((1, n_classes)))
         self.last_attention: AttentionState | None = None
@@ -171,7 +175,7 @@ class GSAN:
 
     def forward(self, g: Graph, X) -> ad.Tensor:
         h, state = layers.attention_head(g, self.specs, self.attention_params, X,
-                                         self.responses.get(g, X))
+                                         self.plan.responses(g, X))
         self.last_attention = state
         return residual_conv(g, self.alpha, self.theta_res, self.bias_res, h)
 

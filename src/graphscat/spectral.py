@@ -33,19 +33,19 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def dense_adjacency(g: Graph, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
-    if g.n > dense_limit:
-        raise TooLargeForDense(f"n={g.n} exceeds dense limit {dense_limit}")
+def dense_adjacency(g: Graph) -> np.ndarray:
+    if g.n > DEFAULT_DENSE_LIMIT:
+        raise TooLargeForDense(f"n={g.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
     W = np.zeros((g.n, g.n), dtype=np.float64)
     W[g.entry_rows(), g.csr_targets] = g.csr_weights
     return W
 
 
-def sym_normalized_laplacian(g: Graph, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+def sym_normalized_laplacian(g: Graph) -> np.ndarray:
     """L = I - D^-1/2 W D^-1/2, symmetrized after rounding."""
     if g.has_isolated_nodes:
         raise IsolatedNodeError("normalized Laplacian undefined with degree-zero nodes")
-    W = dense_adjacency(g, dense_limit)
+    W = dense_adjacency(g)
     s = 1.0 / np.sqrt(g.degrees)
     L = np.eye(g.n) - (s[:, None] * W) * s[None, :]
     return 0.5 * (L + L.T)
@@ -135,8 +135,7 @@ def _filter_matrix(flt: FilterSpec, L: np.ndarray, lam_max: float) -> np.ndarray
     raise ValueError(f"unknown filter kind {flt.kind!r}")
 
 
-def spectral_response(g: Graph, filters,
-                      dense_limit: int = DEFAULT_DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+def spectral_response(g: Graph, filters) -> tuple[np.ndarray, np.ndarray]:
     """Measure each filter's per-eigenvalue multipliers by conjugating with Q.
 
     Returns (eigenvalues of the normalized Laplacian, multipliers), with one
@@ -145,7 +144,7 @@ def spectral_response(g: Graph, filters,
     filter commutes with the Laplacian, so each conjugated matrix is
     diagonal up to roundoff and its diagonal is the measured response.
     """
-    L = sym_normalized_laplacian(g, dense_limit)
+    L = sym_normalized_laplacian(g)
     eig = eigendecompose(L)
     lam_max = float(np.max(eig.eigenvalues))
     Q = eig.eigenvectors

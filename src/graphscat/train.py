@@ -45,8 +45,8 @@ class SplitMasks:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         if self.train.size == 0 or self.test.size == 0:
             raise EmptyMask("train and test masks must be nonempty")
-        all_idx = np.concatenate([self.train, self.val, self.test])
-        if np.unique(all_idx).size != all_idx.size:
+        all_idx = np.sort(np.concatenate([self.train, self.val, self.test]))
+        if np.any(all_idx[1:] == all_idx[:-1]):
             raise ValueError("split masks must be pairwise disjoint")
 
 

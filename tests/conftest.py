@@ -265,6 +265,19 @@ def training_sbm(shape):
     return generate_sbm(TRAINING_SBMS[shape])
 
 
+def assert_plan(model, plan):
+    """Assert the filter plan, "precomputed" or "per-call", that a hybrid model
+    fixed when it was built (or that a layers.FilterPlan holds); returns model.
+
+    Every test that covers one plan states it here, so a rule change that
+    moves the test off its plan fails instead of silently testing the other.
+    """
+    assert plan in ("precomputed", "per-call")
+    got = "precomputed" if getattr(model, "plan", model).precomputed else "per-call"
+    assert got == plan, f"the plan is {got}, not {plan}"
+    return model
+
+
 def reference_backward(root):
     """autodiff.backward as it was before it consumed the graph: every parent
     gradient is summed as acc + pgrad in arrival order, a (start, stop, g)

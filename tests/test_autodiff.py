@@ -18,6 +18,7 @@ from graphscat.wavelets import wavelet_sweep
 
 from conftest import (
     TRAINING_SBMS,
+    assert_plan,
     dense_ops,
     dense_wavelet,
     mul,
@@ -356,7 +357,8 @@ class TestConsumingBackward:
         # arrays take weak references where Tensor's slots do not, and a
         # value dies only with its tensor
         ds = training_sbm("wide")
-        model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes, seed=0)
+        model = assert_plan(build_model(ModelSpec(preset=preset), ds.features.shape[1],
+                                        ds.n_classes, seed=0), "per-call")
         refs = []
 
         def recorded(name, pick):

@@ -27,7 +27,7 @@ from graphscat import (
     train,
 )
 
-from conftest import random_connected_graph
+from conftest import assert_plan, random_connected_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -70,15 +70,17 @@ def test_tracer_installs_and_unpatches_every_name():
 
 
 def test_traced_forwards_record_every_layer_span(rng):
-    # sc-gcn with d_in 48 above its 47 stacked Theta columns takes the
-    # per-epoch plan; the spans are named where the models call their layers
+    # d_in 48 is above sc-gcn's 47 and gsan's 8 stacked Theta columns, so
+    # both take the per-call plan; the spans are named where the models call
+    # their layers
     tracing = _load_tracer()
     tracer = tracing.Tracer()
     _, g = random_connected_graph(rng, 12)
     X = rng.standard_normal((12, 48))
-    scgcn = models.build_model(models.ModelSpec(preset="sc-gcn"), 48, 2, seed=1)
-    gsan = models.build_model(models.ModelSpec(preset="gsan", hidden=4), 48, 2, seed=1)
-    assert scgcn.responses.get(g, X) is None
+    scgcn = assert_plan(models.build_model(models.ModelSpec(preset="sc-gcn"), 48, 2, seed=1),
+                        "per-call")
+    gsan = assert_plan(models.build_model(models.ModelSpec(preset="gsan", hidden=4), 48, 2,
+                                          seed=1), "per-call")
     try:
         tracing.install(tracer, GS)
         scgcn.forward(g, X)

@@ -676,7 +676,7 @@ class TestRunExperimentSBMMode:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"dataset.dir = {small_dataset_dir}\nmodel.preset = gsan\n"
                        "model.heads = 2\nmodel.hidden = 6\ntrain.epochs = 6\n")
-        run_experiment(cfg, out_dir=tmp_path / "res", echo=lambda *_: None)
+        run_experiment(cfg, out_dir=tmp_path / "res")
         epochs = len((tmp_path / "res" / "metrics.csv").read_text().splitlines()) - 1
         assert epochs == 6
         assert len(forwards) == epochs + 1
@@ -698,7 +698,7 @@ class TestRunExperimentSBMMode:
             "sbm.seed = 7\n"
             "model.preset = gcn-baseline\n"
             "train.epochs = 30\n")
-        summary = run_experiment(cfg, out_dir=tmp_path / "res", echo=lambda *_: None)
+        summary = run_experiment(cfg, out_dir=tmp_path / "res")
         assert 0.0 <= summary["test_accuracy"] <= 1.0
         assert (tmp_path / "res" / "summary.txt").exists()
 

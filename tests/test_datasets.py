@@ -88,6 +88,19 @@ class TestGenerateSBM:
             n_tr = np.sum(labels[masks.train] == c)
             assert n_tr == 50    # round(70 * 5/7)
 
+    def test_stratified_split_draws_classes_in_ascending_order(self):
+        # one permutation per class, drawn in ascending class order whatever
+        # order the labels list them in: 3 train, 3 val and 4 test nodes each
+        labels = np.random.default_rng(1).permutation(np.repeat([7, 0, 3], 10))
+        masks = stratified_splits(labels, (1, 1, 1), np.random.default_rng(0))
+        rng, want = np.random.default_rng(0), ([], [], [])
+        for c in (0, 3, 7):
+            idx = rng.permutation(np.flatnonzero(labels == c))
+            for part, block in zip(want, (idx[:3], idx[3:6], idx[6:])):
+                part.extend(block)
+        for got, part in zip((masks.train, masks.val, masks.test), want):
+            assert np.array_equal(got, np.sort(part))
+
 
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):
@@ -155,6 +168,20 @@ class TestLoadErrors:
         (tmp_path / "labels.csv").write_text("0\n2\n0\n")   # class 1 missing
         with pytest.raises(BadClassIds):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("labels", ["0\n2\n0\n", "-1\n0\n1\n", "1\n2\n1\n", "2\n2\n2\n",
+                                        "0\n0\n0\n", "2\n1\n0\n", "1\n0\n1\n"])
+    def test_class_ids_against_unique_oracle(self, tmp_path, labels):
+        # the check the sort replaced: every id >= 0 and the distinct ids
+        # exactly 0..max
+        self._write_minimal(tmp_path)
+        (tmp_path / "labels.csv").write_text(labels)
+        ids = np.array(labels.split(), dtype=np.int64)
+        if ids.min() < 0 or set(np.unique(ids)) != set(range(int(ids.max()) + 1)):
+            with pytest.raises(BadClassIds, match="^class ids must be dense integers starting at 0$"):
+                load_dataset(tmp_path)
+        else:
+            assert np.array_equal(load_dataset(tmp_path).labels, ids)
 
     @pytest.mark.parametrize("splits", [
         '{"train": [-1], "val": [1], "test": [2]}',
@@ -466,4 +493,27 @@ class TestFeatureCopy:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_training_does_not_load_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma (1.3 MB of RSS, 10 ms of import); the
+        # class-id, split and disjointness checks sort instead
+        save_dataset(generate_sbm(SBMSpec(block_sizes=(10, 10), p_in=0.4, p_out=0.05, seed=4)),
+                     tmp_path / "d")
+        code = ("import sys\n"
+                "from graphscat.datasets import SBMSpec, generate_sbm, load_dataset\n"
+                "from graphscat.models import PRESETS, ModelSpec, build_model\n"
+                "from graphscat.train import TrainConfig, evaluate, fit\n"
+                "for ds in (load_dataset(sys.argv[1]),\n"
+                "           generate_sbm(SBMSpec(block_sizes=(10, 12), p_in=0.4, p_out=0.05))):\n"
+                "    for preset in PRESETS:\n"
+                "        model = build_model(ModelSpec(preset=preset), ds.features.shape[1],\n"
+                "                            ds.n_classes)\n"
+                "        fit(model, ds.graph, ds.features, ds.labels, ds.splits,\n"
+                "            TrainConfig(max_epochs=3))\n"
+                "        evaluate(model, ds.graph, ds.features, ds.labels, ds.splits.test)\n"
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d")],
+                             capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "False"

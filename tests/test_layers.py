@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from graphscat.layers import (
     ATTENTION_LEAKY_SLOPE,
     AttentionState,
     ChannelSpec,
+    FilterPlan,
     HeadAttention,
     attention_head,
     attention_ratio,
@@ -27,7 +30,6 @@ from graphscat.layers import (
     init_hybrid_params,
     layer_filters,
     low_channel,
-    precompute_pays,
     residual_conv,
 )
 from graphscat.models import PRESET_FIELDS, ModelSpec, build_model
@@ -35,6 +37,7 @@ from graphscat.scattering import ABS, cascade, leaky
 from graphscat.train import Tape
 
 from conftest import (
+    assert_plan,
     count_kernel_calls,
     dense_ops,
     dense_wavelet,
@@ -268,11 +271,12 @@ class TestAttention:
     def test_gsan_single_head_equals_attention_head(self, rng):
         # the GSAN model is its attention layer followed by the residual convolution
         edges, g = random_connected_graph(rng, 9)
-        model = build_model(ModelSpec(preset="gsan", hidden=3, heads=1), 3, 2, seed=3)
+        model = assert_plan(build_model(ModelSpec(preset="gsan", hidden=3, heads=1), 3, 2,
+                                        seed=3), "precomputed")
         X = rng.standard_normal((9, 3))
         out = model.forward(g, X)
         h, state = attention_head(g, model.specs, model.attention_params, X,
-                                  model.responses.get(g, X))
+                                  model.plan.responses(g, X))
         ref = residual_conv(g, model.alpha, model.theta_res, model.bias_res, h)
         assert np.array_equal(out.value, ref.value)
         assert len(state.heads) == len(model.last_attention.heads) == 1
@@ -501,16 +505,18 @@ class TestFilterResponses:
             assert _close(got, want)
 
     def test_precompute_rules(self, rng):
-        X = rng.standard_normal((6, 3))
-        assert precompute_pays(self.ATTENTION, X, 4)
-        assert precompute_pays(self.ATTENTION, ad.constant(X), 4)
-        assert not precompute_pays(self.ATTENTION, ad.Parameter(X), 4)
-        assert not precompute_pays(self.ATTENTION, rng.standard_normal((6, 5)), 4)
+        # single-scale band paths and d_in at most the stacked Theta columns;
+        # on the per-call plan responses hands out nothing
+        _, g = random_connected_graph(rng, 6)
+        assert_plan(FilterPlan(self.ATTENTION, 3, 4), "precomputed")
+        assert_plan(FilterPlan(self.ATTENTION, 4, 4), "precomputed")
+        wide = assert_plan(FilterPlan(self.ATTENTION, 5, 4), "per-call")
+        assert wide.responses(g, rng.standard_normal((6, 5))) is None
         multi = (low_channel(1, 4), band_channel((1, 2), 4))
-        assert not precompute_pays(multi, X, 4)
-        assert not precompute_pays(multi, X, 8)
+        assert_plan(FilterPlan(multi, 3, 4), "per-call")
+        assert_plan(FilterPlan(multi, 3, 8), "per-call")
         with pytest.raises(ValueError):
-            filter_responses(build_graph(cycle(6)), multi, X)
+            filter_responses(g, multi, rng.standard_normal((6, 3)))
 
     @pytest.mark.parametrize("d_in,precomputes", [(4, True), (5, True), (8, True), (9, False)])
     def test_attention_rule_counts_every_head(self, rng, d_in, precomputes):
@@ -519,30 +525,32 @@ class TestFilterResponses:
         # also above one head's width
         _, g = random_connected_graph(rng, 6)
         X = rng.standard_normal((6, d_in))
-        assert precompute_pays(self.ATTENTION, X, 8) is precomputes
-        assert (self._gsan(d_in, heads=2).responses.get(g, X) is not None) is precomputes
+        plan = "precomputed" if precomputes else "per-call"
+        assert_plan(FilterPlan(self.ATTENTION, d_in, 8), plan)
+        model = assert_plan(self._gsan(d_in, heads=2), plan)
+        assert (model.plan.responses(g, X) is not None) is precomputes
 
     @pytest.mark.parametrize("d_in,precomputes", [(3, True), (4, True), (14, True), (15, False)])
-    def test_concat_rule_counts_every_channel(self, rng, d_in, precomputes):
+    def test_concat_rule_counts_every_channel(self, d_in, precomputes):
         # channels of width 3, 4, 4 and 3: the per-call chains run on the 14
         # columns of [Theta_1 | ... | Theta_4], so an input of up to 14
         # columns precomputes, also above the narrowest and the widest channel
-        X = rng.standard_normal((6, d_in))
-        assert precompute_pays(self.CONCAT, X, 14) is precomputes
+        assert_plan(FilterPlan(self.CONCAT, d_in, 14), "precomputed" if precomputes else "per-call")
 
     @pytest.mark.parametrize("d_in,precomputes", [(8, True), (47, True), (48, False)])
     def test_sc_gcn_rule_counts_every_channel(self, rng, d_in, precomputes):
         # the default channels are 10, 10, 10, 11 and 6 wide: 47 columns
         _, g = random_connected_graph(rng, 6)
         X = rng.standard_normal((6, d_in))
-        model = build_model(ModelSpec(preset="sc-gcn"), d_in, 2, seed=1)
-        assert (model.responses.get(g, X) is not None) is precomputes
+        model = assert_plan(build_model(ModelSpec(preset="sc-gcn"), d_in, 2, seed=1),
+                            "precomputed" if precomputes else "per-call")
+        assert (model.plan.responses(g, X) is not None) is precomputes
 
     def test_two_head_model_precomputes_between_w_and_2w(self, rng, monkeypatch):
         # d_in 6: above W = 4, at most 2 W = 8
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 6))
-        model = self._gsan(6, heads=2)
+        model = assert_plan(self._gsan(6, heads=2), "precomputed")
         model.forward(g, X)
         calls = count_kernel_calls(monkeypatch)
         model.forward(g, X)
@@ -561,7 +569,7 @@ class TestFilterResponses:
     def test_model_runs_chains_once_per_input(self, rng, monkeypatch):
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 3))
-        model = self._gsan(3)
+        model = assert_plan(self._gsan(3), "precomputed")
         calls = count_kernel_calls(monkeypatch)
         model.forward(g, X)
         # renormalized chain to A^3 X, one 2^3-step wavelet sweep, the residual conv
@@ -578,7 +586,7 @@ class TestFilterResponses:
         # the residual convolution
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 13))
-        model = self._gsan(13, heads=heads)
+        model = assert_plan(self._gsan(13, heads=heads), "per-call")
         calls = count_kernel_calls(monkeypatch)
         lefts = record_matmul_operands(monkeypatch)
         model.forward(g, X)
@@ -593,7 +601,7 @@ class TestFilterResponses:
         # convolution; backward runs each transposed
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 48))
-        model = build_model(ModelSpec(preset="sc-gcn"), 48, 2, seed=1)
+        model = assert_plan(build_model(ModelSpec(preset="sc-gcn"), 48, 2, seed=1), "per-call")
         calls = count_kernel_calls(monkeypatch)
         logits = model.forward(g, X)
         assert len(calls) == (1 + 2 + 3) + (2 + 8) + 1
@@ -608,7 +616,7 @@ class TestFilterResponses:
         # the chains run per call)
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 48))
-        model = build_model(ModelSpec(preset="sc-gcn"), 48, 2, seed=1)
+        model = assert_plan(build_model(ModelSpec(preset="sc-gcn"), 48, 2, seed=1), "per-call")
         calls = count_kernel_calls(monkeypatch)
         lefts = record_matmul_operands(monkeypatch)
         model.forward(g, X)
@@ -616,15 +624,16 @@ class TestFilterResponses:
         assert calls == [10] * (1 + 2 + 3) + [11] * 2 + [6] * 8 + [2]
 
     @pytest.mark.parametrize("preset,d_in", [
-        ("sc-gcn", 48), ("gsan", 9),                             # per epoch
+        ("sc-gcn", 48), ("gsan", 9),                             # per call
         ("sc-gcn", 8), ("sc-gcn", 2), ("gsan", 6), ("gsan", 3),  # precomputed
     ])
     def test_residual_diffusion_at_class_width(self, rng, monkeypatch, preset, d_in):
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, d_in))
         hidden = {"hidden": 4} if "hidden" in PRESET_FIELDS[preset] else {}
-        model = build_model(ModelSpec(preset=preset, **hidden), d_in, 3, seed=1)
-        model.forward(g, X)            # fills the response cache where it pays
+        model = assert_plan(build_model(ModelSpec(preset=preset, **hidden), d_in, 3, seed=1),
+                            "per-call" if d_in in (48, 9) else "precomputed")
+        model.forward(g, X)            # fills the responses on the precomputed plan
         calls = count_kernel_calls(monkeypatch)
         logits = model.forward(g, X)
         forward = len(calls)
@@ -641,7 +650,7 @@ class TestFilterResponses:
     def test_model_keeps_per_call_chains(self, rng, monkeypatch, kw, d_in):
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, d_in))
-        model = build_model(ModelSpec(**kw), d_in, 2, seed=1)
+        model = assert_plan(build_model(ModelSpec(**kw), d_in, 2, seed=1), "per-call")
         calls = count_kernel_calls(monkeypatch)
         first = model.forward(g, X).value
         per_forward = len(calls)
@@ -654,7 +663,7 @@ class TestFilterResponses:
     def test_in_place_edit_recomputes_responses(self, rng):
         _, g = random_connected_graph(rng, 10)
         X = rng.standard_normal((10, 3))
-        model = self._gsan(3)
+        model = assert_plan(self._gsan(3), "precomputed")
         model.forward(g, X)
         X[4, 1] += 0.5
         assert np.array_equal(model.forward(g, X).value, self._gsan(3).forward(g, X).value)
@@ -663,47 +672,55 @@ class TestFilterResponses:
         _, g1 = random_connected_graph(rng, 10)
         _, g2 = random_connected_graph(rng, 10)
         X = rng.standard_normal((10, 3))
-        model = self._gsan(3)
+        model = assert_plan(self._gsan(3), "precomputed")
         before = model.forward(g1, X).value
         after = model.forward(g2, X).value
         assert not np.array_equal(before, after)
         assert np.array_equal(after, self._gsan(3).forward(g2, X).value)
 
 
-def _forward_plans(monkeypatch, preset, shape, passes=3):
-    """Kernel call widths and operator kinds of each of passes forward passes
-    of a fresh preset on a training_sbm shape."""
+def _epoch_counts(monkeypatch, preset, shape, epochs=3):
+    """Per epoch of a fresh preset on a training_sbm shape (forward, loss,
+    backward; no update): forward kernel call widths, forward and transposed
+    operator kinds, and the tape nodes under the loss."""
     ds = training_sbm(shape)
     model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes, seed=0)
-    calls, kinds, apply = count_kernel_calls(monkeypatch), [], ad.apply_operator
-    monkeypatch.setattr(ad, "apply_operator",
-                        lambda g, kind, X: (kinds.append(kind.tag), apply(g, kind, X))[1])
-    plans = []
-    for _ in range(passes):
-        calls.clear()
-        kinds.clear()
-        model.forward(ds.graph, ds.features)
-        plans.append((list(calls), list(kinds)))
-    return ds, plans
+    calls, kinds, transposed = count_kernel_calls(monkeypatch), [], []
+    for name, seen in (("apply_operator", kinds), ("apply_operator_transpose", transposed)):
+        monkeypatch.setattr(ad, name, lambda g, kind, X, seen=seen, apply=getattr(ad, name):
+                            (seen.append(kind.tag), apply(g, kind, X))[1])
+    counts = []
+    for _ in range(epochs):
+        for seen in (calls, kinds, transposed):
+            seen.clear()
+        loss = ad.masked_cross_entropy(model.forward(ds.graph, ds.features), ds.labels,
+                                       ds.splits.train)
+        forward = list(calls)
+        nodes = _tape_nodes(loss)
+        Tape(loss).backward()
+        counts.append({"calls": forward, "kinds": list(kinds),
+                       "transposed": dict(Counter(transposed)), "nodes": nodes})
+    return ds, model, counts
 
 
 class TestPresetPlans:
-    """The plan precompute_pays picks for each hybrid preset, pinned by its
-    kernel calls on the two training shapes, and the two plans against each
-    other where they meet."""
+    """The plan each preset fixes at build, pinned by its per-epoch counts on
+    the two training shapes, and the two plans against each other where they
+    meet."""
 
     @pytest.mark.parametrize("preset", ["sc-gcn", "gsan"])
     def test_criterion_7_shape_precomputes(self, monkeypatch, preset):
-        # d_in 8: the first pass fills the cache from one renormalized chain
-        # to A^3 and one 2^3-step wavelet sweep; every later one runs only the
-        # residual convolution, on the class columns
-        ds, plans = _forward_plans(monkeypatch, preset, "criterion-7")
-        (calls, kinds), *later = plans
-        assert kinds == ["renorm_adjacency"] * 3 + ["lazy_walk"] * 8 + ["residual_diffusion"]
-        assert calls[-1] == ds.n_classes
-        for calls, kinds in later:
-            assert calls == [ds.n_classes]
-            assert kinds == ["residual_diffusion"]
+        # d_in 8: the first pass fills the responses from one renormalized
+        # chain to A^3 and one 2^3-step wavelet sweep; every later one runs
+        # only the residual convolution, on the class columns
+        ds, model, (first, *later) = _epoch_counts(monkeypatch, preset, "criterion-7")
+        assert_plan(model, "precomputed")
+        assert first["kinds"] == (["renorm_adjacency"] * 3 + ["lazy_walk"] * 8
+                                  + ["residual_diffusion"])
+        assert first["calls"][-1] == ds.n_classes
+        for epoch in later:
+            assert epoch["calls"] == [ds.n_classes]
+            assert epoch["kinds"] == ["residual_diffusion"]
 
     @pytest.mark.parametrize("preset,renorm,lazy", [("sc-gcn", 1 + 2 + 3, 2 + 8),
                                                     ("gsan", 3, 8)])
@@ -712,21 +729,47 @@ class TestPresetPlans:
         # three low channels each run their own chain and its two band
         # channels their own sweeps; gsan runs one chain and one sweep for
         # every head. 17 and 12 calls on every pass
-        ds, plans = _forward_plans(monkeypatch, preset, "wide")
+        ds, model, counts = _epoch_counts(monkeypatch, preset, "wide")
+        assert_plan(model, "per-call")
         assert ds.features.shape[1] == 64
-        for calls, kinds in plans:
-            assert kinds == (["renorm_adjacency"] * renorm + ["lazy_walk"] * lazy
-                             + ["residual_diffusion"])
-            assert len(calls) == {"sc-gcn": 17, "gsan": 12}[preset]
+        for epoch in counts:
+            assert epoch["kinds"] == (["renorm_adjacency"] * renorm + ["lazy_walk"] * lazy
+                                      + ["residual_diffusion"])
+            assert len(epoch["calls"]) == {"sc-gcn": 17, "gsan": 12}[preset]
+
+    @pytest.mark.parametrize("shape", ["criterion-7", "wide"])
+    def test_gcn_baseline_forward_calls(self, monkeypatch, shape):
+        # A (X T1) on the 16 hidden columns, then A (H T2) on the class columns
+        ds, _, counts = _epoch_counts(monkeypatch, "gcn-baseline", shape)
+        for epoch in counts:
+            assert epoch["calls"] == [16, ds.n_classes]
+            assert epoch["kinds"] == ["renorm_adjacency"] * 2
+
+    @pytest.mark.parametrize("preset,shape,transposed,nodes", [
+        ("gcn-baseline", "criterion-7", {"renorm_adjacency": 2}, 9),
+        ("gcn-baseline", "wide", {"renorm_adjacency": 2}, 9),
+        ("sc-gcn", "criterion-7", {"residual_diffusion": 1}, 37),
+        ("sc-gcn", "wide", {"renorm_adjacency": 6, "lazy_walk": 10, "residual_diffusion": 1}, 53),
+        ("gsan", "criterion-7", {"residual_diffusion": 1}, 9),
+        ("gsan", "wide", {"renorm_adjacency": 3, "lazy_walk": 8, "residual_diffusion": 1}, 25),
+    ], ids=[f"{preset}-{shape}" for preset in ("gcn-baseline", "sc-gcn", "gsan")
+            for shape in ("criterion-7", "wide")])
+    def test_backward_counts_per_epoch(self, monkeypatch, preset, shape, transposed, nodes):
+        # every epoch's transposed operator calls by kind and its tape nodes:
+        # on the precomputed plan only the residual diffusion runs backward,
+        # per call every forward operator does
+        _, _, counts = _epoch_counts(monkeypatch, preset, shape)
+        for epoch in counts:
+            assert epoch["transposed"] == transposed
+            assert epoch["nodes"] == nodes
 
     def test_sc_gcn_plans_agree_on_criterion_7_shape(self):
         # the model's precomputed plan against the per-call chains, on its own
         # parameters: logits and every parameter gradient of the train loss
         ds = training_sbm("criterion-7")
-        model = build_model(ModelSpec(preset="sc-gcn"), ds.features.shape[1], ds.n_classes,
-                            seed=0)
-        responses = model.responses.get(ds.graph, ds.features)
-        assert responses is not None
+        model = assert_plan(build_model(ModelSpec(preset="sc-gcn"), ds.features.shape[1],
+                                        ds.n_classes, seed=0), "precomputed")
+        responses = model.plan.responses(ds.graph, ds.features)
         assert np.array_equal(model.forward(ds.graph, ds.features).value, residual_conv(
             ds.graph, model.alpha, model.theta_res, model.bias_res,
             hybrid_forward_concat(ds.graph, model.specs, model.params, ds.features,
@@ -747,6 +790,15 @@ class TestPresetPlans:
         for got, want in zip(fused_grads, chain_grads):
             assert np.any(want != 0.0)
             assert _close(got, want)
+
+    @pytest.mark.parametrize("preset,d_in,n_classes,plan", [
+        ("gsan", 8, 2, "precomputed"),      # sbm-gsan
+        ("sc-gcn", 1433, 7, "per-call"),    # wide-scgcn
+    ])
+    def test_benchmark_workload_plans(self, preset, d_in, n_classes, plan):
+        # the plans the benchmark workloads run, from build_model alone: a rule
+        # change that flips one fails here before it moves a benchmark figure
+        assert_plan(build_model(ModelSpec(preset=preset), d_in, n_classes), plan)
 
 
 class TestAgainstDenseComposition:
@@ -893,11 +945,13 @@ class TestStackedAttention:
             ad.precomputed_attention(np.ones(responses), ad.Parameter(np.ones(theta)),
                                      ad.Parameter(np.ones((6, 2))), n_low, 0.2)
 
-    @pytest.mark.parametrize("d_in", [3, 6])     # precomputed, per epoch
-    def test_last_attention_matches_per_filter_composition(self, rng, d_in):
+    @pytest.mark.parametrize("d_in,plan", [(3, "precomputed"), (13, "per-call")],
+                             ids=["3", "13"])    # 3 heads of width 4: 12 columns
+    def test_last_attention_matches_per_filter_composition(self, rng, d_in, plan):
         _, g = random_connected_graph(rng, 14, weighted=True)
         X = rng.standard_normal((14, d_in))
-        model = build_model(ModelSpec(preset="gsan", hidden=4, heads=3), d_in, 2, seed=2)
+        model = assert_plan(build_model(ModelSpec(preset="gsan", hidden=4, heads=3), d_in, 2,
+                                        seed=2), plan)
         model.forward(g, X)
         _, want = per_filter_attention(g, model.specs, model.attention_params, X)
         assert len(model.last_attention.heads) == len(want.heads) == 3
@@ -914,7 +968,8 @@ class TestStackedAttention:
         # convolution and 1 for the loss; the per-filter composition took 122
         _, g = random_connected_graph(rng, 12)
         X = rng.standard_normal((12, 3))
-        model = build_model(ModelSpec(preset="gsan", hidden=4), 3, 2, seed=1)
+        model = assert_plan(build_model(ModelSpec(preset="gsan", hidden=4), 3, 2, seed=1),
+                            "precomputed")
         loss = ad.masked_cross_entropy(model.forward(g, X), np.zeros(12, dtype=np.int64),
                                        np.arange(12))
         assert _tape_nodes(loss) == 3 + 5 + 1 < 30

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from graphscat.errors import NotSymmetric, ScaleOutOfRange, TooLargeForDense
 from graphscat.graph import build_graph
 from graphscat.spectral import (
+    DEFAULT_DENSE_LIMIT,
     FilterSpec,
     chebyshev_filter,
     dense_adjacency,
@@ -76,9 +79,20 @@ class TestLaplacian:
         assert np.allclose(lam, [0.0, 1.0, 1.0, 2.0], atol=1e-10)
 
     def test_dense_limit(self):
-        g = build_graph(cycle(10))
-        with pytest.raises(TooLargeForDense):
-            sym_normalized_laplacian(g, dense_limit=5)
+        # a path one node over the limit is refused before any n x n array
+        # (33.6 MB here) is allocated
+        n = DEFAULT_DENSE_LIMIT + 1
+        g = build_graph([(i, i + 1) for i in range(n - 1)])
+        for dense in (dense_adjacency, sym_normalized_laplacian,
+                      lambda g: spectral_response(g, [gcn_unnormalized()])):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TooLargeForDense, match=f"n={n} exceeds dense limit"):
+                    dense(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8 // 100
 
     def test_exactly_symmetric(self, rng):
         edges, g = random_connected_graph(rng, 20, weighted=True)

@@ -14,6 +14,7 @@ from graphscat.train import SplitMasks, TrainConfig, evaluate, fit
 
 from conftest import (
     PerParameterOptimizer,
+    assert_plan,
     count_hop_builds,
     per_mask_cross_entropy,
     random_connected_graph,
@@ -158,6 +159,9 @@ class TestFit:
         runs = []
         for _ in range(2):
             model = build_model(ModelSpec(preset=preset, **hidden), d_in, 2, seed=5)
+            if preset != "gcn-baseline":
+                assert_plan(model, "precomputed" if (preset, d_in) in
+                            {("sc-gcn", 4), ("sc-gcn", 12), ("gsan", 4)} else "per-call")
             res = fit(model, g, X, labels, masks,
                       TrainConfig(seed=5, max_epochs=15, patience=30))
             runs.append((res.history, [p.value.tobytes() for p in model.parameters()]))
@@ -170,10 +174,9 @@ class TestFit:
         ds = training_sbm("criterion-7")
         runs = []
         for _ in range(2):
-            model = build_model(ModelSpec(preset="sc-gcn"), ds.features.shape[1], ds.n_classes,
-                                seed=0)
+            model = assert_plan(build_model(ModelSpec(preset="sc-gcn"), ds.features.shape[1],
+                                            ds.n_classes, seed=0), "precomputed")
             res = fit(model, ds.graph, ds.features, ds.labels, ds.splits, TrainConfig(seed=0))
-            assert model.responses.get(ds.graph, ds.features) is not None
             runs.append((res.history, [p.value.tobytes() for p in model.parameters()]))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
@@ -194,6 +197,8 @@ class TestFit:
         for epochs in (3, 10):   # the first fit fills numpy's small-object caches
             model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes,
                                 seed=0)
+            if preset != "gcn-baseline":
+                assert_plan(model, "precomputed" if shape == "criterion-7" else "per-call")
             peaks = self._epoch_peaks(model, ds, TrainConfig(max_epochs=epochs, patience=epochs))
         first, *later = peaks
         assert len(later) == 9
@@ -271,6 +276,18 @@ class TestConfigsAndMasks:
         with pytest.raises(ValueError):
             SplitMasks(train=np.array([0, 1]), val=np.array([1]),
                        test=np.array([2]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(parts=st.lists(st.lists(st.integers(0, 12), max_size=6), min_size=3, max_size=3)
+           .filter(lambda parts: parts[0] and parts[2]))
+    def test_disjointness_against_unique_oracle(self, parts):
+        # the check the sort replaced: np.unique of all indices drops a repeat
+        idx = np.concatenate([np.asarray(p, dtype=np.int64) for p in parts])
+        if np.unique(idx).size != idx.size:
+            with pytest.raises(ValueError, match="^split masks must be pairwise disjoint$"):
+                SplitMasks(*parts)
+        else:
+            SplitMasks(*parts)
 
     def test_masks_nonempty(self):
         with pytest.raises(EmptyMask):
