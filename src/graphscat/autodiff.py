@@ -298,19 +298,12 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
             or any(t.value.shape[1:] != (hw,) for t in filtered)):
         raise DimensionMismatch(f"filter attention on xbar {xbar.shape}, responses "
                                 f"{[t.shape for t in filtered]}, attention vectors {a.shape}")
-    # R in one pass over the inputs: the low rows copied, |.| of the band rows
-    # written in place; their signs come from the raw input for the backward
+    # R is one copy of the responses; |.| of the band rows is taken in place,
+    # their signs kept for the backward
     cut = n_low * n
-    R, sign = np.empty((rows, hw)), np.empty((rows - cut, hw))
-    start = 0
-    for t in filtered:
-        v, end = t.value, start + t.value.shape[0]
-        low = max(min(cut, end) - start, 0)
-        R[start:start + low] = v[:low]
-        if low < v.shape[0]:
-            np.abs(v[low:], out=R[start + low:end])
-            np.sign(v[low:], out=sign[start + low - cut:end - cut])
-        start = end
+    R = np.concatenate([t.value for t in filtered])
+    sign = np.sign(R[cut:])
+    np.abs(R[cut:], out=R[cut:])
     att = _FilterAttention(xbar.value, R, a.value, slope)
     ends = np.cumsum([t.value.shape[0] for t in filtered])
 

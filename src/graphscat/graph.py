@@ -393,24 +393,44 @@ def apply_operator(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
 
     The scalings and the identity term update the kernel's fresh output in
     place; each sum is the one the closed forms write, with its terms
-    swapped, which changes no bit.
+    swapped, which changes no bit. Each formula is written once, in
+    _operator, which apply_operator_transpose shares.
     """
+    return _operator(g, kind, X, transpose=False)
+
+
+def apply_operator_transpose(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
+    """Apply the transpose of an operator (used by reverse-mode gradients).
+
+    W is symmetric, so the transpose of a walk operator divides by D after
+    the kernel instead of before it: P^T = (I + D^-1 W) / 2 and
+    A_res(a)^T = (I + a D^-1 W) / (a + 1). The two normalized adjacencies
+    are their own transposes. Runs apply_operator's body, with the same
+    in-place updates.
+    """
+    return _operator(g, kind, X, transpose=True)
+
+
+def _operator(g: Graph, kind: OperatorKind, X: np.ndarray, transpose: bool) -> np.ndarray:
+    """The body of apply_operator, or with transpose of apply_operator_transpose."""
     X = _check_features(g, X)
     _require_no_isolated(g, kind)
-    d = _column(g.degrees, X)
-    if kind.tag == "lazy_walk":
-        out = adjacency_matvec(g, X / d)
-        out *= 0.5
-        out += 0.5 * X
-        return out
-    if kind.tag == "residual_diffusion":
-        a = kind.alpha
+    if kind.tag in ("lazy_walk", "residual_diffusion"):
+        lazy = kind.tag == "lazy_walk"
+        a = 0.5 if lazy else kind.alpha
         if a == 0.0:
             return X.copy()
-        out = adjacency_matvec(g, X / d)
+        d = _column(g.degrees, X)
+        out = adjacency_matvec(g, X if transpose else X / d)
         out *= a
-        out += X
-        out /= a + 1.0
+        if transpose:
+            out /= d
+        if lazy:
+            # P as two halves, not A_res(1): (X + W D^-1 X) / 2 overflows sooner
+            out += 0.5 * X
+        else:
+            out += X
+            out /= a + 1.0
         return out
     if kind.tag == "renorm_adjacency":
         s = _column(g.sqrt_degrees_plus_one, X)
@@ -426,36 +446,6 @@ def apply_operator(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
         out += X
         return out
     raise ValueError(f"unknown operator kind {kind.tag!r}")
-
-
-def apply_operator_transpose(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.ndarray:
-    """Apply the transpose of an operator (used by reverse-mode gradients).
-
-    W is symmetric, so transposition swaps the side on which D^-1 acts;
-    the two symmetric operators are their own transposes. Updates the
-    kernel's output in place, as apply_operator does.
-    """
-    X = _check_features(g, X)
-    _require_no_isolated(g, kind)
-    d = _column(g.degrees, X)
-    if kind.tag == "lazy_walk":
-        out = adjacency_matvec(g, X)
-        out *= 0.5
-        out /= d
-        out += 0.5 * X
-        return out
-    if kind.tag == "residual_diffusion":
-        a = kind.alpha
-        if a == 0.0:
-            return X.copy()
-        out = adjacency_matvec(g, X)
-        out *= a
-        out /= d
-        out += X
-        out /= a + 1.0
-        return out
-    # renorm_adjacency and sym_norm_adjacency are symmetric
-    return apply_operator(g, kind, X)
 
 
 # record layouts numpy's C reader fills, by field count of the data lines

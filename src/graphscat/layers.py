@@ -149,7 +149,8 @@ class FilterPlan:
     layer, H W for the attention layer) that the chains would run on every
     call. On the criterion-7 block model (d_in 8) sc-gcn's 47 and gsan's 32
     columns both precompute; on the wide-scgcn inputs (d_in 1433) both keep
-    chains. The layer input is taken to be a constant array.
+    chains. A hybrid model takes its features as an array: responses
+    refuses an autodiff Tensor on both plans.
     """
 
     def __init__(self, specs: tuple[ChannelSpec, ...], d_in: int, columns: int):
@@ -162,7 +163,10 @@ class FilterPlan:
     def responses(self, g: Graph, X) -> FilterResponses | None:
         """None on the per-call plan, else filter_responses(g, specs, X), kept
         while g is the same object and X equals the responses' X block, so an
-        in-place edit of X is seen."""
+        in-place edit of X is seen. Raises TypeError for an autodiff Tensor."""
+        if isinstance(X, ad.Tensor):
+            raise TypeError("a hybrid model takes its features as an array, "
+                            f"not an autodiff {type(X).__name__}")
         if not self.precomputed:
             return None
         X = np.asarray(X, dtype=np.float64)

@@ -276,12 +276,21 @@ class TestApplyOperator:
     @pytest.mark.parametrize("width", [None, 5])
     def test_in_place_updates_bitwise_equal_to_closed_forms(self, rng, kind, width):
         _, g = random_connected_graph(rng, 19, weighted=True)
-        X = rng.standard_normal(19 if width is None else (19, width))
-        X0 = X.copy()
-        for apply, transpose in ((apply_operator, False), (apply_operator_transpose, True)):
-            want = closed_form_operator(g, kind, X, transpose=transpose)
-            assert apply(g, kind, X).tobytes() == want.tobytes()
-        assert np.array_equal(X, X0)
+        shape = 19 if width is None else (19, width)
+        X = rng.standard_normal(shape)
+        # rows at 1e-300, 1e300 and 1.5e308 in turn: near the ends of the float
+        # range a reordered formula (P as A_res(1), say) underflows or overflows
+        # where the closed form does not
+        scales = np.resize([1e-300, 1e300, 1.5e308], 19)
+        extreme = rng.uniform(0.5, 1.0, shape) * (scales if width is None else scales[:, None])
+        for X in (X, extreme):
+            X0 = X.copy()
+            for apply, transpose in ((apply_operator, False), (apply_operator_transpose, True)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = closed_form_operator(g, kind, X, transpose=transpose)
+                    got = apply(g, kind, X)
+                assert got.tobytes() == want.tobytes()
+            assert np.array_equal(X, X0)
 
 
 def chain(g, kind, X, m):

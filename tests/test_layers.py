@@ -546,6 +546,18 @@ class TestFilterResponses:
                             "precomputed" if precomputes else "per-call")
         assert (model.plan.responses(g, X) is not None) is precomputes
 
+    @pytest.mark.parametrize("preset", ["sc-gcn", "gsan"])
+    @pytest.mark.parametrize("d_in,plan", [(8, "precomputed"), (48, "per-call")])
+    def test_both_plans_refuse_a_tensor_input(self, rng, preset, d_in, plan):
+        # a hybrid model takes its features as an array, whichever plan it fixed
+        _, g = random_connected_graph(rng, 6)
+        X = rng.standard_normal((6, d_in))
+        model = assert_plan(build_model(ModelSpec(preset=preset), d_in, 2, seed=1), plan)
+        for bad in (ad.constant(X), ad.Parameter(X)):
+            with pytest.raises(TypeError, match="features as an array"):
+                model.forward(g, bad)
+        assert model.forward(g, X).value.shape == (6, 2)
+
     def test_two_head_model_precomputes_between_w_and_2w(self, rng, monkeypatch):
         # d_in 6: above W = 4, at most 2 W = 8
         _, g = random_connected_graph(rng, 12)
