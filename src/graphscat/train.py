@@ -173,7 +173,9 @@ def fit(model, g: Graph, X: np.ndarray, labels: np.ndarray,
         masks: SplitMasks, cfg: TrainConfig = TrainConfig()) -> FitResult:
     """Full-graph training with early stopping on validation loss.
 
-    The parameters achieving the best validation loss are restored before
+    Epoch e's validation loss comes from the parameters before its step, and
+    those are the ones snapshotted, so the parameters achieving the best
+    validation loss, history["val_loss"][best_epoch], are restored before
     returning. History lists carry one entry per executed epoch. Each epoch
     takes its train loss and gradient, its validation loss and both
     accuracies from one pass over the logits: one per-node cross-entropy
@@ -198,25 +200,25 @@ def fit(model, g: Graph, X: np.ndarray, labels: np.ndarray,
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss evaluated to {loss}")
         correct = _correct(logits_t.value, labels)
+        val_loss = float(np.mean(rows.nll[val_mask]))
+        # the logits came from the parameters before this epoch's step
+        improved = val_loss < best_val - 1e-12
+        if improved:
+            best_val = val_loss
+            best_state = opt.value.copy()
+            best_epoch = epoch
         Tape(loss_t).backward()
         opt.step()
 
-        val_loss = float(np.mean(rows.nll[val_mask]))
         history["epoch"].append(epoch)
         history["train_loss"].append(loss)
         history["val_loss"].append(val_loss)
         history["train_acc"].append(float(np.mean(correct[masks.train])))
         history["val_acc"].append(float(np.mean(correct[val_mask])))
 
-        if val_loss < best_val - 1e-12:
-            best_val = val_loss
-            best_state = opt.value.copy()
-            best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+        stale = 0 if improved else stale + 1
+        if stale >= cfg.patience:
+            break
 
     opt.restore(best_state)
     return FitResult(history=history, best_epoch=best_epoch)

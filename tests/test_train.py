@@ -343,15 +343,16 @@ class TestFlatOptimizer:
             assert np.array_equal(p.value, want)
 
     def test_fit_restores_the_best_epoch_parameters(self, rng, monkeypatch):
-        # snapshots after every step; early stopping must hand back the best one
+        # snapshots before every step, of the parameters whose logits gave the
+        # epoch's val loss; early stopping must hand back the best epoch's
         g, X, labels, masks = tiny_dataset(rng)
         model = build_model(ModelSpec(preset="gsan", hidden=4), 4, 2, seed=2)
         snapshots = []
         step = train._Adam.__dict__["step"]
 
         def recorded(opt):
-            step(opt)
             snapshots.append([p.value.copy() for p in opt.params])
+            step(opt)
 
         monkeypatch.setattr(train._Adam, "step", recorded)
         res = fit(model, g, X, labels, masks,
@@ -363,6 +364,17 @@ class TestFlatOptimizer:
         model.theta_res.value = np.zeros_like(model.theta_res.value)
         model.bias_res.value = np.zeros_like(model.bias_res.value)
         assert not model.forward(g, X).value.any()
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_FIELDS))
+    def test_restored_parameters_give_the_best_val_loss(self, preset):
+        ds = training_sbm("criterion-7")
+        model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes)
+        res = fit(model, ds.graph, ds.features, ds.labels, ds.splits,
+                  TrainConfig(max_epochs=60, patience=5))
+        logits = model.forward(ds.graph, ds.features).value
+        val_loss = float(np.mean(ad.cross_entropy_rows(logits, ds.labels).nll[ds.splits.val]))
+        assert val_loss == res.history["val_loss"][res.best_epoch]
+        assert val_loss == min(res.history["val_loss"])
 
 
 class TestEpochMetrics:
