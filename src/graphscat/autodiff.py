@@ -302,8 +302,9 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
     # their signs kept for the backward
     cut = n_low * n
     R = np.concatenate([t.value for t in filtered])
-    sign = np.sign(R[cut:])
-    np.abs(R[cut:], out=R[cut:])
+    band = R[cut:]
+    sign = np.sign(band)
+    np.abs(band, out=band)
     att = _FilterAttention(xbar.value, R, a.value, slope)
     ends = np.cumsum([t.value.shape[0] for t in filtered])
 
