@@ -23,7 +23,6 @@ from .scattering import (
     IDENTITY,
     Nonlinearity,
     cascade,
-    first_wavelets,
 )
 from .spectral import (
     EigenDecomposition,

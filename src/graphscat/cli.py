@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import parse_ints, parse_paths
 from .datasets import (
     SBMSpec,
@@ -29,7 +28,7 @@ from .experiment import read_run_config, run_experiment, run_training
 from .fixtures import run_verify_suite
 from .graph import read_edge_list, write_rows
 from .models import PRESETS
-from .scattering import ABS, cascade, first_wavelets
+from .scattering import ABS, cascade
 from .spectral import (
     FilterSpec,
     chebyshev_filter,
@@ -76,8 +75,7 @@ def _cmd_scatter(args) -> int:
     features = read_features(args.features)
     g = read_edge_list(args.graph, n=features.shape[0])
     paths = parse_paths(args.paths)
-    swept = first_wavelets(g, paths, ad.constant(features))
-    outs = [cascade(g, p, ABS, features, swept) for p in paths]
+    outs = cascade(g, paths, ABS, features)
     with _output(args.out) as fh:
         header = ["node"]
         for p in paths:
@@ -89,22 +87,31 @@ def _cmd_scatter(args) -> int:
     return 0
 
 
+def _filter_number(item: str, text: str, parse):
+    """text as an int, or as a finite float; otherwise an error naming the --filters item."""
+    with contextlib.suppress(ValueError):
+        value = parse(text)
+        if parse is int or math.isfinite(value):
+            return value
+    kind = "an integer" if parse is int else "a finite number"
+    raise ValueError(f"filter {item!r}: expected {kind}, got {text.strip()!r}")
+
+
 def _parse_filters(text: str) -> list[tuple[str, FilterSpec]]:
     filters = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        name, _, rest = item.partition(":")
+    for item in filter(None, map(str.strip, text.split(";"))):
+        name, colon, rest = item.partition(":")
         name = name.strip()
         if name == "gcn":
+            if colon:
+                raise ValueError(f"filter {item!r}: gcn takes no argument")
             filters.append(("gcn", gcn_unnormalized()))
-        elif name == "wavelet":
-            filters.append((f"wavelet_{int(rest)}", wavelet_filter(int(rest))))
-        elif name == "lowpass":
-            filters.append((f"lowpass_{int(rest)}", lowpass_filter(int(rest))))
+        elif name in ("wavelet", "lowpass"):
+            k = _filter_number(item, rest, int)
+            make = wavelet_filter if name == "wavelet" else lowpass_filter
+            filters.append((f"{name}_{k}", make(k)))
         elif name == "cheb":
-            thetas = [float(x) for x in rest.split(",")]
+            thetas = [_filter_number(item, x, float) for x in rest.split(",")]
             filters.append(("cheb", chebyshev_filter(thetas)))
         else:
             raise ValueError(f"unknown filter {name!r}")
@@ -224,10 +231,7 @@ def main(argv=None) -> int:
         build_parser().parse_args(argv)     # exits 2; its usage line names every command
     try:
         return args.func(args)
-    except GraphScatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (GraphScatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

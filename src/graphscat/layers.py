@@ -42,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import FieldRangeError, IsolatedNodeError
 from .graph import RENORM_ADJACENCY, Graph, residual_diffusion
-from .scattering import ABS, Nonlinearity, cascade_tensor, first_wavelets
+from .scattering import ABS, Nonlinearity, cascade_tensor
 from .wavelets import check_scales
 
 ATTENTION_LEAKY_SLOPE = 0.2  # GAT convention; the source text leaves it open
@@ -114,16 +114,15 @@ def layer_filters(g: Graph, specs: tuple[ChannelSpec, ...], t: ad.Tensor) -> lis
     """F_c t for each channel spec, in order, on the tape: A^r t or U_p t.
 
     One renormalized-adjacency chain up to the largest power serves every
-    low channel and one dyadic wavelet sweep gives every band channel its
-    first wavelet; a multi-scale path continues its cascade from there.
+    low channel, and one cascade_tensor call serves every band channel from
+    one wavelet sweep for all their first wavelets.
     """
     if any(spec.kind == "low" for spec in specs) and g.has_isolated_nodes:
         raise IsolatedNodeError("GCN channel requires a graph without isolated nodes")
     powers = ad.op_chain(g, RENORM_ADJACENCY, t, max((spec.r for spec in specs
                                                       if spec.kind == "low"), default=0))
-    swept = first_wavelets(g, [spec.path for spec in specs if spec.kind == "band"], t)
-    return [powers[spec.r] if spec.kind == "low"
-            else cascade_tensor(g, spec.path, ABS, t, swept) for spec in specs]
+    bands = iter(cascade_tensor(g, [spec.path for spec in specs if spec.kind == "band"], ABS, t))
+    return [powers[spec.r] if spec.kind == "low" else next(bands) for spec in specs]
 
 
 def filter_responses(g: Graph, specs: tuple[ChannelSpec, ...], X: np.ndarray) -> FilterResponses:

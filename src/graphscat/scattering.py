@@ -2,9 +2,10 @@
 
 A path p = (k_1, ..., k_m) alternates wavelets and a pointwise nonlinearity
 sigma, U_p x = Psi_{k_m} sigma Psi_{k_{m-1}} ... sigma Psi_{k_1} x, with no
-nonlinearity after the outermost wavelet. The learned band-pass channel
-|U_p(X Theta) + B|^q is a hybrid-layer channel: layers.layer_filters
-builds its U_p from these cascades with sigma = |.|.
+nonlinearity after the outermost wavelet. One cascade call serves a set of
+paths, whose first wavelets share one dyadic sweep. The learned band-pass
+channel |U_p(X Theta) + B|^q is a hybrid-layer channel: layers.layer_filters
+builds its U_p from one such call with sigma = |.|.
 """
 
 from __future__ import annotations
@@ -49,36 +50,28 @@ def leaky(slope: float = 0.2) -> Nonlinearity:
     return Nonlinearity("leaky_relu", slope=slope)
 
 
-def first_wavelets(g: Graph, paths, t: ad.Tensor) -> dict[int, ad.Tensor]:
-    """{k: Psi_k t} for every path's first scale k, from one wavelet sweep;
-    every scale of every path is checked first."""
+def cascade_tensor(g: Graph, paths, sigma: Nonlinearity, t: ad.Tensor) -> list[ad.Tensor]:
+    """[U_p t for p in paths] on the tape; the empty path is the identity cascade.
+
+    One wavelet sweep gives every path its first wavelet Psi_{p[0]} t, so
+    paths that share a first scale share its chain; a multi-scale path
+    continues its cascade from there. Every scale of every path is checked
+    before the first chain runs.
+    """
     check_scales(k for p in paths for k in p)
     scales = sorted({p[0] for p in paths if p})
-    return dict(zip(scales, wavelet_sweep(g, scales, t)))
+    swept = dict(zip(scales, wavelet_sweep(g, scales, t)))
+    outs = []
+    for p in paths:
+        u = swept[p[0]] if p else t
+        for k in p[1:]:
+            u = wavelet_sweep(g, (k,), sigma.apply_tensor(u))[0]
+        outs.append(u)
+    return outs
 
 
-def cascade_tensor(g: Graph, p, sigma: Nonlinearity, t: ad.Tensor,
-                   swept: dict[int, ad.Tensor] | None = None) -> ad.Tensor:
-    """U_p on the tape; the empty path is the identity cascade.
-
-    swept, from first_wavelets(g, paths, t), supplies Psi_{p[0]} t, so
-    paths that share it run no chain of their own for their first wavelet.
-    Every scale of p is checked before the first chain runs.
-    """
-    check_scales(p)
-    for i, k in enumerate(p):
-        if i > 0:
-            t = sigma.apply_tensor(t)
-        t = swept[k] if i == 0 and swept else wavelet_sweep(g, (k,), t)[0]
-    return t
-
-
-def cascade(g: Graph, p, sigma: Nonlinearity, X: np.ndarray,
-            swept: dict[int, ad.Tensor] | None = None) -> np.ndarray:
-    """U_p X as a plain array; single-scale paths apply no nonlinearity at all.
-
-    swept is as for cascade_tensor, from first_wavelets on constant(X).
-    """
+def cascade(g: Graph, paths, sigma: Nonlinearity, X: np.ndarray) -> list[np.ndarray]:
+    """[U_p X for p in paths] as plain arrays, as for cascade_tensor;
+    single-scale paths apply no nonlinearity at all."""
     X = np.asarray(X, dtype=np.float64)
-    return cascade_tensor(g, p, sigma, ad.constant(X), swept).value
-
+    return [u.value for u in cascade_tensor(g, paths, sigma, ad.constant(X))]

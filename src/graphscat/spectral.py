@@ -142,8 +142,11 @@ def spectral_response(g: Graph, filters) -> tuple[np.ndarray, np.ndarray]:
     row of multipliers per filter in the given sequence. L and its
     eigendecomposition are built once for all the filters. Every supported
     filter commutes with the Laplacian, so each conjugated matrix is
-    diagonal up to roundoff and its diagonal is the measured response.
+    diagonal up to roundoff and its diagonal is the measured response. A
+    graph without nodes has no spectrum and is rejected.
     """
+    if g.n == 0:
+        raise ValueError("graph has no nodes, so it has no spectrum")
     L = sym_normalized_laplacian(g)
     eig = eigendecompose(L)
     lam_max = float(np.max(eig.eigenvalues))

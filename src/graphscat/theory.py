@@ -325,7 +325,7 @@ def binary_expansion_path(d: int) -> tuple[int, ...]:
 def scatter_separation(g: Graph, v: int, pv: int, X: np.ndarray, p,
                        sigma: Nonlinearity) -> float:
     """Max-abs difference of the U_p cascade outputs at v and phi(v)."""
-    U = cascade(g, p, sigma, X)
+    U = cascade(g, [p], sigma, X)[0]
     return float(np.max(np.abs(U[v] - U[pv])))
 
 

@@ -5,6 +5,10 @@ any other use of the bare name), takes it as an attribute (mod.name), or
 imports it (`from .mod import name`, which covers the package's exports).
 Names are matched without their module, so a name defined twice is read if
 either is. A name that only tests call belongs in a test helper.
+
+Every name a module imports is also read in that module, so a leftover
+import does not outlive the code that used it (`__init__.py`, whose imports
+are the exports, and `__future__` imports excepted).
 """
 
 import ast
@@ -39,6 +43,24 @@ def test_every_public_name_is_read_in_the_package():
     defined, read = _surface()
     unread = sorted(q for q, name in defined.items() if name not in read and q not in ALLOWED)
     assert not unread, f"public names read by no module of the package: {unread}"
+
+
+def test_every_import_is_read_in_its_module():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, read = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        unread += [f"{path.stem}: {name}" for name in bound if name not in read]
+    assert not unread, f"imported names their module never reads: {unread}"
 
 
 def test_allowlist_holds_only_unread_names():

@@ -477,7 +477,7 @@ class TestCliCommands:
     def test_scatter_shares_first_layer_sweep(self, small_dataset_dir, tmp_path, monkeypatch):
         # one 2^3-step sweep gives Psi_0..Psi_3 X for every path's first
         # wavelet; (0, 1) and (1, 2) then add 2 and 4 steps; the values are
-        # those of one cascade per path
+        # those of one cascade call per path
         out = tmp_path / "scatter.csv"
         paths = ((1,), (2,), (3,), (0, 1), (1, 2))
         calls = count_kernel_calls(monkeypatch)
@@ -487,7 +487,8 @@ class TestCliCommands:
         assert rc == 0
         assert len(calls) == 8 + 2 + 4
         ds = load_dataset(small_dataset_dir)
-        want = np.concatenate([cascade(ds.graph, p, ABS, ds.features) for p in paths], axis=1)
+        want = np.concatenate([cascade(ds.graph, [p], ABS, ds.features)[0] for p in paths],
+                              axis=1)
         rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
         assert rows == [[f"{x:.10g}" for x in row] for row in want]
 
@@ -535,7 +536,7 @@ class TestCliCommands:
                    "--paths", "1|0,1", "--out", str(out)])
         assert rc == 0
         ds = load_dataset(small_dataset_dir)
-        outs = [cascade(ds.graph, p, ABS, ds.features) for p in ((1,), (0, 1))]
+        outs = [cascade(ds.graph, [p], ABS, ds.features)[0] for p in ((1,), (0, 1))]
         header = ["node"] + [f"{tag}_c{j}" for tag in ("p1", "p0-1") for j in range(8)]
         columns = [range(ds.graph.n)] + [U[:, j] for U in outs for j in range(8)]
         assert out.read_text() == per_value_csv(header, columns, ["d"] + [".10g"] * 16)
@@ -575,12 +576,31 @@ class TestCliCommands:
         (" ; ", "--filters names no filter"),
         ("wavelet:-1", "wavelet scale -1 must be >= 0"),
         ("gcn;lowpass:-2", "wavelet scale -2 must be >= 0"),
+        # every malformed item is named; a gcn argument is not dropped
+        ("gcn:3", "filter 'gcn:3': gcn takes no argument"),
+        ("wavelet:1;gcn:", "filter 'gcn:': gcn takes no argument"),
+        ("lowpass", "filter 'lowpass': expected an integer, got ''"),
+        ("wavelet:1.5", "filter 'wavelet:1.5': expected an integer, got '1.5'"),
+        ("cheb", "filter 'cheb': expected a finite number, got ''"),
+        ("cheb:1,,2", "filter 'cheb:1,,2': expected a finite number, got ''"),
+        ("cheb:1,nan", "filter 'cheb:1,nan': expected a finite number, got 'nan'"),
     ])
     def test_spectra_rejects_bad_filter_list(self, tmp_path, capsys, filters, message):
         edges = tmp_path / "edges.tsv"
         edges.write_text("0\t1\n1\t2\n")
         assert main(["spectra", "--graph", str(edges), "--filters", filters]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "# no edges\n\n"])
+    def test_spectra_rejects_graph_without_nodes(self, tmp_path, capsys, monkeypatch, text):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text(text)
+        calls = count_eigendecompositions(monkeypatch)
+        out = tmp_path / "spectra.csv"
+        assert main(["spectra", "--graph", str(edges), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: graph has no nodes, so it has no spectrum\n"
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
     def test_verify_theory_rejects_bad_tol(self, capsys, tol):

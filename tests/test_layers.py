@@ -98,7 +98,7 @@ class TestHybridConcat:
         params = init_hybrid_params(specs, 2, rng)
         X = rng.standard_normal((7, 2))
         out = hybrid_forward_concat(g, specs, params, X)
-        base = cascade(g, (1,), ABS, X @ params[0][0].value)
+        base = cascade(g, [(1,)], ABS, X @ params[0][0].value)[0]
         assert np.max(np.abs(out.value - np.abs(base) ** 4)) < 1e-12
 
     def test_identity_band_channel_reduces_to_cascade(self, rng):
@@ -107,7 +107,7 @@ class TestHybridConcat:
         X = rng.standard_normal((8, 3))
         specs = (band_channel((1, 2), 3),)
         out = hybrid_forward_concat(g, specs, [(np.eye(3), None)], X)
-        expected = np.abs(cascade(g, (1, 2), ABS, X))
+        expected = np.abs(cascade(g, [(1, 2)], ABS, X)[0])
         assert np.max(np.abs(out.value - expected)) < 1e-12
 
     def test_band_channel_on_three_node_path_matches_dense_oracle(self, rng):

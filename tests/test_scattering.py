@@ -9,7 +9,6 @@ from graphscat.scattering import (
     IDENTITY,
     Nonlinearity,
     cascade,
-    first_wavelets,
     leaky,
 )
 
@@ -58,18 +57,18 @@ class TestCascade:
     def test_empty_path_is_identity(self, rng):
         edges, g = random_connected_graph(rng, 7)
         X = rng.standard_normal((7, 2))
-        assert np.array_equal(cascade(g, (), ABS, X), X)
+        assert np.array_equal(cascade(g, [()], ABS, X)[0], X)
 
     def test_single_scale_on_c4_two_coloring(self):
         g = build_graph(cycle(4))
         x = two_coloring(4)
-        assert np.array_equal(cascade(g, (0,), ABS, x), x)
+        assert np.array_equal(cascade(g, [(0,)], ABS, x)[0], x)
 
     def test_two_step_abs_cascade_annihilates_two_coloring(self):
         # |Psi_0 x| is constant on the regular cycle, then Psi_0 kills it
         g = build_graph(cycle(4))
         x = two_coloring(4)
-        out = cascade(g, (0, 0), ABS, x)
+        out = cascade(g, [(0, 0)], ABS, x)[0]
         assert np.max(np.abs(out)) < 1e-12
 
     def test_matches_dense_composition_oracle(self, rng):
@@ -78,19 +77,19 @@ class TestCascade:
         x = rng.standard_normal((9, 2))
         expected = dense_wavelet(P, 2) @ np.abs(dense_wavelet(P, 1)
                                                 @ np.abs(dense_wavelet(P, 0) @ x))
-        out = cascade(g, (0, 1, 2), ABS, x)
+        out = cascade(g, [(0, 1, 2)], ABS, x)[0]
         assert np.max(np.abs(out - expected)) < 1e-10
 
     def test_shared_first_wavelets_change_no_value(self, rng, monkeypatch):
-        # one 2^2-step sweep gives Psi_0 and Psi_2 to every path; only the
-        # later wavelets of (0, 1) and (2, 0, 1) run chains of their own
+        # one call makes one 2^2-step sweep, which gives Psi_0 and Psi_2 to
+        # every path; only the later wavelets of (0, 1) and (2, 0, 1) run
+        # chains of their own; a repeated path gets its own output, in order
         edges, g = random_connected_graph(rng, 9)
         x = rng.standard_normal((9, 3))
-        paths = [(), (2,), (0, 1), (2, 0, 1), (0,)]
-        want = [cascade(g, p, ABS, x) for p in paths]
+        paths = [(), (2,), (0, 1), (2, 0, 1), (0,), (2,)]
+        want = [cascade(g, [p], ABS, x)[0] for p in paths]
         calls = count_kernel_calls(monkeypatch)
-        swept = first_wavelets(g, paths, ad.constant(x))
-        got = [cascade(g, p, ABS, x, swept) for p in paths]
+        got = cascade(g, paths, ABS, x)
         assert len(calls) == 4 + 2 + (1 + 2)
         for u, v in zip(got, want, strict=True):
             assert np.array_equal(u, v)
@@ -99,14 +98,14 @@ class TestCascade:
         # scales are bounded below only; the error names the negative scale,
         # and every scale is checked before the first chain runs
         g = build_graph(cycle(4))
-        assert np.array_equal(cascade(g, (0, 3), ABS, np.zeros(4)), np.zeros(4))
+        assert np.array_equal(cascade(g, [(0, 3)], ABS, np.zeros(4))[0], np.zeros(4))
         calls = count_kernel_calls(monkeypatch)
         with pytest.raises(ScaleOutOfRange, match="wavelet scale -1 must be >= 0"):
-            cascade(g, (0, -1), ABS, np.zeros(4))
+            cascade(g, [(0, -1)], ABS, np.zeros(4))
         with pytest.raises(ScaleOutOfRange, match="wavelet scale -2 "):
-            first_wavelets(g, [(0,), (-2, 0)], ad.constant(np.zeros(4)))
+            cascade(g, [(0,), (-2, 0)], ABS, np.zeros(4))
         with pytest.raises(ScaleOutOfRange, match="wavelet scale -3 "):
-            first_wavelets(g, [(1,), (0, -3)], ad.constant(np.zeros(4)))
+            cascade(g, [(1,), (0, -3)], ABS, np.zeros(4))
         assert calls == []
 
     def test_permutation_equivariance(self, rng):
@@ -116,8 +115,8 @@ class TestCascade:
         inv = np.argsort(perm)
         pg = build_graph([(int(perm[u]), int(perm[v])) for u, v in edges], n=n)
         x = rng.standard_normal((n, 2))
-        out = cascade(g, (0, 2), ABS, x)
-        pout = cascade(pg, (0, 2), ABS, x[inv])
+        out = cascade(g, [(0, 2)], ABS, x)[0]
+        pout = cascade(pg, [(0, 2)], ABS, x[inv])[0]
         assert np.max(np.abs(pout - out[inv])) < 1e-12
 
     def test_energy_bound_in_weighted_norm(self, rng):
@@ -127,7 +126,7 @@ class TestCascade:
             x = rng.standard_normal(n)
             norm_x = np.sqrt(x @ (x / g.degrees))
             for p in [(0,), (1, 2), (0, 1, 3)]:
-                u = cascade(g, p, ABS, x)
+                u = cascade(g, [p], ABS, x)[0]
                 norm_u = np.sqrt(u @ (u / g.degrees))
                 assert norm_u <= norm_x * (1.0 + 1e-8)
 
@@ -140,5 +139,5 @@ class TestTwoColoringDichotomy:
         g, x = cases[name]
         low = apply_operator(g, SYM_NORM_ADJACENCY, x)
         assert np.max(np.abs(low)) < 1e-12
-        assert np.max(np.abs(cascade(g, (0,), ABS, x) - x)) < 1e-12
+        assert np.max(np.abs(cascade(g, [(0,)], ABS, x)[0] - x)) < 1e-12
 
