@@ -29,7 +29,6 @@ from .errors import (
     IsolatedNodeWarning,
     MissingFile,
     RowCountMismatch,
-    SplitIndexOutOfRange,
 )
 from .graph import Graph, build_graph, read_edge_list, write_edge_list, write_rows
 from .theory import homophily
@@ -45,13 +44,7 @@ class Dataset:
     splits: SplitMasks
 
     def __post_init__(self):
-        n = self.graph.n
-        for part in ("train", "val", "test"):
-            idx = getattr(self.splits, part)
-            bad = idx[(idx < 0) | (idx >= n)]
-            if bad.size:
-                raise SplitIndexOutOfRange(
-                    f"{part} split index {int(bad[0])} outside 0..{n - 1}")
+        self.splits.check_range(self.graph.n)
 
     @property
     def n_classes(self) -> int:
@@ -70,7 +63,12 @@ SBM_MAX_RESAMPLES = 100
 
 @dataclass
 class SBMSpec:
-    """Stochastic block model with per-block Gaussian feature clouds."""
+    """Stochastic block model with per-block Gaussian feature clouds.
+
+    At least 2 blocks of at least 1 node, p_in and p_out in [0, 1], at least
+    one feature column, a finite noise_scale >= 0 and a seed >= 0; a value
+    out of range raises FieldRangeError naming its field.
+    """
 
     block_sizes: tuple[int, ...]
     p_in: float = 0.1
@@ -92,6 +90,14 @@ class SBMSpec:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise FieldRangeError(f"{name} must lie in [0, 1], got {getattr(self, name)}",
                                       name)
+        if self.feature_dim < 1:
+            raise FieldRangeError(f"feature_dim must be >= 1, got {self.feature_dim}",
+                                  "feature_dim")
+        if not 0.0 <= self.noise_scale < np.inf:
+            raise FieldRangeError(f"noise_scale must be finite and >= 0, got {self.noise_scale}",
+                                  "noise_scale")
+        if self.seed < 0:
+            raise FieldRangeError(f"seed must be >= 0, got {self.seed}", "seed")
 
 
 def _sample_sbm_edges(spec: SBMSpec, rng: np.random.Generator) -> list[tuple[int, int]]:

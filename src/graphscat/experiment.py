@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -95,16 +96,15 @@ def read_run_config(path=None, preset=None, seed=None, data_flags=False):
     """(config, ModelSpec, TrainConfig) of a train run, after checking every key.
 
     data_flags says the data-file flags give the data. preset and seed, when
-    given, override model.preset and train.seed, which are parsed anyway. No
+    given, override model.preset and train.seed, which are checked anyway; a
+    seed out of range is named by its key only when the config gave it. No
     path reads as an empty config.
     """
     cfg = ConfigView(parse_config(path) if path else {})
     _check_keys(cfg, _preset(cfg, preset), data_flags)
-    tcfg = _present(cfg, TRAIN_KEYS)
-    if seed is not None:
-        tcfg["seed"] = seed
-    return (cfg, model_spec_from_config(cfg, preset),
-            _checked(cfg, TRAIN_KEYS, TrainConfig, **tcfg))
+    spec = model_spec_from_config(cfg, preset)
+    tcfg = _checked(cfg, TRAIN_KEYS, TrainConfig, **_present(cfg, TRAIN_KEYS))
+    return cfg, spec, (tcfg if seed is None else replace(tcfg, seed=seed))
 
 
 def write_metrics_csv(path, history: dict):

@@ -3,9 +3,11 @@
 A path p = (k_1, ..., k_m) alternates wavelets and a pointwise nonlinearity
 sigma, U_p x = Psi_{k_m} sigma Psi_{k_{m-1}} ... sigma Psi_{k_1} x, with no
 nonlinearity after the outermost wavelet. One cascade call serves a set of
-paths, whose first wavelets share one dyadic sweep. The learned band-pass
-channel |U_p(X Theta) + B|^q is a hybrid-layer channel: layers.layer_filters
-builds its U_p from one such call with sigma = |.|.
+paths as a tree of prefixes: paths that share a prefix share its output, and
+one dyadic sweep from sigma of that output gives every wavelet that follows
+the prefix. The learned band-pass channel |U_p(X Theta) + B|^q is a
+hybrid-layer channel: layers.layer_filters builds its U_p from one such call
+with sigma = |.|.
 """
 
 from __future__ import annotations
@@ -53,21 +55,21 @@ def leaky(slope: float = 0.2) -> Nonlinearity:
 def cascade_tensor(g: Graph, paths, sigma: Nonlinearity, t: ad.Tensor) -> list[ad.Tensor]:
     """[U_p t for p in paths] on the tape; the empty path is the identity cascade.
 
-    One wavelet sweep gives every path its first wavelet Psi_{p[0]} t, so
-    paths that share a first scale share its chain; a multi-scale path
-    continues its cascade from there. Every scale of every path is checked
-    before the first chain runs.
+    Depth by depth, each distinct prefix q runs one wavelet sweep, from t if
+    q is empty and from sigma U_q t otherwise, for every scale that follows
+    it, so each shared prefix is computed once and a repeated path reads the
+    same node. Every scale of every path is checked before the first chain
+    runs.
     """
+    paths = [tuple(p) for p in paths]
     check_scales(k for p in paths for k in p)
-    scales = sorted({p[0] for p in paths if p})
-    swept = dict(zip(scales, wavelet_sweep(g, scales, t)))
-    outs = []
-    for p in paths:
-        u = swept[p[0]] if p else t
-        for k in p[1:]:
-            u = wavelet_sweep(g, (k,), sigma.apply_tensor(u))[0]
-        outs.append(u)
-    return outs
+    node = {(): t}
+    for depth in range(max(map(len, paths), default=0)):
+        for q in sorted({p[:depth] for p in paths if len(p) > depth}):
+            ks = sorted({p[depth] for p in paths if len(p) > depth and p[:depth] == q})
+            u = sigma.apply_tensor(node[q]) if q else t
+            node.update(zip([q + (k,) for k in ks], wavelet_sweep(g, ks, u)))
+    return [node[p] for p in paths]
 
 
 def cascade(g: Graph, paths, sigma: Nonlinearity, X: np.ndarray) -> list[np.ndarray]:

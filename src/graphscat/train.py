@@ -25,16 +25,28 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .errors import EmptyMask, FieldRangeError, NonFiniteLoss
+from .errors import EmptyMask, FieldRangeError, NonFiniteLoss, SplitIndexOutOfRange
 from .graph import Graph
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
+def _check_range(part: str, idx: np.ndarray, n: int):
+    """Raise SplitIndexOutOfRange at the first index of idx outside 0..n-1."""
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise SplitIndexOutOfRange(f"{part} split index {int(bad[0])} outside 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class SplitMasks:
-    """Disjoint train/val/test node index arrays; train and test nonempty."""
+    """Disjoint train/val/test node index arrays; train and test nonempty.
+
+    The masks do not know the node count: check_range(n) bounds them, and
+    Dataset and fit call it before any index is read; evaluate runs the
+    same check on its one mask.
+    """
 
     train: np.ndarray
     val: np.ndarray
@@ -49,9 +61,18 @@ class SplitMasks:
         if np.any(all_idx[1:] == all_idx[:-1]):
             raise ValueError("split masks must be pairwise disjoint")
 
+    def check_range(self, n: int):
+        """Raise SplitIndexOutOfRange at the first index outside 0..n-1, naming its part."""
+        for part in ("train", "val", "test"):
+            _check_range(part, getattr(self, part), n)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer and stopping settings of a fit: finite lr and weight_decay
+    >= 0, positive max_epochs and patience, a seed >= 0 and adam or sgd; a
+    value out of range raises FieldRangeError naming its field."""
+
     lr: float = 1e-2
     weight_decay: float = 5e-4
     max_epochs: int = 200
@@ -70,6 +91,8 @@ class TrainConfig:
         for name in ("max_epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise FieldRangeError(f"{name} must be positive, got {getattr(self, name)}", name)
+        if self.seed < 0:
+            raise FieldRangeError(f"seed must be >= 0, got {self.seed}", "seed")
         if self.optimizer not in ("adam", "sgd"):
             raise FieldRangeError(f"unknown optimizer {self.optimizer!r}; choose adam or sgd",
                                   "optimizer")
@@ -156,12 +179,16 @@ class FitResult:
 
 def evaluate(model, g: Graph, X: np.ndarray, labels: np.ndarray,
              mask: np.ndarray) -> float:
-    """Accuracy under argmax with ties resolved toward the lowest class id."""
+    """Accuracy on the nodes of mask under argmax, ties resolved toward the
+    lowest class id. An empty mask raises EmptyMask, and an index outside
+    0..n-1, n the number of labels, SplitIndexOutOfRange, both before the
+    forward pass."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise EmptyMask("evaluation mask is empty")
-    return float(np.mean(_correct(model.forward(g, X).value,
-                                  np.asarray(labels, dtype=np.int64))[mask]))
+    labels = np.asarray(labels, dtype=np.int64)
+    _check_range("evaluation", mask, len(labels))
+    return float(np.mean(_correct(model.forward(g, X).value, labels)[mask]))
 
 
 def _correct(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -179,9 +206,12 @@ def fit(model, g: Graph, X: np.ndarray, labels: np.ndarray,
     returning. History lists carry one entry per executed epoch. Each epoch
     takes its train loss and gradient, its validation loss and both
     accuracies from one pass over the logits: one per-node cross-entropy
-    (autodiff.cross_entropy_rows) and one argmax.
+    (autodiff.cross_entropy_rows) and one argmax. A mask index outside
+    0..n-1, n the number of labels, raises SplitIndexOutOfRange before the
+    first epoch.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    masks.check_range(len(labels))
     opt = (_Adam if cfg.optimizer == "adam" else _SGD)(model.parameters(), cfg)
     val_mask = masks.val if masks.val.size else masks.train
 

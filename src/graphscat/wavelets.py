@@ -17,11 +17,18 @@ from .errors import ScaleOutOfRange
 from .graph import LAZY_WALK, Graph
 
 
+# a sweep to scale k holds all 2^k + 1 powers of its chain, so each scale
+# doubles its time and memory: scale 12 is 4096 matvecs
+MAX_SCALE = 12
+
+
 def check_scales(scales):
-    """Reject the first negative wavelet scale, naming it."""
+    """Reject the first wavelet scale outside 0..MAX_SCALE, naming it."""
     for k in scales:
         if k < 0:
             raise ScaleOutOfRange(f"wavelet scale {k} must be >= 0")
+        if k > MAX_SCALE:
+            raise ScaleOutOfRange(f"wavelet scale {k} must be <= {MAX_SCALE}")
 
 
 def _psi(chain: list[ad.Tensor], k: int) -> ad.Tensor:

@@ -124,6 +124,45 @@ def small_dataset_dir(tmp_path_factory):
     return root
 
 
+# test_value_error_names_key_and_line: a config setting, the line it lands
+# on, the key the error names and its message; every key of the config
+# schema has a row, or a reason in KEYS_WITHOUT_RANGE_ROW
+VALUE_ERROR_ROWS = [
+    ("train.optimizer = adamw", 3, "train.optimizer",
+     "unknown optimizer 'adamw'; choose adam or sgd"),
+    ("sbm.p_in = 2", 3, "sbm.p_in", "p_in must lie in [0, 1], got 2.0"),
+    ("model.preset = gsan\nmodel.heads = 0", 4, "model.heads", "heads must be >= 1, got 0"),
+    ("train.epochs = 0", 3, "train.epochs", "max_epochs must be positive, got 0"),
+    ("model.low_widths = 10,10", 3, "model.low_widths",
+     "low_powers and low_widths must have equal length"),
+    # ChannelSpec's ranges, raised by ModelSpec on the field that supplied the value
+    ("model.q = 0.5", 3, "model.q", "band-pass q must be >= 1"),
+    ("model.low_powers = 0,1,2", 3, "model.low_powers", "low-pass power r must be >= 1"),
+    ("model.preset = gsan\nmodel.low_powers = 0", 4, "model.low_powers",
+     "low-pass power r must be >= 1"),
+    ("model.low_widths = 0,10,10", 3, "model.low_widths", "channel width must be >= 1"),
+    ("model.band_widths = 0,6", 3, "model.band_widths", "channel width must be >= 1"),
+    ("model.band_paths = -1|3", 3, "model.band_paths", "wavelet scale -1 must be >= 0"),
+    ("model.band_paths = 1|13", 3, "model.band_paths", "wavelet scale 13 must be <= 12"),
+    ("model.preset = gcn-baseline\nmodel.hidden = 0", 4, "model.hidden",
+     "hidden must be >= 1, got 0"),
+    ("model.alpha = -0.5", 3, "model.alpha", "alpha must be finite and >= 0, got -0.5"),
+    ("train.lr = -1", 3, "train.lr", "lr must be >= 0, got -1.0"),
+    ("train.weight_decay = nan", 3, "train.weight_decay",
+     "weight_decay must be finite, got nan"),
+    ("train.patience = 0", 3, "train.patience", "patience must be positive, got 0"),
+    ("train.seed = -1", 3, "train.seed", "seed must be >= 0, got -1"),
+    # a row for a key of the base config takes the place of its base line
+    ("sbm.blocks = 10", 2, "sbm.blocks", "block_sizes needs at least 2 blocks, got (10,)"),
+    ("sbm.p_out = -0.5", 3, "sbm.p_out", "p_out must lie in [0, 1], got -0.5"),
+    ("sbm.feature_dim = 0", 3, "sbm.feature_dim", "feature_dim must be >= 1, got 0"),
+    ("sbm.noise = inf", 3, "sbm.noise", "noise_scale must be finite and >= 0, got inf"),
+    ("sbm.seed = -1", 2, "sbm.seed", "seed must be >= 0, got -1"),
+]
+BASE_SBM_LINES = ("sbm.blocks = 10,10", "sbm.seed = 1")
+KEYS_WITHOUT_RANGE_ROW = {}   # key: why no value of it is out of range
+
+
 class TestCliCommands:
     def test_gen_sbm_writes_dataset(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -152,6 +191,20 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert main(["gen-sbm", "--blocks", blocks, "--out", str(out)]) == 2
         assert "error: every block needs at least 1 node" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--feature-dim", "0", "feature_dim must be >= 1, got 0"),
+        ("--feature-dim", "-2", "feature_dim must be >= 1, got -2"),
+        ("--noise", "nan", "noise_scale must be finite and >= 0, got nan"),
+        ("--noise", "inf", "noise_scale must be finite and >= 0, got inf"),
+        ("--noise", "-0.5", "noise_scale must be finite and >= 0, got -0.5"),
+        ("--seed", "-2", "seed must be >= 0, got -2"),
+    ])
+    def test_gen_sbm_rejects_field_out_of_range(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        assert main(["gen-sbm", "--blocks", "5,5", f"{flag}={value}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_gen_sbm_rejects_empty_blocks_field(self, tmp_path, capsys):
@@ -242,16 +295,22 @@ class TestCliCommands:
         assert main(argv) == 0
         assert seen == [want]
 
-    @pytest.mark.parametrize("paths", ["-1", "1|0,-1"])
+    @pytest.mark.parametrize("paths,message", [
+        pytest.param("-1", "wavelet scale -1 must be >= 0", id="-1"),
+        pytest.param("1|0,-1", "wavelet scale -1 must be >= 0", id="1|0,-1"),
+        # a scale above MAX_SCALE would run a chain of 2^k kernel calls
+        pytest.param("13", "wavelet scale 13 must be <= 12", id="13"),
+        pytest.param("1|0,30", "wavelet scale 30 must be <= 12", id="1|0,30"),
+    ])
     def test_scatter_rejects_negative_scale(self, small_dataset_dir, tmp_path, capsys,
-                                            monkeypatch, paths):
+                                            monkeypatch, paths, message):
         # every scale is checked before the first chain runs
         calls = count_kernel_calls(monkeypatch)
         out = tmp_path / "scatter.csv"
         assert main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
                      "--features", str(small_dataset_dir / "features.csv"),
                      f"--paths={paths}", "--out", str(out)]) == 2
-        assert "error: wavelet scale -1 must be >= 0" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
         assert calls == []
 
@@ -334,6 +393,16 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "train.seed" in err and "line 3" in err
 
+    def test_seed_flag_out_of_range_names_the_field(self, small_dataset_dir, tmp_path, capsys):
+        # the config's own train.seed is valid, so the error names no line
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset.dir = {small_dataset_dir}\ntrain.seed = 1\n")
+        out_dir = tmp_path / "res"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out_dir),
+                     "--seed=-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("case", ["bad seed", "node id out of range", "model fails to build"])
     def test_rejected_run_leaves_no_out_dir(self, small_dataset_dir, tmp_path, capsys,
                                             monkeypatch, case):
@@ -363,31 +432,22 @@ class TestCliCommands:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("setting,line,key,message", [
-        ("train.optimizer = adamw", 3, "train.optimizer",
-         "unknown optimizer 'adamw'; choose adam or sgd"),
-        ("sbm.p_in = 2", 3, "sbm.p_in", "p_in must lie in [0, 1], got 2.0"),
-        ("model.preset = gsan\nmodel.heads = 0", 4, "model.heads", "heads must be >= 1, got 0"),
-        ("train.epochs = 0", 3, "train.epochs", "max_epochs must be positive, got 0"),
-        ("model.low_widths = 10,10", 3, "model.low_widths",
-         "low_powers and low_widths must have equal length"),
-        # ChannelSpec's ranges, raised by ModelSpec on the field that supplied the value
-        ("model.q = 0.5", 3, "model.q", "band-pass q must be >= 1"),
-        ("model.low_powers = 0,1,2", 3, "model.low_powers", "low-pass power r must be >= 1"),
-        ("model.preset = gsan\nmodel.low_powers = 0", 4, "model.low_powers",
-         "low-pass power r must be >= 1"),
-        ("model.low_widths = 0,10,10", 3, "model.low_widths", "channel width must be >= 1"),
-        ("model.band_widths = 0,6", 3, "model.band_widths", "channel width must be >= 1"),
-        ("model.band_paths = -1|3", 3, "model.band_paths", "wavelet scale -1 must be >= 0"),
-    ])
+    @pytest.mark.parametrize("setting,line,key,message", VALUE_ERROR_ROWS)
     def test_value_error_names_key_and_line(self, tmp_path, capsys, setting, line, key,
                                             message):
         out_dir = tmp_path / "res"
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"sbm.blocks = 10,10\nsbm.seed = 1\n{setting}\nout.dir = {out_dir}\n")
+        base = [b for b in BASE_SBM_LINES if not b.startswith(f"{key} =")]
+        cfg.write_text("\n".join([*base, setting, f"out.dir = {out_dir}"]) + "\n")
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: line {line}: key {key!r}: {message}\n"
         assert not out_dir.exists()
+
+    def test_value_error_rows_cover_every_key(self):
+        covered = {key for _, _, key, _ in VALUE_ERROR_ROWS}
+        schema = set(MODEL_KEYS) | set(TRAIN_KEYS) | set(SBM_KEYS)
+        assert set(KEYS_WITHOUT_RANGE_ROW) <= schema
+        assert covered == schema - set(KEYS_WITHOUT_RANGE_ROW)
 
     def test_misspelt_key_rejected_with_file_flags(self, small_dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "model.cfg"
@@ -474,23 +534,37 @@ class TestCliCommands:
             "error: empty field in comma-separated integers '1,'\n")
         assert not out.exists()
 
-    def test_scatter_shares_first_layer_sweep(self, small_dataset_dir, tmp_path, monkeypatch):
-        # one 2^3-step sweep gives Psi_0..Psi_3 X for every path's first
-        # wavelet; (0, 1) and (1, 2) then add 2 and 4 steps; the values are
-        # those of one cascade call per path
+    @staticmethod
+    def _scatter_per_path(data_dir, tmp_path, monkeypatch, arg):
+        """Kernel calls of `scatter --paths arg`, after checking that its CSV
+        rows are those of one cascade call per path."""
         out = tmp_path / "scatter.csv"
-        paths = ((1,), (2,), (3,), (0, 1), (1, 2))
         calls = count_kernel_calls(monkeypatch)
-        rc = main(["scatter", "--graph", str(small_dataset_dir / "edges.tsv"),
-                   "--features", str(small_dataset_dir / "features.csv"),
-                   "--paths", "1|2|3|0,1|1,2", "--out", str(out)])
-        assert rc == 0
-        assert len(calls) == 8 + 2 + 4
-        ds = load_dataset(small_dataset_dir)
+        assert main(["scatter", "--graph", str(data_dir / "edges.tsv"),
+                     "--features", str(data_dir / "features.csv"),
+                     "--paths", arg, "--out", str(out)]) == 0
+        n_calls = len(calls)
+        ds = load_dataset(data_dir)
+        paths = [tuple(map(int, p.split(","))) for p in arg.split("|")]
         want = np.concatenate([cascade(ds.graph, [p], ABS, ds.features)[0] for p in paths],
                               axis=1)
         rows = [line.split(",")[1:] for line in out.read_text().splitlines()[1:]]
         assert rows == [[f"{x:.10g}" for x in row] for row in want]
+        return n_calls
+
+    def test_scatter_shares_first_layer_sweep(self, small_dataset_dir, tmp_path, monkeypatch):
+        # one 2^3-step sweep gives Psi_0..Psi_3 X for every path's first
+        # wavelet; (0, 1) and (1, 2) then add 2 and 4 steps
+        assert self._scatter_per_path(small_dataset_dir, tmp_path, monkeypatch,
+                                      "1|2|3|0,1|1,2") == 8 + 2 + 4
+
+    def test_scatter_shares_every_prefix_sweep(self, small_dataset_dir, tmp_path, monkeypatch):
+        # second order at J = 3: after the first sweep, each of the prefixes
+        # (0,), (1,) and (2,) runs one 2^3-step sweep for all its second
+        # wavelets, 32 kernel calls against 42 for a chain per second wavelet
+        arg = "0|1|2|3|0,1|0,2|0,3|1,2|1,3|2,3"
+        assert self._scatter_per_path(small_dataset_dir, tmp_path, monkeypatch,
+                                      arg) == 8 + (8 + 8 + 8)
 
     def test_spectra_csv_matches_gcn_response(self, tmp_path):
         edges = tmp_path / "edges.tsv"
@@ -576,6 +650,8 @@ class TestCliCommands:
         (" ; ", "--filters names no filter"),
         ("wavelet:-1", "wavelet scale -1 must be >= 0"),
         ("gcn;lowpass:-2", "wavelet scale -2 must be >= 0"),
+        ("wavelet:13", "wavelet scale 13 must be <= 12"),
+        ("gcn;lowpass:13", "wavelet scale 13 must be <= 12"),
         # every malformed item is named; a gcn argument is not dropped
         ("gcn:3", "filter 'gcn:3': gcn takes no argument"),
         ("wavelet:1;gcn:", "filter 'gcn:': gcn takes no argument"),

@@ -21,6 +21,7 @@ from graphscat.datasets import (
 from graphscat.errors import (
     BadClassIds,
     BadSplitIndex,
+    FieldRangeError,
     InfeasibleSpec,
     MissingFile,
     RowCountMismatch,
@@ -79,6 +80,20 @@ class TestGenerateSBM:
             SBMSpec(block_sizes=(10,), p_in=0.1, p_out=0.1)
         with pytest.raises(ValueError):
             SBMSpec(block_sizes=(10, 10), p_in=1.5, p_out=0.1)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("feature_dim", 0, "feature_dim must be >= 1, got 0"),
+        ("feature_dim", -2, "feature_dim must be >= 1, got -2"),
+        ("noise_scale", float("inf"), "noise_scale must be finite and >= 0, got inf"),
+        ("noise_scale", float("nan"), "noise_scale must be finite and >= 0, got nan"),
+        ("noise_scale", -0.5, "noise_scale must be finite and >= 0, got -0.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_spec_field_out_of_range(self, field, value, message):
+        with pytest.raises(FieldRangeError, match=f"^{message}$") as err:
+            SBMSpec(block_sizes=(10, 10), **{field: value})
+        assert err.value.fields == (field,)
+        SBMSpec(block_sizes=(10, 10), feature_dim=1, noise_scale=0.0, seed=0)
 
     def test_stratified_split_ratios(self):
         labels = np.repeat([0, 1], 70)

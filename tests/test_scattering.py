@@ -80,23 +80,37 @@ class TestCascade:
         out = cascade(g, [(0, 1, 2)], ABS, x)[0]
         assert np.max(np.abs(out - expected)) < 1e-10
 
-    def test_shared_first_wavelets_change_no_value(self, rng, monkeypatch):
-        # one call makes one 2^2-step sweep, which gives Psi_0 and Psi_2 to
-        # every path; only the later wavelets of (0, 1) and (2, 0, 1) run
-        # chains of their own; a repeated path gets its own output, in order
+    @pytest.mark.parametrize("paths,kernel_calls", [
+        # one 2^2-step sweep gives Psi_0 and Psi_2 to every path; (0, 1) and
+        # (2, 0, 1) then add 2 and 1 + 2 steps; a repeated path gets its own
+        # output, in order
+        pytest.param([(), (2,), (0, 1), (2, 0, 1), (0,), (2,)], 4 + 2 + (1 + 2),
+                     id="first-layer"),
+        # the prefix (0,) runs one sweep to 2^3 for all three second wavelets,
+        # not 2 + 4 + 8 steps
+        pytest.param([(0, 1), (0, 2), (0, 3)], 1 + 8, id="shared-prefix"),
+        # (0, 1) is a prefix of (0, 1, 2): its node is swept on, not rebuilt
+        pytest.param([(0, 1), (0, 1, 2)], 1 + 2 + 4, id="nested"),
+        # second order at J = 3: one sweep per first scale that a second follows
+        pytest.param([(0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                      (2, 3)], 8 + (8 + 8 + 8), id="second-order-J3"),
+    ])
+    def test_shared_first_wavelets_change_no_value(self, rng, monkeypatch, paths,
+                                                   kernel_calls):
+        # each distinct prefix is swept once; every output is bitwise the one
+        # of a call on its path alone
         edges, g = random_connected_graph(rng, 9)
         x = rng.standard_normal((9, 3))
-        paths = [(), (2,), (0, 1), (2, 0, 1), (0,), (2,)]
         want = [cascade(g, [p], ABS, x)[0] for p in paths]
         calls = count_kernel_calls(monkeypatch)
         got = cascade(g, paths, ABS, x)
-        assert len(calls) == 4 + 2 + (1 + 2)
+        assert len(calls) == kernel_calls
         for u, v in zip(got, want, strict=True):
             assert np.array_equal(u, v)
 
     def test_scale_out_of_range(self, monkeypatch):
-        # scales are bounded below only; the error names the negative scale,
-        # and every scale is checked before the first chain runs
+        # the error names the first scale outside 0..MAX_SCALE, and every
+        # scale is checked before the first chain runs
         g = build_graph(cycle(4))
         assert np.array_equal(cascade(g, [(0, 3)], ABS, np.zeros(4))[0], np.zeros(4))
         calls = count_kernel_calls(monkeypatch)
@@ -106,6 +120,10 @@ class TestCascade:
             cascade(g, [(0,), (-2, 0)], ABS, np.zeros(4))
         with pytest.raises(ScaleOutOfRange, match="wavelet scale -3 "):
             cascade(g, [(1,), (0, -3)], ABS, np.zeros(4))
+        with pytest.raises(ScaleOutOfRange, match="^wavelet scale 13 must be <= 12$"):
+            cascade(g, [(13,)], ABS, np.zeros(4))
+        with pytest.raises(ScaleOutOfRange, match="^wavelet scale 30 must be <= 12$"):
+            cascade(g, [(1,), (0, 30)], ABS, np.zeros(4))
         assert calls == []
 
     def test_permutation_equivariance(self, rng):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
 from graphscat import train
-from graphscat.datasets import SBMSpec, describe, generate_sbm
-from graphscat.errors import EmptyMask, NonFiniteLoss
+from graphscat.datasets import Dataset, SBMSpec, describe, generate_sbm
+from graphscat.errors import EmptyMask, FieldRangeError, NonFiniteLoss, SplitIndexOutOfRange
 from graphscat.models import PRESET_FIELDS, ModelSpec, build_model
 from graphscat.train import SplitMasks, TrainConfig, evaluate, fit
 
@@ -270,6 +271,19 @@ class TestEvaluate:
             evaluate(FixedLogitsModel(np.zeros((g.n, 2))), g, X, labels,
                      np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("index", [-40, -1, 30, 99])
+    def test_mask_index_out_of_range(self, rng, index):
+        # a negative index would read a node from the end; the forward pass never runs
+        g, X, labels, _ = tiny_dataset(rng)
+
+        class NoForward(FixedLogitsModel):
+            def forward(self, g, X):
+                pytest.fail("forward pass ran")
+
+        with pytest.raises(SplitIndexOutOfRange,
+                           match=rf"^evaluation split index {index} outside 0\.\.29$"):
+            evaluate(NoForward(np.zeros((g.n, 2))), g, X, labels, [0, index])
+
 
 class TestConfigsAndMasks:
     def test_masks_must_be_disjoint(self):
@@ -300,6 +314,36 @@ class TestConfigsAndMasks:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="sgdm")
         TrainConfig(lr=0.0)   # explicitly legal
+
+    def test_train_config_rejects_negative_seed(self):
+        with pytest.raises(FieldRangeError, match="^seed must be >= 0, got -1$") as err:
+            TrainConfig(seed=-1)
+        assert err.value.fields == ("seed",)
+        TrainConfig(seed=0)
+
+    @pytest.mark.parametrize("parts,message", [
+        # negative indices would train on nodes n-1 and n-2
+        (([-1, -2], [], [-3]), "train split index -1 outside 0..29"),
+        (([0, 99], [1], [2]), "train split index 99 outside 0..29"),
+        (([0], [1, 30], [2]), "val split index 30 outside 0..29"),
+        (([0], [1], [2, -30]), "test split index -30 outside 0..29"),
+    ])
+    def test_fit_rejects_split_index_out_of_range(self, rng, monkeypatch, parts, message):
+        # checked once, before the optimizer is built and the first epoch runs
+        g, X, labels, _ = tiny_dataset(rng)
+        monkeypatch.setattr(train, "_Adam", lambda *a: pytest.fail("optimizer built"))
+        with pytest.raises(SplitIndexOutOfRange, match=f"^{re.escape(message)}$"):
+            fit(LinearModel(4, 2, rng), g, X, labels, SplitMasks(*parts))
+
+    def test_dataset_and_fit_share_the_message(self, rng):
+        g, X, labels, _ = tiny_dataset(rng)
+        masks = SplitMasks(train=[0, 99], val=[1], test=[2])
+        with pytest.raises(SplitIndexOutOfRange) as from_fit:
+            fit(LinearModel(4, 2, rng), g, X, labels, masks)
+        with pytest.raises(SplitIndexOutOfRange) as from_dataset:
+            Dataset("tiny", g, X, labels, masks)
+        assert str(from_fit.value) == str(from_dataset.value) == (
+            "train split index 99 outside 0..29")
 
     @pytest.mark.parametrize("field", ["lr", "weight_decay"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

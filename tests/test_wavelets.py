@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import graphscat.autodiff as ad
 from graphscat.errors import ScaleOutOfRange
 from graphscat.graph import LAZY_WALK, apply_operator, build_graph
-from graphscat.wavelets import bank_sweep, wavelet_sweep
+from graphscat.wavelets import MAX_SCALE, bank_sweep, check_scales, wavelet_sweep
 
 from conftest import count_kernel_calls, dense_ops, dense_wavelet, random_connected_graph
 
@@ -57,6 +57,11 @@ class TestWaveletApply:
             sweep(g, [0, -1], np.zeros(4))
         with pytest.raises(ScaleOutOfRange, match="wavelet scale -3 must be >= 0"):
             bank_sweep(g, -3, np.zeros(4))
+        with pytest.raises(ScaleOutOfRange, match="^wavelet scale 13 must be <= 12$"):
+            sweep(g, [0, 13], np.zeros(4))
+        with pytest.raises(ScaleOutOfRange, match="^wavelet scale 13 must be <= 12$"):
+            bank_sweep(g, 13, np.zeros(4))
+        check_scales((0, MAX_SCALE))
 
 
 class TestLowpass:
