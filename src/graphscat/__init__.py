@@ -35,8 +35,10 @@ from .theory import (
     IntrinsicFeatureKind,
     NodeMap,
     avg_degree,
+    check_coincidental_correspondence,
     homophily,
     intrinsic_features,
+    structural_differences,
     triangle_count,
     validate_isomorphism,
     verify_theorem1,

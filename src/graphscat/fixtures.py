@@ -9,7 +9,7 @@ feature gap is a small rational well above 1e-3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,45 +195,33 @@ def square_double_path_pair() -> TheoremCase:
         expect_violation="shortest paths")
 
 
-def theorem1_cases() -> list[TheoremCase]:
-    g6 = cycle_graph(6)
-    rot = NodeMap({i: (i + 3) % 6 for i in range(6)})
-    cases = [TheoremCase(name="c6-rotation", theorem=1, graph=g6, phi=rot,
-                         v=0, K=1, L=2, kind=DEGREE)]
-
-    base = pendant_path_pair(2)          # leaf at hop 3: radius-3 balls isomorphic
-    cases.append(TheoremCase(
-        name="pendant-path-hidden-leaf", theorem=1, graph=base.graph,
-        phi=base.phi, v=0, K=1, L=2, kind=DEGREE))
-
+def _theorem_cases(c6: Graph) -> list[TheoremCase]:
+    """The Theorem 1, 2 and 3 cases, in that order, on the 6-cycle c6 and on
+    fixture graphs built once each: a pendant path pair serves every case on
+    its graph."""
+    pendant = {d: pendant_path_pair(d) for d in (1, 2, 3, 5)}
+    base = pendant[2]                    # leaf at hop 3: radius-3 balls isomorphic
     m = 2 + 4
     wide = dict(base.phi.mapping)
     wide[4] = m + 4                      # cover the radius-4 ball on the path...
     wide[2 * m] = m + 5                  # ...and send the leaf somewhere wrong
-    cases.append(TheoremCase(
-        name="pendant-path-radius-guard", theorem=1, graph=base.graph,
-        phi=NodeMap(wide), v=0, K=1, L=3, kind=DEGREE,
-        expect_violation="not phi-isomorphic"))
-    return cases
-
-
-def theorem2_cases() -> list[TheoremCase]:
-    cases = [pendant_path_pair(1), pendant_path_pair(2),
-             pendant_path_pair(3), pendant_path_pair(5)]
-    cases[1].sigma = IDENTITY
-    cases[3].sigma = IDENTITY
-    cases.append(barbell_pair())
-    cases.append(fork_pair((2, 0), (0, 2), name="coincidental-gadget", theorem=2,
-                           expect_violation="coincidental"))
-    return cases
-
-
-def theorem3_cases() -> list[TheoremCase]:
-    pendant = pendant_path_pair(3)
-    pendant.name = "pendant-path-d3-unique"
-    pendant.theorem = 3
     return [
-        pendant,
+        TheoremCase(name="c6-rotation", theorem=1, graph=c6,
+                    phi=NodeMap({i: (i + 3) % 6 for i in range(6)}),
+                    v=0, K=1, L=2, kind=DEGREE),
+        TheoremCase(name="pendant-path-hidden-leaf", theorem=1, graph=base.graph,
+                    phi=base.phi, v=0, K=1, L=2, kind=DEGREE),
+        TheoremCase(name="pendant-path-radius-guard", theorem=1, graph=base.graph,
+                    phi=NodeMap(wide), v=0, K=1, L=3, kind=DEGREE,
+                    expect_violation="not phi-isomorphic"),
+        pendant[1],
+        replace(pendant[2], sigma=IDENTITY),
+        pendant[3],
+        replace(pendant[5], sigma=IDENTITY),
+        barbell_pair(),
+        fork_pair((2, 0), (0, 2), name="coincidental-gadget", theorem=2,
+                  expect_violation="coincidental"),
+        replace(pendant[3], name="pendant-path-d3-unique", theorem=3),
         fork_pair((1, 2), (0, 0), name="fork-equidistant", theorem=3,
                   expected_d=2, expect_violation="not unique"),
         square_double_path_pair(),
@@ -275,14 +263,21 @@ def run_case(case: TheoremCase, tol: float = EQUALITY_ATOL) -> CaseResult:
 
 
 def run_verify_suite(tol: float = EQUALITY_ATOL) -> list[CaseResult]:
-    """Every shipped fixture: two-coloring dichotomy plus the theorem cases."""
+    """Every shipped fixture: two-coloring dichotomy plus the theorem cases.
+
+    Each distinct graph is built once per call, so its kernel plan and hop
+    table are too: the two-coloring C6 also serves c6-rotation. Nothing is
+    kept between calls.
+    """
     results = []
-    for name, g, x in two_coloring_cases():
+    colorings = two_coloring_cases()
+    for name, g, x in colorings:
         gcn_dev, psi_dev = two_coloring_dichotomy(g, x)
         ok = max(gcn_dev) < 1e-12 and max(psi_dev) < 1e-12
         results.append(CaseResult(
             f"two-coloring-{name}", ok,
             f"lowpass dev {max(gcn_dev):.2e}, band dev {max(psi_dev):.2e}"))
-    for case in theorem1_cases() + theorem2_cases() + theorem3_cases():
+    c6 = next(g for name, g, _ in colorings if name == "C6")
+    for case in _theorem_cases(c6):
         results.append(run_case(case, tol=tol))
     return results

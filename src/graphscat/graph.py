@@ -33,6 +33,9 @@ from .errors import (
 # ROW_CHUNK + ceil(max degree / ROW_CHUNK) slot adds.
 ROW_CHUNK = 64
 
+# write_rows formats about this many values per % operation
+WRITE_BLOCK = 32768
+
 
 @dataclass(frozen=True)
 class SlotPlan:
@@ -72,22 +75,34 @@ def _slots(starts: np.ndarray, sizes: np.ndarray):
 
 
 def _slot_plan(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> SlotPlan:
-    """The SlotPlan of a CSR matrix, O(nnz + n) array work."""
+    """The SlotPlan of a CSR matrix, O(nnz + n) array work.
+
+    The chunk arithmetic runs only when some row is longer than ROW_CHUNK;
+    otherwise each non-empty row is one segment, which is what it gives.
+    """
     lengths = np.diff(offsets)
-    chunks = -(-lengths // ROW_CHUNK)
-    first = np.cumsum(chunks) - chunks                  # each row's first chunk
-    row = np.repeat(np.arange(lengths.size), chunks)
-    skip = (np.arange(row.size) - first[row]) * ROW_CHUNK   # entries of the row before the chunk
-    order, entries, slots = _slots(offsets[row] + skip,
-                                   np.minimum(lengths[row] - skip, ROW_CHUNK))
+    filled = lengths > 0
+    chunked = lengths.size > 0 and lengths.max() > ROW_CHUNK
+    if chunked:
+        chunks = -(-lengths // ROW_CHUNK)
+        first = np.cumsum(chunks) - chunks              # each row's first chunk
+        row = np.repeat(np.arange(lengths.size), chunks)
+        skip = (np.arange(row.size) - first[row]) * ROW_CHUNK   # entries of the row before the chunk
+        starts, sizes = offsets[row] + skip, np.minimum(lengths[row] - skip, ROW_CHUNK)
+        heads = first[filled]
+    else:
+        row = np.flatnonzero(filled)
+        starts, sizes = offsets[row], lengths[row]
+        heads = slice(None)                             # the first chunk of a row is the row
+    order, entries, slots = _slots(starts, sizes)
     segment = np.empty(order.size, dtype=np.intp)       # chunk -> segment holding its sum
     segment[order] = np.arange(order.size)
     rows = np.full(lengths.size, -1, dtype=np.intp)
-    rows[lengths > 0] = segment[first[lengths > 0]]
+    rows[filled] = segment[heads]
     chunk_take = chunk_rows = None
     chunk_slots = ()
-    long_rows = np.flatnonzero(chunks > 1)
-    if long_rows.size:
+    if chunked:
+        long_rows = np.flatnonzero(chunks > 1)
         by_chunks, chunk_entries, chunk_slots = _slots(first[long_rows], chunks[long_rows])
         chunk_take = segment[chunk_entries]
         chunk_rows = segment[first[long_rows[by_chunks]]]
@@ -148,8 +163,8 @@ class Graph:
     def kernel_plan(self) -> SlotPlan:
         """The jagged-diagonal SlotPlan that adjacency_matvec runs, built on first use.
 
-        A plan costs about 75 us on a 30-node graph and 170 us on a 400-node
-        one; the spectra command's graph and 3 of verify-theory's 16 never
+        A plan costs about 35 us on a 30-node graph and 85 us on a 400-node
+        one; the spectra command's graph and 2 of verify-theory's 13 never
         reach the kernel.
         """
         return _slot_plan(self.csr_offsets, self.csr_targets, self.csr_weights)
@@ -158,25 +173,41 @@ class Graph:
     def hops(self) -> np.ndarray:
         """Read-only (n, n) int64 hop distances, -1 between components, built on first use.
 
-        One breadth-first search from all sources at once expands each level's
-        (source, node) pairs through their CSR rows: O(n (n + nnz)) array work.
+        One breadth-first search from all sources at once, level by level, as
+        products of n x n float32 0/1 matrices: the frontier times the 0/1
+        adjacency counts the walks into each node (exact while n < 2**24), and
+        the pairs already reached are masked out. d(u, v) is the number of
+        levels after which v is still unreached from u, so the table is a sum
+        of the unreached masks. Level 1 is the adjacency itself, and a
+        connected graph stops once every pair is reached. O(levels * n**3)
+        flops through BLAS sgemm, and n x n float32 working memory: about 24
+        n**2 bytes at the peak, the int64 table included. On the 2100-node
+        wide-scgcn graph (7 levels) that is 0.45-0.68 s and a tracemalloc
+        peak of 106 MB on a 2-core x86 box, against 1.2-1.9 s and 759 MB
+        for expanding each level's (source, node) pairs through their CSR
+        rows.
         """
         n = self.n
-        row_len = np.diff(self.csr_offsets)
-        table = np.full(n * n, -1, dtype=np.int64)
-        frontier, level = np.arange(n) * (n + 1), 0     # flat (v, v) pairs
-        while frontier.size:
-            table[frontier] = level
-            level += 1
-            sources, nodes = np.divmod(frontier, n)
-            deg = row_len[nodes]
-            ends = np.cumsum(deg)
-            entries = np.arange(ends[-1]) + np.repeat(self.csr_offsets[nodes] + deg - ends, deg)
-            reached = np.repeat(sources * n, deg) + self.csr_targets[entries]
-            # repeats dropped after a sort: np.unique would import numpy.ma (1.2 MB)
-            reached = np.sort(reached[table[reached] < 0])
-            frontier = reached[np.diff(reached, prepend=-1) != 0]
-        table = table.reshape(n, n)
+        adj = np.zeros((n, n), dtype=np.float32)
+        adj[self.entry_rows(), self.csr_targets] = 1.0
+        unreached = 1.0 - adj                       # after level 1
+        np.fill_diagonal(unreached, 0.0)
+        dist = unreached + 1.0                      # the masks after levels 0 and 1
+        np.fill_diagonal(dist, 0.0)
+        frontier = adj
+        remaining = n * n - n - self.csr_targets.size
+        while remaining:
+            frontier = frontier @ adj
+            np.minimum(frontier, unreached, out=frontier)   # the unreached ends, as 0/1
+            reached = np.count_nonzero(frontier)
+            if not reached:                         # the rest lie in other components
+                break
+            remaining -= reached
+            unreached -= frontier
+            dist += unreached
+        table = dist.astype(np.int64)
+        if remaining:
+            table[unreached > 0] = -1
         table.flags.writeable = False
         return table
 
@@ -587,9 +618,13 @@ def write_edge_list(g: Graph, path):
 
 
 def write_rows(fh, fmt: str, table: np.ndarray):
-    """Write each row of a 2-D table as one line, with a single % operation.
+    """Write each row of a 2-D table as one line, a block of rows per % operation.
 
-    fmt is the %-format of a whole row, without the newline.
+    fmt is the %-format of a whole row, without the newline. A block holds
+    about WRITE_BLOCK values, so its string stays small on wide tables.
     """
     fmt += "\n"
-    fh.writelines(fmt % tuple(row) for row in table.tolist())
+    block = max(1, WRITE_BLOCK // max(1, table.shape[1]))
+    for start in range(0, table.shape[0], block):
+        rows = table[start:start + block]
+        fh.write((fmt * rows.shape[0]) % tuple(rows.ravel().tolist()))

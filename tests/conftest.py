@@ -8,9 +8,12 @@ writer replace; the per-row kernel, the former reduceat kernel and the
 closed-form operators that the slot kernel and the in-place operators
 replace; the per-parameter optimizers and the per-mask loss and
 accuracy that the flat optimizers and the one-pass epoch metrics replace;
-and the backward that kept its graph and summed zero-filled arrays, which
-the consuming, block-gathering backward replaces."""
+the backward that kept its graph and summed zero-filled arrays, which
+the consuming, block-gathering backward replaces; the per-source
+breadth-first search that the hop table's frontier products replace; and
+the suite's theorem cases for tests that pick one by name."""
 
+import collections
 import functools
 import math
 import warnings
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import strategies as st
 
 from graphscat import autodiff as autodiff_module
+from graphscat import fixtures as fixtures_module
 from graphscat import graph as graph_module
 from graphscat import spectral as spectral_module
 from graphscat.datasets import SBMSpec, generate_sbm
@@ -452,6 +456,31 @@ def per_node_avg_degree(g, K):
         ball = [u for u in range(g.n) if 0 <= g.hops[v, u] <= K - 1]
         out[v, 0] = float(np.mean(g.degrees[ball]))
     return out
+
+
+def per_source_bfs_hops(n, edges):
+    """Graph.hops from one queue-driven breadth-first search per source over the
+    (u, v) or (u, v, weight) edge list; -1 between components."""
+    nbrs = [[] for _ in range(n)]
+    for u, v, *_ in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    table = np.full((n, n), -1, dtype=np.int64)
+    for s in range(n):
+        table[s, s] = 0
+        queue = collections.deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                if table[s, v] < 0:
+                    table[s, v] = table[s, u] + 1
+                    queue.append(v)
+    return table
+
+
+def theorem_cases():
+    """verify-theory's Theorem 1, 2 and 3 cases, on a 6-cycle of their own."""
+    return fixtures_module._theorem_cases(fixtures_module.cycle_graph(6))
 
 
 def per_node_dense_adjacency(g):

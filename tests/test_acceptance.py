@@ -16,7 +16,6 @@ from graphscat.fixtures import (
     fork_pair,
     pendant_path_pair,
     square_double_path_pair,
-    theorem1_cases,
     two_coloring_cases,
 )
 from graphscat.graph import (
@@ -49,7 +48,7 @@ from graphscat.theory import (
 from graphscat.train import TrainConfig, evaluate, fit
 from graphscat.wavelets import bank_sweep
 
-from conftest import mul, random_connected_graph
+from conftest import mul, random_connected_graph, theorem_cases
 
 
 class Timer:
@@ -135,7 +134,7 @@ def test_criterion_4_theorem_1():
     with Timer() as t:
         worst = 0.0
         checked = 0
-        for case in theorem1_cases():
+        for case in (c for c in theorem_cases() if c.theorem == 1):
             if case.expect_violation:
                 with pytest.raises(HypothesisViolated):
                     verify_theorem1(case.graph, case.phi, case.v, case.K,

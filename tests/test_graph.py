@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import graphscat.autodiff as ad
 import graphscat.graph as graph_module
+from graphscat.datasets import SBMSpec, generate_sbm
 from graphscat.errors import (
     DimensionMismatch,
     DuplicateEdge,
@@ -40,6 +42,7 @@ from conftest import (
     per_edge_read_edge_list,
     per_edge_write_edge_list,
     per_row_matvec,
+    per_source_bfs_hops,
     random_connected_graph,
     reduceat_matvec,
     weighted_graphs,
@@ -349,12 +352,16 @@ class TestNeighborhood:
 
     @settings(max_examples=100, deadline=None)
     @given(case=hop_graphs(weighted=True))
+    @example(case=(0, []))                                          # no nodes
     @example(case=(1, []))                                          # one node
     @example(case=(5, []))                                          # no edges
     @example(case=(27, [(0, v) for v in range(1, 23)] + [(23, 24), (24, 25)]))  # hub, node 26 alone
     @example(case=(6, [(0, 1, 0.5), (1, 2, 3.0), (3, 4, 1e-3)]))   # weighted, two components
+    @example(case=(7, [(0, 1), (2, 3), (3, 4)]))                    # three components, 5 and 6 alone
     def test_bfs_semantics_against_matrix_oracle(self, case):
-        # d(v, u) is the first K whose K-step reach from v contains u
+        # d(v, u) is the first K whose K-step reach from v contains u; the
+        # table is built from such products, so a per-source breadth-first
+        # search checks it too
         n, edges = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IsolatedNodeWarning)
@@ -367,6 +374,20 @@ class TestNeighborhood:
             reach = reach | (reach @ adj)
         assert g.hops.dtype == np.int64
         assert np.array_equal(g.hops, expected)
+        assert np.array_equal(g.hops, per_source_bfs_hops(n, edges))
+
+    def test_table_peak_memory_on_a_block_model(self):
+        # the table (8 n^2 bytes) and a few n x n float32 arrays take 24 n^2
+        # here; expanding each level's (source, node) pairs through the CSR
+        # rows takes 184 n^2
+        g = generate_sbm(SBMSpec(block_sizes=(500, 500), p_in=0.02, p_out=0.002)).graph
+        tracemalloc.start()
+        try:
+            table = g.hops
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 8 * g.n ** 2 <= peak < 32 * g.n ** 2
 
     def test_table_is_built_on_first_use_cached_and_read_only(self):
         g = build_graph(cycle(6))

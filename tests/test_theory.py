@@ -17,7 +17,6 @@ from graphscat.fixtures import (
     fork_pair,
     pendant_path_pair,
     square_double_path_pair,
-    theorem1_cases,
 )
 from graphscat.graph import build_graph
 from graphscat.scattering import ABS, IDENTITY
@@ -51,6 +50,7 @@ from conftest import (
     per_node_homophily,
     per_trial_gcn_deviation,
     random_connected_graph,
+    theorem_cases,
     weighted_graphs,
 )
 
@@ -280,13 +280,13 @@ class TestTheorem1:
         assert rep.passed and rep.max_deviation < 1e-9
 
     def test_hidden_leaf_pair_passes(self):
-        case = [c for c in theorem1_cases() if c.name == "pendant-path-hidden-leaf"][0]
+        case = [c for c in theorem_cases() if c.name == "pendant-path-hidden-leaf"][0]
         rep = verify_theorem1(case.graph, case.phi, case.v, case.K, case.L,
                               case.kind, trials=25)
         assert rep.passed
 
     def test_radius_guard_raises(self):
-        case = [c for c in theorem1_cases() if c.name == "pendant-path-radius-guard"][0]
+        case = [c for c in theorem_cases() if c.name == "pendant-path-radius-guard"][0]
         with pytest.raises(HypothesisViolated):
             verify_theorem1(case.graph, case.phi, case.v, case.K, case.L, case.kind)
 
@@ -474,14 +474,28 @@ class TestBatchedRandomGCN:
         assert len(calls) == 92
 
     def test_verify_suite_builds_each_hop_table_once(self, monkeypatch):
-        # one table per checked fixture graph; the two Theorem 1 cases on the
-        # pendant path share theirs, and the two-coloring graphs need none
-        from graphscat.fixtures import (run_verify_suite, theorem1_cases,
-                                        theorem2_cases, theorem3_cases)
-        built = count_hop_builds(monkeypatch)
-        run_verify_suite()
-        graphs = {id(c.graph) for c in theorem1_cases() + theorem2_cases() + theorem3_cases()}
-        assert len(built) == len({id(g) for g in built}) == len(graphs) == 11
+        # one build per distinct fixture graph and call: the two-coloring C6
+        # serves c6-rotation and each pendant path pair every case on it, so
+        # 13 graphs, of which the 9 the theorem cases check build a hop
+        # table; the next call builds them all again. The lists keep every
+        # graph alive, so no id is reused.
+        from graphscat import fixtures
+        made = []
+        build = fixtures.build_graph
+        monkeypatch.setattr(fixtures, "build_graph",
+                            lambda *args, **kw: made.append(build(*args, **kw)) or made[-1])
+        hopped = count_hop_builds(monkeypatch)
+        runs = []
+        for _ in range(2):
+            first_made, first_hopped = len(made), len(hopped)
+            fixtures.run_verify_suite()
+            graphs = {id(g) for g in made[first_made:]}
+            tables = {id(g) for g in hopped[first_hopped:]}
+            assert len(made) - first_made == len(graphs) == 13
+            assert len(hopped) - first_hopped == len(tables) == 9
+            assert tables <= graphs
+            runs.append(graphs)
+        assert not runs[0] & runs[1]
 
     def test_verify_theory_output_matches_per_trial_loop(self, monkeypatch, capsys):
         assert main(["verify-theory"]) == 0
