@@ -29,7 +29,7 @@ from .graph import Graph, OperatorKind, apply_operator, apply_operator_transpose
 class Tensor:
     """Node of the computation tape; wraps a float64 ndarray."""
 
-    __slots__ = ("value", "parents", "_vjp", "requires_grad", "grad")
+    __slots__ = ("value", "parents", "_vjp", "requires_grad")
 
     def __init__(self, value, parents=(), vjp=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
@@ -38,7 +38,6 @@ class Tensor:
         # (start, stop, g) column block, or None (not needed)
         self._vjp = vjp
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
-        self.grad = None
 
     @property
     def shape(self):
@@ -48,7 +47,7 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor with an accumulated gradient."""
 
-    __slots__ = ()
+    __slots__ = ("grad",)
 
     def __init__(self, value):
         super().__init__(value, requires_grad=True)

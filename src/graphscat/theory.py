@@ -9,10 +9,7 @@ checked by building the wavelet path from the binary expansion of the
 difference distance and propagating it layer by layer. Every hop question
 (balls, boundaries, distances, shortest paths) reads the graph's hop table,
 Graph.hops, which each checked graph builds once. A Theorem 2 or 3 check
-finds the boundary of phi's domain once and hands it to every difference
-check it makes (the structural differences, each diffusion stage of the
-coincidence check, each onion layer), so a verify-theory run computes 15
-region boundaries instead of 56.
+diffuses its features once for both its coincidence and onion checks.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisViolated, PartialMap
-from .graph import LAZY_WALK, RENORM_ADJACENCY, Graph, apply_operator
+from .graph import LAZY_WALK, RENORM_ADJACENCY, Graph, _check_features, apply_operator
 from .scattering import Nonlinearity, cascade
 
 EQUALITY_ATOL = 1e-9  # all equality/inequality decisions in 64-bit arithmetic
@@ -132,10 +129,10 @@ def validate_isomorphism(g: Graph, phi: NodeMap, v: int, radius: int) -> bool:
 
 def region_boundary(g: Graph, region: set[int]) -> set[int]:
     """Nodes of the region with at least one neighbor outside it."""
-    nodes = np.array(sorted(region), dtype=np.int64)
-    outside = np.ones(g.n, dtype=bool)
-    outside[nodes] = False
-    return set(nodes[np.any((g.hops[nodes] == 1) & outside, axis=1)].tolist())
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(region)] = True
+    leaving = g.entry_rows()[~inside[g.csr_targets]]      # rows of the edges that leave it
+    return set(leaving[inside[leaving]].tolist())
 
 
 @dataclass
@@ -156,6 +153,12 @@ class StructuralDifferenceReport:
         return set(self.causes)
 
 
+def _feature_rows(g: Graph, X) -> np.ndarray:
+    """X as float64 columns, one row per node of g."""
+    X = _check_features(g, X)
+    return X[:, None] if X.ndim == 1 else X
+
+
 def structural_differences(g: Graph, phi: NodeMap, X: np.ndarray, region,
                            center: int | None = None,
                            atol: float = EQUALITY_ATOL) -> StructuralDifferenceReport:
@@ -164,42 +167,65 @@ def structural_differences(g: Graph, phi: NodeMap, X: np.ndarray, region,
     Interior nodes (relative to phi's domain) differ when features or degrees
     do; boundary nodes count only under the degree-feature product condition
     d_phi(u) X[u] != d_u X[phi(u)], which is what survives diffusion by P.
+    A node's tags depend on X, phi, the degrees and the boundary of phi's
+    domain only, never on the rest of the region.
     """
-    return _differences(g, phi, X, region, center, atol)
-
-
-def _differences(g: Graph, phi: NodeMap, X: np.ndarray, region, center: int | None,
-                 atol: float, boundary: set[int] | None = None) -> StructuralDifferenceReport:
-    """structural_differences, given the boundary of phi's domain or computing it."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _feature_rows(g, X)
     region = set(int(u) for u in region)
     if not region <= phi.domain:
         raise PartialMap("region extends beyond the node map's domain")
-    if boundary is None:
-        boundary = region_boundary(g, phi.domain)
+    nodes = sorted(region)
+    images = [phi.mapping[u] for u in nodes]
+    Xu, Xp = X[nodes], X[images]
+    du, dp = g.degrees[nodes], g.degrees[images]
+    feature = np.abs(Xu - Xp).max(axis=1) > atol
+    degree = np.abs(du - dp) > atol
+    product = np.abs(dp[:, None] * Xu - du[:, None] * Xp).max(axis=1) > atol
+    on_boundary = np.zeros(g.n, dtype=bool)
+    on_boundary[list(region_boundary(g, phi.domain))] = True
+    boundary = on_boundary[nodes]
     report = StructuralDifferenceReport()
-    for u in sorted(region):
-        pu = phi(u)
-        tags = ()
-        if np.max(np.abs(X[u] - X[pu])) > atol:
-            tags += ("feature-diff",)
-        if abs(g.degrees[u] - g.degrees[pu]) > atol:
-            tags += ("degree-diff",)
-        if u not in boundary:
-            if tags:
-                report.causes[u] = tags
-        elif np.max(np.abs(g.degrees[pu] * X[u] - g.degrees[u] * X[pu])) > atol:
+    for i in np.flatnonzero(feature | degree | (boundary & product)).tolist():
+        u = nodes[i]
+        tags = ("feature-diff",) * bool(feature[i]) + ("degree-diff",) * bool(degree[i])
+        if not boundary[i]:
+            report.causes[u] = tags
+        elif product[i]:
             report.causes[u] = tags + ("boundary-product-diff",)
-        elif tags:
+        else:
             report.excluded[u] = tags + ("boundary-cancelled",)
     if center is not None and report.causes:
-        dist = _hops_from(g, center)
-        reached = [dist[u] for u in report.causes if dist[u] >= 0]
-        if reached:
-            report.d = int(min(reached))
+        dist = _hops_from(g, center)[list(report.causes)]
+        if np.any(dist >= 0):
+            report.d = int(np.min(dist[dist >= 0]))
     return report
+
+
+def _diffusion_stages(g: Graph, phi: NodeMap, X: np.ndarray, count: int,
+                      atol: float) -> list[tuple[np.ndarray, set[int]]]:
+    """(P^j X, difference nodes of P^j X over phi's domain) for j < count."""
+    stages = []
+    Y = X
+    for j in range(count):
+        if j:
+            Y = apply_operator(g, LAZY_WALK, Y)
+        stages.append((Y, structural_differences(g, phi, Y, phi.domain, atol=atol).nodes))
+    return stages
+
+
+def _offenders(g: Graph, phi: NodeMap, stages, region, atol: float) -> list[int]:
+    """Nodes of the region whose degree-weighted difference sums cancel at some stage."""
+    offenders: set[int] = set()
+    for Y, diffs in stages:
+        for u in region:
+            delta = [int(w) for w in g.neighbors(u) if int(w) in diffs]
+            if not delta:
+                continue
+            lhs = sum(Y[w] / g.degrees[w] for w in delta)
+            rhs = sum(Y[phi(w)] / g.degrees[phi(w)] for w in delta)
+            if np.max(np.abs(lhs - rhs)) <= atol:
+                offenders.add(u)
+    return sorted(offenders)
 
 
 def check_coincidental_correspondence(g: Graph, phi: NodeMap, X: np.ndarray,
@@ -213,33 +239,10 @@ def check_coincidental_correspondence(g: Graph, phi: NodeMap, X: np.ndarray,
     over phi(Delta_u) within atol. An empty return certifies the
     no-coincidental-correspondence hypothesis up to the requested radius.
     """
-    return _coincidences(g, phi, X, region, up_to_radius, atol)
-
-
-def _coincidences(g: Graph, phi: NodeMap, X: np.ndarray, region, up_to_radius: int,
-                  atol: float, boundary: set[int] | None = None) -> list[int]:
-    """check_coincidental_correspondence, given the boundary of phi's domain or computing it."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _feature_rows(g, X)
     region = sorted(int(u) for u in region)
-    if boundary is None:
-        boundary = region_boundary(g, phi.domain)
-    offenders: set[int] = set()
-    Y = X
-    for j in range(max(1, up_to_radius)):
-        diffs = _differences(g, phi, Y, phi.domain, None, atol, boundary).nodes
-        for u in region:
-            delta = [int(w) for w in g.neighbors(u) if int(w) in diffs]
-            if not delta:
-                continue
-            lhs = sum(Y[w] / g.degrees[w] for w in delta)
-            rhs = sum(Y[phi(w)] / g.degrees[phi(w)] for w in delta)
-            if np.max(np.abs(lhs - rhs)) <= atol:
-                offenders.add(u)
-        if j + 1 < up_to_radius:
-            Y = apply_operator(g, LAZY_WALK, Y)
-    return sorted(offenders)
+    return _offenders(g, phi, _diffusion_stages(g, phi, X, max(1, up_to_radius), atol),
+                      region, atol)
 
 
 def count_shortest_paths(g: Graph, a: int, b: int) -> int:
@@ -305,6 +308,22 @@ def _random_gcn_deviation(g: Graph, v: int, pv: int, X: np.ndarray, L: int,
     return max_dev
 
 
+def _hypothesis_features(g: Graph, phi: NodeMap, v: int, K: int, L: int,
+                         kind: IntrinsicFeatureKind,
+                         sigma: Nonlinearity | None = None) -> np.ndarray:
+    """The kind's features, once its locality is at most K, sigma (when
+    given) is strictly monotonic and phi maps the closed (K+L)-ball of v
+    isomorphically, checked in that order."""
+    if kind.locality > K:
+        raise ValueError(f"{kind.kind} features have locality {kind.locality} > K={K}")
+    if sigma is not None and not sigma.is_strictly_monotonic:
+        raise HypothesisViolated(f"nonlinearity {sigma.kind} is not strictly monotonic")
+    if not validate_isomorphism(g, phi, v, K + L):
+        raise HypothesisViolated(
+            f"(K+L)-neighborhoods of {v} and {phi(v)} are not phi-isomorphic")
+    return intrinsic_features(g, kind)
+
+
 def verify_theorem1(g: Graph, phi: NodeMap, v: int, K: int, L: int,
                     kind: IntrinsicFeatureKind, trials: int = 100,
                     tol: float = EQUALITY_ATOL) -> Theorem1Report:
@@ -313,12 +332,7 @@ def verify_theorem1(g: Graph, phi: NodeMap, v: int, K: int, L: int,
     Requires phi-isomorphic closed (K+L)-hop balls and features of
     locality at most K.
     """
-    if kind.locality > K:
-        raise ValueError(f"{kind.kind} features have locality {kind.locality} > K={K}")
-    if not validate_isomorphism(g, phi, v, K + L):
-        raise HypothesisViolated(
-            f"(K+L)-neighborhoods of {v} and {phi(v)} are not phi-isomorphic")
-    X = intrinsic_features(g, kind)
+    X = _hypothesis_features(g, phi, v, K, L, kind)
     dev = _random_gcn_deviation(g, v, phi(v), X, L, trials, seed=0)
     return Theorem1Report(passed=dev < tol, max_deviation=dev)
 
@@ -347,38 +361,20 @@ def scatter_separation(g: Graph, v: int, pv: int, X: np.ndarray, p,
     return float(np.max(np.abs(U[v] - U[pv])))
 
 
-def _onion_layers_match(g: Graph, phi: NodeMap, v: int, X: np.ndarray, d: int,
-                        layers: list[set[int]], boundary: set[int], atol: float) -> bool:
-    """Onion check: diffs of P^j X inside the closed (d-j)-ball equal U_j.
-
-    boundary is that of phi's domain.
-    """
-    Y = X
-    for j in range(d + 1):
-        found = _differences(g, phi, Y, _ball(g, v, d - j), None, atol, boundary).nodes
-        if found != layers[j]:
-            return False
-        if j < d:
-            Y = apply_operator(g, LAZY_WALK, Y)
-    return True
-
-
 def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
                    kind: IntrinsicFeatureKind, sigma: Nonlinearity,
                    tol: float, theta, unique_path: bool) -> DiscriminabilityReport:
     """Theorem 2 (unique_path False) assumes no coincidental correspondence;
     Theorem 3 (unique_path True) a unique nearest difference node and a
-    unique shortest path to it instead."""
-    if kind.locality > K:
-        raise ValueError(f"{kind.kind} features have locality {kind.locality} > K={K}")
-    if not sigma.is_strictly_monotonic:
-        raise HypothesisViolated(f"nonlinearity {sigma.kind} is not strictly monotonic")
-    if not validate_isomorphism(g, phi, v, K + L):
-        raise HypothesisViolated(
-            f"(K+L)-neighborhoods of {v} and {phi(v)} are not phi-isomorphic")
-    X = intrinsic_features(g, kind)
-    boundary = region_boundary(g, phi.domain)       # every difference check below reads it
-    diffs = _differences(g, phi, X, _ball(g, v, K + L), v, tol, boundary)
+    unique shortest path to it instead.
+
+    The features are diffused once, P^0 X to P^d X, after the guards that
+    need no diffusion; the coincidence check reads stages j < max(1, d) on
+    the interior of the d-ball, and the onion check reads every stage inside
+    the closed (d-j)-ball. Both balls lie in the (K+L)-ball, which the
+    isomorphism check found inside phi's domain."""
+    X = _hypothesis_features(g, phi, v, K, L, kind, sigma)
+    diffs = structural_differences(g, phi, X, _ball(g, v, K + L), v, tol)
     if not diffs.causes:
         raise HypothesisViolated("no structural difference in the (K+L)-neighborhood")
     d, vd, layers = generalized_path(g, v, diffs.nodes)
@@ -391,10 +387,11 @@ def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
         if n_paths != 1:
             raise HypothesisViolated(
                 f"{n_paths} shortest paths between {v} and {u0}")
-    else:
+    stages = _diffusion_stages(g, phi, X, d + 1, tol)
+    if not unique_path:
         ball_d = set(_ball(g, v, d).tolist())
         interior = ball_d - region_boundary(g, ball_d)
-        offenders = _coincidences(g, phi, X, interior, d, tol, boundary)
+        offenders = _offenders(g, phi, stages[:max(1, d)], sorted(interior), tol)
         if offenders:
             raise HypothesisViolated(
                 f"coincidental correspondence at nodes {offenders}")
@@ -404,7 +401,8 @@ def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
     Z = X @ theta if theta is not None else X
     sep = scatter_separation(g, v, phi(v), Z, p, sigma)
     gcn_dev = _random_gcn_deviation(g, v, phi(v), X, L, trials=5, seed=7) if L else 0.0
-    onion = _onion_layers_match(g, phi, v, X, d, layers, boundary, tol)
+    onion = all(found & set(_ball(g, v, d - j).tolist()) == layers[j]
+                for j, (_, found) in enumerate(stages))
     return DiscriminabilityReport(d=d, path=p, separation=sep, gcn_deviation=gcn_dev,
                                   onion_matched=onion, discriminates=sep > tol)
 

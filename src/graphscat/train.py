@@ -111,7 +111,6 @@ class _FlatOptimizer:
     """
 
     def __init__(self, params, cfg: TrainConfig):
-        self.params = params
         self.cfg = cfg
         total = sum(p.value.size for p in params)
         self.value, self.grad, self._tmp = np.empty(total), np.empty(total), np.empty(total)

@@ -4,10 +4,13 @@ composition of the attention layer and the tape ops only tests compose
 (Hadamard product, constant scaling, filter-axis stack, slice and softmax);
 the per-edge, per-node, per-trial and per-value loops that the array-built
 graph, the CSR array expressions, the batched random-GCN trials and the row
-writer replace; the per-row kernel, the former reduceat kernel and the
-closed-form operators that the slot kernel and the in-place operators
-replace; the per-parameter optimizers and the per-mask loss and
-accuracy that the flat optimizers and the one-pass epoch metrics replace;
+writer replace; the per-node difference, coincidence and onion checks and
+the Theorem 2 and 3 checks that ran them, each diffusing the features on
+its own, which one shared list of diffusion stages replaces; the per-row
+kernel, the former reduceat kernel and the closed-form operators that the
+slot kernel and the in-place operators replace; the per-parameter
+optimizers and the per-mask loss and accuracy that the flat optimizers and
+the one-pass epoch metrics replace;
 the backward that kept its graph and summed zero-filled arrays, which
 the consuming, block-gathering backward replaces; the per-source
 breadth-first search that the hop table's frontier products replace; and
@@ -26,9 +29,11 @@ from graphscat import autodiff as autodiff_module
 from graphscat import fixtures as fixtures_module
 from graphscat import graph as graph_module
 from graphscat import spectral as spectral_module
+from graphscat import theory
 from graphscat.datasets import SBMSpec, generate_sbm
-from graphscat.errors import DuplicateEdge, IsolatedNodeWarning, NonSymmetricInput, SelfLoopError
-from graphscat.graph import RENORM_ADJACENCY, Graph, apply_operator, build_graph
+from graphscat.errors import (DuplicateEdge, HypothesisViolated, IsolatedNodeWarning,
+                              NonSymmetricInput, PartialMap, SelfLoopError)
+from graphscat.graph import LAZY_WALK, RENORM_ADJACENCY, Graph, apply_operator, build_graph
 from graphscat.layers import ATTENTION_LEAKY_SLOPE, AttentionState, HeadAttention, layer_filters
 
 
@@ -142,6 +147,20 @@ def count_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(graph_module, "adjacency_matvec", counted)
     return calls
+
+
+def count_operator_calls(monkeypatch):
+    """List that gets each graph.apply_operator call's operator tag from now on."""
+    tags = []
+    orig = graph_module._operator
+
+    def counted(g, kind, X, transpose):
+        if not transpose:
+            tags.append(kind.tag)
+        return orig(g, kind, X, transpose)
+
+    monkeypatch.setattr(graph_module, "_operator", counted)
+    return tags
 
 
 def count_hop_builds(monkeypatch):
@@ -476,6 +495,116 @@ def per_source_bfs_hops(n, edges):
                     table[s, v] = table[s, u] + 1
                     queue.append(v)
     return table
+
+
+def per_node_differences(g, phi, X, region, center=None, atol=theory.EQUALITY_ATOL):
+    """theory.structural_differences node by node: two or three reductions per
+    node of the region, which is on the boundary of phi's domain when one of
+    its neighbors is outside it."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    region = set(int(u) for u in region)
+    domain = phi.domain
+    if not region <= domain:
+        raise PartialMap("region extends beyond the node map's domain")
+    report = theory.StructuralDifferenceReport()
+    for u in sorted(region):
+        pu = phi(u)
+        tags = ()
+        if np.max(np.abs(X[u] - X[pu])) > atol:
+            tags += ("feature-diff",)
+        if abs(g.degrees[u] - g.degrees[pu]) > atol:
+            tags += ("degree-diff",)
+        if all(int(w) in domain for w in g.neighbors(u)):
+            if tags:
+                report.causes[u] = tags
+        elif np.max(np.abs(g.degrees[pu] * X[u] - g.degrees[u] * X[pu])) > atol:
+            report.causes[u] = tags + ("boundary-product-diff",)
+        elif tags:
+            report.excluded[u] = tags + ("boundary-cancelled",)
+    if center is not None and report.causes:
+        dist = g.hops[center]
+        reached = [dist[u] for u in report.causes if dist[u] >= 0]
+        if reached:
+            report.d = int(min(reached))
+    return report
+
+
+def per_node_coincidences(g, phi, X, region, up_to_radius=1, atol=theory.EQUALITY_ATOL):
+    """theory.check_coincidental_correspondence diffusing X stage by stage as it
+    goes, with the per-node difference sets of each stage."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    offenders = set()
+    Y = X
+    for j in range(max(1, up_to_radius)):
+        diffs = per_node_differences(g, phi, Y, phi.domain, atol=atol).nodes
+        for u in sorted(int(u) for u in region):
+            delta = [int(w) for w in g.neighbors(u) if int(w) in diffs]
+            if not delta:
+                continue
+            lhs = sum(Y[w] / g.degrees[w] for w in delta)
+            rhs = sum(Y[phi(w)] / g.degrees[phi(w)] for w in delta)
+            if np.max(np.abs(lhs - rhs)) <= atol:
+                offenders.add(u)
+        if j + 1 < up_to_radius:
+            Y = apply_operator(g, LAZY_WALK, Y)
+    return sorted(offenders)
+
+
+def per_node_onion(g, phi, v, X, d, layers, atol=theory.EQUALITY_ATOL):
+    """Onion check with its own diffusion: the per-node differences of P^j X
+    inside the closed (d-j)-ball of v equal layers[j] for every j <= d."""
+    Y = X
+    for j in range(d + 1):
+        ball = [u for u in range(g.n) if 0 <= g.hops[v, u] <= d - j]
+        if per_node_differences(g, phi, Y, ball, atol=atol).nodes != layers[j]:
+            return False
+        if j < d:
+            Y = apply_operator(g, LAZY_WALK, Y)
+    return True
+
+
+def per_node_verify_theorem(g, phi, v, K, L, kind, sigma, unique_path=False,
+                            tol=theory.EQUALITY_ATOL, theta=None):
+    """theory.verify_theorem2 (verify_theorem3 with unique_path) through the
+    per-node checks above: the coincidence check diffuses the features up to
+    P^(d-1) X, the onion check again up to P^d X after the separation."""
+    if kind.locality > K:
+        raise ValueError(f"{kind.kind} features have locality {kind.locality} > K={K}")
+    if not sigma.is_strictly_monotonic:
+        raise HypothesisViolated(f"nonlinearity {sigma.kind} is not strictly monotonic")
+    if not theory.validate_isomorphism(g, phi, v, K + L):
+        raise HypothesisViolated(
+            f"(K+L)-neighborhoods of {v} and {phi(v)} are not phi-isomorphic")
+    X = theory.intrinsic_features(g, kind)
+    ball = [u for u in range(g.n) if 0 <= g.hops[v, u] <= K + L]
+    diffs = per_node_differences(g, phi, X, ball, v, tol)
+    if not diffs.causes:
+        raise HypothesisViolated("no structural difference in the (K+L)-neighborhood")
+    d, vd, layers = theory.generalized_path(g, v, diffs.nodes)
+    if unique_path:
+        if len(vd) != 1:
+            raise HypothesisViolated(f"nearest difference node not unique: {sorted(vd)}")
+        (u0,) = vd
+        n_paths = theory.count_shortest_paths(g, v, u0)
+        if n_paths != 1:
+            raise HypothesisViolated(f"{n_paths} shortest paths between {v} and {u0}")
+    else:
+        ball_d = {u for u in range(g.n) if 0 <= g.hops[v, u] <= d}
+        interior = {u for u in ball_d if all(int(w) in ball_d for w in g.neighbors(u))}
+        offenders = per_node_coincidences(g, phi, X, interior, d, tol)
+        if offenders:
+            raise HypothesisViolated(f"coincidental correspondence at nodes {offenders}")
+    p = theory.binary_expansion_path(d)
+    Z = X @ theta if theta is not None else X
+    sep = theory.scatter_separation(g, v, phi(v), Z, p, sigma)
+    gcn_dev = theory._random_gcn_deviation(g, v, phi(v), X, L, trials=5, seed=7) if L else 0.0
+    return theory.DiscriminabilityReport(
+        d=d, path=p, separation=sep, gcn_deviation=gcn_dev,
+        onion_matched=per_node_onion(g, phi, v, X, d, layers, tol), discriminates=sep > tol)
 
 
 def theorem_cases():

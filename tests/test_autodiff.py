@@ -433,6 +433,9 @@ class TestGradientPruning:
         assert np.allclose(grads[1], c.value.T @ np.ones((4, 2)), atol=1e-12)
 
     def test_root_without_parameters_is_a_no_op(self, rng):
+        # only a Parameter has a grad slot, and the tape is neither walked nor consumed
         c = ad.constant(rng.standard_normal((2, 2)))
-        ad.backward(to_scalar(quadratic(c)))
-        assert c.grad is None
+        root = to_scalar(quadratic(c))
+        ad.backward(root)
+        assert not hasattr(c, "grad") and not hasattr(root, "grad")
+        assert root.parents and root._vjp is not None

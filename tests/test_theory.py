@@ -1,3 +1,4 @@
+import collections
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from graphscat import theory
 from graphscat.cli import main
 
-from graphscat.errors import HypothesisViolated, IsolatedNodeWarning, PartialMap
+from graphscat.errors import DimensionMismatch, HypothesisViolated, IsolatedNodeWarning, PartialMap
 from graphscat.fixtures import (
     LEAKY,
     barbell_pair,
@@ -42,12 +43,16 @@ from graphscat.theory import (
 from conftest import (
     count_hop_builds,
     count_kernel_calls,
+    count_operator_calls,
     dense_ops,
     dense_wavelet,
     hop_graphs,
     per_node_avg_degree,
+    per_node_coincidences,
     per_node_dense_adjacency,
+    per_node_differences,
     per_node_homophily,
+    per_node_verify_theorem,
     per_trial_gcn_deviation,
     random_connected_graph,
     theorem_cases,
@@ -198,6 +203,24 @@ class TestStructuralDifferences:
         assert 3 in rep.excluded
         assert "boundary-cancelled" in rep.excluded[3]
         assert rep.nodes == set()
+
+
+class TestFeatureRows:
+    @pytest.mark.parametrize("rows", [5, 26])
+    @pytest.mark.parametrize("radius", [1, 3])
+    def test_rows_other_than_the_node_count_raise_before_any_work(self, rows, radius,
+                                                                  monkeypatch):
+        case = pendant_path_pair(2)                    # 13 nodes
+        g, phi = case.graph, case.phi
+        X = np.arange(float(rows))
+        calls = count_kernel_calls(monkeypatch)
+        message = f"^feature rows {rows} != node count 13$"
+        with pytest.raises(DimensionMismatch, match=message):
+            structural_differences(g, phi, X, phi.domain, center=0)
+        with pytest.raises(DimensionMismatch, match=message):
+            check_coincidental_correspondence(g, phi, X[:, None], phi.domain,
+                                              up_to_radius=radius)
+        assert calls == []
 
 
 class TestCoincidentalCorrespondence:
@@ -416,6 +439,141 @@ class TestOnionPropagation:
             Y = apply_operator(g, LAZY_WALK, Y)
 
 
+def _outcome(f, *args, **kwargs):
+    """What f returns, or the type name and message of what it raises."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _report(f, *args):
+    """A difference report's causes and excluded nodes, in order, and its d."""
+    rep = _outcome(f, *args)
+    if isinstance(rep, theory.StructuralDifferenceReport):
+        return list(rep.causes.items()), list(rep.excluded.items()), rep.d
+    return rep
+
+
+def assert_checks_match_per_node(g, phi, X, region, center, offender_region, radius):
+    assert (_report(structural_differences, g, phi, X, region, center)
+            == _report(per_node_differences, g, phi, X, region, center))
+    assert (_outcome(check_coincidental_correspondence, g, phi, X, offender_region, radius)
+            == _outcome(per_node_coincidences, g, phi, X, offender_region, radius))
+
+
+def assert_theorem_matches_per_node(g, phi, v, K, L, kind, sigma, theorem):
+    verify = verify_theorem3 if theorem == 3 else verify_theorem2
+    got = _outcome(verify, g, phi, v, K, L, kind, sigma)
+    want = _outcome(per_node_verify_theorem, g, phi, v, K, L, kind, sigma,
+                    unique_path=theorem == 3)
+    if got != want and g.has_isolated_nodes:
+        # the one order that moved: the features are diffused before the
+        # coincidence check, so where the lazy walk is undefined a d = 1
+        # check raises that before the stage-0 coincidence it would name
+        assert got == ("IsolatedNodeError", "operator lazy_walk undefined on degree-zero nodes")
+        assert want[0] == "HypothesisViolated" and want[1].startswith("coincidental")
+        return
+    assert got == want
+
+
+@st.composite
+def mapped_graphs(draw, max_n=9):
+    """(g, phi, v, K, L): a graph on 1..max_n nodes with weights 0.5, 1 or 2,
+    often along a path through all of them, isolated nodes allowed; an
+    injective partial map phi; v in its domain when it has one; 1 <= K <= 2
+    and L >= 0.
+
+    Either phi maps any nodes to any nodes, or the graph is followed by a
+    copy of itself with one edge at node a added, removed or reweighted
+    (perhaps to a new leaf), and phi maps a ball around v, of radius K + L
+    or more, and any other nodes onto their copies; when a is reachable from
+    v, K + L is then at most, and often equal to, the distance from v to a,
+    so the balls are often isomorphic and the change often shows inside."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e))), max_size=2 * n))
+    if not draw(st.booleans()):
+        pairs |= {(u, u + 1) for u in range(n - 1)}
+    weight = st.sampled_from([0.5, 1.0, 2.0])
+    edges = {e: draw(weight) for e in sorted(pairs)}
+    K, L = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IsolatedNodeWarning)
+            g = build_graph([(a, b, w) for (a, b), w in edges.items()], n=n)
+        domain = sorted(draw(st.sets(st.integers(0, n - 1))))
+        images = draw(st.permutations(range(n)))
+        v = draw(st.sampled_from(domain)) if domain else 0
+        return g, NodeMap(dict(zip(domain, images))), v, K, L
+    edges.update({(a + n, b + n): w for (a, b), w in list(edges.items())})
+    v, a = draw(st.integers(0, n - 1)), n - 1 - draw(st.integers(0, n - 1))
+    b = n - draw(st.integers(0, n).filter(lambda i: n - i != a))
+    key = (a + n, 2 * n) if b == n else (min(a, b) + n, max(a, b) + n)
+    if key in edges and draw(st.booleans()):
+        del edges[key]
+    else:
+        edges[key] = draw(weight)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IsolatedNodeWarning)
+        g = build_graph([(a, b, w) for (a, b), w in edges.items()], n=2 * n + (b == n))
+    if g.hops[v, a] > 0:
+        K = min(K, int(g.hops[v, a]))
+        L = min(L, int(g.hops[v, a]) - K) if draw(st.booleans()) else int(g.hops[v, a]) - K
+    radius = K + L + draw(st.integers(0, 2))
+    ball = {u for u in range(n) if 0 <= g.hops[v, u] <= radius}
+    domain = ball | draw(st.sets(st.integers(0, n - 1)))
+    return g, NodeMap({u: u + n for u in sorted(domain)}), v, K, L
+
+
+class TestPerNodeOracles:
+    """The shared diffusion stages and the array expressions against the
+    per-node checks, each diffusing on its own: the same reports, offenders,
+    onion verdicts, and Theorem 2 and 3 outcomes, passing or not."""
+
+    def test_shipped_cases(self):
+        for case in theorem_cases():
+            g, phi = case.graph, case.phi
+            X = intrinsic_features(g, case.kind)
+            for radius in range(4):
+                assert_checks_match_per_node(g, phi, X, phi.domain, case.v, phi.domain, radius)
+            for theorem in (2, 3):
+                assert_theorem_matches_per_node(g, phi, case.v, case.K, case.L, case.kind,
+                                                case.sigma, theorem)
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_pendant_path_family(self, d):
+        # from d = 13 the float64 verdicts go wrong in both (ROADMAP item 3),
+        # so only the outcomes are compared
+        case = pendant_path_pair(d)
+        g, phi = case.graph, case.phi
+        X = intrinsic_features(g, case.kind)
+        ball = {u for u in range(g.n) if 0 <= g.hops[0, u] <= d}
+        interior = {u for u in ball if all(int(w) in ball for w in g.neighbors(u))}
+        assert_checks_match_per_node(g, phi, X, phi.domain, case.v, interior, d)
+        for sigma, theorem in ((LEAKY, 2), (IDENTITY, 2), (LEAKY, 3)):
+            assert_theorem_matches_per_node(g, phi, case.v, case.K, case.L, case.kind,
+                                            sigma, theorem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mapped_graphs(), data=st.data())
+    def test_drawn_maps(self, case, data):
+        g, phi, v, K, L = case
+        X = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                        min_size=2 * g.n, max_size=2 * g.n))).reshape(g.n, 2)
+        region = data.draw(st.sets(st.sampled_from(sorted(phi.domain)))) if phi.domain else set()
+        center = data.draw(st.none() | st.integers(0, g.n - 1))
+        kind = data.draw(st.sampled_from([DEGREE, avg_degree(1), avg_degree(K),
+                                          triangle_count(1), triangle_count(K)]))
+        sigma = data.draw(st.sampled_from([LEAKY, LEAKY, IDENTITY, ABS]))
+        with np.errstate(divide="ignore", invalid="ignore"):   # a degree-zero image, in both
+            assert_checks_match_per_node(g, phi, X, region, center, range(g.n),
+                                         data.draw(st.integers(0, 3)))
+            for theorem in (2, 3):
+                assert_theorem_matches_per_node(g, phi, v, K, L, kind, sigma, theorem)
+
+
 class TestHomophily:
     def test_all_same_label(self):
         g = cycle_graph(5)
@@ -466,12 +624,17 @@ class TestBatchedRandomGCN:
         assert got == want
 
     def test_verify_suite_kernel_calls(self, monkeypatch):
-        # one renormalized-adjacency call per layer for all trials together;
-        # one call per layer per trial made it 532
+        # one renormalized-adjacency call per layer for all trials together
+        # (one call per layer per trial made it 532), and d lazy walks for
+        # the coincidence and onion checks of a Theorem 2 or 3 check
+        # together (each diffusing on its own made it 92, 62 lazy walks)
         from graphscat.fixtures import run_verify_suite
         calls = count_kernel_calls(monkeypatch)
+        kinds = count_operator_calls(monkeypatch)
         run_verify_suite()
-        assert len(calls) == 92
+        assert len(calls) == 83
+        assert collections.Counter(kinds) == {
+            "lazy_walk": 53, "renorm_adjacency": 15, "sym_norm_adjacency": 15}
 
     def test_verify_suite_builds_each_hop_table_once(self, monkeypatch):
         # one build per distinct fixture graph and call: the two-coloring C6

@@ -395,7 +395,7 @@ class TestFlatOptimizer:
         step = train._Adam.__dict__["step"]
 
         def recorded(opt):
-            snapshots.append([p.value.copy() for p in opt.params])
+            snapshots.append([p.value.copy() for p in model.parameters()])
             step(opt)
 
         monkeypatch.setattr(train._Adam, "step", recorded)
