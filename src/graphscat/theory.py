@@ -391,7 +391,7 @@ def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
     if not unique_path:
         ball_d = set(_ball(g, v, d).tolist())
         interior = ball_d - region_boundary(g, ball_d)
-        offenders = _offenders(g, phi, stages[:max(1, d)], sorted(interior), tol)
+        offenders = _offenders(g, phi, stages[:max(1, d)], interior, tol)
         if offenders:
             raise HypothesisViolated(
                 f"coincidental correspondence at nodes {offenders}")
