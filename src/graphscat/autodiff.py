@@ -459,10 +459,10 @@ def backward(root: Tensor):
     turn, between the walk's gradient allocations, made glibc trim and
     regrow its heap in every gsan fit on the 400-node block model (64 000-
     72 000 minor page faults per 100 epochs, against under 130 when the
-    tape lived on to the next forward pass). Freeing them at return did so
-    too, about 47 000 faults per fit, until the precomputed attention layer
-    became one node that copies no response block and builds no low-pass
-    response gradient; a fit now takes under 30 (CHANGES.md). The VJP left
+    tape lived on to the next forward pass). Freeing them at return does so
+    too: a 100-epoch gsan fit took about 47 000 faults, under 30 once the
+    precomputed attention layer became one node, and 43 243-48 106 in the
+    benchmark's sbm-gsan harness since (CHANGES.md). The VJP left
     behind raises TapeConsumed, so running backward again through a
     consumed node fails instead of returning zero gradients.
     """

@@ -74,7 +74,7 @@ class BadClassIds(GraphScatError):
 
 
 class BadSplitIndex(GraphScatError):
-    """splits.json is not an object of train/val/test lists of JSON integers."""
+    """A split is not integer node indices, in splits.json, SplitMasks or evaluate."""
 
 
 class SplitIndexOutOfRange(GraphScatError):

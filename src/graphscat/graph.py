@@ -5,9 +5,9 @@ column-wise to feature matrices without ever materializing an n x n power.
 Every operator runs on one sparse kernel, adjacency_matvec, which follows
 the jagged-diagonal SlotPlan a Graph builds on first use. All
 arithmetic is float64; neighbor lists are sorted and each row is summed in
-CSR order, so runs are bit-reproducible. Hop distances, which only the
-theory checks ask for, come from one n x n table that a Graph builds on
-first use (Graph.hops).
+CSR order, so runs are bit-reproducible. Hop distances and the dense weight
+matrix, which only the theory checks and spectral tools ask for, are n x n
+arrays that a Graph builds on first use (Graph.hops, Graph.dense_weights).
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class Graph:
     positive weight, no self-loops, and degrees[v] equals the row sum of W.
     Arrays are frozen (non-writeable), so instances are safely shareable.
     The isolated-node flag and the operator divisors are derived once at
-    construction; the kernel's slot plan and the hop table on first use,
-    since some graphs never reach the kernel and training never reads hops.
+    construction; the kernel's slot plan, hop table and dense W on first
+    use, as some graphs never reach the kernel and training needs neither.
     """
 
     n: int
@@ -211,6 +211,15 @@ class Graph:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def dense_weights(self) -> np.ndarray:
+        """Read-only (n, n) float64 W, built on first use. hops fills its own
+        float32 0/1 operand, so a graph that needs only hops never holds W."""
+        W = np.zeros((self.n, self.n))
+        W[self.entry_rows(), self.csr_targets] = self.csr_weights
+        W.flags.writeable = False
+        return W
+
 
 @dataclass(frozen=True)
 class OperatorKind:
@@ -245,18 +254,26 @@ def residual_diffusion(alpha: float) -> OperatorKind:
 def build_graph(edges, n: int | None = None) -> Graph:
     """Build a Graph from (u, v) pairs or (u, v, weight) triples, or an (m, 2|3) array.
 
-    Rejects self-loops, negative ids, non-finite or non-positive weights,
-    duplicate undirected edges and conflicting weights for the same pair,
-    naming the first offending edge in input order, and finite weights
-    whose sum at a node overflows, naming the node. Emits
-    IsolatedNodeWarning when some degree is zero.
+    First rejects an id that is not an integer int64 holds (1.5, NaN), an
+    integral float such as 2.0 passing; then self-loops, negative ids,
+    non-finite or non-positive weights, duplicate undirected edges and
+    conflicting weights for the same pair. Each names the first offending
+    edge in input order. Finite weights whose sum at a node overflows are
+    rejected naming the node. Emits IsolatedNodeWarning when some degree is
+    zero.
     """
     E = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
     if E.size == 0:
         E = E.reshape(0, 2)
     if E.ndim != 2 or E.shape[1] not in (2, 3):
         raise ValueError("edges must be (u, v) pairs or (u, v, weight) triples")
-    u, v = E[:, 0].astype(np.int64), E[:, 1].astype(np.int64)
+    with np.errstate(invalid="ignore"):     # NaN, inf and |id| >= 2**63 fail the round trip
+        ids = E[:, :2].astype(np.int64)
+    bad = np.any(ids != E[:, :2], axis=1)
+    if bad.any():
+        raise ValueError(f"edge {tuple(E[np.argmax(bad), :2].tolist())} has a node id "
+                         "that is not an int64 integer")
+    u, v = ids[:, 0], ids[:, 1]
     w = E[:, 2].astype(np.float64) if E.shape[1] == 3 else np.ones(E.shape[0])
     _check_edges(u, v, w, _first_occurrences(np.minimum(u, v), np.maximum(u, v)))
     max_id = int(max(u.max(), v.max())) if u.size else -1
@@ -347,7 +364,8 @@ def _csr_graph(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> Graph:
     return g
 
 
-def _check_features(g: Graph, X: np.ndarray) -> np.ndarray:
+def check_features(g: Graph, X: np.ndarray) -> np.ndarray:
+    """X as a float64 array, refused with DimensionMismatch unless it has one row per node."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != g.n:
         raise DimensionMismatch(f"feature rows {X.shape[0]} != node count {g.n}")
@@ -444,7 +462,7 @@ def apply_operator_transpose(g: Graph, kind: OperatorKind, X: np.ndarray) -> np.
 
 def _operator(g: Graph, kind: OperatorKind, X: np.ndarray, transpose: bool) -> np.ndarray:
     """The body of apply_operator, or with transpose of apply_operator_transpose."""
-    X = _check_features(g, X)
+    X = check_features(g, X)
     _require_no_isolated(g, kind)
     if kind.tag in ("lazy_walk", "residual_diffusion"):
         lazy = kind.tag == "lazy_walk"

@@ -34,11 +34,10 @@ class EigenDecomposition:
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
+    """The read-only Graph.dense_weights, refused above DEFAULT_DENSE_LIMIT nodes."""
     if g.n > DEFAULT_DENSE_LIMIT:
         raise TooLargeForDense(f"n={g.n} exceeds dense limit {DEFAULT_DENSE_LIMIT}")
-    W = np.zeros((g.n, g.n), dtype=np.float64)
-    W[g.entry_rows(), g.csr_targets] = g.csr_weights
-    return W
+    return g.dense_weights
 
 
 def sym_normalized_laplacian(g: Graph) -> np.ndarray:

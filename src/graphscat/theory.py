@@ -6,10 +6,11 @@ features or degrees disagree across phi (with the degree-feature product
 refinement on boundary nodes); the low-pass impossibility statement is
 checked with random-weight GCNs, and the scattering separation statement is
 checked by building the wavelet path from the binary expansion of the
-difference distance and propagating it layer by layer. Every hop question
-(balls, boundaries, distances, shortest paths) reads the graph's hop table,
-Graph.hops, which each checked graph builds once. A Theorem 2 or 3 check
-diffuses its features once for both its coincidence and onion checks.
+difference distance and propagating it layer by layer. Hop questions
+(balls, triangles, distances, path counts) read the graph's hop table and
+the isomorphism check its weight matrix, each built once per graph
+(Graph.hops, Graph.dense_weights). A Theorem 2 or 3 check diffuses its
+features once for both its coincidence and onion checks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisViolated, PartialMap
-from .graph import LAZY_WALK, RENORM_ADJACENCY, Graph, _check_features, apply_operator
+from .graph import LAZY_WALK, RENORM_ADJACENCY, Graph, apply_operator, check_features
 from .scattering import Nonlinearity, cascade
 
 EQUALITY_ATOL = 1e-9  # all equality/inequality decisions in 64-bit arithmetic
@@ -83,14 +84,12 @@ def intrinsic_features(g: Graph, kind: IntrinsicFeatureKind) -> np.ndarray:
     if kind.kind == "avg_degree":
         ball = (g.hops >= 0) & (g.hops < kind.K)      # row v: the closed (K-1)-ball of v
         return (np.where(ball, g.degrees, 0.0).sum(axis=1) / ball.sum(axis=1)).reshape(-1, 1)
-    out = np.zeros((g.n, 1))
-    adj = (g.hops == 1).astype(np.int64)
-    for v in range(g.n):
-        ball = _ball(g, v, kind.K)
-        A = adj[np.ix_(ball, ball)]
-        # each triangle of the induced ball is six closed walks of length 3
-        out[v, 0] = float(np.sum((A @ A) * A) // 6)
-    return out
+    upper = np.triu(g.hops == 1)                      # each edge once, as (a, b) with a < b
+    a, b = np.nonzero(upper)
+    edge, c = np.nonzero(upper[a] & upper[b])         # c > b joined to both: each triangle once
+    ball = (g.hops >= 0) & (g.hops <= kind.K)
+    inside = ball[:, a[edge]] & ball[:, b[edge]] & ball[:, c]
+    return inside.sum(axis=1, dtype=np.float64).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,7 @@ def validate_isomorphism(g: Graph, phi: NodeMap, v: int, radius: int) -> bool:
     image = np.array([phi(int(u)) for u in ball], dtype=np.int64)  # PartialMap if missing
     if not np.array_equal(np.sort(image), _ball(g, phi(v), radius)):
         return False
-    W = np.zeros((g.n, g.n))
-    W[g.entry_rows(), g.csr_targets] = g.csr_weights
+    W = g.dense_weights
     return np.array_equal(W[np.ix_(ball, ball)], W[np.ix_(image, image)])
 
 
@@ -155,7 +153,7 @@ class StructuralDifferenceReport:
 
 def _feature_rows(g: Graph, X) -> np.ndarray:
     """X as float64 columns, one row per node of g."""
-    X = _check_features(g, X)
+    X = check_features(g, X)
     return X[:, None] if X.ndim == 1 else X
 
 
@@ -243,17 +241,6 @@ def check_coincidental_correspondence(g: Graph, phi: NodeMap, X: np.ndarray,
     region = sorted(int(u) for u in region)
     return _offenders(g, phi, _diffusion_stages(g, phi, X, max(1, up_to_radius), atol),
                       region, atol)
-
-
-def count_shortest_paths(g: Graph, a: int, b: int) -> int:
-    """Number of distinct shortest a-b paths: a node at distance k from a is
-    reached by the paths of its neighbors at distance k - 1."""
-    dist = g.hops[a]
-    adj = (g.hops == 1).astype(np.int64)
-    count = (dist == 0).astype(np.int64)
-    for k in range(1, int(dist[b]) + 1):
-        count = np.where(dist == k, adj @ count, 0)
-    return int(count[b])
 
 
 def generalized_path(g: Graph, v: int, diff_nodes) -> tuple[int, set[int], list[set[int]]]:
@@ -383,7 +370,11 @@ def _theorem2_core(g: Graph, phi: NodeMap, v: int, K: int, L: int,
             raise HypothesisViolated(
                 f"nearest difference node not unique: {sorted(vd)}")
         (u0,) = vd
-        n_paths = count_shortest_paths(g, v, u0)
+        paths = np.zeros(g.n, dtype=np.int64)     # shortest paths from u0, layer by layer:
+        paths[u0] = 1                             # only layer j - 1 has counts when j is summed
+        for layer in map(sorted, layers[1:]):
+            paths[layer] = (g.hops[layer] == 1) @ paths
+        n_paths = int(paths[v])
         if n_paths != 1:
             raise HypothesisViolated(
                 f"{n_paths} shortest paths between {v} and {u0}")

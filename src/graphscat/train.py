@@ -25,11 +25,26 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .errors import EmptyMask, FieldRangeError, NonFiniteLoss, SplitIndexOutOfRange
+from .errors import BadSplitIndex, EmptyMask, FieldRangeError, NonFiniteLoss, SplitIndexOutOfRange
 from .graph import Graph
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+
+
+def _split_indices(part: str, idx) -> np.ndarray:
+    """idx as int64 node indices; BadSplitIndex, in read_splits' wording, when
+    it is not one list or at its first value that is not an integer (a
+    boolean, a fraction, NaN)."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1:
+        raise BadSplitIndex(f"{part} split must be a list of integers")
+    with np.errstate(invalid="ignore"):     # NaN and inf fail the round trip
+        ints = idx.astype(np.int64)
+    bad = idx[(ints != idx) | (idx.dtype == bool)]
+    if bad.size:
+        raise BadSplitIndex(f"{part} split index {bad[0].item()!r} is not an integer")
+    return ints
 
 
 def _check_range(part: str, idx: np.ndarray, n: int):
@@ -43,9 +58,10 @@ def _check_range(part: str, idx: np.ndarray, n: int):
 class SplitMasks:
     """Disjoint train/val/test node index arrays; train and test nonempty.
 
-    The masks do not know the node count: check_range(n) bounds them, and
-    Dataset and fit call it before any index is read; evaluate runs the
-    same check on its one mask.
+    A boolean or fractional index raises BadSplitIndex: masks are index
+    lists, not boolean selections. The masks do not know the node count:
+    check_range(n) bounds them, and Dataset and fit call it before any
+    index is read; evaluate runs the same check on its one mask.
     """
 
     train: np.ndarray
@@ -54,7 +70,7 @@ class SplitMasks:
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+            object.__setattr__(self, name, _split_indices(name, getattr(self, name)))
         if self.train.size == 0 or self.test.size == 0:
             raise EmptyMask("train and test masks must be nonempty")
         all_idx = np.sort(np.concatenate([self.train, self.val, self.test]))
@@ -179,10 +195,10 @@ class FitResult:
 def evaluate(model, g: Graph, X: np.ndarray, labels: np.ndarray,
              mask: np.ndarray) -> float:
     """Accuracy on the nodes of mask under argmax, ties resolved toward the
-    lowest class id. An empty mask raises EmptyMask, and an index outside
-    0..n-1, n the number of labels, SplitIndexOutOfRange, both before the
-    forward pass."""
-    mask = np.asarray(mask, dtype=np.int64)
+    lowest class id. Before the forward pass, a mask that is not integer
+    indices raises BadSplitIndex, an empty one EmptyMask, and an index
+    outside 0..n-1, n the number of labels, SplitIndexOutOfRange."""
+    mask = _split_indices("evaluation", mask)
     if mask.size == 0:
         raise EmptyMask("evaluation mask is empty")
     labels = np.asarray(labels, dtype=np.int64)

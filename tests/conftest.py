@@ -13,8 +13,12 @@ optimizers and the per-mask loss and accuracy that the flat optimizers and
 the one-pass epoch metrics replace;
 the backward that kept its graph and summed zero-filled arrays, which
 the consuming, block-gathering backward replaces; the per-source
-breadth-first search that the hop table's frontier products replace; and
-the suite's theorem cases for tests that pick one by name."""
+breadth-first search that the hop table's frontier products replace; the
+per-node triangle loop that one enumeration of the triangles replaces and
+the whole-graph shortest-path counter that Theorem 3's count along the
+generalized path replaces; a triangle-rich graph sampler and a Theorem 3
+family with k shortest paths; and the suite's theorem cases for tests that
+pick one by name."""
 
 import collections
 import functools
@@ -163,18 +167,19 @@ def count_operator_calls(monkeypatch):
     return tags
 
 
-def count_hop_builds(monkeypatch):
-    """List that gets each Graph whose hop table is built from now on."""
+def count_builds(monkeypatch, name):
+    """List that gets each Graph whose cached property name (hops or
+    dense_weights) is built from now on."""
     built = []
-    build = Graph.hops.func
+    build = getattr(Graph, name).func
 
     def counted(g):
         built.append(g)
         return build(g)
 
     prop = functools.cached_property(counted)
-    prop.__set_name__(Graph, "hops")
-    monkeypatch.setattr(Graph, "hops", prop)
+    prop.__set_name__(Graph, name)
+    monkeypatch.setattr(Graph, name, prop)
     return built
 
 
@@ -477,6 +482,65 @@ def per_node_avg_degree(g, K):
     return out
 
 
+def per_node_triangle_count(g, K):
+    """triangle_count(K) node by node: the closed 3-walks of the 0/1 adjacency
+    induced on each closed K-hop ball, divided by 6."""
+    out = np.zeros((g.n, 1))
+    adj = (g.hops == 1).astype(np.int64)
+    for v in range(g.n):
+        ball = np.flatnonzero((g.hops[v] >= 0) & (g.hops[v] <= K))
+        A = adj[np.ix_(ball, ball)]
+        out[v, 0] = float(np.sum((A @ A) * A) // 6)
+    return out
+
+
+def count_shortest_paths(g, a, b):
+    """Number of distinct shortest a-b paths over the whole graph: a node at
+    distance k from a is reached by the paths of its neighbors at distance k - 1."""
+    dist = g.hops[a]
+    adj = (g.hops == 1).astype(np.int64)
+    count = (dist == 0).astype(np.int64)
+    for k in range(1, int(dist[b]) + 1):
+        count = np.where(dist == k, adj @ count, 0)
+    return int(count[b])
+
+
+def clustered_edges(rng, n, closures):
+    """A random connected graph on n nodes plus up to `closures` triadic
+    closures, each joining two neighbors of a random node, so triangles
+    abound."""
+    edges = set(random_connected_edges(rng, n))
+    for _ in range(closures):
+        hub = int(rng.integers(n))
+        nbrs = [u for e in edges if hub in e for u in e if u != hub]
+        if len(nbrs) > 1:
+            a, b = (int(u) for u in rng.choice(nbrs, 2, replace=False))
+            edges.add((min(a, b), max(a, b)))
+    return sorted(edges)
+
+
+def parallel_path_pair(k):
+    """fixtures.square_double_path_pair with k parallel middle nodes: v joins
+    x_1..x_k, each joins z, then z-w1-w2-w3, and side A hangs a leaf on w1. The
+    one nearest difference node is z, at distance 2 by k shortest paths."""
+    def component(edges, start, decorated):
+        v, z, w1, w2, w3 = range(start, start + 5)
+        middles = list(range(start + 5, start + 5 + k))
+        edges += [(v, x) for x in middles] + [(x, z) for x in middles]
+        edges += [(z, w1), (w1, w2), (w2, w3)]
+        if decorated:
+            edges.append((w1, start + 5 + k))
+        return [v, *middles, z, w1], start + 6 + k
+
+    edges = []
+    side_a, nxt = component(edges, 0, decorated=True)
+    side_b, _ = component(edges, nxt, decorated=False)
+    return fixtures_module.TheoremCase(
+        name=f"parallel-path-k{k}", theorem=3, graph=build_graph(edges),
+        phi=theory.NodeMap(dict(zip(side_a, side_b))), v=0, K=2, L=1,
+        kind=theory.avg_degree(2), expected_d=2, expect_violation="shortest paths")
+
+
 def per_source_bfs_hops(n, edges):
     """Graph.hops from one queue-driven breadth-first search per source over the
     (u, v) or (u, v, weight) edge list; -1 between components."""
@@ -589,7 +653,7 @@ def per_node_verify_theorem(g, phi, v, K, L, kind, sigma, unique_path=False,
         if len(vd) != 1:
             raise HypothesisViolated(f"nearest difference node not unique: {sorted(vd)}")
         (u0,) = vd
-        n_paths = theory.count_shortest_paths(g, v, u0)
+        n_paths = count_shortest_paths(g, v, u0)
         if n_paths != 1:
             raise HypothesisViolated(f"{n_paths} shortest paths between {v} and {u0}")
     else:

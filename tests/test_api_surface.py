@@ -9,6 +9,12 @@ either is. A name that only tests call belongs in a test helper.
 Every name a module imports is also read in that module, so a leftover
 import does not outlive the code that used it (`__init__.py`, whose imports
 are the exports, and `__future__` imports excepted).
+
+No module takes another module's underscore name, by a relative import or
+as an attribute of a module it imports from the package (the package's
+modules import each other relatively): a leading underscore keeps a name
+its own module's, and a name another module needs is public where it is
+defined.
 """
 
 import ast
@@ -68,3 +74,24 @@ def test_allowlist_holds_only_unread_names():
     for qualified in ALLOWED:
         assert qualified in defined, f"{qualified} is gone; drop it from the allowlist"
         assert defined[qualified] not in read, f"{qualified} has a reader; drop it from the allowlist"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_takes_another_modules_underscore_name():
+    taken = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()                 # names bound to modules of the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:                             # from . import mod
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                taken += [f"{path.stem}: from .{node.module} import {alias.name}"
+                          for alias in node.names if node.module and _private(alias.name)]
+        taken += [f"{path.stem}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)]
+    assert not taken, f"underscore names taken from another module: {taken}"

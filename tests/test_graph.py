@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -41,6 +42,7 @@ from conftest import (
     per_edge_build_graph,
     per_edge_read_edge_list,
     per_edge_write_edge_list,
+    per_node_dense_adjacency,
     per_row_matvec,
     per_source_bfs_hops,
     random_connected_graph,
@@ -69,6 +71,25 @@ class TestBuildGraph:
     def test_conflicting_weights_rejected(self):
         with pytest.raises(NonSymmetricInput):
             build_graph([(0, 1, 0.5), (1, 0, 0.7)])
+
+    @pytest.mark.parametrize("edges,shown", [
+        ([(0, 1.5), (1, 2)], "(0.0, 1.5)"),               # was built as 0-1 and 1-2
+        ([(0, 1), (2, 2), (1, math.nan)], "(1.0, nan)"),  # ahead of the earlier self-loop
+        ([(0, 1, 1.0), (-math.inf, 2, 1.0)], "(-inf, 2.0)"),
+        (np.array([[0, 1e20]]), "(0.0, 1e+20)"),
+    ])
+    def test_non_integer_node_id_rejected_first(self, edges, shown):
+        # NaN was cast to int64 min, with a RuntimeWarning, and called negative
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^edge {re.escape(shown)} has a node id "
+                                                 "that is not an int64 integer$"):
+                build_graph(edges)
+
+    def test_integral_float_ids_build_the_integer_graph(self):
+        # a float (m, 3) array with weights carries its ids as floats
+        assert (outcome(build_graph, np.array([[0, 1, 0.5], [2, 1, 2.0]]))
+                == outcome(build_graph, [(0, 1, 0.5), (2, 1, 2.0)]))
 
     def test_exact_duplicate_rejected(self):
         with pytest.raises(DuplicateEdge):
@@ -388,6 +409,15 @@ class TestNeighborhood:
         finally:
             tracemalloc.stop()
         assert table.nbytes == 8 * g.n ** 2 <= peak < 32 * g.n ** 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=weighted_graphs())
+    def test_dense_weights_built_on_first_use_cached_and_read_only(self, g):
+        assert "dense_weights" not in vars(g)
+        W = g.dense_weights
+        assert g.dense_weights is W
+        assert W.dtype == np.float64 and not W.flags.writeable
+        assert np.array_equal(W, per_node_dense_adjacency(g))
 
     def test_table_is_built_on_first_use_cached_and_read_only(self):
         g = build_graph(cycle(6))

@@ -50,6 +50,8 @@ class TestLaplacian:
     @settings(max_examples=200, deadline=None)
     @given(g=weighted_graphs())
     def test_dense_adjacency_equals_per_node_fill(self, g):
+        # the graph's one read-only weight matrix, not a fill per call
+        assert dense_adjacency(g) is g.dense_weights
         assert np.array_equal(dense_adjacency(g), per_node_dense_adjacency(g))
 
     def test_k2_eigenvalues(self):

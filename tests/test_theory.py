@@ -27,7 +27,6 @@ from graphscat.theory import (
     avg_degree,
     binary_expansion_path,
     check_coincidental_correspondence,
-    count_shortest_paths,
     generalized_path,
     homophily,
     intrinsic_features,
@@ -41,17 +40,21 @@ from graphscat.theory import (
 )
 
 from conftest import (
-    count_hop_builds,
+    clustered_edges,
+    count_builds,
     count_kernel_calls,
     count_operator_calls,
+    count_shortest_paths,
     dense_ops,
     dense_wavelet,
     hop_graphs,
+    parallel_path_pair,
     per_node_avg_degree,
     per_node_coincidences,
     per_node_dense_adjacency,
     per_node_differences,
     per_node_homophily,
+    per_node_triangle_count,
     per_node_verify_theorem,
     per_trial_gcn_deviation,
     random_connected_graph,
@@ -110,6 +113,41 @@ class TestIntrinsicFeatures:
                     for c in hood[hood.index(b) + 1:]:
                         count += bool(W[a, b] and W[b, c] and W[a, c])
             assert feats[v] == count
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=hop_graphs(weighted=True), K=st.integers(1, 3))
+    def test_triangle_count_matches_per_node_loop_bitwise(self, case, K):
+        n, edges = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IsolatedNodeWarning)
+            g = build_graph(edges, n=n)
+        got = intrinsic_features(g, triangle_count(K))
+        assert got.shape == (n, 1) and got.dtype == np.float64
+        assert np.array_equal(got, per_node_triangle_count(g, K))
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["complete", "wheel", "clustered"])
+    def test_triangle_count_on_triangle_rich_graphs(self, family, K):
+        # complete graphs K_4..K_8, wheels with 4..12 spokes, and random
+        # graphs with many triadic closures, each beside a copy of itself
+        graphs = []
+        for size in range(4, 9 if family == "complete" else 13):
+            if family == "complete":
+                edges = [(a, b) for a in range(size) for b in range(a + 1, size)]
+            elif family == "wheel":
+                edges = [(0, i) for i in range(1, size + 1)]
+                edges += [(i, i % size + 1) for i in range(1, size + 1)]
+            else:
+                r = np.random.default_rng(size)
+                edges = clustered_edges(r, 3 * size, 6 * size)
+                edges += [(u + 3 * size, v + 3 * size) for u, v in edges]
+            graphs.append(build_graph(edges))
+        for g in graphs:
+            got = intrinsic_features(g, triangle_count(K))
+            assert np.array_equal(got, per_node_triangle_count(g, K))
+        if family == "complete":
+            assert [intrinsic_features(g, triangle_count(K))[0, 0] for g in graphs] == [
+                size * (size - 1) * (size - 2) / 6 for size in range(4, 9)]
 
     def test_degree_locality_validation(self):
         with pytest.raises(ValueError):
@@ -284,6 +322,26 @@ class TestPathsAndExpansion:
             for b in range(g.n):
                 counts = [int(w[a, b]) for w in walks if w[a, b]]
                 assert count_shortest_paths(g, a, b) == (counts[0] if counts else 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_theorem3_counts_the_paths_along_the_generalized_path(self, k):
+        # k parallel middles between v and its one nearest difference node;
+        # k = 2 is square_double_path_pair
+        case = parallel_path_pair(k)
+        g, v = case.graph, case.v
+        X = intrinsic_features(g, case.kind)
+        diffs = structural_differences(g, case.phi, X, case.phi.domain, v)
+        d, vd, _ = generalized_path(g, v, diffs.nodes)
+        (u0,) = vd
+        assert d == 2 and count_shortest_paths(g, v, u0) == k
+        if k == 1:
+            rep = verify_theorem3(g, case.phi, v, case.K, case.L, case.kind, LEAKY)
+            assert rep.discriminates and rep.d == 2
+            return
+        with pytest.raises(HypothesisViolated,
+                           match=f"^{k} shortest paths between {v} and {u0}$"):
+            verify_theorem3(g, case.phi, v, case.K, case.L, case.kind, LEAKY)
+        assert_theorem_matches_per_node(g, case.phi, v, case.K, case.L, case.kind, LEAKY, 3)
 
     def test_generalized_path_on_pendant_fixture(self):
         case = pendant_path_pair(3)
@@ -647,16 +705,21 @@ class TestBatchedRandomGCN:
         build = fixtures.build_graph
         monkeypatch.setattr(fixtures, "build_graph",
                             lambda *args, **kw: made.append(build(*args, **kw)) or made[-1])
-        hopped = count_hop_builds(monkeypatch)
+        hopped = count_builds(monkeypatch, "hops")
+        weighed = count_builds(monkeypatch, "dense_weights")
         runs = []
         for _ in range(2):
-            first_made, first_hopped = len(made), len(hopped)
+            first_made, first_hopped, first_weighed = len(made), len(hopped), len(weighed)
             fixtures.run_verify_suite()
             graphs = {id(g) for g in made[first_made:]}
             tables = {id(g) for g in hopped[first_hopped:]}
             assert len(made) - first_made == len(graphs) == 13
             assert len(hopped) - first_hopped == len(tables) == 9
             assert tables <= graphs
+            # every theorem case's isomorphism check reads the weight matrix
+            # of its graph, built once for all of them
+            assert {id(g) for g in weighed[first_weighed:]} == tables
+            assert len(weighed) - first_weighed == 9
             runs.append(graphs)
         assert not runs[0] & runs[1]
 

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 import graphscat.autodiff as ad
 from graphscat import train
 from graphscat.datasets import Dataset, SBMSpec, describe, generate_sbm
-from graphscat.errors import EmptyMask, FieldRangeError, NonFiniteLoss, SplitIndexOutOfRange
+from graphscat.errors import (BadSplitIndex, EmptyMask, FieldRangeError, NonFiniteLoss,
+                              SplitIndexOutOfRange)
 from graphscat.models import PRESET_FIELDS, ModelSpec, build_model
 from graphscat.train import SplitMasks, TrainConfig, evaluate, fit
 
 from conftest import (
     PerParameterOptimizer,
     assert_plan,
-    count_hop_builds,
+    count_builds,
     per_mask_cross_entropy,
     random_connected_graph,
     training_sbm,
@@ -126,14 +127,16 @@ class TestFit:
 
     @pytest.mark.parametrize("preset", ["gcn-baseline", "sc-gcn", "gsan"])
     def test_fit_never_builds_the_hop_table(self, monkeypatch, preset):
-        # the n x n table is for the theory checks; training and describe do without
-        built = count_hop_builds(monkeypatch)
+        # the n x n hop table and weight matrix are for the theory checks and
+        # spectral tools; training and describe do without either
+        hopped = count_builds(monkeypatch, "hops")
+        weighed = count_builds(monkeypatch, "dense_weights")
         ds = generate_sbm(SBMSpec(block_sizes=(20, 20), p_in=0.2, p_out=0.02, seed=1))
         describe(ds)
         model = build_model(ModelSpec(preset=preset), ds.features.shape[1], ds.n_classes, seed=0)
         fit(model, ds.graph, ds.features, ds.labels, ds.splits, TrainConfig(seed=0, max_epochs=5))
         evaluate(model, ds.graph, ds.features, ds.labels, ds.splits.test)
-        assert built == []
+        assert hopped == weighed == []
 
     def test_same_seed_identical_history(self, rng):
         g, X, labels, masks = tiny_dataset(rng)
@@ -284,6 +287,28 @@ class TestEvaluate:
                            match=rf"^evaluation split index {index} outside 0\.\.29$"):
             evaluate(NoForward(np.zeros((g.n, 2))), g, X, labels, [0, index])
 
+    @pytest.mark.parametrize("mask,message", [
+        # a boolean mask read as indices scored nodes 0 and 1 only
+        (np.arange(30) >= 5, "evaluation split index False is not an integer"),
+        ([0, 2.5], "evaluation split index 2.5 is not an integer"),
+        ([np.inf], "evaluation split index inf is not an integer"),
+    ])
+    def test_mask_of_booleans_or_fractions_rejected(self, rng, mask, message):
+        g, X, labels, _ = tiny_dataset(rng)
+
+        class NoForward(FixedLogitsModel):
+            def forward(self, g, X):
+                pytest.fail("forward pass ran")
+
+        with pytest.raises(BadSplitIndex, match=f"^{re.escape(message)}$"):
+            evaluate(NoForward(np.zeros((g.n, 2))), g, X, labels, mask)
+
+    def test_integral_float_mask_is_read_as_indices(self, rng):
+        g, X, labels, masks = tiny_dataset(rng)
+        model = FixedLogitsModel(rng.standard_normal((g.n, 2)))
+        assert (evaluate(model, g, X, labels, masks.test.astype(np.float64))
+                == evaluate(model, g, X, labels, masks.test))
+
 
 class TestConfigsAndMasks:
     def test_masks_must_be_disjoint(self):
@@ -302,6 +327,24 @@ class TestConfigsAndMasks:
                 SplitMasks(*parts)
         else:
             SplitMasks(*parts)
+
+    @pytest.mark.parametrize("parts,message", [
+        # read as indices, these trained on nodes 1 and 0 and tested on 2 and 3
+        (([True, False], [], [2]), "train split index True is not an integer"),
+        (([0], [], [2.7, 3.2]), "test split index 2.7 is not an integer"),
+        (([0], [1.0, 1.5], [2]), "val split index 1.5 is not an integer"),
+        (([0], [], [2.0, np.nan]), "test split index nan is not an integer"),
+        ((3, [], [2]), "train split must be a list of integers"),
+        (([0], [[1, 2]], [3]), "val split must be a list of integers"),
+    ])
+    def test_masks_reject_non_integer_indices(self, parts, message):
+        with pytest.raises(BadSplitIndex, match=f"^{re.escape(message)}$"):
+            SplitMasks(*parts)
+
+    def test_masks_take_integer_and_empty_inputs(self):
+        masks = SplitMasks(train=[0.0, 1.0], val=[], test=np.array([2], dtype=np.int32))
+        assert [m.tolist() for m in (masks.train, masks.val, masks.test)] == [[0, 1], [], [2]]
+        assert {m.dtype for m in (masks.train, masks.val, masks.test)} == {np.dtype(np.int64)}
 
     def test_masks_nonempty(self):
         with pytest.raises(EmptyMask):
