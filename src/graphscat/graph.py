@@ -251,11 +251,30 @@ def residual_diffusion(alpha: float) -> OperatorKind:
     return OperatorKind("residual_diffusion", float(alpha))
 
 
+def int64_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """values as int64, and where a value is not an integer that int64 holds:
+    1.5, NaN or 2**63, and in a text or object array also None or 'a' (read
+    as 0) or '1'."""
+    if values.dtype.kind not in "OSU":
+        with np.errstate(invalid="ignore"):     # NaN, inf and |x| >= 2**63 fail the round trip
+            ints = values.astype(np.int64)
+        return ints, ints != values
+    # the cast raises on None, on text that is no integer and on ints beyond int64
+    ints, bad = np.zeros(values.shape, dtype=np.int64), np.ones(values.shape, dtype=bool)
+    for i, x in enumerate(values.flat):
+        try:
+            ints.flat[i] = x
+        except (TypeError, ValueError, OverflowError):
+            continue
+        bad.flat[i] = ints.flat[i] != x
+    return ints, bad
+
+
 def build_graph(edges, n: int | None = None) -> Graph:
     """Build a Graph from (u, v) pairs or (u, v, weight) triples, or an (m, 2|3) array.
 
-    First rejects an id that is not an integer int64 holds (1.5, NaN), an
-    integral float such as 2.0 passing; then self-loops, negative ids,
+    First rejects an id that is not an integer int64 holds (1.5, NaN, None,
+    'a'), an integral float such as 2.0 passing; then self-loops, negative ids,
     non-finite or non-positive weights, duplicate undirected edges and
     conflicting weights for the same pair. Each names the first offending
     edge in input order. Finite weights whose sum at a node overflows are
@@ -267,9 +286,8 @@ def build_graph(edges, n: int | None = None) -> Graph:
         E = E.reshape(0, 2)
     if E.ndim != 2 or E.shape[1] not in (2, 3):
         raise ValueError("edges must be (u, v) pairs or (u, v, weight) triples")
-    with np.errstate(invalid="ignore"):     # NaN, inf and |id| >= 2**63 fail the round trip
-        ids = E[:, :2].astype(np.int64)
-    bad = np.any(ids != E[:, :2], axis=1)
+    ids, bad = int64_values(E[:, :2])
+    bad = np.any(bad, axis=1)
     if bad.any():
         raise ValueError(f"edge {tuple(E[np.argmax(bad), :2].tolist())} has a node id "
                          "that is not an int64 integer")

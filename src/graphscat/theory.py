@@ -10,7 +10,9 @@ difference distance and propagating it layer by layer. Hop questions
 (balls, triangles, distances, path counts) read the graph's hop table and
 the isomorphism check its weight matrix, each built once per graph
 (Graph.hops, Graph.dense_weights). A Theorem 2 or 3 check diffuses its
-features once for both its coincidence and onion checks.
+features once for both its coincidence and onion checks, and tags every
+diffusion stage in one array pass that finds the boundary of phi's domain
+once.
 """
 
 from __future__ import annotations
@@ -157,6 +159,22 @@ def _feature_rows(g: Graph, X) -> np.ndarray:
     return X[:, None] if X.ndim == 1 else X
 
 
+def _difference_masks(g: Graph, phi: NodeMap, nodes: list[int], stack: np.ndarray,
+                      atol: float) -> tuple[np.ndarray, ...]:
+    """Feature, degree and product difference masks of nodes across phi, the
+    first and last with a row per matrix of the (stages, n, columns) stack,
+    and which nodes lie on the boundary of phi's domain."""
+    images = [phi.mapping[u] for u in nodes]
+    Xu, Xp = stack[:, nodes], stack[:, images]
+    du, dp = g.degrees[nodes], g.degrees[images]
+    feature = np.abs(Xu - Xp).max(axis=2) > atol
+    degree = np.abs(du - dp) > atol
+    product = np.abs(dp[:, None] * Xu - du[:, None] * Xp).max(axis=2) > atol
+    on_boundary = np.zeros(g.n, dtype=bool)
+    on_boundary[list(region_boundary(g, phi.domain))] = True
+    return feature, degree, product, on_boundary[nodes]
+
+
 def structural_differences(g: Graph, phi: NodeMap, X: np.ndarray, region,
                            center: int | None = None,
                            atol: float = EQUALITY_ATOL) -> StructuralDifferenceReport:
@@ -173,15 +191,7 @@ def structural_differences(g: Graph, phi: NodeMap, X: np.ndarray, region,
     if not region <= phi.domain:
         raise PartialMap("region extends beyond the node map's domain")
     nodes = sorted(region)
-    images = [phi.mapping[u] for u in nodes]
-    Xu, Xp = X[nodes], X[images]
-    du, dp = g.degrees[nodes], g.degrees[images]
-    feature = np.abs(Xu - Xp).max(axis=1) > atol
-    degree = np.abs(du - dp) > atol
-    product = np.abs(dp[:, None] * Xu - du[:, None] * Xp).max(axis=1) > atol
-    on_boundary = np.zeros(g.n, dtype=bool)
-    on_boundary[list(region_boundary(g, phi.domain))] = True
-    boundary = on_boundary[nodes]
+    (feature,), degree, (product,), boundary = _difference_masks(g, phi, nodes, X[None], atol)
     report = StructuralDifferenceReport()
     for i in np.flatnonzero(feature | degree | (boundary & product)).tolist():
         u = nodes[i]
@@ -201,14 +211,16 @@ def structural_differences(g: Graph, phi: NodeMap, X: np.ndarray, region,
 
 def _diffusion_stages(g: Graph, phi: NodeMap, X: np.ndarray, count: int,
                       atol: float) -> list[tuple[np.ndarray, set[int]]]:
-    """(P^j X, difference nodes of P^j X over phi's domain) for j < count."""
-    stages = []
-    Y = X
-    for j in range(count):
-        if j:
-            Y = apply_operator(g, LAZY_WALK, Y)
-        stages.append((Y, structural_differences(g, phi, Y, phi.domain, atol=atol).nodes))
-    return stages
+    """(P^j X, difference nodes of P^j X over phi's domain) for j < count,
+    all stages tagged at once as structural_differences tags one."""
+    stages = [X]
+    for _ in range(1, count):
+        stages.append(apply_operator(g, LAZY_WALK, stages[-1]))
+    nodes = sorted(int(u) for u in phi.mapping)
+    feature, degree, product, boundary = _difference_masks(g, phi, nodes, np.stack(stages), atol)
+    counted = np.where(boundary, product, feature | degree)
+    ids = np.array(nodes, dtype=np.int64)
+    return [(Y, set(ids[row].tolist())) for Y, row in zip(stages, counted)]
 
 
 def _offenders(g: Graph, phi: NodeMap, stages, region, atol: float) -> list[int]:

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .errors import BadSplitIndex, EmptyMask, FieldRangeError, NonFiniteLoss, SplitIndexOutOfRange
-from .graph import Graph
+from .graph import Graph, int64_values
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -35,15 +35,14 @@ ADAM_EPS = 1e-8
 def _split_indices(part: str, idx) -> np.ndarray:
     """idx as int64 node indices; BadSplitIndex, in read_splits' wording, when
     it is not one list or at its first value that is not an integer (a
-    boolean, a fraction, NaN)."""
+    boolean, a fraction, NaN, None, text)."""
     idx = np.asarray(idx)
     if idx.ndim != 1:
         raise BadSplitIndex(f"{part} split must be a list of integers")
-    with np.errstate(invalid="ignore"):     # NaN and inf fail the round trip
-        ints = idx.astype(np.int64)
-    bad = idx[(ints != idx) | (idx.dtype == bool)]
+    ints, nonint = int64_values(idx)
+    bad = idx[nonint | (idx.dtype == bool)]
     if bad.size:
-        raise BadSplitIndex(f"{part} split index {bad[0].item()!r} is not an integer")
+        raise BadSplitIndex(f"{part} split index {bad.tolist()[0]!r} is not an integer")
     return ints
 
 

@@ -618,6 +618,19 @@ def per_node_coincidences(g, phi, X, region, up_to_radius=1, atol=theory.EQUALIT
     return sorted(offenders)
 
 
+def per_stage_diffusion_stages(g, phi, X, count, atol=theory.EQUALITY_ATOL):
+    """theory._diffusion_stages tagging each stage as it diffuses: the
+    difference nodes of P^j X over phi's domain from a structural_differences
+    call of its own, which finds the domain's boundary again."""
+    stages = []
+    Y = X
+    for j in range(count):
+        if j:
+            Y = apply_operator(g, LAZY_WALK, Y)
+        stages.append((Y, theory.structural_differences(g, phi, Y, phi.domain, atol=atol).nodes))
+    return stages
+
+
 def per_node_onion(g, phi, v, X, d, layers, atol=theory.EQUALITY_ATOL):
     """Onion check with its own diffusion: the per-node differences of P^j X
     inside the closed (d-j)-ball of v equal layers[j] for every j <= d."""

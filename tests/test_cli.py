@@ -723,7 +723,10 @@ def subcommands(parser):
 class TestParserPerCommand:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_a_command_builds_only_its_subparser(self, command):
-        assert subcommands(cli.build_parser(command)) == [command]
+        # the command's own parser, named like its subparser in the full one
+        parser = cli.build_parser(command)
+        assert not [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert parser.prog == f"graphscat {command}"
 
     @pytest.mark.parametrize("name", [None, "--help", "spect"])
     def test_any_other_name_builds_every_subparser(self, name):
@@ -750,7 +753,33 @@ class TestParserPerCommand:
                                                         "--paths", "1|0,1"],
         ["spectra", "--graph", "g"], ["verify-theory", "--tol", "1e-6"], ["gen-sbm", "--out", "d"]])
     def test_namespace_is_the_full_parsers(self, argv):
-        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+        assert (cli.build_parser(argv[0]).parse_args(argv[1:])
+                == cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        *([c, "-h"] for c in COMMANDS), ["train", "--preset", "zz"], ["scatter", "--graph", "g"],
+        ["spectra", "--graph"], ["verify-theory", "--tol", "x"],
+        ["gen-sbm", "--seed", "q", "--out", "d"]])
+    def test_a_fresh_process_reads_as_the_full_parser(self, argv):
+        # help and usage errors of the command's own parser, printed by the
+        # program, against those of the full parser: streams and exit code
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        full, program = (subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                        capture_output=True, text=True, check=False)
+                         for code in (FULL_PARSER_RUN, PROGRAM_RUN))
+        assert full.returncode in (0, 2)
+        assert ((program.stdout, program.stderr, program.returncode)
+                == (full.stdout, full.stderr, full.returncode))
+
+
+# the full graphscat parser on the process's arguments; help and usage errors exit
+FULL_PARSER_RUN = """\
+import sys
+from graphscat import cli
+cli.build_parser().parse_args(sys.argv[1:])
+sys.exit("parsed without exiting")
+"""
+PROGRAM_RUN = "import sys; from graphscat import cli; sys.exit(cli.main())"
 
 
 class TestRunExperimentSBMMode:

@@ -77,6 +77,9 @@ class TestBuildGraph:
         ([(0, 1), (2, 2), (1, math.nan)], "(1.0, nan)"),  # ahead of the earlier self-loop
         ([(0, 1, 1.0), (-math.inf, 2, 1.0)], "(-inf, 2.0)"),
         (np.array([[0, 1e20]]), "(0.0, 1e+20)"),
+        ([(0, 1), (0, None)], "(0, None)"),               # numpy's bare TypeError before
+        ([(0, "a")], "('0', 'a')"),                       # int() refused 'a' before
+        ([(0, 2 ** 70)], "(0, 1180591620717411303424)"),  # OverflowError before
     ])
     def test_non_integer_node_id_rejected_first(self, edges, shown):
         # NaN was cast to int64 min, with a RuntimeWarning, and called negative

@@ -56,6 +56,7 @@ from conftest import (
     per_node_homophily,
     per_node_triangle_count,
     per_node_verify_theorem,
+    per_stage_diffusion_stages,
     per_trial_gcn_deviation,
     random_connected_graph,
     theorem_cases,
@@ -630,6 +631,51 @@ class TestPerNodeOracles:
                                          data.draw(st.integers(0, 3)))
             for theorem in (2, 3):
                 assert_theorem_matches_per_node(g, phi, v, K, L, kind, sigma, theorem)
+
+
+def _stages(f, g, phi, X, count):
+    """f's stages as (P^j X's dtype, shape and bytes, sorted difference nodes),
+    or the type name and message of what it raises."""
+    stages = _outcome(f, g, phi, X, count, theory.EQUALITY_ATOL)
+    if isinstance(stages, tuple):
+        return stages
+    return [(Y.dtype, Y.shape, Y.tobytes(), sorted(found)) for Y, found in stages]
+
+
+def assert_stages_match_per_stage(g, phi, X, region, count):
+    assert (_stages(theory._diffusion_stages, g, phi, X, count)
+            == _stages(per_stage_diffusion_stages, g, phi, X, count))
+    want = _outcome(per_stage_diffusion_stages, g, phi, X, max(1, count), theory.EQUALITY_ATOL)
+    if isinstance(want, list):
+        want = theory._offenders(g, phi, want, sorted(region), theory.EQUALITY_ATOL)
+    assert _outcome(check_coincidental_correspondence, g, phi, X, region, count) == want
+
+
+class TestDiffusionStages:
+    """All stages tagged in one pass against one structural_differences call
+    per stage: the same diffused features, bit for bit, the same difference
+    nodes, and the same coincidence offenders."""
+
+    @pytest.mark.parametrize("case", [
+        *theorem_cases(), *(pendant_path_pair(d) for d in range(1, 21)), parallel_path_pair(3)],
+        ids=lambda case: f"{case.name}-{case.theorem}")
+    def test_theorem_fixtures(self, case):
+        g, phi = case.graph, case.phi
+        X = intrinsic_features(g, case.kind)
+        for count in range(1, 2 + (case.expected_d or 3)):
+            assert_stages_match_per_stage(g, phi, X, phi.domain, count)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mapped_graphs(), data=st.data())
+    def test_drawn_maps(self, case, data):
+        g, phi, *_ = case
+        width = data.draw(st.integers(1, 3))
+        X = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.5]),
+                                        min_size=width * g.n, max_size=width * g.n)))
+        region = data.draw(st.sets(st.integers(0, g.n - 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):   # a degree-zero image, in both
+            assert_stages_match_per_stage(g, phi, X.reshape(g.n, width), region,
+                                          data.draw(st.integers(1, 4)))
 
 
 class TestHomophily:

@@ -292,6 +292,8 @@ class TestEvaluate:
         (np.arange(30) >= 5, "evaluation split index False is not an integer"),
         ([0, 2.5], "evaluation split index 2.5 is not an integer"),
         ([np.inf], "evaluation split index inf is not an integer"),
+        ([0, None], "evaluation split index None is not an integer"),
+        (["1", "a"], "evaluation split index '1' is not an integer"),
     ])
     def test_mask_of_booleans_or_fractions_rejected(self, rng, mask, message):
         g, X, labels, _ = tiny_dataset(rng)
@@ -336,6 +338,10 @@ class TestConfigsAndMasks:
         (([0], [], [2.0, np.nan]), "test split index nan is not an integer"),
         ((3, [], [2]), "train split must be a list of integers"),
         (([0], [[1, 2]], [3]), "val split must be a list of integers"),
+        (([0, None], [], [2]), "train split index None is not an integer"),
+        (([0], [1.5, None], [2]), "val split index 1.5 is not an integer"),
+        (([0], ["a"], [2]), "val split index 'a' is not an integer"),
+        (([0], [], [2 ** 70]), "test split index 1180591620717411303424 is not an integer"),
     ])
     def test_masks_reject_non_integer_indices(self, parts, message):
         with pytest.raises(BadSplitIndex, match=f"^{re.escape(message)}$"):
