@@ -18,6 +18,7 @@ import shutil
 import tempfile
 import warnings
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .theory import homophily
 from .train import SplitMasks
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     name: str
     graph: Graph
@@ -100,21 +101,19 @@ class SBMSpec:
             raise FieldRangeError(f"seed must be >= 0, got {self.seed}", "seed")
 
 
-def _sample_sbm_edges(spec: SBMSpec, rng: np.random.Generator) -> list[tuple[int, int]]:
+def _sample_sbm_edges(spec: SBMSpec, rng: np.random.Generator) -> np.ndarray:
+    """(m, 2) int64 edges of one draw, block pair after block pair, each in
+    the row-major order of its 0/1 draw."""
     sizes = spec.block_sizes
     starts = np.cumsum((0,) + sizes)
     edges = []
-    B = len(sizes)
-    for i in range(B):
-        for j in range(i, B):
-            p = spec.p_in if i == j else spec.p_out
-            ni, nj = sizes[i], sizes[j]
-            draw = rng.random((ni, nj)) < p
-            if i == j:
-                draw = np.triu(draw, k=1)
-            ui, uj = np.nonzero(draw)
-            edges.extend(zip((starts[i] + ui).tolist(), (starts[j] + uj).tolist()))
-    return edges
+    for i, j in combinations_with_replacement(range(len(sizes)), 2):   # i <= j, row-major
+        p = spec.p_in if i == j else spec.p_out
+        draw = rng.random((sizes[i], sizes[j])) < p
+        if i == j:
+            draw = np.triu(draw, k=1)
+        edges.append(np.argwhere(draw) + starts[[i, j]])
+    return np.concatenate(edges)
 
 
 def stratified_splits(labels: np.ndarray, ratios, rng: np.random.Generator) -> SplitMasks:
@@ -142,13 +141,10 @@ def generate_sbm(spec: SBMSpec) -> Dataset:
     n = sum(spec.block_sizes)
     labels = np.repeat(np.arange(len(spec.block_sizes)), spec.block_sizes)
     for _ in range(SBM_MAX_RESAMPLES):
-        edges = _sample_sbm_edges(spec, rng)
-        if not edges:
-            continue
         with warnings.catch_warnings():
-            # isolated draws are expected here; rejection handles them
+            # isolated draws, an empty one included, are expected here; rejection handles them
             warnings.simplefilter("ignore", IsolatedNodeWarning)
-            g = build_graph(edges, n=n)
+            g = build_graph(_sample_sbm_edges(spec, rng), n=n)
         if not g.has_isolated_nodes:
             break
     else:

@@ -37,7 +37,7 @@ ROW_CHUNK = 64
 WRITE_BLOCK = 32768
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlotPlan:
     """Jagged-diagonal layout of a CSR matrix, which adjacency_matvec runs.
 
@@ -117,7 +117,7 @@ def _slot_plan(offsets: np.ndarray, targets: np.ndarray, weights: np.ndarray) ->
     return plan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Weighted undirected graph in CSR form with cached weighted degrees.
 
@@ -134,9 +134,9 @@ class Graph:
     csr_targets: np.ndarray   # int64, shape (nnz,) sorted within each row
     csr_weights: np.ndarray   # float64, shape (nnz,)
     degrees: np.ndarray       # float64, shape (n,)
-    has_isolated_nodes: bool = field(init=False, compare=False)
-    sqrt_degrees: np.ndarray = field(init=False, repr=False, compare=False)
-    sqrt_degrees_plus_one: np.ndarray = field(init=False, repr=False, compare=False)
+    has_isolated_nodes: bool = field(init=False)
+    sqrt_degrees: np.ndarray = field(init=False, repr=False)
+    sqrt_degrees_plus_one: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         derived = {"has_isolated_nodes": bool(np.any(self.degrees == 0.0)),
@@ -274,7 +274,8 @@ def build_graph(edges, n: int | None = None) -> Graph:
     """Build a Graph from (u, v) pairs or (u, v, weight) triples, or an (m, 2|3) array.
 
     First rejects an id that is not an integer int64 holds (1.5, NaN, None,
-    'a'), an integral float such as 2.0 passing; then self-loops, negative ids,
+    'a'), an integral float such as 2.0 passing, then a weight that is not a
+    number float64 holds (None, 'x', 2**1024); then self-loops, negative ids,
     non-finite or non-positive weights, duplicate undirected edges and
     conflicting weights for the same pair. Each names the first offending
     edge in input order. Finite weights whose sum at a node overflows are
@@ -292,7 +293,19 @@ def build_graph(edges, n: int | None = None) -> Graph:
         raise ValueError(f"edge {tuple(E[np.argmax(bad), :2].tolist())} has a node id "
                          "that is not an int64 integer")
     u, v = ids[:, 0], ids[:, 1]
-    w = E[:, 2].astype(np.float64) if E.shape[1] == 3 else np.ones(E.shape[0])
+    w = np.ones(E.shape[0])
+    if E.shape[1] == 3 and E.dtype.kind not in "OSU":
+        w = E[:, 2].astype(np.float64)
+    elif E.shape[1] == 3:
+        for i, x in enumerate(E[:, 2]):     # float64 reads None as NaN and parses text
+            if x is not None and not isinstance(x, (str, bytes)):
+                try:
+                    w[i] = x
+                    continue
+                except (TypeError, ValueError, OverflowError):
+                    pass
+            raise ValueError(f"edge {tuple(ids[i].tolist())} has weight {x!r}, "
+                             "which is not a float64 number")
     _check_edges(u, v, w, _first_occurrences(np.minimum(u, v), np.maximum(u, v)))
     max_id = int(max(u.max(), v.max())) if u.size else -1
     if n is None:
@@ -409,7 +422,7 @@ def adjacency_matvec(g: Graph, X: np.ndarray) -> np.ndarray:
     scipy.sparse is 5-25x faster per call, but importing it takes 0.15-0.2 s
     and adds about 20 MB of peak RSS (29.4 -> 49.5 MB after importing the
     package), against the ~0.2-0.3 s setup_s of the sbm-gsan and theory-cli
-    benchmark workloads and the 10 % bound on wide-scgcn's ~93 MB, so the
+    benchmark workloads and the 10 % bound on wide-scgcn's ~83.5 MB, so the
     kernel stays numpy-only.
     """
     plan = g.kernel_plan
@@ -528,39 +541,32 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     _first_occurrences); conflicting weights raise NonSymmetricInput. Errors
     name the offending line as path:lineno, an id >= n included.
 
-    An ASCII file whose data lines all have two fields, or all three, is
-    parsed by one np.loadtxt call, numpy's C reader, at about 0.1 us a line
-    on a 2-core x86 box. On ASCII tokens it reads what it accepts as int()
-    and float() do, and it refuses every token they reject and some they
-    accept (underscores, as in "1_0"). Every other file, and every file
-    whose error must name a line (a weight clash, an id >= n), goes through
-    the per-line parser, at about 0.8 us a line, which stays the reference:
-    both give the same graph or the same exception.
+    The file is read once, as UTF-8, into the lines of text-mode iteration.
+    If it is ASCII and its data lines all have two fields, or all three, one
+    np.loadtxt call, numpy's C reader, parses them at about 0.1 us a line on
+    a 2-core x86 box. On ASCII tokens it reads what it accepts as int() and
+    float() do, and it refuses every token they reject and some they accept
+    (underscores, as in "1_0"). Else the per-line parser takes them, at about
+    0.8 us a line; it stays the reference: both give the same graph or the
+    same exception.
     """
-    table = _load_uniform(path)
-    g = None if table is None else _graph_from_lines(path, n, *table)
-    return g if g is not None else _graph_from_lines(path, n, *_parse_lines(path))
-
-
-def _load_uniform(path):
-    """(u, v, w) from np.loadtxt, or None when the C reader cannot take the file.
-
-    Only ASCII files qualify: numpy 2.4's integer parser reads some
-    non-ASCII letters as digits ("1" then U+01FE gives 472), and a U+10FFFF
-    in an id made it segfault. The lines are those of text-mode iteration, so they match the
-    per-line parser's. The field count of the first data line picks the
-    record layout; a later line with another count, like any token the
-    reader refuses, makes np.loadtxt raise. A file without data lines is
-    left to the per-line parser, since np.loadtxt warns on it.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except ValueError:          # UnicodeDecodeError: the per-line parser raises it
-        return None
-    if not text.isascii():
-        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     lines = text.split("\n")
+    table = _load_uniform(lines) if text.isascii() else None
+    return _graph_from_lines(path, lines, n, *(table or _parse_lines(path, lines)))
+
+
+def _load_uniform(lines):
+    """(u, v, w) from np.loadtxt, or None when the C reader cannot take the lines.
+
+    Only the lines of an ASCII file qualify: numpy 2.4's integer parser reads
+    some non-ASCII letters as digits ("1" then U+01FE gives 472), and a
+    U+10FFFF in an id made it segfault. The field count of the first data
+    line picks the record layout; a later line with another count, like any
+    token the reader refuses, makes np.loadtxt raise. Lines without data are
+    left to the per-line parser, since np.loadtxt warns on them.
+    """
     fields = 0
     for line in lines:
         fields = len(line.split("#", 1)[0].split())
@@ -576,7 +582,7 @@ def _load_uniform(path):
     return table["u"], table["v"], w
 
 
-def _parse_lines(path):
+def _parse_lines(path, lines):
     """(u, v, w, linenos, error), parsed one line at a time.
 
     Parsing stops at the first malformed line; error is then its
@@ -584,45 +590,45 @@ def _parse_lines(path):
     """
     us, vs, ws, linenos = [], [], [], []
     error = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split("#", 1)[0].split()
-            if not parts:
-                continue
-            try:
-                if len(parts) not in (2, 3):
-                    raise ValueError("expected 'u v [weight]'")
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                error = ValueError(f"{path}:{lineno}: {exc}")
-                break
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-            linenos.append(lineno)
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            if len(parts) not in (2, 3):
+                raise ValueError("expected 'u v [weight]'")
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            error = ValueError(f"{path}:{lineno}: {exc}")
+            break
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+        linenos.append(lineno)
     return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
             np.array(ws, dtype=np.float64), linenos, error)
 
 
-def _graph_from_lines(path, n, u, v, w, linenos=None, error=None):
+def _graph_from_lines(path, lines, n, u, v, w, linenos=None, error=None):
     """The graph of parsed edge lines, checked in a fixed order.
 
     A weight clash comes first (it may sit on a line before the malformed
     one), then the malformed line, then the first bad kept edge, then the
-    first line with an id >= n. Returns None when an error must name its
-    line and linenos is None.
+    first line with an id >= n. An error that must name a line takes the
+    linenos of the C reader's edges from _parse_lines of the same lines.
     """
+    def where(i):
+        return f"{path}:{(_parse_lines(path, lines)[3] if linenos is None else linenos)[i]}"
+
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     first = _first_occurrences(lo, hi)
     keep = first == np.arange(w.size)
     # a repeat whose weight compares unequal to the first one's (NaN included)
     clash = ~keep & (w != w[first])
     if clash.any():
-        if linenos is None:
-            return None
         i = int(np.argmax(clash))
-        raise NonSymmetricInput(f"{path}:{linenos[i]}: edge {(int(lo[i]), int(hi[i]))} "
+        raise NonSymmetricInput(f"{where(i)}: edge {(int(lo[i]), int(hi[i]))} "
                                 "has conflicting weights")
     if error is not None:
         raise error
@@ -633,11 +639,8 @@ def _graph_from_lines(path, n, u, v, w, linenos=None, error=None):
         n = int(hi.max()) + 1 if hi.size else 0
     out = hi >= n
     if out.any():
-        if linenos is None:
-            return None
         i = int(np.argmax(out))
-        raise ValueError(f"{path}:{linenos[kept[i]]}: node id {int(hi[i])} "
-                         f"out of range for n={n}")
+        raise ValueError(f"{where(kept[i])}: node id {int(hi[i])} out of range for n={n}")
     return _csr_graph(lo, hi, w, n)
 
 

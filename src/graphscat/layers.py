@@ -94,7 +94,7 @@ def band_channel(path, width: int, q: float = 1.0) -> ChannelSpec:
     return ChannelSpec("band", width=width, path=tuple(path), q=q)
 
 
-@dataclass
+@dataclass(eq=False)
 class HeadAttention:
     """Per-head attention weights, shape (channels, n)."""
 

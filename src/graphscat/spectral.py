@@ -25,7 +25,7 @@ from .wavelets import check_scales
 DEFAULT_DENSE_LIMIT = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Ascending eigenvalues and an orthonormal eigenvector matrix Q (columns)."""
 

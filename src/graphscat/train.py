@@ -53,7 +53,7 @@ def _check_range(part: str, idx: np.ndarray, n: int):
         raise SplitIndexOutOfRange(f"{part} split index {int(bad[0])} outside 0..{n - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitMasks:
     """Disjoint train/val/test node index arrays; train and test nonempty.
 
@@ -117,25 +117,24 @@ class _FlatOptimizer:
     """Optimizer state and arithmetic on one flat vector over all parameters.
 
     At construction every parameter's value and gradient become views into
-    two flat float64 buffers, .value and .grad, in parameter order, so a step
-    is a fixed number of whole-vector array operations however many
-    parameters there are. Each update is the per-parameter formula applied
-    elementwise, so the bits are those of a per-parameter loop. fit owns the
-    optimizer, and autodiff.backward adds into .grad in place, so the views
-    stay bound for the whole fit.
+    two flat float64 buffers, .value and .grad (zeroed, so no gradient from
+    before fit enters a step), in parameter order, so a step is a fixed
+    number of whole-vector array operations however many parameters there
+    are, each the per-parameter formula applied elementwise: the bits are
+    those of a per-parameter loop. fit owns the optimizer, and backward
+    adds into .grad in place, so the views stay bound for the whole fit.
     """
 
     def __init__(self, params, cfg: TrainConfig):
         self.cfg = cfg
         total = sum(p.value.size for p in params)
-        self.value, self.grad, self._tmp = np.empty(total), np.empty(total), np.empty(total)
+        self.value, self.grad, self._tmp = np.empty(total), np.zeros(total), np.empty(total)
         end = 0
         for p in params:
             start, end = end, end + p.value.size
             value = self.value[start:end].reshape(p.value.shape)
-            grad = self.grad[start:end].reshape(p.value.shape)
-            value[...], grad[...] = p.value, p.grad
-            p.value, p.grad = value, grad
+            value[...] = p.value
+            p.value, p.grad = value, self.grad[start:end].reshape(p.value.shape)
 
     def restore(self, state: np.ndarray):
         """Set every parameter from a copy of .value taken earlier."""

@@ -460,6 +460,12 @@ def per_edge_write_edge_list(g, path):
                     fh.write(f"{u}\t{v}\t{w:.17g}\n")
 
 
+def not_utf8_edge_file():
+    """Bytes of a 3002-line edge file: line 1 is "0<TAB>x", lines 2-3001 are
+    good edges, and line 3002 holds the byte 0xff, past the first 8 KB."""
+    return b"0\tx\n" + b"".join(b"%d\t%d\n" % (i, i + 1) for i in range(3000)) + b"\xff\n"
+
+
 def per_node_homophily(g, labels):
     """theory.homophily counting edges node by node."""
     same = total = 0

@@ -15,6 +15,10 @@ as an attribute of a module it imports from the package (the package's
 modules import each other relatively): a leading underscore keeps a name
 its own module's, and a name another module needs is public where it is
 defined.
+
+Every dataclass with an np.ndarray field declares eq=False: the generated
+== would compare arrays, whose truth value is ambiguous, and would leave
+the class unhashable, so such records compare and hash by identity.
 """
 
 import ast
@@ -95,3 +99,25 @@ def test_no_module_takes_another_modules_underscore_name():
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules and _private(node.attr)]
     assert not taken, f"underscore names taken from another module: {taken}"
+
+
+def _decorator_name(node: ast.expr):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_dataclasses_holding_arrays_compare_by_identity():
+    loose = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            dataclass = [d for d in node.decorator_list if _decorator_name(d) == "dataclass"]
+            arrays = [s for s in node.body if isinstance(s, ast.AnnAssign)
+                      and "ndarray" in ast.unparse(s.annotation)]
+            identity = any(isinstance(d, ast.Call) and any(
+                k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False
+                for k in d.keywords) for d in dataclass)
+            if dataclass and arrays and not identity:
+                loose.append(f"{path.stem}.{node.name}")
+    assert not loose, f"dataclasses with array fields that lack eq=False: {loose}"

@@ -38,6 +38,7 @@ from graphscat.spectral import (
 from conftest import (
     count_eigendecompositions,
     count_kernel_calls,
+    not_utf8_edge_file,
     per_edge_write_edge_list,
     per_value_csv,
 )
@@ -602,6 +603,12 @@ class TestCliCommands:
         edges.write_text(f"0\t1\n1\t2\t{weight}\n2\t0\n")
         assert main(["spectra", "--graph", str(edges)]) == 2
         assert f"error: edge (1, 2) has non-finite weight {weight}" in capsys.readouterr().err
+
+    def test_spectra_rejects_a_file_not_utf8(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_bytes(not_utf8_edge_file())
+        assert main(["spectra", "--graph", str(edges)]) == 2
+        assert "error: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_scatter_csv_bytes_match_per_value_writer(self, small_dataset_dir, tmp_path):
         out = tmp_path / "scatter.csv"

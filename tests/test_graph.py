@@ -1,3 +1,4 @@
+import builtins
 import math
 import os
 import re
@@ -39,6 +40,7 @@ from conftest import (
     dense_ops,
     dense_w,
     hop_graphs,
+    not_utf8_edge_file,
     per_edge_build_graph,
     per_edge_read_edge_list,
     per_edge_write_edge_list,
@@ -88,6 +90,25 @@ class TestBuildGraph:
             with pytest.raises(ValueError, match=f"^edge {re.escape(shown)} has a node id "
                                                  "that is not an int64 integer$"):
                 build_graph(edges)
+
+    @pytest.mark.parametrize("edges,shown", [
+        ([(0, 1, "x"), (1, 2, None)], "(0, 1) has weight 'x'"),    # numpy's bare error before
+        ([(0, 1, None), (1, 2, 1.0)], "(0, 1) has weight None"),   # called weight nan before
+        ([(0, 1, 1.0), (2, 1, "1.5"), (2, 3, None)], "(2, 1) has weight '1.5'"),
+        ([(0, 1, None), (1, 2, 2 ** 1024)], "(0, 1) has weight None"),
+        ([(0, 1, 1.0), (1, 2, 2 ** 1024)], f"(1, 2) has weight {2 ** 1024}"),
+    ], ids=["text", "none", "numeric-text", "none-before-huge-int", "huge-int"])
+    def test_weight_that_is_no_number_names_its_edge(self, edges, shown):
+        with pytest.raises(ValueError, match=f"^edge {re.escape(shown)}, "
+                                             "which is not a float64 number$"):
+            build_graph(edges)
+
+    def test_graphs_and_their_plans_compare_by_identity(self):
+        g, twin = build_graph(cycle(4)), build_graph(cycle(4))
+        for record, other in ((g, twin), (g.kernel_plan, twin.kernel_plan)):
+            assert record == record and {record: 1}[record] == 1
+            assert hash(record) == hash(record) != hash(other)
+            assert record != other
 
     def test_integral_float_ids_build_the_integer_graph(self):
         # a float (m, 3) array with weights carries its ids as floats
@@ -682,4 +703,32 @@ class TestArrayBuiltGraph:
         path = tmp_path / "edges.tsv"
         path.write_text("0\t1\t1.0\n1\t0\t2.0\n0\tx\n")
         with pytest.raises(NonSymmetricInput, match=rf"^{path}:2: edge \(0, 1\)"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("text,n", [
+        ("0\t1\t1.0\n1\t2\t1.0\n", None),       # numpy's reader
+        ("0\t1\n1\t2\t2.0\n", None),             # the per-line parser
+        ("0\t1\t1.0\n1\t0\t2.0\n", None),       # numpy's reader, then a clash to name
+        ("0\t1\n# gap\n1\t7\n", 3),             # numpy's reader, then an id >= n to name
+    ], ids=["uniform", "mixed", "weight-clash", "id-out-of-range"])
+    def test_reader_opens_its_file_once(self, tmp_path, monkeypatch, text, n):
+        path = tmp_path / "edges.tsv"
+        path.write_text(text)
+        opened, real_open = [], builtins.open
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        outcome(read_edge_list, path, n=n)
+        monkeypatch.undo()
+        assert opened == [path]
+
+    def test_file_not_utf8_raises_the_decode_error(self, tmp_path):
+        # line 1 is malformed, but the byte 0xff on line 3002 lies beyond the
+        # first 8 KB; decoding the whole file comes first, so no line is named
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(not_utf8_edge_file())
+        with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff"):
             read_edge_list(path)

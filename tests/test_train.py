@@ -172,6 +172,22 @@ class TestFit:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
+    def test_fit_ignores_gradients_of_an_earlier_backward(self):
+        ds = generate_sbm(SBMSpec((20, 20), p_in=0.3, p_out=0.05, seed=1))
+        runs = []
+        for earlier_backward in (False, True):
+            model = build_model(ModelSpec(preset="gcn-baseline"), ds.features.shape[1],
+                                ds.n_classes, seed=0)
+            if earlier_backward:
+                ad.backward(ad.masked_cross_entropy(model.forward(ds.graph, ds.features),
+                                                    ds.labels, ds.splits.train))
+                assert any(p.grad.any() for p in model.parameters())
+            res = fit(model, ds.graph, ds.features, ds.labels, ds.splits,
+                      TrainConfig(max_epochs=5, patience=30))
+            runs.append((res.history, [p.value.tobytes() for p in model.parameters()]))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+
     def test_precomputed_sc_gcn_fit_is_bit_deterministic(self):
         # sc-gcn on the criterion-7 block model (d_in 8, at most its 47
         # stacked Theta columns) fits on its precomputed responses
@@ -351,6 +367,10 @@ class TestConfigsAndMasks:
         masks = SplitMasks(train=[0.0, 1.0], val=[], test=np.array([2], dtype=np.int32))
         assert [m.tolist() for m in (masks.train, masks.val, masks.test)] == [[0, 1], [], [2]]
         assert {m.dtype for m in (masks.train, masks.val, masks.test)} == {np.dtype(np.int64)}
+
+    def test_masks_compare_by_identity(self):
+        masks, twin = (SplitMasks(train=[0], val=[1], test=[2]) for _ in range(2))
+        assert masks == masks and {masks: 1}[masks] == 1 and masks != twin
 
     def test_masks_nonempty(self):
         with pytest.raises(EmptyMask):
