@@ -210,19 +210,25 @@ def abs_pow(a, q: float) -> Tensor:
 
 class _FilterAttention:
     """Scores, softmax and weighted sum of per-node filter attention, with
-    the steps of their backward; filter_attention and precomputed_attention
-    wrap it, each with its own way of reaching the responses.
+    their one backward; filter_attention and precomputed_attention wrap it,
+    each with its own way of reaching the responses and of passing their
+    gradient on.
 
-    xbar is the (n, H W) self term, R the (C n, H W) response stack with |.|
-    of the band rows already taken, and a the (2 W, H) attention vectors.
-    xbar and R are kept, not copied.
+    xbar is the (n, H W) self term, R the (C n, H W) response stack, low-pass
+    rows first, and a the (2 W, H) attention vectors. |.| of the band rows,
+    those from the n_low-th filter on, is taken in R in place and their signs
+    kept for the backward. xbar and R are kept, not copied.
     """
 
-    def __init__(self, xbar: np.ndarray, R: np.ndarray, a: np.ndarray, slope: float):
+    def __init__(self, xbar: np.ndarray, R: np.ndarray, a: np.ndarray, n_low: int,
+                 slope: float):
         n, hw = xbar.shape
         width, heads = a.shape[0] // 2, a.shape[1]
         self.n, self.c, self.heads, self.width = n, R.shape[0] // n, heads, width
-        self.xbar, self.R, self.slope = xbar, R, slope
+        self.xbar, self.R, self.slope, self.cut = xbar, R, slope, n_low * n
+        band = R[self.cut:]
+        self.sign = np.sign(band)
+        np.abs(band, out=band)
         self._heads_idx = np.arange(heads)
         self.a_self, self.a_filter = self._block_diag(a[:width]), self._block_diag(a[width:])
         pre = (R @ self.a_filter).reshape(self.c, n, heads) + xbar @ self.a_self
@@ -248,28 +254,25 @@ class _FilterAttention:
                                                              self._heads_idx].T
 
     def backward(self, g):
-        """From the output gradient g: (dagg, dpre, dself), the gradients of
-        the aggregate before the ReLU (n, H, W), of the scores before the
-        LeakyReLU (C n, H) and of the self term's scores (n, H)."""
+        """From the output gradient g: (dxbar, dR, da), the gradients of xbar
+        (n, H W), of the response stack before |.| of its band rows (C n, H W)
+        and of a = [a_1 | ... | a_H] (2 W, H)."""
         c, n, heads = self.c, self.n, self.heads
         dagg = g.reshape(n, heads, self.width) * self.mask * (1.0 / c)
         dalpha = np.einsum("cnhw,nhw->cnh", self.R.reshape(c, n, heads, self.width), dagg)
         dz = self.alpha * (dalpha - np.sum(self.alpha * dalpha, axis=0))
         dpre = np.where(self.pos, dz, self.slope * dz)
-        return dagg, dpre.reshape(c * n, heads), np.sum(dpre, axis=0)
-
-    def d_responses(self, first: int, dagg, dpre):
-        """Gradient of the responses of filters first..C-1, their rows of R,
-        before the sign of the band rows: alpha_c dagg + dpre_c a^2 per filter c."""
-        d = np.einsum("cnh,nhw->cnhw", self.alpha[first:], dagg)
-        d = d.reshape(-1, self.heads * self.width)
-        d += dpre[first * self.n:] @ self.a_filter.T
-        return d
-
-    def d_attention(self, dpre, dself):
-        """Gradient of a = [a_1 | ... | a_H], (2 W, H)."""
-        return np.vstack([self._diag_blocks(self.xbar.T @ dself),
-                          self._diag_blocks(self.R.T @ dpre)])
+        # alpha_c dagg + dpre_c a^2 per filter c, the second term filter by filter:
+        # one more (C n, H W) array made glibc trim its heap every gsan epoch
+        dR = np.einsum("cnh,nhw->cnhw", self.alpha, dagg)
+        for dr, dp in zip(dR, dpre):
+            dr += (dp @ self.a_filter.T).reshape(dr.shape)
+        dR = dR.reshape(c * n, heads * self.width)
+        dR[self.cut:] *= self.sign
+        dself = np.sum(dpre, axis=0)
+        da = np.vstack([self._diag_blocks(self.xbar.T @ dself),
+                        self._diag_blocks(self.R.T @ dpre.reshape(c * n, heads))])
+        return dself @ self.a_self.T, dR, da
 
 
 def filter_attention(xbar, filtered, a, n_low: int, slope: float):
@@ -297,22 +300,13 @@ def filter_attention(xbar, filtered, a, n_low: int, slope: float):
             or any(t.value.shape[1:] != (hw,) for t in filtered)):
         raise DimensionMismatch(f"filter attention on xbar {xbar.shape}, responses "
                                 f"{[t.shape for t in filtered]}, attention vectors {a.shape}")
-    # R is one copy of the responses; |.| of the band rows is taken in place,
-    # their signs kept for the backward
-    cut = n_low * n
-    R = np.concatenate([t.value for t in filtered])
-    band = R[cut:]
-    sign = np.sign(band)
-    np.abs(band, out=band)
-    att = _FilterAttention(xbar.value, R, a.value, slope)
+    # R is one copy of the responses, which the attention owns
+    att = _FilterAttention(xbar.value, np.concatenate([t.value for t in filtered]), a.value,
+                           n_low, slope)
     ends = np.cumsum([t.value.shape[0] for t in filtered])
 
     def vjp(g):
-        dagg, dpre, dself = att.backward(g)
-        dR = att.d_responses(0, dagg, dpre)
-        dR[cut:] *= sign
-        dxbar = dself @ att.a_self.T if xbar.requires_grad else None
-        da = att.d_attention(dpre, dself) if a.requires_grad else None
+        dxbar, dR, da = att.backward(g)
         return (dxbar, da, *(dR[end - t.value.shape[0]:end] for t, end in zip(filtered, ends)))
 
     return Tensor(att.out, (xbar, a, *filtered), vjp), att.alpha
@@ -322,15 +316,14 @@ def precomputed_attention(responses: np.ndarray, theta, a, n_low: int, slope: fl
     """filter_attention on precomputed responses, as one node whose parents
     are theta and a.
 
-    responses is the constant [X; F_1 X; ...; F_C X], shape (1 + C, n, d_in),
-    low-pass filters first, and theta is [Theta_1 | ... | Theta_H], shape
-    (d_in, H W). Since F_c (X Theta) = (F_c X) Theta, one product of the
-    stacked responses with theta gives xbar and every filter's response in
-    a buffer the node owns; |.| of the band rows is taken in place. The VJP
-    forms the (C_band n, H W) response gradient of the band rows only. The
-    low rows are linear in theta, so their part of dtheta is taken in the
-    d_in space: sum_h (sum_c alpha_c F_c X)^T dagg_h + (F_low^T dpre) a^2 +
-    X^T dself a^1. Returns (output (n, H W), alpha) as filter_attention does.
+    responses is the constant S = [X; F_1 X; ...; F_C X], shape
+    (1 + C, n, d_in), low-pass filters first, and theta is
+    [Theta_1 | ... | Theta_H], shape (d_in, H W). Since F_c (X Theta) =
+    (F_c X) Theta, one product S theta gives xbar and every filter's
+    response in a buffer the node owns, and the VJP maps the gradients of
+    xbar and of the response stack back through S^T: dtheta =
+    X^T dxbar + [F_1 X; ...; F_C X]^T dR. Returns (output (n, H W), alpha)
+    as filter_attention does.
     """
     responses = np.asarray(responses, dtype=np.float64)
     theta, a = _as_tensor(theta), _as_tensor(a)
@@ -344,29 +337,11 @@ def precomputed_attention(responses: np.ndarray, theta, a, n_low: int, slope: fl
     _, n, d = responses.shape
     S = responses.reshape(-1, d)
     P = S @ theta.value
-    cut = (1 + n_low) * n
-    band = P[cut:]
-    sign = np.sign(band)
-    np.abs(band, out=band)
-    att = _FilterAttention(P[:n], P[n:], a.value, slope)
+    att = _FilterAttention(P[:n], P[n:], a.value, n_low, slope)
 
     def vjp(g):
-        dagg, dpre, dself = att.backward(g)
-        dtheta = None
-        if theta.requires_grad:
-            dband = att.d_responses(n_low, dagg, dpre)
-            dband *= sign
-            dtheta = S[cut:].T @ dband
-            # sum_c alpha_c F_c X per node and head, (n, H, d_in), then its
-            # transpose times dagg_h per head
-            mixed = np.matmul(att.alpha[:n_low].transpose(1, 2, 0),
-                              responses[1:1 + n_low].transpose(1, 0, 2))
-            dtheta += np.matmul(mixed.transpose(1, 2, 0),
-                                dagg.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(d, hw)
-            dtheta += (S[n:cut].T @ dpre[:n_low * n]) @ att.a_filter.T
-            dtheta += (S[:n].T @ dself) @ att.a_self.T
-        da = att.d_attention(dpre, dself) if a.requires_grad else None
-        return dtheta, da
+        dxbar, dR, da = att.backward(g)
+        return S[n:].T @ dR + S[:n].T @ dxbar, da
 
     return Tensor(att.out, (theta, a), vjp), att.alpha
 
@@ -458,12 +433,9 @@ def backward(root: Tensor):
     the root. Values stay until then on purpose: freeing each one at its
     turn, between the walk's gradient allocations, made glibc trim and
     regrow its heap in every gsan fit on the 400-node block model (64 000-
-    72 000 minor page faults per 100 epochs, against under 130 when the
-    tape lived on to the next forward pass). Freeing them at return does so
-    too: a 100-epoch gsan fit took about 47 000 faults, under 30 once the
-    precomputed attention layer became one node, and 43 243-48 106 in the
-    benchmark's sbm-gsan harness since (CHANGES.md). The VJP left
-    behind raises TapeConsumed, so running backward again through a
+    72 000 minor page faults per 100 epochs; a fit in the benchmark's
+    harness now takes none after a process's first, CHANGES.md). The VJP
+    left behind raises TapeConsumed, so running backward again through a
     consumed node fails instead of returning zero gradients.
     """
     if root.value.ndim != 0:

@@ -30,6 +30,7 @@ from .errors import (
     IsolatedNodeWarning,
     MissingFile,
     RowCountMismatch,
+    require_integers,
 )
 from .graph import Graph, build_graph, read_edge_list, write_edge_list, write_rows
 from .theory import homophily
@@ -67,8 +68,9 @@ class SBMSpec:
     """Stochastic block model with per-block Gaussian feature clouds.
 
     At least 2 blocks of at least 1 node, p_in and p_out in [0, 1], at least
-    one feature column, a finite noise_scale >= 0 and a seed >= 0; a value
-    out of range raises FieldRangeError naming its field.
+    one feature column, a finite noise_scale >= 0 and a seed >= 0, the block
+    sizes, feature_dim and seed integers; a value out of range or not an
+    integer (a boolean, 2.7) raises FieldRangeError naming its field.
     """
 
     block_sizes: tuple[int, ...]
@@ -79,6 +81,7 @@ class SBMSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers("block_sizes", *self.block_sizes)
         self.block_sizes = tuple(int(b) for b in self.block_sizes)
         if len(self.block_sizes) < 2:
             raise FieldRangeError(f"block_sizes needs at least 2 blocks, got {self.block_sizes}",
@@ -91,12 +94,14 @@ class SBMSpec:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise FieldRangeError(f"{name} must lie in [0, 1], got {getattr(self, name)}",
                                       name)
+        require_integers("feature_dim", self.feature_dim)
         if self.feature_dim < 1:
             raise FieldRangeError(f"feature_dim must be >= 1, got {self.feature_dim}",
                                   "feature_dim")
         if not 0.0 <= self.noise_scale < np.inf:
             raise FieldRangeError(f"noise_scale must be finite and >= 0, got {self.noise_scale}",
                                   "noise_scale")
+        require_integers("seed", self.seed)
         if self.seed < 0:
             raise FieldRangeError(f"seed must be >= 0, got {self.seed}", "seed")
 

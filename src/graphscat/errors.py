@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import numbers
+
 
 class GraphScatError(Exception):
     """Base class for all graphscat errors."""
@@ -91,6 +93,14 @@ class FieldRangeError(GraphScatError, ValueError):
     def __init__(self, message, *fields):
         self.fields = fields
         super().__init__(message)
+
+
+def require_integers(field: str, *values):
+    """FieldRangeError naming field at the first of values that is not an
+    integer: a boolean, a float (2.0 too, as the config parser has it) or text."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise FieldRangeError(f"{field} takes integers, got {value!r}", field)
 
 
 class ConfigError(GraphScatError):

@@ -253,12 +253,12 @@ def residual_diffusion(alpha: float) -> OperatorKind:
 
 def int64_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """values as int64, and where a value is not an integer that int64 holds:
-    1.5, NaN or 2**63, and in a text or object array also None or 'a' (read
-    as 0) or '1'."""
+    1.5, NaN, 2**63 or a boolean, and in a text or object array also None or
+    'a' (read as 0) or '1'."""
     if values.dtype.kind not in "OSU":
         with np.errstate(invalid="ignore"):     # NaN, inf and |x| >= 2**63 fail the round trip
             ints = values.astype(np.int64)
-        return ints, ints != values
+        return ints, (ints != values) | (values.dtype == bool)
     # the cast raises on None, on text that is no integer and on ints beyond int64
     ints, bad = np.zeros(values.shape, dtype=np.int64), np.ones(values.shape, dtype=bool)
     for i, x in enumerate(values.flat):
@@ -266,7 +266,7 @@ def int64_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             ints.flat[i] = x
         except (TypeError, ValueError, OverflowError):
             continue
-        bad.flat[i] = ints.flat[i] != x
+        bad.flat[i] = ints.flat[i] != x or isinstance(x, (bool, np.bool_))
     return ints, bad
 
 
@@ -274,13 +274,13 @@ def build_graph(edges, n: int | None = None) -> Graph:
     """Build a Graph from (u, v) pairs or (u, v, weight) triples, or an (m, 2|3) array.
 
     First rejects an id that is not an integer int64 holds (1.5, NaN, None,
-    'a'), an integral float such as 2.0 passing, then a weight that is not a
-    number float64 holds (None, 'x', 2**1024); then self-loops, negative ids,
-    non-finite or non-positive weights, duplicate undirected edges and
-    conflicting weights for the same pair. Each names the first offending
-    edge in input order. Finite weights whose sum at a node overflows are
-    rejected naming the node. Emits IsolatedNodeWarning when some degree is
-    zero.
+    'a', False), an integral float such as 2.0 passing, then a weight that is
+    not a number float64 holds (None, 'x', 2**1024, True); then self-loops,
+    negative ids, non-finite or non-positive weights, duplicate undirected
+    edges and conflicting weights for the same pair. Each names the first
+    offending edge in input order. Finite weights whose sum at a node
+    overflows are rejected naming the node. Emits IsolatedNodeWarning when
+    some degree is zero.
     """
     E = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
     if E.size == 0:
@@ -297,8 +297,8 @@ def build_graph(edges, n: int | None = None) -> Graph:
     if E.shape[1] == 3 and E.dtype.kind not in "OSU":
         w = E[:, 2].astype(np.float64)
     elif E.shape[1] == 3:
-        for i, x in enumerate(E[:, 2]):     # float64 reads None as NaN and parses text
-            if x is not None and not isinstance(x, (str, bytes)):
+        for i, x in enumerate(E[:, 2]):     # float64 reads None as NaN, parses text, takes bools
+            if x is not None and not isinstance(x, (str, bytes, bool, np.bool_)):
                 try:
                     w[i] = x
                     continue

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import FieldRangeError, IsolatedNodeError
+from .errors import FieldRangeError, IsolatedNodeError, require_integers
 from .graph import RENORM_ADJACENCY, Graph, residual_diffusion
 from .scattering import ABS, Nonlinearity, cascade_tensor
 from .wavelets import check_scales
@@ -60,8 +60,9 @@ class ChannelSpec:
 
     In the concat layer the channel ends in |.|^q; q is 1 for low-pass
     channels and any q >= 1 for band-pass ones (the power never enters the
-    cascade). A value out of range raises FieldRangeError naming its field,
-    a bad scale in path ScaleOutOfRange.
+    cascade). A value out of range, or a width, r or scale that is not an
+    integer (a boolean, 2.5), raises FieldRangeError naming its field, a
+    scale out of range ScaleOutOfRange.
     """
 
     kind: str                 # "low" | "band"
@@ -73,9 +74,11 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in ("low", "band"):
             raise ValueError(f"channel kind must be 'low' or 'band', got {self.kind!r}")
+        require_integers("width", self.width)
         if self.width < 1:
             raise FieldRangeError("channel width must be >= 1", "width")
         if self.kind == "low":
+            require_integers("r", self.r)
             if self.r < 1:
                 raise FieldRangeError("low-pass power r must be >= 1", "r")
             if self.q != 1.0:
@@ -83,6 +86,7 @@ class ChannelSpec:
         else:
             if self.q < 1:
                 raise FieldRangeError("band-pass q must be >= 1", "q")
+            require_integers("path", *self.path)
             check_scales(self.path)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers
-from .errors import FieldRangeError, ScaleOutOfRange
+from .errors import FieldRangeError, ScaleOutOfRange, require_integers
 from .graph import RENORM_ADJACENCY, Graph
 from .layers import (
     AttentionState,
@@ -71,8 +71,11 @@ class ModelSpec:
             if self.preset == "sc-gcn" and len(getattr(self, a)) != len(getattr(self, b)):
                 raise FieldRangeError(f"{a} and {b} must have equal length", a, b)
         for name in ("hidden", "heads"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise FieldRangeError(f"{name} must be >= 1, got {getattr(self, name)}", name)
+            value = getattr(self, name)
+            if value is not None:
+                require_integers(name, value)
+                if value < 1:
+                    raise FieldRangeError(f"{name} must be >= 1, got {value}", name)
         if self.alpha is not None and not 0.0 <= self.alpha < np.inf:
             raise FieldRangeError(f"alpha must be finite and >= 0, got {self.alpha}", "alpha")
         self.channels()     # ChannelSpec holds the channel ranges

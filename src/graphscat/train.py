@@ -25,7 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .errors import BadSplitIndex, EmptyMask, FieldRangeError, NonFiniteLoss, SplitIndexOutOfRange
+from .errors import (BadSplitIndex, EmptyMask, FieldRangeError, NonFiniteLoss,
+                     SplitIndexOutOfRange, require_integers)
 from .graph import Graph, int64_values
 
 ADAM_BETAS = (0.9, 0.999)
@@ -40,7 +41,7 @@ def _split_indices(part: str, idx) -> np.ndarray:
     if idx.ndim != 1:
         raise BadSplitIndex(f"{part} split must be a list of integers")
     ints, nonint = int64_values(idx)
-    bad = idx[nonint | (idx.dtype == bool)]
+    bad = idx[nonint]
     if bad.size:
         raise BadSplitIndex(f"{part} split index {bad.tolist()[0]!r} is not an integer")
     return ints
@@ -85,8 +86,9 @@ class SplitMasks:
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and stopping settings of a fit: finite lr and weight_decay
-    >= 0, positive max_epochs and patience, a seed >= 0 and adam or sgd; a
-    value out of range raises FieldRangeError naming its field."""
+    >= 0, positive integers max_epochs and patience, an integer seed >= 0
+    and adam or sgd; a value out of range or not an integer where one is
+    due (a boolean, 2.5) raises FieldRangeError naming its field."""
 
     lr: float = 1e-2
     weight_decay: float = 5e-4
@@ -103,6 +105,8 @@ class TrainConfig:
             # lr = 0 is legal and leaves parameters untouched (useful in tests)
             if value < 0:
                 raise FieldRangeError(f"{name} must be >= 0, got {value}", name)
+        for name in ("max_epochs", "patience", "seed"):
+            require_integers(name, getattr(self, name))
         for name in ("max_epochs", "patience"):
             if getattr(self, name) <= 0:
                 raise FieldRangeError(f"{name} must be positive, got {getattr(self, name)}", name)

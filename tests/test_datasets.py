@@ -88,10 +88,16 @@ class TestGenerateSBM:
         ("noise_scale", float("nan"), "noise_scale must be finite and >= 0, got nan"),
         ("noise_scale", -0.5, "noise_scale must be finite and >= 0, got -0.5"),
         ("seed", -1, "seed must be >= 0, got -1"),
+        # integer fields refuse booleans and fractions; blocks (2.7, 3.9) were (2, 3)
+        ("block_sizes", (2.7, 3.9), "block_sizes takes integers, got 2.7"),
+        ("block_sizes", (10, True), "block_sizes takes integers, got True"),
+        ("feature_dim", 8.5, "feature_dim takes integers, got 8.5"),
+        ("feature_dim", np.True_, "feature_dim takes integers, got np.True_"),
+        ("seed", 1.0, "seed takes integers, got 1.0"),
     ])
     def test_spec_field_out_of_range(self, field, value, message):
         with pytest.raises(FieldRangeError, match=f"^{message}$") as err:
-            SBMSpec(block_sizes=(10, 10), **{field: value})
+            SBMSpec(**{"block_sizes": (10, 10), field: value})
         assert err.value.fields == (field,)
         SBMSpec(block_sizes=(10, 10), feature_dim=1, noise_scale=0.0, seed=0)
 

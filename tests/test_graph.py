@@ -82,6 +82,9 @@ class TestBuildGraph:
         ([(0, 1), (0, None)], "(0, None)"),               # numpy's bare TypeError before
         ([(0, "a")], "('0', 'a')"),                       # int() refused 'a' before
         ([(0, 2 ** 70)], "(0, 1180591620717411303424)"),  # OverflowError before
+        ([(False, True)], "(False, True)"),               # was built as 0-1
+        (np.array([[False, True, True]]), "(False, True)"),  # a boolean (m, 3) array
+        (np.array([(0, True)], dtype=object), "(0, True)"),
     ])
     def test_non_integer_node_id_rejected_first(self, edges, shown):
         # NaN was cast to int64 min, with a RuntimeWarning, and called negative
@@ -97,7 +100,10 @@ class TestBuildGraph:
         ([(0, 1, 1.0), (2, 1, "1.5"), (2, 3, None)], "(2, 1) has weight '1.5'"),
         ([(0, 1, None), (1, 2, 2 ** 1024)], "(0, 1) has weight None"),
         ([(0, 1, 1.0), (1, 2, 2 ** 1024)], f"(1, 2) has weight {2 ** 1024}"),
-    ], ids=["text", "none", "numeric-text", "none-before-huge-int", "huge-int"])
+        (np.array([(0, 1, True)], dtype=object), "(0, 1) has weight True"),  # was weight 1.0
+        ([(0, 1, 1.0), (1, 2, np.True_), (2, 3, None)], "(1, 2) has weight np.True_"),
+    ], ids=["text", "none", "numeric-text", "none-before-huge-int", "huge-int", "bool",
+            "numpy-bool-before-none"])
     def test_weight_that_is_no_number_names_its_edge(self, edges, shown):
         with pytest.raises(ValueError, match=f"^edge {re.escape(shown)}, "
                                              "which is not a float64 number$"):
@@ -660,7 +666,7 @@ class TestArrayBuiltGraph:
         pairs.write_text("".join(f"{u}\t{v}\n" for u, v in zip(rows, g.csr_targets) if u < v))
         want = [outcome(read_edge_list, path) for path in (triples, pairs)]
 
-        def refuse(path):
+        def refuse(path, lines):
             raise AssertionError(f"per-line parser used for {path}")
 
         monkeypatch.setattr(graph_module, "_parse_lines", refuse)

@@ -183,6 +183,24 @@ class TestHybridConcat:
             ModelSpec(preset="sc-gcn", low_powers=(0, 1), low_widths=(0, 2))
         assert err.value.fields == ("low_widths",)
 
+    @pytest.mark.parametrize("fields,message,named", [
+        ({"preset": "gsan", "hidden": 2.5}, "hidden takes integers, got 2.5", "hidden"),
+        ({"preset": "gcn-baseline", "hidden": True}, "hidden takes integers, got True", "hidden"),
+        ({"preset": "gsan", "heads": 2.0}, "heads takes integers, got 2.0", "heads"),
+        ({"preset": "gsan", "low_powers": (1, 1.5)}, "r takes integers, got 1.5", "low_powers"),
+        ({"preset": "sc-gcn", "low_widths": (10, True, 10)}, "width takes integers, got True",
+         "low_widths"),
+        ({"preset": "sc-gcn", "band_widths": (11, 6.5)}, "width takes integers, got 6.5",
+         "band_widths"),
+        ({"preset": "sc-gcn", "band_paths": ((1,), (2.5,))}, "path takes integers, got 2.5",
+         "band_paths"),
+    ])
+    def test_integer_fields_refuse_booleans_and_fractions(self, fields, message, named):
+        # a gsan width of 2.5 was built into a ChannelSpec
+        with pytest.raises(FieldRangeError, match=f"^{message}$") as err:
+            ModelSpec(**fields)
+        assert err.value.fields == (named,)
+
 
 def literal_attention_oracle(n, edges, specs, theta, a, X):
     """Direct dense implementation of the per-node filter attention."""
@@ -905,23 +923,30 @@ class TestStackedAttention:
 
     SPECS = (tuple(low_channel(r, 3) for r in (1, 3))
              + tuple(band_channel((k,), 3) for k in (0, 1, 2)))
+    # the edge slices of the band-row sign: the whole stack, then none of it
+    BAND_ONLY, LOW_ONLY = SPECS[2:], SPECS[:2]
 
-    @pytest.mark.parametrize("plan", ["precomputed", "per-epoch", "per-epoch-x-on-tape"])
+    @pytest.mark.parametrize("plan,specs", [
+        ("precomputed", SPECS), ("per-epoch", SPECS), ("per-epoch-x-on-tape", SPECS),
+        ("precomputed", BAND_ONLY), ("per-epoch", BAND_ONLY),
+        ("precomputed", LOW_ONLY), ("per-epoch", LOW_ONLY),
+    ], ids=["precomputed", "per-epoch", "per-epoch-x-on-tape", "precomputed-band-only",
+            "per-epoch-band-only", "precomputed-low-only", "per-epoch-low-only"])
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 16), heads=st.integers(1, 3))
-    def test_matches_per_filter_composition(self, plan, seed, n, heads):
+    def test_matches_per_filter_composition(self, plan, specs, seed, n, heads):
         rng = np.random.default_rng(seed)
         _, g = random_connected_graph(rng, n, weighted=True)
         X = rng.standard_normal((n, 2 if plan == "precomputed" else 5))
-        params = init_attention_params(self.SPECS, heads, X.shape[1], rng)
+        params = init_attention_params(specs, heads, X.shape[1], rng)
         x = ad.Parameter(X.copy()) if plan == "per-epoch-x-on-tape" else X
-        responses = filter_responses(g, self.SPECS, X) if plan == "precomputed" else None
+        responses = filter_responses(g, specs, X) if plan == "precomputed" else None
         flat = [*params] + ([x] if isinstance(x, ad.Tensor) else [])
         weights = rng.standard_normal((n, heads * 3))
         stacked = _loss_and_grads(
-            lambda: attention_head(g, self.SPECS, params, x, responses)[0], flat, weights)
+            lambda: attention_head(g, specs, params, x, responses)[0], flat, weights)
         oracle = _loss_and_grads(
-            lambda: per_filter_attention(g, self.SPECS, params, x, responses)[0], flat, weights)
+            lambda: per_filter_attention(g, specs, params, x, responses)[0], flat, weights)
         assert _close(stacked[0], oracle[0])
         for got, want in zip(stacked[1], oracle[1], strict=True):
             assert _close(got, want)

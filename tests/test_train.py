@@ -414,6 +414,18 @@ class TestConfigsAndMasks:
         assert str(from_fit.value) == str(from_dataset.value) == (
             "train split index 99 outside 0..29")
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_epochs", 2.5),     # was accepted, then failed in range()
+        ("max_epochs", True),
+        ("patience", 3.0),
+        ("seed", np.False_),
+    ])
+    def test_train_config_rejects_non_integer(self, field, value):
+        message = f"^{field} takes integers, got {value!r}$"
+        with pytest.raises(FieldRangeError, match=message) as err:
+            TrainConfig(**{field: value})
+        assert err.value.fields == (field,)
+
     @pytest.mark.parametrize("field", ["lr", "weight_decay"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_train_config_rejects_non_finite(self, field, value):
